@@ -1,7 +1,8 @@
 """Exact homology and cohomology of finite ample groupoid models."""
 
 from .zlinalg import (FgAbGroup, IntMatrix, SnfDecomposition,
-                      coefficients_via_uct, homology_at, invariant_factors,
+                      coefficients_via_uct, complex_homology, homology_at,
+                      invariant_factors,
                       kernel_basis, rank, snf, solve_in_image)
 from .groupoids import (FiniteGroupoid, GModule, GroupoidFunctor, Nerve,
                         bar_boundary_matrix_b, boundary_matrix_d,
@@ -20,7 +21,8 @@ from . import models
 
 __all__ = [
     "FgAbGroup", "IntMatrix", "SnfDecomposition", "snf", "kernel_basis",
-    "rank", "invariant_factors", "homology_at", "solve_in_image",
+    "rank", "invariant_factors", "complex_homology", "homology_at",
+    "solve_in_image",
     "coefficients_via_uct",
     "FiniteGroupoid", "GModule", "GroupoidFunctor", "Nerve", "nerve",
     "validate_groupoid", "validate_module", "boundary_matrix_d",

@@ -17,7 +17,7 @@ from typing import List
 from .groupoids import (FiniteGroupoid, GModule, GroupoidFunctor,
                         nerve, require_valid_functor)
 from .zlinalg import (ChainHomologyPresentation, FgAbGroup, IntMatrix,
-                      homology_at, homology_presentation,
+                      complex_homology, homology_presentation,
                       induced_on_homology, kernel_basis)
 
 
@@ -197,11 +197,9 @@ def rho_matrix(G: FiniteGroupoid, M: GModule, n: int, cap=None) -> IntMatrix:
 
 def _cohomology_from_deltas(deltas: List[IntMatrix], n_max: int,
                             rank0: int) -> List[FgAbGroup]:
-    out = []
-    for n in range(n_max + 1):
-        d_in = deltas[n - 1] if n >= 1 else IntMatrix.zeros(rank0, 0)
-        out.append(homology_at(deltas[n], d_in))
-    return out
+    # H^n = ker(delta_n)/im(delta_{n-1}): the cochain complex read downwards
+    ds = deltas[n_max::-1] + [IntMatrix.zeros(rank0, 0)]
+    return complex_homology(ds)[::-1]
 
 
 def cocycle_cohomology(G: FiniteGroupoid, M: GModule, n_max: int,

@@ -18,7 +18,7 @@ from .groupoids import (FiniteGroupoid, GroupoidError, GroupoidFunctor,
 from .limits import ColimitGroup, Tower
 from .models import odometer_system
 from .zlinalg import (ChainHomologyPresentation, FgAbGroup, IntMatrix,
-                      coefficients_via_uct, homology_at,
+                      coefficients_via_uct, complex_homology, homology_at,
                       homology_presentation, induced_on_homology,
                       kernel_basis, solve_in_image)
 
@@ -43,8 +43,7 @@ def homology_groups(G: FiniteGroupoid, n_max: int,
     Z/m coefficients are derived from the integral groups by universal
     coefficients, so a single integer normal-form engine serves any m >= 2.
     """
-    ds = _differentials(G, n_max, cap)
-    integral = [homology_at(ds[n], ds[n + 1]) for n in range(n_max + 1)]
+    integral = complex_homology(_differentials(G, n_max, cap))
     if coefficients is None:
         return integral
     out = []
@@ -82,9 +81,6 @@ class InducedMap:
     @property
     def target_group(self) -> FgAbGroup:
         return self.target.group
-
-    def is_injective_on_free_part(self) -> bool:
-        return kernel_basis(self.matrix).cols == 0
 
 
 def homology_presentation_of(G: FiniteGroupoid, n: int,

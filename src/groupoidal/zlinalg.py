@@ -9,10 +9,19 @@ Everything runs on Python ints, so intermediate entries may grow without
 overflow.  Matrices are stored densely; the elimination engine works on a
 sparse copy and keeps transform matrices sparse until they are read out,
 which is what makes the large-but-very-sparse boundary matrices cheap.
+
+Pivot rule: step t of the elimination takes the nonzero of the active block
+(rows and columns >= t) with the least key (|v|, Markowitz cost, row,
+column), the Markowitz cost being (row length - 1) * (column length - 1).
+The engine finds it with a lazily updated heap of per-column best keys
+instead of rescanning every nonzero.  The order is kept exact, not just
+good: U, V, kernel bases, homology generators and divisibility witnesses
+are part of the program's output, and all of them follow the pivot order.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Optional, Sequence
@@ -79,9 +88,6 @@ class IntMatrix:
     @property
     def shape(self) -> tuple:
         return (self.rows, self.cols)
-
-    def copy(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, self.data)
 
     def transpose(self) -> "IntMatrix":
         t = IntMatrix(self.cols, self.rows)
@@ -158,15 +164,6 @@ class IntMatrix:
             out[i] = s
         return out
 
-    def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows:
-            raise DimensionMismatch("hstack row mismatch")
-        return IntMatrix(self.rows, self.cols + other.cols,
-                         [r1 + r2 for r1, r2 in zip(self.data, other.data)])
-
-    def submatrix_rows(self, start: int, stop: int) -> "IntMatrix":
-        return IntMatrix(stop - start, self.cols, self.data[start:stop])
-
     def __repr__(self):
         if self.rows * self.cols <= 36:
             return f"IntMatrix({self.data})"
@@ -188,6 +185,21 @@ class _Smith:
     factors named in `need` ("U", "Uinv", "V", "Vinv") are tracked.  U and
     Vinv are kept column-major, Uinv and V row-major, so kernels and solves
     read straight out of the sparse dictionaries.
+
+    Pivot rule: step t takes the least key (|v|, (len(row) - 1) *
+    (len(col) - 1), i, j) over the nonzeros v = S[i][j] with i, j >= t.
+    `_best[j]` caches the least key of column j and `_heap` holds every
+    cached key, plus stale ones that are dropped when they surface.
+    Invariant: `_best[j]` is exact for every column >= t not in `_dirty`.
+    A column's key depends on its entries, its length and the lengths and
+    indices of its rows, so each elementary operation marks the columns
+    whose keys it can change: a row add the columns of the target row
+    before the add and of the source row, a row swap the columns of both
+    rows, a column add the target column and every column of each row
+    whose length changed, a column swap both columns.  The pivots are
+    exactly those of a full scan (`tests/oracles.py` keeps one), because
+    the transforms, kernel bases, generators and witness vectors read out
+    of the engine are part of the output and depend on the order.
     """
 
     def __init__(self, A: IntMatrix, need: Iterable[str] = ()):
@@ -206,6 +218,9 @@ class _Smith:
         self.V_rows = [{j: 1} for j in range(self.n)] if "V" in need else None
         self.Vinv_cols = [{j: 1} for j in range(self.n)] if "Vinv" in need else None
         self.rank = 0
+        self._best = [None] * self.n
+        self._heap = []
+        self._dirty = set(range(self.n))
         self._reduce()
 
     # -- elementary operations; each keeps A = U S V true ------------------
@@ -221,8 +236,10 @@ class _Smith:
 
     def _row_add(self, i: int, j: int, q: int):
         # S: row_i += q * row_j
-        ri = self.rows[i]
-        for col, v in self.rows[j].items():
+        ri, rj = self.rows[i], self.rows[j]
+        self._dirty.update(ri)
+        self._dirty.update(rj)
+        for col, v in rj.items():
             new = ri.get(col, 0) + q * v
             if new:
                 ri[col] = new
@@ -238,7 +255,9 @@ class _Smith:
     def _row_swap(self, i: int, j: int):
         if i == j:
             return
-        for col in self.rows[i].keys() | self.rows[j].keys():
+        cols = self.rows[i].keys() | self.rows[j].keys()
+        self._dirty |= cols
+        for col in cols:
             s = self.colidx[col]
             has_i, has_j = i in s, j in s
             if has_i != has_j:
@@ -263,15 +282,21 @@ class _Smith:
 
     def _col_add(self, j: int, k: int, q: int):
         # S: col_j += q * col_k
+        dirty, colj = self._dirty, self.colidx[j]
+        dirty.add(j)
         for i in list(self.colidx[k]):
             ri = self.rows[i]
-            new = ri.get(j, 0) + q * ri[k]
+            old = ri.get(j)
+            new = q * ri[k] + (old or 0)
             if new:
                 ri[j] = new
-                self.colidx[j].add(i)
-            else:
-                ri.pop(j, None)
-                self.colidx[j].discard(i)
+                if old is None:
+                    colj.add(i)
+                    dirty.update(ri)
+            elif old is not None:
+                del ri[j]
+                colj.discard(i)
+                dirty.update(ri)
         if self.V_rows is not None:  # V: row_k -= q * row_j
             self._sparse_add(self.V_rows[k], self.V_rows[j], -q)
         if self.Vinv_cols is not None:  # Vinv: col_j += q * col_k
@@ -280,6 +305,7 @@ class _Smith:
     def _col_swap(self, j: int, k: int):
         if j == k:
             return
+        self._dirty.update((j, k))
         for i in self.colidx[j] | self.colidx[k]:
             ri = self.rows[i]
             vj, vk = ri.pop(j, None), ri.pop(k, None)
@@ -293,33 +319,36 @@ class _Smith:
         if self.Vinv_cols is not None:
             self.Vinv_cols[j], self.Vinv_cols[k] = self.Vinv_cols[k], self.Vinv_cols[j]
 
-    def _col_neg(self, j: int):
-        for i in self.colidx[j]:
-            self.rows[i][j] = -self.rows[i][j]
-        if self.V_rows is not None:
-            self.V_rows[j] = {k: -v for k, v in self.V_rows[j].items()}
-        if self.Vinv_cols is not None:
-            self.Vinv_cols[j] = {k: -v for k, v in self.Vinv_cols[j].items()}
-
     # -- reduction ---------------------------------------------------------
 
     def _select_pivot(self, t: int):
-        best = None
-        best_key = None
-        for j in range(t, self.n):
-            cidx = self.colidx[j]
-            if not cidx:
+        rows, best, heap = self.rows, self._best, self._heap
+        for j in self._dirty:
+            if j < t:
                 continue
-            clen = len(cidx)
+            cidx = self.colidx[j]
+            cost = len(cidx) - 1
+            key = None
             for i in cidx:
-                if i < t:
-                    continue
-                v = self.rows[i][j]
-                key = (abs(v), (len(self.rows[i]) - 1) * (clen - 1), i, j)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (i, j)
-        return best
+                if i >= t:
+                    row = rows[i]
+                    k = (abs(row[j]), (len(row) - 1) * cost, i, j)
+                    if key is None or k < key:
+                        key = k
+            best[j] = key
+            if key is not None:
+                heapq.heappush(heap, key)
+        self._dirty.clear()
+        if len(heap) > 2 * (self.n - t) + 16:
+            heap[:] = [key for key in best[t:] if key is not None]
+            heapq.heapify(heap)
+        while heap:
+            key = heap[0]
+            j = key[3]
+            if j >= t and best[j] == key:
+                return key[2], j
+            heapq.heappop(heap)
+        return None
 
     def _clean_pivot(self, t: int):
         while True:
@@ -698,22 +727,45 @@ class FgAbGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def homology_at(d_out: IntMatrix, d_in: IntMatrix) -> FgAbGroup:
-    """ker(d_out)/im(d_in) for a composable pair with d_out*d_in = 0.
+def _require_zero_composite(d_out: IntMatrix, d_in: IntMatrix) -> None:
+    """Raise CompositionNonzero unless d_out * d_in = 0.
 
-    The kernel lattice of d_out is saturated in the ambient Z^m, so the
-    torsion of the quotient equals the torsion of Z^m/im(d_in); only the
-    rank of d_out and the Smith diagonal of d_in are needed.
+    The product runs over the nonzeros of both factors only; boundary
+    matrices are far too sparse for a dense product to pay.
     """
-    if d_out.cols != d_in.rows:
-        raise DimensionMismatch(
-            f"cols(d_out)={d_out.cols} must equal rows(d_in)={d_in.rows}")
-    if not (d_out * d_in).is_zero():
-        raise CompositionNonzero("d_out * d_in != 0")
-    m = d_out.cols
-    facs = invariant_factors(d_in)
-    free = m - rank(d_out) - len(facs)
-    return FgAbGroup.from_invariant_factors(facs, free_rank=free)
+    in_rows = [[(j, v) for j, v in enumerate(row) if v] for row in d_in.data]
+    for row in d_out.data:
+        acc = {}
+        for k, a in enumerate(row):
+            if a:
+                for j, b in in_rows[k]:
+                    acc[j] = acc.get(j, 0) + a * b
+        if any(acc.values()):
+            raise CompositionNonzero("d_out * d_in != 0")
+
+
+def complex_homology(ds: Sequence[IntMatrix]) -> list:
+    """ker(ds[k])/im(ds[k+1]) for k = 0 .. len(ds) - 2, with ds[k]*ds[k+1] = 0.
+
+    The kernel lattice of ds[k] is saturated in the ambient Z^m, so the
+    torsion of the quotient equals the torsion of Z^m/im(ds[k+1]); only
+    the rank of ds[k] and the Smith diagonal of ds[k+1] are needed.  Each
+    differential is factored once, and its rank is the number of its
+    invariant factors.
+    """
+    for d_out, d_in in zip(ds, ds[1:]):
+        if d_out.cols != d_in.rows:
+            raise DimensionMismatch(
+                f"cols(d_out)={d_out.cols} must equal rows(d_in)={d_in.rows}")
+        _require_zero_composite(d_out, d_in)
+    facs = [invariant_factors(d) for d in ds]
+    return [FgAbGroup.from_invariant_factors(f_in, free_rank=d_in.rows - len(f_out) - len(f_in))
+            for f_out, f_in, d_in in zip(facs, facs[1:], ds[1:])]
+
+
+def homology_at(d_out: IntMatrix, d_in: IntMatrix) -> FgAbGroup:
+    """ker(d_out)/im(d_in) for a composable pair with d_out*d_in = 0."""
+    return complex_homology([d_out, d_in])[0]
 
 
 def coefficients_via_uct(h_n: FgAbGroup, h_nm1: FgAbGroup, m: int) -> FgAbGroup:
@@ -737,8 +789,7 @@ class ChainHomologyPresentation:
     def __init__(self, d_out: IntMatrix, d_in: IntMatrix):
         if d_out.cols != d_in.rows:
             raise DimensionMismatch("presentation: shape mismatch")
-        if not (d_out * d_in).is_zero():
-            raise CompositionNonzero("d_out * d_in != 0")
+        _require_zero_composite(d_out, d_in)
         self.ambient = d_out.cols
         eng_out = _Smith(d_out, need=("V", "Vinv"))
         self._cycle_rank = self.ambient - eng_out.rank

@@ -169,3 +169,29 @@ def orbit_count(G):
         if a != b:
             parent[a] = b
     return len({find(u) for u in G.units})
+
+
+def full_scan_pivot(eng, t):
+    """The elimination engine's pivot rule by a scan of every nonzero.
+
+    Returns the (row, column) minimising (|v|, (len(row) - 1) * (len(col) - 1),
+    row, column) over the active block rows, columns >= t of a `_Smith`
+    engine, or None when that block is zero.  This is the engine's original
+    selector, kept as the reference its incremental queue must agree with.
+    """
+    best = None
+    best_key = None
+    for j in range(t, eng.n):
+        cidx = eng.colidx[j]
+        if not cidx:
+            continue
+        clen = len(cidx)
+        for i in cidx:
+            if i < t:
+                continue
+            v = eng.rows[i][j]
+            key = (abs(v), (len(eng.rows[i]) - 1) * (clen - 1), i, j)
+            if best_key is None or key < best_key:
+                best_key = key
+                best = (i, j)
+    return best
