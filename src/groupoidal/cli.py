@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from typing import List, Optional
 
@@ -67,6 +68,8 @@ def parse_input(path: str):
             raise ValidationError(f"{path}: {e}")
     if kind == "pair":
         fibers = _field(doc, "fibers", path)
+        if not isinstance(fibers, list):
+            raise ParseError(f"{path}: fibers must be a list of positive integers")
         psi = []
         for x, size in enumerate(fibers):
             if not isinstance(size, int) or size < 1:
@@ -89,15 +92,30 @@ def parse_input(path: str):
     raise ParseError(f"{path}: unknown kind '{kind}'")
 
 
+def _arrow_ids(doc: dict, name: str, path: str, n: int) -> list:
+    values = _field(doc, name, path)
+    if not (isinstance(values, list)
+            and all(isinstance(v, int) and 0 <= v < n for v in values)):
+        raise ParseError(f"{path}: {name} must be a list of arrow ids in 0..{n - 1}")
+    return values
+
+
 def _parse_explicit(doc: dict, path: str) -> FiniteGroupoid:
     n = _field(doc, "arrows", path)
-    src = _field(doc, "src", path)
-    rng = _field(doc, "rng", path)
-    inv = _field(doc, "inv", path)
-    units = _field(doc, "units", path)
+    if not isinstance(n, int) or n < 0:
+        raise ParseError(f"{path}: arrows must be a non-negative integer")
+    src, rng, inv, units = (_arrow_ids(doc, name, path, n)
+                            for name in ("src", "rng", "inv", "units"))
     triples = _field(doc, "compose", path)
     if len(src) != n or len(rng) != n or len(inv) != n:
         raise ParseError(f"{path}: src/rng/inv must have length {n}")
+    unit_set = set(units)
+    for name, ends in (("src", src), ("rng", rng)):
+        for g, u in enumerate(ends):
+            if u not in unit_set:
+                raise ValidationError(f"{path}: {name}[{g}] = {u} is not a unit")
+    if not isinstance(triples, list):
+        raise ParseError(f"{path}: compose must be a list of triples")
     comp = {}
     for t in triples:
         if not (isinstance(t, list) and len(t) == 3
@@ -207,10 +225,10 @@ def cmd_homology(args) -> int:
     coeff = None
     label = "Z"
     if args.coefficients not in (None, "Z"):
-        text = args.coefficients
-        if not text.startswith("Z/"):
+        match = re.fullmatch(r"Z/([0-9]+)", args.coefficients)
+        if match is None:
             raise ParseError("coefficients must be Z or Z/m")
-        coeff = int(text[2:])
+        coeff = int(match.group(1))
         label = f"Z/{coeff}"
     groups = hom.homology_groups(G, args.max_degree, coefficients=coeff)
     payload = {"command": "homology", "input": args.input,
@@ -415,14 +433,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", type=int, default=2)
     p.add_argument("--coefficients", default="Z")
     common(p)
-    p.set_defaults(func=cmd_homology)
+    p.set_defaults(func=cmd_homology, minimums={"max_degree": 0})
 
     p = sub.add_parser("cohomology", help="cocycle cohomology with a module")
     p.add_argument("input")
     p.add_argument("--module")
     p.add_argument("--max-degree", type=int, default=2)
     common(p)
-    p.set_defaults(func=cmd_cohomology)
+    p.set_defaults(func=cmd_cohomology, minimums={"max_degree": 0})
 
     p = sub.add_parser("verify-theta", help="verify the two cochain models agree")
     p.add_argument("input", nargs="?")
@@ -431,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=1)
     common(p)
-    p.set_defaults(func=cmd_verify_theta)
+    p.set_defaults(func=cmd_verify_theta, minimums={"max_degree": 0, "count": 0})
 
     p = sub.add_parser("skew-les", help="verify the skew product exact sequence")
     p.add_argument("input")
@@ -442,32 +460,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", type=int, default=2)
     p.add_argument("--module")
     common(p)
-    p.set_defaults(func=cmd_skew_les)
+    p.set_defaults(func=cmd_skew_les, minimums={"max_degree": 0})
 
     p = sub.add_parser("dimension-group", help="dimension group with queries")
     p.add_argument("input")
     p.add_argument("--levels", type=int, default=None)
     p.add_argument("--queries")
     common(p)
-    p.set_defaults(func=cmd_dimension_group)
+    p.set_defaults(func=cmd_dimension_group, minimums={"levels": 0})
 
     p = sub.add_parser("af-cohomology", help="truncated cohomology tower evidence")
     p.add_argument("input")
     p.add_argument("--levels", type=int, required=True)
     p.add_argument("--depth", type=int, required=True)
     common(p)
-    p.set_defaults(func=cmd_af_cohomology)
+    p.set_defaults(func=cmd_af_cohomology, minimums={"levels": 1, "depth": 1})
 
     p = sub.add_parser("odometer", help="odometer homology tower")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--max-depth", type=int, required=True)
     common(p)
-    p.set_defaults(func=cmd_odometer)
+    p.set_defaults(func=cmd_odometer, minimums={"p": 2, "max_depth": 1})
 
     p = sub.add_parser("z-action", help="two-term complex of a permutation")
     p.add_argument("--perm", required=True)
     common(p)
-    p.set_defaults(func=cmd_z_action)
+    p.set_defaults(func=cmd_z_action, minimums={})
     return ap
 
 
@@ -475,6 +493,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        # integer options are range-checked before any model is built
+        for name, low in args.minimums.items():
+            value = getattr(args, name)
+            if value is not None and value < low:
+                raise ParseError(f"--{name.replace('_', '-')} must be >= {low}, got {value}")
         return args.func(args)
     except (ParseError, ValidationError, GroupoidError, LinAlgError,
             lim.StageBoundExceeded) as e:

@@ -339,6 +339,7 @@ class _Smith:
             if key is not None:
                 heapq.heappush(heap, key)
         self._dirty.clear()
+        # rebuild from the live keys once stale ones could outnumber them
         if len(heap) > 2 * (self.n - t) + 16:
             heap[:] = [key for key in best[t:] if key is not None]
             heapq.heapify(heap)
