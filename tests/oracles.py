@@ -1,9 +1,10 @@
 """Independent verification routes used only by the tests.
 
-Nothing here touches the package's normal-form engine: ranks come from
+Nothing here calls the package's normal-form engine: ranks come from
 Fraction-based Gaussian elimination over Q and from elimination mod p,
 and the group (co)homology complexes are rebuilt from scratch with plain
-itertools tuple enumeration.
+itertools tuple enumeration.  `full_scan_pivot` only reads an engine's
+state, to check the pivot the engine picks.
 """
 
 from fractions import Fraction

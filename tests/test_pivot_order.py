@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from groupoidal import zlinalg
 from groupoidal.groupoids import boundary_matrix_d
-from groupoidal.models import group_groupoid, pair_groupoid_from_map
+from groupoidal.models import cyclic_table, group_groupoid, pair_groupoid_from_map
 from groupoidal.zlinalg import IntMatrix, LinearSystem, kernel_basis
 
 from oracles import full_scan_pivot
@@ -74,19 +74,9 @@ def test_pivots_match_full_scan_on_random_sparse_matrices(A, x):
         assert y is not None and A.apply(y) == v
 
 
-def _cyclic(m):
-    return group_groupoid([[(a + b) % m for b in range(m)] for a in range(m)])
-
-
-def _s3():
-    from itertools import permutations
-    perms = list(permutations(range(3)))
-    index = {p: i for i, p in enumerate(perms)}
-    return group_groupoid([[index[tuple(a[b[x]] for x in range(3))] for b in perms]
-                           for a in perms])
-
-
 def test_pivots_match_full_scan_on_nerve_boundaries():
-    for G in (_cyclic(5), _s3(), pair_groupoid_from_map([0, 0, 0, 0])):
+    from test_models import S3_TABLE
+    for G in (group_groupoid(cyclic_table(5)), group_groupoid(S3_TABLE),
+              pair_groupoid_from_map([0, 0, 0, 0])):
         for n in range(1, 5):  # d_1 .. d_4: homology to degree 3
             _check_factorizations(boundary_matrix_d(G, n))
