@@ -2,8 +2,8 @@
 
 from .zlinalg import (FgAbGroup, IntMatrix, SnfDecomposition,
                       coefficients_via_uct, complex_homology, homology_at,
-                      invariant_factors,
-                      kernel_basis, rank, snf, solve_in_image)
+                      invariant_factors, kernel_basis, rank, snf,
+                      solve_in_image)
 from .groupoids import (FiniteGroupoid, GModule, GroupoidFunctor, Nerve,
                         bar_boundary_matrix_b, boundary_matrix_d,
                         coinvariants_collapse, nerve, validate_groupoid,
@@ -22,8 +22,7 @@ from . import models
 __all__ = [
     "FgAbGroup", "IntMatrix", "SnfDecomposition", "snf", "kernel_basis",
     "rank", "invariant_factors", "complex_homology", "homology_at",
-    "solve_in_image",
-    "coefficients_via_uct",
+    "solve_in_image", "coefficients_via_uct",
     "FiniteGroupoid", "GModule", "GroupoidFunctor", "Nerve", "nerve",
     "validate_groupoid", "validate_module", "boundary_matrix_d",
     "bar_boundary_matrix_b", "coinvariants_collapse",

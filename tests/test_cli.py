@@ -234,6 +234,7 @@ def test_z_action_rejects_non_permutation_exit_2(files):
 
 _Z2 = {"kind": "group", "cayley": [[0, 1], [1, 0]]}
 _Z2_COMPOSE = [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]]
+_UHF2 = {"kind": "bratteli", "stationary": True, "p": 2, "levels": 2}
 
 
 @pytest.mark.parametrize("argv, model", [
@@ -243,8 +244,8 @@ _Z2_COMPOSE = [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]]
     (["odometer", "--p", "1", "--max-depth", "2"], None),
     (["odometer", "--p", "2", "--max-depth", "0"], None),
     (["verify-theta", "--count", "-1"], None),
-    (["af-cohomology", "MODEL", "--levels", "0", "--depth", "2"],
-     {"kind": "bratteli", "stationary": True, "p": 2, "levels": 2}),
+    (["af-cohomology", "MODEL", "--levels", "0", "--depth", "2"], _UHF2),
+    (["dimension-group", "MODEL", "--levels", "-1"], _UHF2),
     (["homology", "MODEL"], {"kind": "pair", "fibers": 3}),
     (["homology", "MODEL"], {"kind": "explicit", "arrows": 2, "units": [0, 5],
                              "src": [0, 0], "rng": [0, 0], "inv": [0, 1],
@@ -253,8 +254,8 @@ _Z2_COMPOSE = [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]]
                              "src": [0, 1], "rng": [0, 0], "inv": [0, 1],
                              "compose": _Z2_COMPOSE}),
 ], ids=["max-degree", "cohomology-max-degree", "coefficients", "odometer-p",
-        "odometer-depth", "count", "af-levels", "pair-fibers", "unit-range",
-        "src-not-unit"])
+        "odometer-depth", "count", "af-levels", "dimension-levels", "pair-fibers",
+        "unit-range", "src-not-unit"])
 def test_known_bad_inputs_exit_2_with_one_error_line(argv, model, tmp_path, capsys):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(model), encoding="utf-8")
