@@ -50,9 +50,32 @@ def _load_json(path: str) -> dict:
 
 
 def _field(doc: dict, name: str, path: str):
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: expected an object with field '{name}'")
     if name not in doc:
         raise ParseError(f"{path}: missing field '{name}'")
     return doc[name]
+
+
+def _int(value, what: str, path: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ParseError(f"{path}: {what} must be an integer, got {value!r}")
+
+
+def _object(doc: dict, name: str, path: str) -> dict:
+    value = _field(doc, name, path)
+    if not isinstance(value, dict):
+        raise ParseError(f"{path}: {name} must be an object")
+    return value
+
+
+def _int_matrix(rows, what: str, path: str) -> IntMatrix:
+    if not (isinstance(rows, list) and all(
+            isinstance(r, list) and all(isinstance(v, int) for v in r) for r in rows)):
+        raise ParseError(f"{path}: {what} must be a list of integer rows")
+    return IntMatrix.from_rows(rows)
 
 
 def parse_input(path: str):
@@ -134,15 +157,16 @@ def _parse_bratteli(doc: dict, path: str):
     if "p" in doc:
         if not stationary:
             raise ParseError(f"{path}: integer multiplicity requires stationary")
-        levels = doc.get("levels", 1)
         try:
-            return models.bratteli_stationary(doc["p"], levels)
+            return models.bratteli_stationary(
+                _int(doc["p"], "p", path), _int(doc.get("levels", 1), "levels", path))
         except models.MalformedDiagram as e:
             raise ValidationError(f"{path}: {e}")
-    mats = [IntMatrix.from_rows(m) for m in _field(doc, "matrices", path)]
+    mats = [_int_matrix(m, "matrices", path) for m in _field(doc, "matrices", path)]
     try:
         if stationary:
-            return models.bratteli_stationary(mats[0], doc.get("levels", len(mats)))
+            return models.bratteli_stationary(
+                mats[0], _int(doc.get("levels", len(mats)), "levels", path))
         counts = _field(doc, "vertex_counts", path)
         return models.BratteliDiagram(counts, mats, stationary=False)
     except models.MalformedDiagram as e:
@@ -151,19 +175,19 @@ def _parse_bratteli(doc: dict, path: str):
 
 def parse_module(path: str, G: FiniteGroupoid) -> GModule:
     doc = _load_json(path)
-    fibers_doc = _field(doc, "fibers", path)
+    fibers_doc = _object(doc, "fibers", path)
     fibers = {}
     for u in G.units:
         key = str(u)
         if key not in fibers_doc:
             raise ParseError(f"{path}: missing fiber rank for unit {u}")
-        fibers[u] = int(fibers_doc[key])
-    action_doc = doc.get("action", {})
+        fibers[u] = _int(fibers_doc[key], f"fibers[{key}]", path)
+    action_doc = _object(doc, "action", path) if "action" in doc else {}
     action = {}
     for g in range(G.n_arrows):
         key = str(g)
         if key in action_doc:
-            action[g] = IntMatrix.from_rows(action_doc[key])
+            action[g] = _int_matrix(action_doc[key], f"action[{key}]", path)
         else:
             if fibers[G.src[g]] != fibers[G.rng[g]]:
                 raise ParseError(f"{path}: arrow {g} needs an explicit action")
@@ -177,8 +201,9 @@ def parse_module(path: str, G: FiniteGroupoid) -> GModule:
 
 def parse_cocycle(path: str, G: FiniteGroupoid) -> skew.ZCocycle:
     doc = _load_json(path)
-    values_doc = _field(doc, "values", path)
-    values = [int(values_doc.get(str(g), 0)) for g in range(G.n_arrows)]
+    values_doc = _object(doc, "values", path)
+    values = [_int(values_doc.get(str(g), 0), f"values[{g}]", path)
+              for g in range(G.n_arrows)]
     c = skew.ZCocycle.from_values(values)
     rep = skew.validate_cocycle(G, c)
     if not rep.ok:
@@ -320,6 +345,14 @@ def cmd_skew_les(args) -> int:
     return 0 if report.ok else VERIFICATION_FAILED
 
 
+def _element(C: lim.ColimitGroup, doc: dict, path: str) -> lim.ColimitElement:
+    stage = _int(_field(doc, "stage", path), "stage", path)
+    try:
+        return C.element(stage, _field(doc, "vector", path))
+    except (TypeError, ValueError) as e:
+        raise ParseError(f"{path}: vector: {e}")
+
+
 def cmd_dimension_group(args) -> int:
     B = parse_input(args.input)
     if not isinstance(B, models.BratteliDiagram):
@@ -335,25 +368,31 @@ def cmd_dimension_group(args) -> int:
     lines = [f"dimension group: {n_stages} stages, "
              f"ranks {[tower.rank_at(n) for n in range(n_stages)]}"]
     if args.queries:
-        qdoc = _load_json(args.queries)
+        path = args.queries
+        qdoc = _load_json(path)
+        if not isinstance(qdoc, list):
+            raise ParseError(f"{path}: queries must be a list")
         for q in qdoc:
-            op = _field(q, "op", args.queries)
-            bound = int(q.get("bound", n_stages - 1))
+            op = _field(q, "op", path)
+            bound = _int(q.get("bound", n_stages - 1), "bound", path)
             if op == "divisible":
-                elem = C.element(int(q["stage"]), q["vector"])
-                res = lim.colimit_divisible(C, elem, int(q["q"]), bound)
-                entry = {"op": "divisible", "q": int(q["q"]), "kind": res.kind,
+                elem = _element(C, q, path)
+                divisor = _int(_field(q, "q", path), "q", path)
+                if divisor < 1:
+                    raise ParseError(f"{path}: q must be >= 1, got {divisor}")
+                res = lim.colimit_divisible(C, elem, divisor, bound)
+                entry = {"op": "divisible", "q": divisor, "kind": res.kind,
                          "stage": res.stage,
                          "vector": list(res.vector) if res.vector else None,
                          "exact": res.exact}
             elif op == "equal":
-                a = C.element(int(q["a"]["stage"]), q["a"]["vector"])
-                b = C.element(int(q["b"]["stage"]), q["b"]["vector"])
+                a = _element(C, _field(q, "a", path), path)
+                b = _element(C, _field(q, "b", path), path)
                 res = lim.colimit_equal(C, a, b, bound)
                 entry = {"op": "equal", "kind": res.kind, "stage": res.stage,
                          "exact": res.exact}
             else:
-                raise ParseError(f"{args.queries}: unknown op '{op}'")
+                raise ParseError(f"{path}: unknown op '{op}'")
             payload["queries"].append(entry)
             lines.append(f"  {entry}")
     emit(payload, args.format, lines)

@@ -85,9 +85,6 @@ class FiniteGroupoid:
     def is_unit(self, g: int) -> bool:
         return self._is_unit[g]
 
-    def unit_index(self, u: int) -> int:
-        return self._unit_pos[u]
-
     def compose(self, g: int, h: int) -> int:
         return self.comp[(g, h)]
 

@@ -180,26 +180,15 @@ def odometer_homology(p: int, depth_max: int, cap: Optional[int] = None) -> Odom
         h1_conn = None
         if i > 0:
             refine = system.refinement(d - 1)
-            h0_conn = IntMatrix(pres[i].n_generators, pres[i - 1].n_generators)
-            for j, gen in enumerate(pres[i - 1].generators):
-                coords = pres[i].coords(refine.apply(gen))
-                for r, v in enumerate(coords):
-                    h0_conn.data[r][j] = v
+            h0_conn = induced_on_homology(refine, pres[i - 1], pres[i])
             h0_maps.append(h0_conn)
             # kernel generators map by refinement as well
-            prev_k = kernels[i - 1]
-            img = refine * prev_k
             cur_k = kernels[i]
-            cols = []
-            for j in range(img.cols):
-                x = solve_in_image(cur_k, img.col(j))
-                if x is None:
-                    raise GroupoidError("refinement does not preserve invariant chains")
-                cols.append(x)
-            h1_conn = IntMatrix(cur_k.cols, prev_k.cols)
-            for j, col in enumerate(cols):
-                for r, v in enumerate(col):
-                    h1_conn.data[r][j] = v
+            cols = [solve_in_image(cur_k, col)
+                    for col in (refine * kernels[i - 1]).column_list()]
+            if any(x is None for x in cols):
+                raise GroupoidError("refinement does not preserve invariant chains")
+            h1_conn = IntMatrix.from_columns(cols, cur_k.cols)
         per_depth.append(OdometerDepth(d, pres[i].group,
                                        FgAbGroup.free(kernels[i].cols),
                                        h0_conn, h1_conn))

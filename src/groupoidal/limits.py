@@ -17,8 +17,8 @@ from typing import List, Optional, Sequence
 
 from .groupoids import tuple_cap
 from .models import BratteliDiagram, DepthTooLarge, MalformedDiagram
-from .zlinalg import (FgAbGroup, IntMatrix, LinearSystem, invariant_factors,
-                      kernel_basis)
+from .zlinalg import (FgAbGroup, IntMatrix, LinearSystem, image_basis,
+                      image_contains, invariant_factors, kernel_basis)
 
 
 class StageBoundExceeded(Exception):
@@ -57,14 +57,18 @@ class Tower:
         return cls(direction, [matrix.rows], [matrix], stationary=True)
 
     def rank_at(self, n: int) -> int:
-        if self.stationary:
-            return self.ranks[0]
-        return self.ranks[n]
+        return self._at(self.ranks, n)
 
     def map_at(self, n: int) -> IntMatrix:
+        return self._at(self.maps, n)
+
+    def _at(self, items: list, n: int):
         if self.stationary:
-            return self.maps[0]
-        return self.maps[n]
+            return items[0]
+        if not 0 <= n < len(items):
+            raise StageBoundExceeded(f"stage {n} is beyond a tower of "
+                                     f"{len(self.ranks)} stages")
+        return items[n]
 
     @property
     def n_stages(self) -> Optional[int]:
@@ -223,17 +227,8 @@ def af_homology(B: BratteliDiagram, n: int) -> AfHomology:
 # -- truncated inverse limits and lim^1 ---------------------------------------
 
 
-def _lattice_contains(basis: IntMatrix, other: IntMatrix) -> bool:
-    if other.cols == 0:
-        return True
-    if basis.cols == 0:
-        return other.is_zero()
-    sys = LinearSystem(basis)
-    return all(sys.solve(other.col(j)) is not None for j in range(other.cols))
-
-
 def _lattice_equal(a: IntMatrix, b: IntMatrix) -> bool:
-    return _lattice_contains(a, b) and _lattice_contains(b, a)
+    return image_contains(a, b) and image_contains(b, a)
 
 
 def _lattice_index(outer: IntMatrix, inner: IntMatrix) -> Optional[int]:
@@ -241,37 +236,15 @@ def _lattice_index(outer: IntMatrix, inner: IntMatrix) -> Optional[int]:
     if outer.cols == 0:
         return 1 if inner.cols == 0 else None
     sys = LinearSystem(outer)
-    coords = IntMatrix(outer.cols, inner.cols)
-    for j in range(inner.cols):
-        x = sys.solve(inner.col(j))
-        if x is None:
-            return None
-    # recompute, storing
-    for j in range(inner.cols):
-        x = sys.solve(inner.col(j))
-        for i, v in enumerate(x):
-            coords.data[i][j] = v
-    facs = invariant_factors(coords)
+    coords = [sys.solve(col) for col in inner.column_list()]
+    if any(x is None for x in coords):
+        return None
+    facs = invariant_factors(IntMatrix.from_columns(coords, outer.cols))
     if len(facs) != outer.cols:
         return None
     out = 1
     for f in facs:
         out *= f
-    return out
-
-
-def _column_space_basis(M: IntMatrix) -> IntMatrix:
-    """Basis of the image lattice (saturation NOT applied)."""
-    # columns of M generate the lattice; reduce to a basis via the Smith
-    # form of the coordinate expression: image of M = image of U*S
-    from .zlinalg import snf as _snf
-    dec = _snf(M)
-    r = dec.rank
-    us = dec.U * dec.S
-    out = IntMatrix(M.rows, r)
-    for j in range(r):
-        for i in range(M.rows):
-            out.data[i][j] = us.data[i][j]
     return out
 
 
@@ -323,7 +296,7 @@ def limit_and_lim1(T: Tower, N: int) -> Lim1Report:
         for m in range(n_stage + 1, N + 1):
             step = T.map_at(m - 1)
             composite = step if composite is None else composite * step
-            images.append(_column_space_basis(composite))
+            images.append(image_basis(composite))
         ranks = [b.cols for b in images]
         indices: List[Optional[int]] = [None]
         for prev, cur in zip(images, images[1:]):
@@ -360,11 +333,8 @@ def limit_and_lim1(T: Tower, N: int) -> Lim1Report:
         row0 += rk
     threads = kernel_basis(big)
     rank0 = T.rank_at(0)
-    stage0 = IntMatrix(rank0, threads.cols)
-    for j in range(threads.cols):
-        for i in range(rank0):
-            stage0.data[i][j] = threads.data[i][j]
-    lim0 = _column_space_basis(stage0)
+    lim0 = image_basis(IntMatrix.from_columns(
+        [col[:rank0] for col in threads.column_list()], rank0))
     return Lim1Report(N, chains, ml_certificate=not nonml, nonml_stages=nonml,
                       thread_basis=threads, stage_offsets=offsets,
                       lim_stage0_basis=lim0)
@@ -444,7 +414,7 @@ def af_cohomology_tower(B: BratteliDiagram, N: int, D: int,
         nonml = 0 in report.nonml_stages
         truncated_rank = report.thread_rank()
     else:
-        img = _column_space_basis(maps[0])
+        img = image_basis(maps[0])
         image_ranks = [img.cols]
         nonml = img.cols < ranks[0]
         truncated_rank = ranks[1]

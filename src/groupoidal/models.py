@@ -186,11 +186,6 @@ def inclusion_functor_left(G1: FiniteGroupoid, union: FiniteGroupoid) -> Groupoi
     return GroupoidFunctor(G1, union, list(range(G1.n_arrows)))
 
 
-def inclusion_functor_right(G2: FiniteGroupoid, union: FiniteGroupoid,
-                            offset: int) -> GroupoidFunctor:
-    return GroupoidFunctor(G2, union, [g + offset for g in range(G2.n_arrows)])
-
-
 def constant_functor(G: FiniteGroupoid, point: FiniteGroupoid) -> GroupoidFunctor:
     """Collapse everything to the unique unit of a one-point groupoid."""
     if point.n_arrows != 1:
@@ -420,16 +415,7 @@ def _inverse_unimodular(m: IntMatrix) -> IntMatrix:
     """Exact inverse of a unimodular integer matrix."""
     from .zlinalg import LinearSystem
     sys = LinearSystem(m)
-    cols = []
-    for j in range(m.rows):
-        e = [0] * m.rows
-        e[j] = 1
-        x = sys.solve(e)
-        if x is None:
-            raise ValueError("matrix is not unimodular")
-        cols.append(x)
-    out = IntMatrix(m.rows, m.rows)
-    for j, col in enumerate(cols):
-        for i, v in enumerate(col):
-            out.data[i][j] = v
-    return out
+    cols = [sys.solve(e) for e in IntMatrix.identity(m.rows).column_list()]
+    if any(x is None for x in cols):
+        raise ValueError("matrix is not unimodular")
+    return IntMatrix.from_columns(cols, m.rows)

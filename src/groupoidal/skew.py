@@ -24,14 +24,13 @@ from typing import Dict, List, Optional
 from .cohomology import (hom_coboundary_matrix, hom_space,
                          pullback_module)
 from .groupoids import (FiniteGroupoid, GModule, GroupoidError,
-                        GroupoidFunctor, boundary_matrix_d, nerve,
-                        tuple_cap)
-from .homology import chain_pushforward
+                        GroupoidFunctor, tuple_cap)
+from .homology import _differentials, chain_pushforward
 from .models import constant_module
 from .zlinalg import (FgAbGroup, IntMatrix, LinearSystem,
-                      homology_presentation, induced_on_homology,
-                      invariant_factors, kernel_basis, kernel_group,
-                      quotient_group, rank)
+                      homology_presentation, image_contains,
+                      induced_on_homology, invariant_factors, kernel_basis,
+                      kernel_group, quotient_group)
 
 
 class WindowTooLarge(GroupoidError):
@@ -134,10 +133,6 @@ class SkewWindow:
     labels: tuple  # arrow id -> (base arrow, level)
     index: dict = field(repr=False)  # (base arrow, level) -> arrow id
     shift: dict = field(repr=False)  # partial arrow map, level + 1
-
-    @property
-    def radius(self) -> int:
-        return max(abs(self.lo), abs(self.hi))
 
     def projection(self) -> GroupoidFunctor:
         return GroupoidFunctor(self.groupoid, self.base,
@@ -249,16 +244,66 @@ class LesReport:
 
 
 def _surjective_over_z(M: IntMatrix) -> bool:
-    return rank(M) == M.rows and all(f == 1 for f in invariant_factors(M))
+    facs = invariant_factors(M)
+    return len(facs) == M.rows and all(f == 1 for f in facs)
 
 
-def _exact_at_middle(f: IntMatrix, g: IntMatrix) -> bool:
-    """ker(g) contained in im(f); with g*f = 0 that is exactness."""
-    ker = kernel_basis(g)
-    if ker.cols == 0:
-        return True
-    sys = LinearSystem(f)
-    return all(sys.solve(ker.col(j)) is not None for j in range(ker.cols))
+def _verify_ses(sub, mid, quot, f, g, step: int, n_max: int):
+    """Verify 0 -> sub --f--> mid --g--> quot -> 0 in degrees 0..n_max.
+
+    Each complex is a list of (d_out, d_in) pairs by degree; the
+    differentials raise the degree by `step` (-1 for chains, +1 for
+    cochains).  f and g are the chain maps by degree; the squares at
+    degree n are checked when f and g are also given in degree n + step.
+    Returns the degree checks, the presentations of sub, mid and quot,
+    the zig-zag connecting maps H_n(quot) -> H_{n+step}(sub) (lift
+    through g, apply the differential, pull back through f) and whether
+    every lift existed.
+    """
+    checks = []
+    for n in range(n_max + 1):
+        m = n + step
+        commutes = not 0 <= m < len(f) or (
+            f[m] * sub[n][0] == mid[n][0] * f[n]
+            and g[m] * mid[n][0] == quot[n][0] * g[n])
+        checks.append(DegreeChecks(
+            n,
+            (g[n] * f[n]).is_zero(),
+            kernel_basis(f[n]).cols == 0,
+            image_contains(f[n], kernel_basis(g[n])),  # ker g in im f
+            _surjective_over_z(g[n]),
+            commutes))
+    pres = tuple([homology_presentation(*cx[n]) for n in range(n_max + 1)]
+                 for cx in (sub, mid, quot))
+    pres_sub, _, pres_quot = pres
+    connecting = []
+    connecting_ok = True
+    for n in range(n_max + 1):
+        m = n + step
+        if not 0 <= m <= n_max:
+            continue
+        lift_sys, pull_sys = LinearSystem(g[n]), LinearSystem(f[m])
+        k = pres_sub[m].n_generators
+        cols = []
+        for gen in pres_quot[n].generators:
+            lifted = lift_sys.solve(gen)
+            a = None if lifted is None else pull_sys.solve(mid[n][0].apply(lifted))
+            connecting_ok = connecting_ok and a is not None
+            cols.append([0] * k if a is None else pres_sub[m].coords(a))
+        connecting.append(IntMatrix.from_columns(cols, k))
+    return checks, pres, connecting, connecting_ok
+
+
+def _hom_pullback(phi: GroupoidFunctor, row_space, col_space) -> IntMatrix:
+    """Pullback of equivariant homs along a functor, on representatives."""
+    out = IntMatrix(row_space.total_rank, col_space.total_rank)
+    for rep in row_space.space.keys:
+        image = phi.map_tuple(rep)
+        r0 = row_space.space.offset_of(rep)
+        c0 = col_space.space.offset_of(image)
+        for i in range(row_space.space.ranks[row_space.space.position[rep]]):
+            out.data[r0 + i][c0 + i] += 1
+    return out
 
 
 def les_verify(G: FiniteGroupoid, c: ZCocycle, K: int, guard: int, n_max: int,
@@ -266,7 +311,9 @@ def les_verify(G: FiniteGroupoid, c: ZCocycle, K: int, guard: int, n_max: int,
                cap: Optional[int] = None) -> LesReport:
     """Build the three complexes and verify the short exact sequence of
     complexes degreewise, exactly; report groups, zig-zag connecting maps,
-    and the degree-0 rank bookkeeping.
+    and the degree-0 rank bookkeeping.  Chains run inner --(id - shift)-->
+    outer --proj--> base; cochains run the dual sequence base --proj^*-->
+    outer --(id - shift)^*--> inner.  Both go through `_verify_ses`.
 
     The guard must leave an interior wide enough that every composable
     string of length n_max+1 lifts into it: ceil((n_max+1)*max|c|/2)
@@ -298,154 +345,48 @@ def les_verify(G: FiniteGroupoid, c: ZCocycle, K: int, guard: int, n_max: int,
             "groupoid is); windowed checks do not model essentially "
             "nontrivial cocycles" if nonzero else
             "zero cocycle: the window splits into level copies")
+    A, B = inner.groupoid, outer.groupoid
+    degrees = range(n_max + 1)
     if mode == "homology":
-        return _les_homology(G, inner, outer, incl, shift, proj, K, guard,
-                             interior, n_max, potential, nonzero, note, cap)
-    coeff = M if M is not None else constant_module(G, 1)
-    return _les_cohomology(G, coeff, inner, outer, incl, shift, proj, K, guard,
-                           interior, n_max, potential, nonzero, note, cap)
+        def chains(H):
+            ds = _differentials(H, n_max, cap)
+            return [(ds[n], ds[n + 1]) for n in degrees]
 
+        f = [chain_pushforward(incl, n, cap) - chain_pushforward(shift, n, cap)
+             for n in degrees]
+        g = [chain_pushforward(proj, n, cap) for n in degrees]
+        checks, (pres_in, pres_out, pres_base), connecting, connecting_ok = \
+            _verify_ses(chains(A), chains(B), chains(G), f, g, -1, n_max)
+        # the cokernel of the induced id - shift surjects onto the image of
+        # the window homology in the base; in degree 0 the comparison map
+        # is onto, so the cokernel is the base group itself
+        book = [quotient_group(pres_out[n],
+                               induced_on_homology(f[n], pres_in[n], pres_out[n]))
+                for n in degrees]
+    else:
+        MG = M if M is not None else constant_module(G, 1)
+        MB = pullback_module(proj, MG)
+        MA = pullback_module(incl, MB)
+        sG, sB, sA = ([hom_space(H, MH, n, cap) for n in range(n_max + 2)]
+                      for H, MH in ((G, MG), (B, MB), (A, MA)))
 
-def _les_homology(G, inner, outer, incl, shift, proj, K, guard, interior,
-                  n_max, potential, nonzero, note, cap) -> LesReport:
-    A, B = inner.groupoid, outer.groupoid
-    f_maps = [chain_pushforward(incl, n, cap) - chain_pushforward(shift, n, cap)
-              for n in range(n_max + 2)]
-    g_maps = [chain_pushforward(proj, n, cap) for n in range(n_max + 2)]
-    d_A = [IntMatrix.zeros(0, len(nerve(A, 0, cap)))] + \
-          [boundary_matrix_d(A, n, cap) for n in range(1, n_max + 2)]
-    d_B = [IntMatrix.zeros(0, len(nerve(B, 0, cap)))] + \
-          [boundary_matrix_d(B, n, cap) for n in range(1, n_max + 2)]
-    d_C = [IntMatrix.zeros(0, len(nerve(G, 0, cap)))] + \
-          [boundary_matrix_d(G, n, cap) for n in range(1, n_max + 2)]
-    checks = []
-    for n in range(n_max + 1):
-        comm = True
-        if n >= 1:
-            comm = (f_maps[n - 1] * d_A[n] == d_B[n] * f_maps[n]
-                    and g_maps[n - 1] * d_B[n] == d_C[n] * g_maps[n])
-        checks.append(DegreeChecks(
-            n,
-            (g_maps[n] * f_maps[n]).is_zero(),
-            kernel_basis(f_maps[n]).cols == 0,
-            _exact_at_middle(f_maps[n], g_maps[n]),
-            _surjective_over_z(g_maps[n]),
-            comm))
-    pres_C = [homology_presentation(d_C[n], d_C[n + 1]) for n in range(n_max + 1)]
-    pres_A = [homology_presentation(d_A[n], d_A[n + 1]) for n in range(n_max + 1)]
-    base_groups = [p.group for p in pres_C]
-    inner_groups = [p.group for p in pres_A]
-    # connecting maps by zig-zag: lift through the projection, take the
-    # boundary, pull back through id - shift
-    connecting = []
-    connecting_ok = True
-    for n in range(1, n_max + 1):
-        lift_sys = LinearSystem(g_maps[n])
-        pull_sys = LinearSystem(f_maps[n - 1])
-        mat = IntMatrix(pres_A[n - 1].n_generators, pres_C[n].n_generators)
-        for j, gen in enumerate(pres_C[n].generators):
-            lifted = lift_sys.solve(gen)
-            if lifted is None:
-                connecting_ok = False
-                continue
-            w = d_B[n].apply(lifted)
-            a = pull_sys.solve(w)
-            if a is None:
-                connecting_ok = False
-                continue
-            for i, v in enumerate(pres_A[n - 1].coords(a)):
-                mat.data[i][j] = v
-        connecting.append(mat)
-    # rank bookkeeping: the cokernel of the induced id - shift surjects
-    # onto the image of the window homology in the base; in degree 0 the
-    # comparison map is onto, so the cokernel is the base group itself
-    pres_B = [homology_presentation(d_B[n], d_B[n + 1]) for n in range(n_max + 1)]
-    cokers = []
-    for n in range(n_max + 1):
-        induced = induced_on_homology(f_maps[n], pres_A[n], pres_B[n])
-        cokers.append(quotient_group(pres_B[n], induced))
-    return LesReport("homology", K, guard, interior, n_max, checks,
-                     base_groups, inner_groups, connecting, connecting_ok,
-                     cokers, cokers[0], cokers[0] == base_groups[0],
-                     nonzero, potential if nonzero else None, note)
+        def cochains(H, MH):
+            deltas = [hom_coboundary_matrix(H, MH, n, cap) for n in degrees]
+            first = IntMatrix.zeros(deltas[0].cols, 0)
+            return [(deltas[n], deltas[n - 1] if n else first) for n in degrees]
 
-
-def _hom_pullback(phi: GroupoidFunctor, row_space, col_space) -> IntMatrix:
-    """Pullback of equivariant homs along a functor, on representatives."""
-    out = IntMatrix(row_space.total_rank, col_space.total_rank)
-    for rep in row_space.space.keys:
-        image = phi.map_tuple(rep)
-        r0 = row_space.space.offset_of(rep)
-        c0 = col_space.space.offset_of(image)
-        for i in range(row_space.space.ranks[row_space.space.position[rep]]):
-            out.data[r0 + i][c0 + i] += 1
-    return out
-
-
-def _les_cohomology(G, M, inner, outer, incl, shift, proj, K, guard, interior,
-                    n_max, potential, nonzero, note, cap) -> LesReport:
-    A, B = inner.groupoid, outer.groupoid
-    MB = pullback_module(proj, M)
-    MA = pullback_module(incl, MB)
-    spaces_G = [hom_space(G, M, n, cap) for n in range(n_max + 2)]
-    spaces_B = [hom_space(B, MB, n, cap) for n in range(n_max + 2)]
-    spaces_A = [hom_space(A, MA, n, cap) for n in range(n_max + 2)]
-    pi_hat = [_hom_pullback(proj, spaces_B[n], spaces_G[n])
-              for n in range(n_max + 2)]
-    c_hat = [_hom_pullback(incl, spaces_A[n], spaces_B[n])
-             - _hom_pullback(shift, spaces_A[n], spaces_B[n])
+        f = [_hom_pullback(proj, sB[n], sG[n]) for n in range(n_max + 2)]
+        g = [_hom_pullback(incl, sA[n], sB[n]) - _hom_pullback(shift, sA[n], sB[n])
              for n in range(n_max + 2)]
-    delta_G = [hom_coboundary_matrix(G, M, n, cap) for n in range(n_max + 1)]
-    delta_B = [hom_coboundary_matrix(B, MB, n, cap) for n in range(n_max + 1)]
-    delta_A = [hom_coboundary_matrix(A, MA, n, cap) for n in range(n_max + 1)]
-    checks = []
-    for n in range(n_max + 1):
-        comm = (pi_hat[n + 1] * delta_G[n] == delta_B[n] * pi_hat[n]
-                and c_hat[n + 1] * delta_B[n] == delta_A[n] * c_hat[n])
-        checks.append(DegreeChecks(
-            n,
-            (c_hat[n] * pi_hat[n]).is_zero(),
-            kernel_basis(pi_hat[n]).cols == 0,
-            _exact_at_middle(pi_hat[n], c_hat[n]),
-            _surjective_over_z(c_hat[n]),
-            comm))
-
-    def pres(deltas, spaces, n):
-        d_in = deltas[n - 1] if n >= 1 else IntMatrix.zeros(spaces[0].total_rank, 0)
-        return homology_presentation(deltas[n], d_in)
-
-    pres_G = [pres(delta_G, spaces_G, n) for n in range(n_max + 1)]
-    pres_A = [pres(delta_A, spaces_A, n) for n in range(n_max + 1)]
-    base_groups = [p.group for p in pres_G]
-    inner_groups = [p.group for p in pres_A]
-    # connecting maps H^n(inner side) -> H^(n+1)(base) by zig-zag
-    connecting = []
-    connecting_ok = True
-    for n in range(n_max):
-        lift_sys = LinearSystem(c_hat[n])
-        pull_sys = LinearSystem(pi_hat[n + 1])
-        mat = IntMatrix(pres_G[n + 1].n_generators, pres_A[n].n_generators)
-        for j, gen in enumerate(pres_A[n].generators):
-            lifted = lift_sys.solve(gen)
-            if lifted is None:
-                connecting_ok = False
-                continue
-            w = delta_B[n].apply(lifted)
-            x = pull_sys.solve(w)
-            if x is None:
-                connecting_ok = False
-                continue
-            for i, v in enumerate(pres_G[n + 1].coords(x)):
-                mat.data[i][j] = v
-        connecting.append(mat)
-    # rank bookkeeping: the kernel of the induced id - shift on the outer
-    # window equals the (injective) image of the base cohomology
-    pres_B = [pres(delta_B, spaces_B, n) for n in range(n_max + 1)]
-    kernels = []
-    for n in range(n_max + 1):
-        induced = induced_on_homology(c_hat[n], pres_B[n], pres_A[n])
-        kernels.append(kernel_group(induced, pres_B[n].orders, pres_A[n].orders))
-    return LesReport("cohomology", K, guard, interior, n_max, checks,
-                     base_groups, inner_groups, connecting, connecting_ok,
-                     kernels, kernels[0], kernels[0] == base_groups[0],
+        checks, (pres_base, pres_out, pres_in), connecting, connecting_ok = \
+            _verify_ses(cochains(G, MG), cochains(B, MB), cochains(A, MA), f, g, 1, n_max)
+        # the kernel of the induced id - shift on the outer window equals
+        # the (injective) image of the base cohomology
+        book = [kernel_group(induced_on_homology(g[n], pres_out[n], pres_in[n]),
+                             pres_out[n].orders, pres_in[n].orders)
+                for n in degrees]
+    base_groups = [p.group for p in pres_base]
+    return LesReport(mode, K, guard, interior, n_max, checks, base_groups,
+                     [p.group for p in pres_in], connecting, connecting_ok,
+                     book, book[0], book[0] == base_groups[0],
                      nonzero, potential if nonzero else None, note)

@@ -82,8 +82,16 @@ class IntMatrix:
         return cls(rows, cols)
 
     @classmethod
-    def column(cls, entries: Sequence[int]) -> "IntMatrix":
-        return cls(len(entries), 1, [[v] for v in entries])
+    def from_columns(cls, cols: Sequence[Sequence[int]], rows: int) -> "IntMatrix":
+        """Matrix with columns cols, each of length `rows`."""
+        out = cls(rows, len(cols))
+        for j, col in enumerate(cols):
+            if len(col) != rows:
+                raise DimensionMismatch(f"column {j} has length {len(col)}, want {rows}")
+            for i, v in enumerate(col):
+                if v:
+                    out.data[i][j] = v
+        return out
 
     @property
     def shape(self) -> tuple:
@@ -127,9 +135,6 @@ class IntMatrix:
         return IntMatrix(self.rows, self.cols,
                          [[a - b for a, b in zip(r1, r2)]
                           for r1, r2 in zip(self.data, other.data)])
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, [[-v for v in r] for r in self.data])
 
     def scaled(self, c: int) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, [[c * v for v in r] for r in self.data])
@@ -517,6 +522,21 @@ def invariant_factors(A: IntMatrix) -> list:
     return _Smith(A).diagonal()
 
 
+def _dense(entries: dict, n: int) -> list:
+    """Length-n vector from a sparse {index: value} column or row."""
+    out = [0] * n
+    for i, v in entries.items():
+        out[i] = v
+    return out
+
+
+def _unit(n: int, i: int, d: int) -> list:
+    """d times the i-th standard basis vector of Z^n."""
+    out = [0] * n
+    out[i] = d
+    return out
+
+
 def _normalize_column_sign(col: list) -> list:
     for v in col:
         if v:
@@ -527,20 +547,23 @@ def _normalize_column_sign(col: list) -> list:
 def kernel_basis(A: IntMatrix) -> IntMatrix:
     """Basis of the saturated integer kernel lattice, as matrix columns."""
     eng = _Smith(A, need=("Vinv",))
-    r = eng.rank
-    cols = []
-    for j in range(r, eng.n):
-        coldict = eng.Vinv_cols[j]
-        col = [0] * eng.n
-        for i, v in coldict.items():
-            col[i] = v
-        cols.append(_normalize_column_sign(col))
-    out = IntMatrix(eng.n, len(cols))
-    for j, col in enumerate(cols):
-        for i, v in enumerate(col):
-            if v:
-                out.data[i][j] = v
-    return out
+    return IntMatrix.from_columns(
+        [_normalize_column_sign(_dense(eng.Vinv_cols[j], eng.n))
+         for j in range(eng.rank, eng.n)], eng.n)
+
+
+def image_basis(A: IntMatrix) -> IntMatrix:
+    """Basis of the image lattice of A (not saturated), as matrix columns.
+
+    With A = U*S*V the image is spanned by the columns U[:, j] * d_j for
+    j < rank, read straight off the factorization.  The pivot order does
+    not depend on which transforms are tracked, so these are the first
+    rank columns of snf(A).U * snf(A).S.
+    """
+    eng = _Smith(A, need=("U",))
+    return IntMatrix.from_columns(
+        [[d * v for v in _dense(eng.U_cols[j], eng.m)]
+         for j, d in enumerate(eng.diagonal())], eng.m)
 
 
 class LinearSystem:
@@ -586,6 +609,14 @@ class LinearSystem:
 def solve_in_image(A: IntMatrix, v: Sequence[int]) -> Optional[list]:
     """Some x with A*x = v, or None when v is not in the image lattice."""
     return LinearSystem(A).solve(v)
+
+
+def image_contains(A: IntMatrix, B: IntMatrix) -> bool:
+    """Whether every column of B lies in the image lattice of A."""
+    if B.cols == 0:
+        return True
+    sys = LinearSystem(A)
+    return all(sys.solve(col) is not None for col in B.column_list())
 
 
 def det(A: IntMatrix) -> int:
@@ -796,16 +827,12 @@ class ChainHomologyPresentation:
         self._cycle_rank = self.ambient - eng_out.rank
         self._v_rows = eng_out.V_rows  # y = V x; kernel coords are y[rank:]
         self._out_rank = eng_out.rank
-        self.cycle_basis = IntMatrix(self.ambient, self._cycle_rank)
-        for j in range(self._cycle_rank):
-            for i, v in eng_out.Vinv_cols[eng_out.rank + j].items():
-                self.cycle_basis.data[i][j] = v
+        self.cycle_basis = IntMatrix.from_columns(
+            [_dense(col, self.ambient) for col in eng_out.Vinv_cols[eng_out.rank:]],
+            self.ambient)
         # relation matrix: coordinates of the boundary columns
-        rel = IntMatrix(self._cycle_rank, d_in.cols)
-        for c in range(d_in.cols):
-            coords = self._kernel_coords(d_in.col(c))
-            for i, v in enumerate(coords):
-                rel.data[i][c] = v
+        rel = IntMatrix.from_columns(
+            [self._kernel_coords(col) for col in d_in.column_list()], self._cycle_rank)
         eng_rel = _Smith(rel, need=("U", "Uinv"))
         self._rel_uinv = eng_rel.Uinv_rows
         diag = eng_rel.diagonal()
@@ -816,13 +843,8 @@ class ChainHomologyPresentation:
         self.orders = [orders_by_index[i] for i in self._canon_indices]
         self.group = FgAbGroup.from_invariant_factors(diag, free_rank=k - len(diag))
         # generator lifts: ambient cycles realizing each canonical generator
-        u_cols = eng_rel.U_cols
-        self.generators = []
-        for i in self._canon_indices:
-            coords = [0] * k
-            for r, v in u_cols[i].items():
-                coords[r] = v
-            self.generators.append(self.cycle_basis.apply(coords))
+        self.generators = [self.cycle_basis.apply(_dense(eng_rel.U_cols[i], k))
+                           for i in self._canon_indices]
 
     def _kernel_coords(self, vec: Sequence[int]) -> list:
         y = [0] * self.ambient
@@ -871,12 +893,9 @@ def induced_on_homology(chain_map: IntMatrix,
     """
     if chain_map.cols != source.ambient or chain_map.rows != target.ambient:
         raise DimensionMismatch("chain map shape does not match presentations")
-    out = IntMatrix(target.n_generators, source.n_generators)
-    for j, gen in enumerate(source.generators):
-        coords = target.coords(chain_map.apply(gen))
-        for i, v in enumerate(coords):
-            out.data[i][j] = v
-    return out
+    return IntMatrix.from_columns(
+        [target.coords(chain_map.apply(gen)) for gen in source.generators],
+        target.n_generators)
 
 
 def quotient_group(target: ChainHomologyPresentation, map_matrix: IntMatrix) -> FgAbGroup:
@@ -886,20 +905,12 @@ def quotient_group(target: ChainHomologyPresentation, map_matrix: IntMatrix) -> 
     """
     if map_matrix.rows != target.n_generators:
         raise DimensionMismatch("quotient: coordinate mismatch")
-    rel_cols = []
-    for j in range(map_matrix.cols):
-        rel_cols.append(map_matrix.col(j))
-    for i, d in enumerate(target.orders):
-        if d:
-            col = [0] * target.n_generators
-            col[i] = d
-            rel_cols.append(col)
-    rel = IntMatrix(target.n_generators, len(rel_cols))
-    for j, col in enumerate(rel_cols):
-        for i, v in enumerate(col):
-            rel.data[i][j] = v
+    k = target.n_generators
+    rel = IntMatrix.from_columns(
+        map_matrix.column_list() + [_unit(k, i, d) for i, d in enumerate(target.orders) if d],
+        k)
     facs = invariant_factors(rel)
-    return FgAbGroup.from_invariant_factors(facs, free_rank=target.n_generators - len(facs))
+    return FgAbGroup.from_invariant_factors(facs, free_rank=k - len(facs))
 
 
 def kernel_group(map_matrix: IntMatrix, source_orders: Sequence[int],
@@ -914,43 +925,23 @@ def kernel_group(map_matrix: IntMatrix, source_orders: Sequence[int],
     ks, kt = len(source_orders), len(target_orders)
     if map_matrix.shape != (kt, ks):
         raise DimensionMismatch("kernel: coordinate mismatch")
-    torsion_idx = [i for i, d in enumerate(target_orders) if d]
-    stacked = IntMatrix(kt, ks + len(torsion_idx))
-    for i in range(kt):
-        for j in range(ks):
-            stacked.data[i][j] = map_matrix.data[i][j]
-    for c, i in enumerate(torsion_idx):
-        stacked.data[i][ks + c] = -target_orders[i]
+    stacked = IntMatrix.from_columns(
+        map_matrix.column_list()
+        + [_unit(kt, i, -d) for i, d in enumerate(target_orders) if d], kt)
     pre = kernel_basis(stacked)
-    lattice_gens = IntMatrix(ks, pre.cols)
-    for j in range(pre.cols):
-        for i in range(ks):
-            lattice_gens.data[i][j] = pre.data[i][j]
     # reduce the projected generators to a lattice basis
-    dec = snf(lattice_gens)
-    r = dec.rank
-    basis = IntMatrix(ks, r)
-    us = dec.U * dec.S
-    for j in range(r):
-        for i in range(ks):
-            basis.data[i][j] = us.data[i][j]
+    basis = image_basis(IntMatrix.from_columns([col[:ks] for col in pre.column_list()], ks))
+    r = basis.cols
     if r == 0:
         return FgAbGroup.trivial()
     # source relations expressed in the kernel-lattice basis
     sys = LinearSystem(basis)
     rel_cols = []
     for i, d in enumerate(source_orders):
-        if not d:
-            continue
-        col = [0] * ks
-        col[i] = d
-        coords = sys.solve(col)
-        if coords is None:
-            raise LinAlgError("induced map is not well defined on the quotient")
-        rel_cols.append(coords)
-    rel = IntMatrix(r, len(rel_cols))
-    for j, col in enumerate(rel_cols):
-        for i, v in enumerate(col):
-            rel.data[i][j] = v
-    facs = invariant_factors(rel)
+        if d:
+            coords = sys.solve(_unit(ks, i, d))
+            if coords is None:
+                raise LinAlgError("induced map is not well defined on the quotient")
+            rel_cols.append(coords)
+    facs = invariant_factors(IntMatrix.from_columns(rel_cols, r))
     return FgAbGroup.from_invariant_factors(facs, free_rank=r - len(facs))

@@ -235,31 +235,52 @@ def test_z_action_rejects_non_permutation_exit_2(files):
 _Z2 = {"kind": "group", "cayley": [[0, 1], [1, 0]]}
 _Z2_COMPOSE = [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]]
 _UHF2 = {"kind": "bratteli", "stationary": True, "p": 2, "levels": 2}
+_TWO_STAGES = {"kind": "bratteli", "matrices": [[[2]]], "vertex_counts": [1, 1]}
+_MODULE = ["cohomology", "MODEL", "--module", "AUX"]
+_COCYCLE = ["skew-les", "MODEL", "--cocycle", "AUX", "--window", "4", "--guard", "1"]
+_QUERIES = ["dimension-group", "MODEL", "--queries", "AUX"]
 
 
-@pytest.mark.parametrize("argv, model", [
-    (["homology", "MODEL", "--max-degree", "-1"], _Z2),
-    (["cohomology", "MODEL", "--max-degree", "-1"], _Z2),
-    (["homology", "MODEL", "--coefficients", "Z/x"], _Z2),
-    (["odometer", "--p", "1", "--max-depth", "2"], None),
-    (["odometer", "--p", "2", "--max-depth", "0"], None),
-    (["verify-theta", "--count", "-1"], None),
-    (["af-cohomology", "MODEL", "--levels", "0", "--depth", "2"], _UHF2),
-    (["dimension-group", "MODEL", "--levels", "-1"], _UHF2),
-    (["homology", "MODEL"], {"kind": "pair", "fibers": 3}),
+@pytest.mark.parametrize("argv, model, aux", [
+    (["homology", "MODEL", "--max-degree", "-1"], _Z2, None),
+    (["cohomology", "MODEL", "--max-degree", "-1"], _Z2, None),
+    (["homology", "MODEL", "--coefficients", "Z/x"], _Z2, None),
+    (["odometer", "--p", "1", "--max-depth", "2"], None, None),
+    (["odometer", "--p", "2", "--max-depth", "0"], None, None),
+    (["verify-theta", "--count", "-1"], None, None),
+    (["af-cohomology", "MODEL", "--levels", "0", "--depth", "2"], _UHF2, None),
+    (["dimension-group", "MODEL", "--levels", "-1"], _UHF2, None),
+    (["homology", "MODEL"], {"kind": "pair", "fibers": 3}, None),
     (["homology", "MODEL"], {"kind": "explicit", "arrows": 2, "units": [0, 5],
                              "src": [0, 0], "rng": [0, 0], "inv": [0, 1],
-                             "compose": _Z2_COMPOSE}),
+                             "compose": _Z2_COMPOSE}, None),
     (["homology", "MODEL"], {"kind": "explicit", "arrows": 2, "units": [0],
                              "src": [0, 1], "rng": [0, 0], "inv": [0, 1],
-                             "compose": _Z2_COMPOSE}),
+                             "compose": _Z2_COMPOSE}, None),
+    (_MODULE, _Z2, {"fibers": {"0": "x"}}),
+    (_MODULE, _Z2, {"fibers": {"0": 1}, "action": {"1": [["a"]]}}),
+    (_COCYCLE, _Z2, {"values": [0, 0]}),
+    (_COCYCLE, _Z2, {"values": {"1": "x"}}),
+    (_QUERIES, _UHF2, [{"op": "divisible", "vector": [1], "q": 2}]),
+    (_QUERIES, _UHF2, [{"op": "divisible", "stage": 0, "q": 2}]),
+    (_QUERIES, _UHF2, [{"op": "divisible", "stage": 0, "vector": [1]}]),
+    (_QUERIES, _UHF2, [{"op": "divisible", "stage": "x", "vector": [1], "q": 2}]),
+    (_QUERIES, _UHF2, [{"op": "divisible", "stage": 0, "vector": [1], "q": 0}]),
+    (_QUERIES, _TWO_STAGES, [{"op": "divisible", "stage": 5, "vector": [1], "q": 2}]),
+    (_QUERIES, _TWO_STAGES, [{"op": "divisible", "stage": -1, "vector": [1], "q": 2}]),
+    (["dimension-group", "MODEL"], {"kind": "bratteli", "stationary": True, "p": "x"},
+     None),
 ], ids=["max-degree", "cohomology-max-degree", "coefficients", "odometer-p",
         "odometer-depth", "count", "af-levels", "dimension-levels", "pair-fibers",
-        "unit-range", "src-not-unit"])
-def test_known_bad_inputs_exit_2_with_one_error_line(argv, model, tmp_path, capsys):
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps(model), encoding="utf-8")
-    code = cli.main([str(path) if a == "MODEL" else a for a in argv])
+        "unit-range", "src-not-unit", "module-fiber-type", "module-action-entry",
+        "cocycle-list", "cocycle-value", "query-no-stage", "query-no-vector",
+        "query-no-q", "query-stage-type", "query-q-zero", "query-stage-beyond", "query-stage-negative",
+        "bratteli-p-type"])
+def test_known_bad_inputs_exit_2_with_one_error_line(argv, model, aux, tmp_path, capsys):
+    files = {"MODEL": tmp_path / "model.json", "AUX": tmp_path / "aux.json"}
+    for slot, payload in (("MODEL", model), ("AUX", aux)):
+        files[slot].write_text(json.dumps(payload), encoding="utf-8")
+    code = cli.main([str(files[a]) if a in files else a for a in argv])
     captured = capsys.readouterr()
     assert code == cli.USAGE_ERROR
     assert captured.out == ""

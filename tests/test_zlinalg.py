@@ -6,6 +6,7 @@ from groupoidal.zlinalg import (BadModulus, CompositionNonzero,
                                 DimensionMismatch, FgAbGroup, IntMatrix,
                                 LinearSystem, coefficients_via_uct, det,
                                 homology_at, homology_presentation,
+                                image_basis, image_contains,
                                 induced_on_homology, invariant_factors,
                                 kernel_basis, rank, snf, solve_in_image)
 
@@ -133,6 +134,29 @@ def test_snf_invariants_random():
         K = kernel_basis(A)
         assert (A * K).is_zero()
         assert K.cols + rank(A) == n
+
+
+def test_image_basis_is_snf_readout():
+    rng = random.Random(13)
+    for _ in range(120):
+        m, n = rng.randint(0, 6), rng.randint(0, 6)
+        A = IntMatrix(m, n, [[rng.randint(-9, 9) for _ in range(n)]
+                             for _ in range(m)])
+        assert IntMatrix.from_columns(A.column_list(), m) == A
+        d = snf(A)
+        us = (d.U * d.S).column_list()[:d.rank]
+        B = image_basis(A)
+        assert B == IntMatrix.from_columns(us, m)
+        assert image_contains(A, B) and image_contains(B, A)
+        C = IntMatrix(m, 2, [[rng.randint(-2, 2) for _ in range(2)] for _ in range(m)])
+        assert image_contains(A, C) == all(solve_in_image(A, c) is not None
+                                           for c in C.column_list())
+
+
+def test_from_columns_checks_lengths():
+    assert IntMatrix.from_columns([], 3).shape == (3, 0)
+    with pytest.raises(DimensionMismatch):
+        IntMatrix.from_columns([[1, 2], [3]], 2)
 
 
 def test_snf_against_sympy():
