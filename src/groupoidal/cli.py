@@ -60,7 +60,7 @@ def _field(doc: dict, name: str, path: str):
 def _int(value, what: str, path: str) -> int:
     try:
         return int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ParseError(f"{path}: {what} must be an integer, got {value!r}")
 
 
@@ -71,11 +71,22 @@ def _object(doc: dict, name: str, path: str) -> dict:
     return value
 
 
-def _int_matrix(rows, what: str, path: str) -> IntMatrix:
+def _int_rows(rows, what: str, path: str) -> list:
     if not (isinstance(rows, list) and all(
             isinstance(r, list) and all(isinstance(v, int) for v in r) for r in rows)):
         raise ParseError(f"{path}: {what} must be a list of integer rows")
-    return IntMatrix.from_rows(rows)
+    return rows
+
+
+def _int_matrix(rows, what: str, path: str) -> IntMatrix:
+    return IntMatrix.from_rows(_int_rows(rows, what, path))
+
+
+def _list(doc: dict, name: str, path: str) -> list:
+    value = _field(doc, name, path)
+    if not isinstance(value, list):
+        raise ParseError(f"{path}: {name} must be a list")
+    return value
 
 
 def parse_input(path: str):
@@ -86,7 +97,7 @@ def parse_input(path: str):
         return _parse_explicit(doc, path)
     if kind == "group":
         try:
-            return models.group_groupoid(_field(doc, "cayley", path))
+            return models.group_groupoid(_int_rows(_field(doc, "cayley", path), "cayley", path))
         except models.NotAGroup as e:
             raise ValidationError(f"{path}: {e}")
     if kind == "pair":
@@ -101,8 +112,9 @@ def parse_input(path: str):
         return models.pair_groupoid_from_map(psi)
     if kind == "action":
         try:
-            return models.action_groupoid(_field(doc, "cayley", path),
-                                          _field(doc, "perms", path))
+            return models.action_groupoid(
+                _int_rows(_field(doc, "cayley", path), "cayley", path),
+                _int_rows(_field(doc, "perms", path), "perms", path))
         except (models.NotAGroup, models.NotAnAction) as e:
             raise ValidationError(f"{path}: {e}")
     if kind == "bratteli":
@@ -162,12 +174,14 @@ def _parse_bratteli(doc: dict, path: str):
                 _int(doc["p"], "p", path), _int(doc.get("levels", 1), "levels", path))
         except models.MalformedDiagram as e:
             raise ValidationError(f"{path}: {e}")
-    mats = [_int_matrix(m, "matrices", path) for m in _field(doc, "matrices", path)]
+    mats = [_int_matrix(m, "matrices", path) for m in _list(doc, "matrices", path)]
     try:
         if stationary:
+            if not mats:
+                raise ParseError(f"{path}: a stationary diagram needs a matrix")
             return models.bratteli_stationary(
                 mats[0], _int(doc.get("levels", len(mats)), "levels", path))
-        counts = _field(doc, "vertex_counts", path)
+        counts = [_int(c, "vertex_counts", path) for c in _list(doc, "vertex_counts", path)]
         return models.BratteliDiagram(counts, mats, stationary=False)
     except models.MalformedDiagram as e:
         raise ValidationError(f"{path}: {e}")

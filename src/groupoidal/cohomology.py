@@ -91,18 +91,14 @@ def hom_space(G: FiniteGroupoid, M: GModule, n: int, cap=None) -> HomSpace:
     return HomSpace(n, _BlockSpace(keys, ranks), rep_of_tuple)
 
 
-def _add_block(M: IntMatrix, row_off: int, col_off: int, block: IntMatrix, sign: int):
-    for i in range(block.rows):
-        row = M.data[row_off + i]
-        brow = block.data[i]
-        for j in range(block.cols):
-            if brow[j]:
-                row[col_off + j] += sign * brow[j]
+def _block(row_off: int, col_off: int, block: IntMatrix, sign: int):
+    """Entries of sign * block placed at (row_off, col_off)."""
+    return ((row_off + i, col_off + j, sign * v) for i, j, v in block.entries())
 
 
-def _add_identity(M: IntMatrix, row_off: int, col_off: int, size: int, sign: int):
-    for i in range(size):
-        M.data[row_off + i][col_off + i] += sign
+def _identity(row_off: int, col_off: int, size: int, sign: int):
+    """Entries of sign * id_size placed at (row_off, col_off)."""
+    return ((row_off + i, col_off + i, sign) for i in range(size))
 
 
 def cocycle_coboundary_matrix(G: FiniteGroupoid, M: GModule, n: int,
@@ -116,28 +112,28 @@ def cocycle_coboundary_matrix(G: FiniteGroupoid, M: GModule, n: int,
     """
     dom = cochain_space(G, M, n, cap)
     cod = cochain_space(G, M, n + 1, cap)
-    out = IntMatrix(cod.total_rank, dom.total_rank)
+    entries = []
     if n == 0:
         for t in cod.space.keys:
             (g0,) = t
             row = cod.space.offset_of(t)
-            _add_block(out, row, dom.space.offset_of((G.src[g0],)), M.act(g0), 1)
-            _add_identity(out, row, dom.space.offset_of((G.rng[g0],)),
-                          M.rank_at(G.rng[g0]), -1)
-        return out
+            entries.extend(_block(row, dom.space.offset_of((G.src[g0],)), M.act(g0), 1))
+            entries.extend(_identity(row, dom.space.offset_of((G.rng[g0],)),
+                                     M.rank_at(G.rng[g0]), -1))
+        return IntMatrix.from_entries(cod.total_rank, dom.total_rank, entries)
     for t in cod.space.keys:
         row = cod.space.offset_of(t)
         g0 = t[0]
-        _add_block(out, row, dom.space.offset_of(t[1:]), M.act(g0), 1)
+        entries.extend(_block(row, dom.space.offset_of(t[1:]), M.act(g0), 1))
         sign = -1
         for i in range(1, n + 1):
             face = t[:i - 1] + (G.comp[(t[i - 1], t[i])],) + t[i + 1:]
-            _add_identity(out, row, dom.space.offset_of(face),
-                          M.rank_at(G.rng[g0]), sign)
+            entries.extend(_identity(row, dom.space.offset_of(face),
+                                     M.rank_at(G.rng[g0]), sign))
             sign = -sign
-        _add_identity(out, row, dom.space.offset_of(t[:-1]),
-                      M.rank_at(G.rng[g0]), sign)
-    return out
+        entries.extend(_identity(row, dom.space.offset_of(t[:-1]),
+                                 M.rank_at(G.rng[g0]), sign))
+    return IntMatrix.from_entries(cod.total_rank, dom.total_rank, entries)
 
 
 def hom_coboundary_matrix(G: FiniteGroupoid, M: GModule, n: int,
@@ -147,7 +143,7 @@ def hom_coboundary_matrix(G: FiniteGroupoid, M: GModule, n: int,
     which twists the face that absorbs the leading unit by the action."""
     dom = hom_space(G, M, n, cap)
     cod = hom_space(G, M, n + 1, cap)
-    out = IntMatrix(cod.total_rank, dom.total_rank)
+    entries = []
     for rep in cod.space.keys:
         row = cod.space.offset_of(rep)
         t = rep[1:]  # (g_0, ..., g_n)
@@ -156,19 +152,19 @@ def hom_coboundary_matrix(G: FiniteGroupoid, M: GModule, n: int,
             tail_rep = (G.src[g0],)
         else:
             tail_rep = dom.rep_of_tuple[t[1:]]
-        _add_block(out, row, dom.space.offset_of(tail_rep), M.act(g0), 1)
+        entries.extend(_block(row, dom.space.offset_of(tail_rep), M.act(g0), 1))
         sign = -1
         for i in range(1, n + 1):
             face = t[:i - 1] + (G.comp[(t[i - 1], t[i])],) + t[i + 1:]
-            _add_identity(out, row, dom.space.offset_of(dom.rep_of_tuple[face]),
-                          M.rank_at(rep[0]), sign)
+            entries.extend(_identity(row, dom.space.offset_of(dom.rep_of_tuple[face]),
+                                     M.rank_at(rep[0]), sign))
             sign = -sign
         # dropping the last entry leaves (unit, g_0, ..., g_{n-1}); in
         # degree 0 that is the unit representative itself
         last_rep = (rep[0],) if n == 0 else dom.rep_of_tuple[t[:-1]]
-        _add_identity(out, row, dom.space.offset_of(last_rep),
-                      M.rank_at(rep[0]), sign)
-    return out
+        entries.extend(_identity(row, dom.space.offset_of(last_rep),
+                                 M.rank_at(rep[0]), sign))
+    return IntMatrix.from_entries(cod.total_rank, dom.total_rank, entries)
 
 
 def theta_matrix(G: FiniteGroupoid, M: GModule, n: int, cap=None) -> IntMatrix:
@@ -177,22 +173,22 @@ def theta_matrix(G: FiniteGroupoid, M: GModule, n: int, cap=None) -> IntMatrix:
     model (the representative's leading unit acts trivially)."""
     dom = hom_space(G, M, n, cap)
     cod = cochain_space(G, M, n, cap)
-    out = IntMatrix(cod.total_rank, dom.total_rank)
-    for tail, rep in dom.rep_of_tuple.items():
-        _add_identity(out, cod.space.offset_of(tail), dom.space.offset_of(rep),
-                      M.rank_at(rep[0]), 1)
-    return out
+    return IntMatrix.from_entries(
+        cod.total_rank, dom.total_rank,
+        (e for tail, rep in dom.rep_of_tuple.items()
+         for e in _identity(cod.space.offset_of(tail), dom.space.offset_of(rep),
+                            M.rank_at(rep[0]), 1)))
 
 
 def rho_matrix(G: FiniteGroupoid, M: GModule, n: int, cap=None) -> IntMatrix:
     """Inverse relabeling, reading a cochain as values on representatives."""
     dom = cochain_space(G, M, n, cap)
     cod = hom_space(G, M, n, cap)
-    out = IntMatrix(cod.total_rank, dom.total_rank)
-    for tail, rep in cod.rep_of_tuple.items():
-        _add_identity(out, cod.space.offset_of(rep), dom.space.offset_of(tail),
-                      M.rank_at(rep[0]), 1)
-    return out
+    return IntMatrix.from_entries(
+        cod.total_rank, dom.total_rank,
+        (e for tail, rep in cod.rep_of_tuple.items()
+         for e in _identity(cod.space.offset_of(rep), dom.space.offset_of(tail),
+                            M.rank_at(rep[0]), 1)))
 
 
 def _cohomology_from_deltas(deltas: List[IntMatrix], n_max: int,
@@ -238,21 +234,21 @@ def theta_rho_check(G: FiniteGroupoid, M: GModule, n_max: int,
     delta_c o theta = theta o delta, and degreewise agreement of the two
     cohomologies, all as exact matrix statements."""
     failures = []
+    degrees = range(n_max + 1)
     thetas = [theta_matrix(G, M, n, cap) for n in range(n_max + 2)]
-    rhos = [rho_matrix(G, M, n, cap) for n in range(n_max + 2)]
-    for n in range(n_max + 1):
-        hs = hom_space(G, M, n, cap)
-        cs = cochain_space(G, M, n, cap)
-        if rhos[n] * thetas[n] != IntMatrix.identity(hs.total_rank):
+    rhos = [rho_matrix(G, M, n, cap) for n in degrees]
+    c_deltas = [cocycle_coboundary_matrix(G, M, n, cap) for n in degrees]
+    h_deltas = [hom_coboundary_matrix(G, M, n, cap) for n in degrees]
+    for n in degrees:
+        # theta_n maps the Hom model (columns) to the cocycle model (rows)
+        if rhos[n] * thetas[n] != IntMatrix.identity(thetas[n].cols):
             failures.append((n, "rho*theta != id"))
-        if thetas[n] * rhos[n] != IntMatrix.identity(cs.total_rank):
+        if thetas[n] * rhos[n] != IntMatrix.identity(thetas[n].rows):
             failures.append((n, "theta*rho != id"))
-        lhs = cocycle_coboundary_matrix(G, M, n, cap) * thetas[n]
-        rhs = thetas[n + 1] * hom_coboundary_matrix(G, M, n, cap)
-        if lhs != rhs:
+        if c_deltas[n] * thetas[n] != thetas[n + 1] * h_deltas[n]:
             failures.append((n, "delta_c o theta != theta o delta"))
-    cg = cocycle_cohomology(G, M, n_max, cap)
-    hg = hom_side_cohomology(G, M, n_max, cap)
+    cg = _cohomology_from_deltas(c_deltas, n_max, thetas[0].rows)
+    hg = _cohomology_from_deltas(h_deltas, n_max, thetas[0].cols)
     for n, (a, b) in enumerate(zip(cg, hg)):
         if a != b:
             failures.append((n, f"cohomology mismatch {a} vs {b}"))
@@ -280,12 +276,11 @@ def cochain_pullback_matrix(phi: GroupoidFunctor, M: GModule, n: int,
     Mpull = pullback_module(phi, M)
     dom = cochain_space(G2, M, n, cap)
     cod = cochain_space(G1, Mpull, n, cap)
-    out = IntMatrix(cod.total_rank, dom.total_rank)
-    for t in cod.space.keys:
-        image = phi.map_tuple(t)
-        _add_identity(out, cod.space.offset_of(t), dom.space.offset_of(image),
-                      Mpull.rank_at(G1.rng[t[0]]) if n else Mpull.rank_at(t[0]), 1)
-    return out
+    return IntMatrix.from_entries(
+        cod.total_rank, dom.total_rank,
+        (e for t in cod.space.keys
+         for e in _identity(cod.space.offset_of(t), dom.space.offset_of(phi.map_tuple(t)),
+                            Mpull.rank_at(G1.rng[t[0]]) if n else Mpull.rank_at(t[0]), 1)))
 
 
 @dataclass

@@ -222,18 +222,14 @@ def boundary_matrix_d(G: FiniteGroupoid, n: int, cap: Optional[int] = None) -> I
         raise ValueError("boundary degree must be >= 1")
     nv_to = nerve(G, n - 1, cap)
     nv_from = nerve(G, n, cap)
-    M = IntMatrix(len(nv_to), len(nv_from))
+    index = nv_to.index
     if n == 1:
-        for j, (g,) in enumerate(nv_from.tuples):
-            M.data[nv_to.index[(G.src[g],)]][j] += 1
-            M.data[nv_to.index[(G.rng[g],)]][j] -= 1
-        return M
-    for j, t in enumerate(nv_from.tuples):
-        sign = 1
-        for i in range(n + 1):
-            M.data[nv_to.index[homology_face(G, t, i)]][j] += sign
-            sign = -sign
-    return M
+        entries = ((index[(ends[g],)], j, sign) for j, (g,) in enumerate(nv_from.tuples)
+                   for ends, sign in ((G.src, 1), (G.rng, -1)))
+    else:
+        entries = ((index[homology_face(G, t, i)], j, -1 if i % 2 else 1)
+                   for j, t in enumerate(nv_from.tuples) for i in range(n + 1))
+    return IntMatrix.from_entries(len(nv_to), len(nv_from), entries)
 
 
 def bar_face(G: FiniteGroupoid, t: tuple, i: int) -> tuple:
@@ -257,17 +253,13 @@ def bar_boundary_matrix_b(G: FiniteGroupoid, n: int, cap: Optional[int] = None) 
         raise ValueError("bar degree must be >= 0")
     nv_from = nerve(G, n + 1, cap)
     nv_to = nerve(G, n, cap)
-    M = IntMatrix(len(nv_to), len(nv_from))
+    index = nv_to.index
     if n == 0:
-        for j, (g,) in enumerate(nv_from.tuples):
-            M.data[nv_to.index[(G.rng[g],)]][j] += 1
-        return M
-    for j, t in enumerate(nv_from.tuples):
-        sign = 1
-        for i in range(n + 1):
-            M.data[nv_to.index[bar_face(G, t, i)]][j] += sign
-            sign = -sign
-    return M
+        entries = ((index[(G.rng[g],)], j, 1) for j, (g,) in enumerate(nv_from.tuples))
+    else:
+        entries = ((index[bar_face(G, t, i)], j, -1 if i % 2 else 1)
+                   for j, t in enumerate(nv_from.tuples) for i in range(n + 1))
+    return IntMatrix.from_entries(len(nv_to), len(nv_from), entries)
 
 
 def coinvariants_collapse(G: FiniteGroupoid, n: int, cap: Optional[int] = None) -> IntMatrix:
@@ -280,14 +272,11 @@ def coinvariants_collapse(G: FiniteGroupoid, n: int, cap: Optional[int] = None) 
         raise ValueError("collapse degree must be >= 0")
     nv_from = nerve(G, n + 1, cap)
     nv_to = nerve(G, n, cap)
-    M = IntMatrix(len(nv_to), len(nv_from))
-    for j, t in enumerate(nv_from.tuples):
-        if n == 0:
-            target = (G.src[t[0]],)
-        else:
-            target = t[1:]
-        M.data[nv_to.index[target]][j] += 1
-    return M
+    index = nv_to.index
+    return IntMatrix.from_entries(
+        len(nv_to), len(nv_from),
+        ((index[(G.src[t[0]],) if n == 0 else t[1:]], j, 1)
+         for j, t in enumerate(nv_from.tuples)))
 
 
 class GModule:

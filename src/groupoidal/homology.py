@@ -27,12 +27,16 @@ class NotAPermutation(GroupoidError):
     pass
 
 
+def _differential(G: FiniteGroupoid, n: int, cap=None) -> IntMatrix:
+    """d_n, with d_0 the zero map out of degree 0."""
+    if n == 0:
+        return IntMatrix.zeros(0, len(nerve(G, 0, cap)))
+    return boundary_matrix_d(G, n, cap)
+
+
 def _differentials(G: FiniteGroupoid, n_max: int, cap=None) -> List[IntMatrix]:
-    """d_0, ..., d_{n_max+1} with d_0 the zero map out of degree 0."""
-    ds = [IntMatrix.zeros(0, len(nerve(G, 0, cap)))]
-    for n in range(1, n_max + 2):
-        ds.append(boundary_matrix_d(G, n, cap))
-    return ds
+    """d_0, ..., d_{n_max+1}."""
+    return [_differential(G, n, cap) for n in range(n_max + 2)]
 
 
 def homology_groups(G: FiniteGroupoid, n_max: int,
@@ -58,10 +62,9 @@ def chain_pushforward(phi: GroupoidFunctor, n: int, cap: Optional[int] = None) -
     """Matrix of the degree-n chain map summing over tuple preimages."""
     nv1 = nerve(phi.source, n, cap)
     nv2 = nerve(phi.target, n, cap)
-    M = IntMatrix(len(nv2), len(nv1))
-    for j, t in enumerate(nv1.tuples):
-        M.data[nv2.index[phi.map_tuple(t)]][j] += 1
-    return M
+    return IntMatrix.from_entries(len(nv2), len(nv1),
+                                  ((nv2.index[phi.map_tuple(t)], j, 1)
+                                   for j, t in enumerate(nv1.tuples)))
 
 
 @dataclass
@@ -85,8 +88,7 @@ class InducedMap:
 
 def homology_presentation_of(G: FiniteGroupoid, n: int,
                              cap: Optional[int] = None) -> ChainHomologyPresentation:
-    ds = _differentials(G, n, cap)
-    return homology_presentation(ds[n], ds[n + 1])
+    return homology_presentation(_differential(G, n, cap), _differential(G, n + 1, cap))
 
 
 def induced_homology_map(phi: GroupoidFunctor, n: int,
@@ -105,10 +107,7 @@ def permutation_pushforward(perm: Sequence[int]) -> IntMatrix:
     k = len(perm)
     if sorted(perm) != list(range(k)):
         raise NotAPermutation(f"{list(perm)} is not a permutation")
-    M = IntMatrix(k, k)
-    for x, px in enumerate(perm):
-        M.data[px][x] = 1
-    return M
+    return IntMatrix.from_entries(k, k, ((px, x, 1) for x, px in enumerate(perm)))
 
 
 @dataclass

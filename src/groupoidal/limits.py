@@ -165,7 +165,7 @@ def colimit_divisible(C: ColimitGroup, a: ColimitElement, q: int,
     tower = C.tower
     stationary_rank1 = tower.stationary and tower.rank_at(0) == 1
     if stationary_rank1:
-        p = tower.map_at(0).data[0][0]
+        p = tower.map_at(0).col(0)[0]
         v = a.vector[0]
         if v == 0:
             return DivisibilityResult("witness", a.stage, (0,))
@@ -318,20 +318,14 @@ def limit_and_lim1(T: Tower, N: int) -> Lim1Report:
     offsets = [0]
     for n_stage in range(N + 1):
         offsets.append(offsets[-1] + T.rank_at(n_stage))
-    total = offsets[-1]
-    rows = sum(T.rank_at(n_stage) for n_stage in range(N))
-    big = IntMatrix(rows, total)
-    row0 = 0
+    # stage n's rows start at offsets[n], the column offset of x_n
+    entries = []
     for n_stage in range(N):
-        rk = T.rank_at(n_stage)
-        A = T.map_at(n_stage)
-        for i in range(rk):
-            big.data[row0 + i][offsets[n_stage] + i] = 1
-            for j in range(A.cols):
-                if A.data[i][j]:
-                    big.data[row0 + i][offsets[n_stage + 1] + j] = -A.data[i][j]
-        row0 += rk
-    threads = kernel_basis(big)
+        row0 = offsets[n_stage]
+        entries.extend((row0 + i, row0 + i, 1) for i in range(T.rank_at(n_stage)))
+        entries.extend((row0 + i, offsets[n_stage + 1] + j, -v)
+                       for i, j, v in T.map_at(n_stage).entries())
+    threads = kernel_basis(IntMatrix.from_entries(offsets[N], offsets[-1], entries))
     rank0 = T.rank_at(0)
     lim0 = image_basis(IntMatrix.from_columns(
         [col[:rank0] for col in threads.column_list()], rank0))
@@ -359,19 +353,13 @@ def _shift_pullback(p: int, depth: int) -> IntMatrix:
     """Digit-shift pullback from depth-`depth` functions to depth+1:
     (f o shift)(a_1 ... a_{depth+1}) = f(a_2 ... a_{depth+1})."""
     n = p ** depth
-    M = IntMatrix(p * n, n)
-    for w in range(p * n):
-        M.data[w][w // p] = 1
-    return M
+    return IntMatrix.from_entries(p * n, n, ((w, w // p, 1) for w in range(p * n)))
 
 
 def _depth_inclusion(p: int, depth: int) -> IntMatrix:
     """Depth-`depth` functions seen at depth+1 (value of the truncation)."""
     n = p ** depth
-    M = IntMatrix(p * n, n)
-    for w in range(p * n):
-        M.data[w][w % n] = 1
-    return M
+    return IntMatrix.from_entries(p * n, n, ((w, w % n, 1) for w in range(p * n)))
 
 
 def af_cohomology_tower(B: BratteliDiagram, N: int, D: int,
@@ -391,7 +379,7 @@ def af_cohomology_tower(B: BratteliDiagram, N: int, D: int,
     """
     if not (B.stationary and B.vertex_counts[0] == 1):
         raise MalformedDiagram("cohomology tower needs a stationary one-vertex diagram")
-    p = B.matrices[0].data[0][0]
+    p = B.matrices[0].col(0)[0]
     if p < 2:
         raise MalformedDiagram("need at least two edges")
     if N < 1 or D < 1:
@@ -400,10 +388,8 @@ def af_cohomology_tower(B: BratteliDiagram, N: int, D: int,
         raise DepthTooLarge(f"p^(D+N) = {p**(D+N)} exceeds cap")
     # stationary threads: iota(f) = sigma^*(f) in depth D+1
     fixed = kernel_basis(_depth_inclusion(p, D) - _shift_pullback(p, D))
-    n_d = p ** D
-    constants_only = (fixed.cols == 1
-                      and all(fixed.data[i][0] == fixed.data[0][0] for i in range(n_d))
-                      and fixed.data[0][0] != 0)
+    constants_only = (fixed.cols == 1 and len(set(fixed.col(0))) == 1
+                      and fixed.col(0)[0] != 0)
     # exact truncated tower: stage n holds depth D+N-n functions
     ranks = [p ** (D + N - n) for n in range(N + 1)]
     maps = [_shift_pullback(p, D + N - n - 1) for n in range(N)]

@@ -228,12 +228,8 @@ def permutation_module(cayley: Sequence[Sequence[int]],
     cohomology of the transformation groupoid into group cohomology."""
     G = group if group is not None else group_groupoid(cayley)
     npts = len(perms[0])
-    action = {}
-    for g in range(G.n_arrows):
-        m = IntMatrix(npts, npts)
-        for x in range(npts):
-            m.data[perms[g][x]][x] = 1
-        action[g] = m
+    action = {g: IntMatrix.from_entries(npts, npts, ((perms[g][x], x, 1) for x in range(npts)))
+              for g in range(G.n_arrows)}
     return GModule(G, {G.units[0]: npts}, action)
 
 
@@ -260,15 +256,16 @@ class BratteliDiagram:
         for l, m in enumerate(self.matrices):
             if m.shape != (self.vertex_counts[l + 1], self.vertex_counts[l]):
                 raise MalformedDiagram(f"matrix {l} has shape {m.shape}")
-            for row in m.data:
-                for v in row:
-                    if v < 0:
-                        raise MalformedDiagram("negative multiplicity")
-            for i, row in enumerate(m.data):
-                if all(v == 0 for v in row):
+            nonzeros = list(m.entries())
+            if any(v < 0 for _, _, v in nonzeros):
+                raise MalformedDiagram("negative multiplicity")
+            reached = {i for i, _, _ in nonzeros}
+            for i in range(m.rows):
+                if i not in reached:
                     raise MalformedDiagram(f"vertex {i} at level {l+1} unreached")
+            parents = {j for _, j, _ in nonzeros}
             for j in range(m.cols):
-                if all(m.data[i][j] == 0 for i in range(m.rows)):
+                if j not in parents:
                     raise MalformedDiagram(f"vertex {j} at level {l} childless")
 
     @property
@@ -325,11 +322,8 @@ class OdometerSystem:
     def refinement(self, d: int) -> IntMatrix:
         """Inclusion of depth-d cylinders as sums of depth-(d+1) cylinders."""
         n = self.p ** d
-        m = IntMatrix(self.p * n, n)
-        for i in range(n):
-            for a in range(self.p):
-                m.data[i + a * n][i] = 1
-        return m
+        return IntMatrix.from_entries(self.p * n, n,
+                                      ((i + a * n, i, 1) for i in range(n) for a in range(self.p)))
 
     def truncation(self, d: int) -> List[int]:
         """Depth-(d+1) cylinder index -> its depth-d cylinder."""
@@ -341,23 +335,23 @@ class OdometerSystem:
 
 
 def _random_unimodular(rng: random.Random, r: int, steps: int = 4) -> IntMatrix:
-    m = IntMatrix.identity(r)
+    m = [[int(a == b) for b in range(r)] for a in range(r)]
     for _ in range(steps):
         kind = rng.randrange(3)
         if r == 1:
             if kind == 0:
-                m.data[0][0] *= -1
+                m[0][0] *= -1
             continue
         i, j = rng.sample(range(r), 2)
         if kind == 0:
             c = rng.choice([-1, 1])
             for k in range(r):
-                m.data[i][k] += c * m.data[j][k]
+                m[i][k] += c * m[j][k]
         elif kind == 1:
-            m.data[i], m.data[j] = m.data[j], m.data[i]
+            m[i], m[j] = m[j], m[i]
         else:
-            m.data[i] = [-v for v in m.data[i]]
-    return m
+            m[i] = [-v for v in m[i]]
+    return IntMatrix.from_rows(m)
 
 
 def random_groupoid(rng: random.Random, max_arrows: int = 20) -> FiniteGroupoid:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from .cohomology import (hom_coboundary_matrix, hom_space,
+from .cohomology import (_identity, hom_coboundary_matrix, hom_space,
                          pullback_module)
 from .groupoids import (FiniteGroupoid, GModule, GroupoidError,
                         GroupoidFunctor, tuple_cap)
@@ -296,14 +296,12 @@ def _verify_ses(sub, mid, quot, f, g, step: int, n_max: int):
 
 def _hom_pullback(phi: GroupoidFunctor, row_space, col_space) -> IntMatrix:
     """Pullback of equivariant homs along a functor, on representatives."""
-    out = IntMatrix(row_space.total_rank, col_space.total_rank)
-    for rep in row_space.space.keys:
-        image = phi.map_tuple(rep)
-        r0 = row_space.space.offset_of(rep)
-        c0 = col_space.space.offset_of(image)
-        for i in range(row_space.space.ranks[row_space.space.position[rep]]):
-            out.data[r0 + i][c0 + i] += 1
-    return out
+    rows, cols = row_space.space, col_space.space
+    return IntMatrix.from_entries(
+        row_space.total_rank, col_space.total_rank,
+        (e for rep in rows.keys
+         for e in _identity(rows.offset_of(rep), cols.offset_of(phi.map_tuple(rep)),
+                            rows.ranks[rows.position[rep]], 1)))
 
 
 def les_verify(G: FiniteGroupoid, c: ZCocycle, K: int, guard: int, n_max: int,

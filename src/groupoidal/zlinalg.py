@@ -6,9 +6,11 @@ composable pair of integer matrices, reported as a finitely generated
 abelian group in invariant-factor normal form.
 
 Everything runs on Python ints, so intermediate entries may grow without
-overflow.  Matrices are stored densely; the elimination engine works on a
-sparse copy and keeps transform matrices sparse until they are read out,
-which is what makes the large-but-very-sparse boundary matrices cheap.
+overflow.  IntMatrix is sparse, one {column: value} dict per row with no
+stored zeros, and this module alone knows that format: builders elsewhere
+emit (row, column, value) entries.  The elimination engine starts from a
+copy of the row dicts and keeps its transforms in the same form, which is
+what makes the large-but-very-sparse boundary matrices cheap.
 
 Pivot rule: step t of the elimination takes the nonzero of the active block
 (rows and columns >= t) with the least key (|v|, Markowitz cost, row,
@@ -44,9 +46,17 @@ class BadModulus(LinAlgError):
 
 
 class IntMatrix:
-    """Dense matrix of Python ints."""
+    """Sparse matrix of Python ints: one {column: value} dict per row,
+    holding the nonzero entries only.
 
-    __slots__ = ("rows", "cols", "data")
+    The storage format is private to this module.  Other modules build
+    matrices with `from_entries` or the shape constructors, and read them
+    through `entries`, `col`, `column_list` and `apply`.  `data` is a
+    dense list-of-lists copy for output and tests; writing into it does not
+    change the matrix.  No operation modifies a matrix once it is built.
+    """
+
+    __slots__ = ("rows", "cols", "_row_dicts")
 
     def __init__(self, rows: int, cols: int, data: Optional[list] = None):
         if rows < 0 or cols < 0:
@@ -54,11 +64,37 @@ class IntMatrix:
         self.rows = rows
         self.cols = cols
         if data is None:
-            self.data = [[0] * cols for _ in range(rows)]
+            self._row_dicts = [{} for _ in range(rows)]
         else:
             if len(data) != rows or any(len(r) != cols for r in data):
                 raise DimensionMismatch("data shape does not match (rows, cols)")
-            self.data = [list(r) for r in data]
+            self._row_dicts = [{j: v for j, v in enumerate(r) if v} for r in data]
+
+    @classmethod
+    def from_entries(cls, rows: int, cols: int, entries: Iterable[tuple]) -> "IntMatrix":
+        """rows x cols matrix holding at (i, j) the sum of the v over the
+        triples (i, j, v) in entries."""
+        out = cls(rows, cols)
+        row_dicts = out._row_dicts
+        for i, j, v in entries:
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise DimensionMismatch(f"entry ({i}, {j}) outside a {rows}x{cols} matrix")
+            row = row_dicts[i]
+            row[j] = row.get(j, 0) + v
+        out._row_dicts = [row if all(row.values()) else {j: v for j, v in row.items() if v}
+                          for row in row_dicts]
+        return out
+
+    @classmethod
+    def _of_row_dicts(cls, rows: int, cols: int, row_dicts: list) -> "IntMatrix":
+        # the dicts must hold no zeros and must not be modified afterwards
+        out = cls(rows, cols)
+        out._row_dicts = row_dicts
+        return out
+
+    @classmethod
+    def _of_col_dicts(cls, rows: int, col_dicts: list) -> "IntMatrix":
+        return cls._of_row_dicts(len(col_dicts), rows, col_dicts).transpose()
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
@@ -68,14 +104,11 @@ class IntMatrix:
                 cols = 0
             return cls(0, cols)
         width = len(data[0])
-        return cls(rows, width, [list(r) for r in data])
+        return cls(rows, width, data)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        m = cls(n, n)
-        for i in range(n):
-            m.data[i][i] = 1
-        return m
+        return cls._of_row_dicts(n, n, [{i: 1} for i in range(n)])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
@@ -85,88 +118,112 @@ class IntMatrix:
     def from_columns(cls, cols: Sequence[Sequence[int]], rows: int) -> "IntMatrix":
         """Matrix with columns cols, each of length `rows`."""
         out = cls(rows, len(cols))
+        row_dicts = out._row_dicts
         for j, col in enumerate(cols):
             if len(col) != rows:
                 raise DimensionMismatch(f"column {j} has length {len(col)}, want {rows}")
             for i, v in enumerate(col):
                 if v:
-                    out.data[i][j] = v
+                    row_dicts[i][j] = v
         return out
 
     @property
     def shape(self) -> tuple:
         return (self.rows, self.cols)
 
+    @property
+    def data(self) -> list:
+        """Dense copy as a list of rows."""
+        out = [[0] * self.cols for _ in range(self.rows)]
+        for row, entries in zip(out, self._row_dicts):
+            for j, v in entries.items():
+                row[j] = v
+        return out
+
+    def entries(self):
+        """The nonzero entries as (i, j, v) triples, row by row."""
+        for i, row in enumerate(self._row_dicts):
+            for j, v in row.items():
+                yield i, j, v
+
     def transpose(self) -> "IntMatrix":
         t = IntMatrix(self.cols, self.rows)
-        for i, row in enumerate(self.data):
-            for j, v in enumerate(row):
-                if v:
-                    t.data[j][i] = v
+        t_rows = t._row_dicts
+        for i, row in enumerate(self._row_dicts):
+            for j, v in row.items():
+                t_rows[j][i] = v
         return t
 
     def col(self, j: int) -> list:
-        return [row[j] for row in self.data]
+        return [row.get(j, 0) for row in self._row_dicts]
 
     def column_list(self) -> list:
-        return [self.col(j) for j in range(self.cols)]
+        out = [[0] * self.rows for _ in range(self.cols)]
+        for i, row in enumerate(self._row_dicts):
+            for j, v in row.items():
+                out[j][i] = v
+        return out
 
     def is_zero(self) -> bool:
-        return all(v == 0 for row in self.data for v in row)
+        return not any(self._row_dicts)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntMatrix):
             return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and self.data == other.data
+        return self.shape == other.shape and self._row_dicts == other._row_dicts
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.data)))
+    def _plus(self, other: "IntMatrix", sign: int, op: str) -> "IntMatrix":
+        if self.shape != other.shape:
+            raise DimensionMismatch(f"{op} {self.shape} vs {other.shape}")
+        out = []
+        for a, b in zip(self._row_dicts, other._row_dicts):
+            row = dict(a)
+            for j, v in b.items():
+                new = row.get(j, 0) + sign * v
+                if new:
+                    row[j] = new
+                else:
+                    del row[j]
+            out.append(row)
+        return IntMatrix._of_row_dicts(self.rows, self.cols, out)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.shape != other.shape:
-            raise DimensionMismatch(f"add {self.shape} vs {other.shape}")
-        return IntMatrix(self.rows, self.cols,
-                         [[a + b for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.data, other.data)])
+        return self._plus(other, 1, "add")
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.shape != other.shape:
-            raise DimensionMismatch(f"sub {self.shape} vs {other.shape}")
-        return IntMatrix(self.rows, self.cols,
-                         [[a - b for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.data, other.data)])
+        return self._plus(other, -1, "sub")
 
     def scaled(self, c: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, [[c * v for v in r] for r in self.data])
+        if not c:
+            return IntMatrix(self.rows, self.cols)
+        return IntMatrix._of_row_dicts(self.rows, self.cols,
+                                       [{j: c * v for j, v in row.items()}
+                                        for row in self._row_dicts])
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise DimensionMismatch(f"mul {self.shape} by {other.shape}")
-        out = IntMatrix(self.rows, other.cols)
-        odata = out.data
-        bdata = other.data
-        for i, arow in enumerate(self.data):
-            orow = odata[i]
-            for k, a in enumerate(arow):
-                if a:
-                    brow = bdata[k]
-                    for j, b in enumerate(brow):
-                        if b:
-                            orow[j] += a * b
-        return out
+        b_rows = other._row_dicts
+        out = []
+        for a_row in self._row_dicts:
+            acc = {}
+            for k, a in a_row.items():
+                for j, b in b_rows[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append(acc if all(acc.values()) else {j: v for j, v in acc.items() if v})
+        return IntMatrix._of_row_dicts(self.rows, other.cols, out)
 
     def apply(self, vec: Sequence[int]) -> list:
         if len(vec) != self.cols:
             raise DimensionMismatch(f"apply {self.shape} to vector of length {len(vec)}")
-        out = [0] * self.rows
-        for i, row in enumerate(self.data):
+        out = []
+        for row in self._row_dicts:
             s = 0
-            for a, x in zip(row, vec):
-                if a and x:
-                    s += a * x
-            out[i] = s
+            for j, a in row.items():
+                s += a * vec[j]
+            out.append(s)
         return out
 
     def __repr__(self):
@@ -209,14 +266,11 @@ class _Smith:
 
     def __init__(self, A: IntMatrix, need: Iterable[str] = ()):
         self.m, self.n = A.rows, A.cols
-        self.rows = [dict() for _ in range(self.m)]
+        self.rows = [dict(row) for row in A._row_dicts]
         self.colidx = [set() for _ in range(self.n)]
-        for i, row in enumerate(A.data):
-            ri = self.rows[i]
-            for j, v in enumerate(row):
-                if v:
-                    ri[j] = v
-                    self.colidx[j].add(i)
+        for i, row in enumerate(self.rows):
+            for j in row:
+                self.colidx[j].add(i)
         need = set(need)
         self.U_cols = [{i: 1} for i in range(self.m)] if "U" in need else None
         self.Uinv_rows = [{i: 1} for i in range(self.m)] if "Uinv" in need else None
@@ -453,39 +507,24 @@ class _Smith:
     def diagonal(self) -> list:
         return [self.rows[i][i] for i in range(self.rank)]
 
+    # the transform read-outs share the engine's dicts, which hold no zeros
+    # and are not modified once the reduction is done
+
     def s_matrix(self) -> IntMatrix:
-        S = IntMatrix(self.m, self.n)
-        for i in range(self.rank):
-            S.data[i][i] = self.rows[i][i]
-        return S
+        return IntMatrix.from_entries(self.m, self.n,
+                                      ((i, i, d) for i, d in enumerate(self.diagonal())))
 
     def u_matrix(self) -> IntMatrix:
-        U = IntMatrix(self.m, self.m)
-        for c, coldict in enumerate(self.U_cols):
-            for r, v in coldict.items():
-                U.data[r][c] = v
-        return U
+        return IntMatrix._of_col_dicts(self.m, self.U_cols)
 
     def uinv_matrix(self) -> IntMatrix:
-        M = IntMatrix(self.m, self.m)
-        for r, rowdict in enumerate(self.Uinv_rows):
-            for c, v in rowdict.items():
-                M.data[r][c] = v
-        return M
+        return IntMatrix._of_row_dicts(self.m, self.m, self.Uinv_rows)
 
     def v_matrix(self) -> IntMatrix:
-        V = IntMatrix(self.n, self.n)
-        for r, rowdict in enumerate(self.V_rows):
-            for c, v in rowdict.items():
-                V.data[r][c] = v
-        return V
+        return IntMatrix._of_row_dicts(self.n, self.n, self.V_rows)
 
     def vinv_matrix(self) -> IntMatrix:
-        M = IntMatrix(self.n, self.n)
-        for c, coldict in enumerate(self.Vinv_cols):
-            for r, v in coldict.items():
-                M.data[r][c] = v
-        return M
+        return IntMatrix._of_col_dicts(self.n, self.Vinv_cols)
 
 
 @dataclass(frozen=True)
@@ -500,10 +539,10 @@ class SnfDecomposition:
 
     @property
     def rank(self) -> int:
-        return sum(1 for i in range(min(self.S.rows, self.S.cols)) if self.S.data[i][i])
+        return len(self.diagonal())
 
     def diagonal(self) -> list:
-        return [self.S.data[i][i] for i in range(self.rank)]
+        return [d for _, _, d in self.S.entries()]
 
 
 def snf(A: IntMatrix) -> SnfDecomposition:
@@ -537,19 +576,18 @@ def _unit(n: int, i: int, d: int) -> list:
     return out
 
 
-def _normalize_column_sign(col: list) -> list:
-    for v in col:
-        if v:
-            return col if v > 0 else [-x for x in col]
+def _normalize_column_sign(col: dict) -> dict:
+    """The sparse column col, negated if its first nonzero entry is negative."""
+    if col and col[min(col)] < 0:
+        return {i: -v for i, v in col.items()}
     return col
 
 
 def kernel_basis(A: IntMatrix) -> IntMatrix:
     """Basis of the saturated integer kernel lattice, as matrix columns."""
     eng = _Smith(A, need=("Vinv",))
-    return IntMatrix.from_columns(
-        [_normalize_column_sign(_dense(eng.Vinv_cols[j], eng.n))
-         for j in range(eng.rank, eng.n)], eng.n)
+    return IntMatrix._of_col_dicts(
+        eng.n, [_normalize_column_sign(col) for col in eng.Vinv_cols[eng.rank:]])
 
 
 def image_basis(A: IntMatrix) -> IntMatrix:
@@ -561,9 +599,9 @@ def image_basis(A: IntMatrix) -> IntMatrix:
     rank columns of snf(A).U * snf(A).S.
     """
     eng = _Smith(A, need=("U",))
-    return IntMatrix.from_columns(
-        [[d * v for v in _dense(eng.U_cols[j], eng.m)]
-         for j, d in enumerate(eng.diagonal())], eng.m)
+    return IntMatrix._of_col_dicts(
+        eng.m, [{i: d * v for i, v in eng.U_cols[j].items()}
+                for j, d in enumerate(eng.diagonal())])
 
 
 class LinearSystem:
@@ -572,6 +610,7 @@ class LinearSystem:
     def __init__(self, A: IntMatrix):
         self.A = A
         self._eng = _Smith(A, need=("Uinv", "Vinv"))
+        self._uinv = self._eng.uinv_matrix()
 
     @property
     def rank(self) -> int:
@@ -581,13 +620,7 @@ class LinearSystem:
         eng = self._eng
         if len(v) != eng.m:
             raise DimensionMismatch(f"solve: vector length {len(v)} vs {eng.m} rows")
-        w = [0] * eng.m
-        for i, rowdict in enumerate(eng.Uinv_rows):
-            s = 0
-            for j, c in rowdict.items():
-                if v[j]:
-                    s += c * v[j]
-            w[i] = s
+        w = self._uinv.apply(v)
         y = [0] * eng.n
         for i in range(eng.rank):
             d = eng.rows[i][i]
@@ -626,7 +659,7 @@ def det(A: IntMatrix) -> int:
     n = A.rows
     if n == 0:
         return 1
-    m = [row[:] for row in A.data]
+    m = A.data
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -760,20 +793,9 @@ class FgAbGroup:
 
 
 def _require_zero_composite(d_out: IntMatrix, d_in: IntMatrix) -> None:
-    """Raise CompositionNonzero unless d_out * d_in = 0.
-
-    The product runs over the nonzeros of both factors only; boundary
-    matrices are far too sparse for a dense product to pay.
-    """
-    in_rows = [[(j, v) for j, v in enumerate(row) if v] for row in d_in.data]
-    for row in d_out.data:
-        acc = {}
-        for k, a in enumerate(row):
-            if a:
-                for j, b in in_rows[k]:
-                    acc[j] = acc.get(j, 0) + a * b
-        if any(acc.values()):
-            raise CompositionNonzero("d_out * d_in != 0")
+    """Raise CompositionNonzero unless d_out * d_in = 0."""
+    if not (d_out * d_in).is_zero():
+        raise CompositionNonzero("d_out * d_in != 0")
 
 
 def complex_homology(ds: Sequence[IntMatrix]) -> list:
@@ -825,16 +847,15 @@ class ChainHomologyPresentation:
         self.ambient = d_out.cols
         eng_out = _Smith(d_out, need=("V", "Vinv"))
         self._cycle_rank = self.ambient - eng_out.rank
-        self._v_rows = eng_out.V_rows  # y = V x; kernel coords are y[rank:]
+        self._v = eng_out.v_matrix()  # y = V x; kernel coords are y[rank:]
         self._out_rank = eng_out.rank
-        self.cycle_basis = IntMatrix.from_columns(
-            [_dense(col, self.ambient) for col in eng_out.Vinv_cols[eng_out.rank:]],
-            self.ambient)
+        self.cycle_basis = IntMatrix._of_col_dicts(self.ambient,
+                                                   eng_out.Vinv_cols[eng_out.rank:])
         # relation matrix: coordinates of the boundary columns
         rel = IntMatrix.from_columns(
             [self._kernel_coords(col) for col in d_in.column_list()], self._cycle_rank)
         eng_rel = _Smith(rel, need=("U", "Uinv"))
-        self._rel_uinv = eng_rel.Uinv_rows
+        self._rel_uinv = eng_rel.uinv_matrix()
         diag = eng_rel.diagonal()
         k = self._cycle_rank
         orders_by_index = [diag[i] if i < len(diag) else 0 for i in range(k)]
@@ -847,27 +868,14 @@ class ChainHomologyPresentation:
                            for i in self._canon_indices]
 
     def _kernel_coords(self, vec: Sequence[int]) -> list:
-        y = [0] * self.ambient
-        for i, rowdict in enumerate(self._v_rows):
-            s = 0
-            for j, c in rowdict.items():
-                if vec[j]:
-                    s += c * vec[j]
-            y[i] = s
+        y = self._v.apply(vec)
         if any(y[i] for i in range(self._out_rank)):
             raise LinAlgError("vector is not a cycle")
         return y[self._out_rank:]
 
     def coords(self, vec: Sequence[int]) -> list:
         """Canonical coordinates of the homology class of an ambient cycle."""
-        c = self._kernel_coords(vec)
-        y = [0] * self._cycle_rank
-        for i, rowdict in enumerate(self._rel_uinv):
-            s = 0
-            for j, u in rowdict.items():
-                if c[j]:
-                    s += u * c[j]
-            y[i] = s
+        y = self._rel_uinv.apply(self._kernel_coords(vec))
         out = []
         for idx, d in zip(self._canon_indices, self.orders):
             out.append(y[idx] % d if d else y[idx])

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupoidal import cli
 from groupoidal.groupoids import FiniteGroupoid
@@ -270,12 +275,21 @@ _QUERIES = ["dimension-group", "MODEL", "--queries", "AUX"]
     (_QUERIES, _TWO_STAGES, [{"op": "divisible", "stage": -1, "vector": [1], "q": 2}]),
     (["dimension-group", "MODEL"], {"kind": "bratteli", "stationary": True, "p": "x"},
      None),
+    (["dimension-group", "MODEL"], {**_TWO_STAGES, "vertex_counts": 3}, None),
+    (["dimension-group", "MODEL"], {**_TWO_STAGES, "vertex_counts": ["a", "b"]}, None),
+    (["dimension-group", "MODEL"], {"kind": "bratteli", "stationary": True, "matrices": []},
+     None),
+    (["homology", "MODEL"], {"kind": "group", "cayley": "x"}, None),
+    (["homology", "MODEL"], {"kind": "action", "cayley": [[0, 1], [1, 0]], "perms": 5},
+     None),
+    (["dimension-group", "MODEL"], {**_UHF2, "levels": float("inf")}, None),
 ], ids=["max-degree", "cohomology-max-degree", "coefficients", "odometer-p",
         "odometer-depth", "count", "af-levels", "dimension-levels", "pair-fibers",
         "unit-range", "src-not-unit", "module-fiber-type", "module-action-entry",
         "cocycle-list", "cocycle-value", "query-no-stage", "query-no-vector",
         "query-no-q", "query-stage-type", "query-q-zero", "query-stage-beyond", "query-stage-negative",
-        "bratteli-p-type"])
+        "bratteli-p-type", "bratteli-counts-int", "bratteli-counts-strings",
+        "stationary-no-matrix", "cayley-string", "perms-int", "levels-infinity"])
 def test_known_bad_inputs_exit_2_with_one_error_line(argv, model, aux, tmp_path, capsys):
     files = {"MODEL": tmp_path / "model.json", "AUX": tmp_path / "aux.json"}
     for slot, payload in (("MODEL", model), ("AUX", aux)):
@@ -285,3 +299,56 @@ def test_known_bad_inputs_exit_2_with_one_error_line(argv, model, aux, tmp_path,
     assert code == cli.USAGE_ERROR
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+# one valid model file of each kind and a command that takes it; no command
+# takes an odometer file, so that one exits 2 even unchanged
+_VALID_MODELS = [
+    (["homology", "MODEL", "--max-degree", "1"],
+     {"kind": "explicit", "arrows": 2, "units": [0], "src": [0, 0], "rng": [0, 0],
+      "inv": [0, 1], "compose": _Z2_COMPOSE}),
+    (["homology", "MODEL", "--max-degree", "1"], _Z2),
+    (["homology", "MODEL", "--max-degree", "1"], {"kind": "pair", "fibers": [2, 1]}),
+    (["homology", "MODEL", "--max-degree", "1"],
+     {"kind": "action", "cayley": [[0, 1], [1, 0]], "perms": [[0, 1], [1, 0]]}),
+    (["dimension-group", "MODEL"], _UHF2),
+    (["dimension-group", "MODEL"],
+     {"kind": "bratteli", "stationary": True, "matrices": [[[2]]], "levels": 2}),
+    (["dimension-group", "MODEL"], _TWO_STAGES),
+    (["homology", "MODEL"], {"kind": "odometer", "p": 2}),
+]
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-3, 3) | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=2), inner, max_size=3)),
+    max_leaves=6)
+
+
+def _json_type(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    return type(value).__name__  # str, list or dict
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=st.sampled_from(_VALID_MODELS), data=st.data())
+def test_model_file_with_one_field_of_another_type_exits_0_or_2(case, data):
+    argv, model = case
+    name = data.draw(st.sampled_from(sorted(model)))
+    value = data.draw(_JSON_VALUES.filter(lambda v: _json_type(v) != _json_type(model[name])))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({**model, name: value}, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([path if a == "MODEL" else a for a in argv])
+    assert code in (0, cli.USAGE_ERROR)
+    if code == cli.USAGE_ERROR:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

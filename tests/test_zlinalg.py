@@ -159,6 +159,19 @@ def test_from_columns_checks_lengths():
         IntMatrix.from_columns([[1, 2], [3]], 2)
 
 
+def test_from_entries_sums_repeats_and_keeps_no_zeros():
+    A = IntMatrix.from_entries(2, 3, [(0, 1, 2), (1, 0, 1), (0, 1, -2), (1, 2, 4), (1, 0, 2)])
+    assert A.data == [[0, 0, 0], [3, 0, 4]]
+    assert list(A.entries()) == [(1, 0, 3), (1, 2, 4)]
+    assert A == IntMatrix(2, 3, [[0, 0, 0], [3, 0, 4]])
+    A.data[1][0] = 7  # a dense copy: the matrix does not change
+    assert A.col(0) == [0, 3]
+    assert IntMatrix.from_entries(2, 2, [(0, 0, 1), (0, 0, -1)]).is_zero()
+    for bad in ((2, 0, 1), (0, 3, 1), (-1, 0, 1)):
+        with pytest.raises(DimensionMismatch):
+            IntMatrix.from_entries(2, 3, [bad])
+
+
 def test_snf_against_sympy():
     import sympy
     from sympy.matrices.normalforms import smith_normal_form
