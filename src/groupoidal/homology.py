@@ -17,10 +17,9 @@ from .groupoids import (FiniteGroupoid, GroupoidError, GroupoidFunctor,
                         boundary_matrix_d, nerve, require_valid_functor)
 from .limits import ColimitGroup, Tower
 from .models import odometer_system
-from .zlinalg import (ChainHomologyPresentation, FgAbGroup, IntMatrix,
-                      coefficients_via_uct, complex_homology, homology_at,
-                      homology_presentation, induced_on_homology,
-                      kernel_basis, solve_in_image)
+from .zlinalg import (ChainHomologyPresentation, FgAbGroup, IntMatrix, LinearSystem,
+                      coefficients_via_uct, complex_homology,
+                      homology_presentation, induced_on_homology, kernel_basis)
 
 
 class NotAPermutation(GroupoidError):
@@ -125,11 +124,10 @@ def z_action_homology(perm: Sequence[int]) -> ZActionHomology:
     k = len(perm)
     push = permutation_pushforward(perm)
     delta = IntMatrix.identity(k) - push
-    delta_dual = delta.transpose()
-    h0 = homology_at(IntMatrix.zeros(0, k), delta)          # coker(id - P_*)
-    h1 = FgAbGroup.free(kernel_basis(delta).cols)           # ker(id - P_*)
-    h0_dual = FgAbGroup.free(kernel_basis(delta_dual).cols)  # ker(id - P^*)
-    h1_dual = homology_at(IntMatrix.zeros(0, k), delta_dual)
+    # coker and ker of id - P_*, then of id - P^*
+    h0, h1 = complex_homology([IntMatrix.zeros(0, k), delta, IntMatrix.zeros(k, 0)])
+    h1_dual, h0_dual = complex_homology(
+        [IntMatrix.zeros(0, k), delta.transpose(), IntMatrix.zeros(k, 0)])
     return ZActionHomology(h0, h1, h0_dual, h1_dual)
 
 
@@ -182,12 +180,9 @@ def odometer_homology(p: int, depth_max: int, cap: Optional[int] = None) -> Odom
             h0_conn = induced_on_homology(refine, pres[i - 1], pres[i])
             h0_maps.append(h0_conn)
             # kernel generators map by refinement as well
-            cur_k = kernels[i]
-            cols = [solve_in_image(cur_k, col)
-                    for col in (refine * kernels[i - 1]).column_list()]
-            if any(x is None for x in cols):
+            h1_conn = LinearSystem(kernels[i]).solve_columns(refine * kernels[i - 1])
+            if h1_conn is None:
                 raise GroupoidError("refinement does not preserve invariant chains")
-            h1_conn = IntMatrix.from_columns(cols, cur_k.cols)
         per_depth.append(OdometerDepth(d, pres[i].group,
                                        FgAbGroup.free(kernels[i].cols),
                                        h0_conn, h1_conn))

@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence
 from .groupoids import tuple_cap
 from .models import BratteliDiagram, DepthTooLarge, MalformedDiagram
 from .zlinalg import (FgAbGroup, IntMatrix, LinearSystem, image_basis,
-                      image_contains, invariant_factors, kernel_basis)
+                      invariant_factors, kernel_basis)
 
 
 class StageBoundExceeded(Exception):
@@ -227,19 +227,12 @@ def af_homology(B: BratteliDiagram, n: int) -> AfHomology:
 # -- truncated inverse limits and lim^1 ---------------------------------------
 
 
-def _lattice_equal(a: IntMatrix, b: IntMatrix) -> bool:
-    return image_contains(a, b) and image_contains(b, a)
-
-
 def _lattice_index(outer: IntMatrix, inner: IntMatrix) -> Optional[int]:
     """Index [outer : inner] when both have equal rank, else None."""
-    if outer.cols == 0:
-        return 1 if inner.cols == 0 else None
-    sys = LinearSystem(outer)
-    coords = [sys.solve(col) for col in inner.column_list()]
-    if any(x is None for x in coords):
+    coords = LinearSystem(outer).solve_columns(inner)
+    if coords is None:
         return None
-    facs = invariant_factors(IntMatrix.from_columns(coords, outer.cols))
+    facs = invariant_factors(coords)
     if len(facs) != outer.cols:
         return None
     out = 1
@@ -301,15 +294,15 @@ def limit_and_lim1(T: Tower, N: int) -> Lim1Report:
         indices: List[Optional[int]] = [None]
         for prev, cur in zip(images, images[1:]):
             indices.append(_lattice_index(prev, cur))
-        stabilized = None
-        for start in range(len(images)):
-            if all(_lattice_equal(images[start], later)
-                   for later in images[start + 1:]):
-                stabilized = n_stage + 1 + start
-                break
+        # the images are nested, im(C * S) in im(C), so images[start]
+        # equals every later image exactly when each later step has index 1
+        start = len(images) - 1
+        while start > 0 and indices[start] == 1:
+            start -= 1
+        stabilized = n_stage + 1 + start
         # the trailing image alone stabilizes vacuously; demand at least
         # one observed repeat before certifying
-        if stabilized == n_stage + len(images) and len(images) >= 2:
+        if start == len(images) - 1 and len(images) >= 2:
             stabilized = None
         if stabilized is None:
             nonml.append(n_stage)

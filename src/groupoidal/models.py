@@ -11,8 +11,8 @@ import random
 from typing import List, Optional, Sequence
 
 from .groupoids import (FiniteGroupoid, GModule, GroupoidError,
-                        GroupoidFunctor)
-from .zlinalg import IntMatrix
+                        GroupoidFunctor, tuple_cap)
+from .zlinalg import IntMatrix, LinearSystem
 
 
 class NotAGroup(GroupoidError):
@@ -285,6 +285,8 @@ def bratteli_stationary(multiplicity, levels: int) -> BratteliDiagram:
             else IntMatrix.from_rows(multiplicity)
         if m.rows != m.cols:
             raise MalformedDiagram("stationary matrix must be square")
+    if (levels + 1) * m.rows > tuple_cap():
+        raise DepthTooLarge(f"{levels + 1} vertex levels x {m.rows} vertices exceeds cap")
     counts = [m.rows] * (levels + 1)
     return BratteliDiagram(counts, [m] * levels, stationary=True)
 
@@ -304,7 +306,6 @@ def odometer_system(p: int, depth: int, cap: Optional[int] = None) -> "OdometerS
         raise ValueError("base must be >= 2")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    from .groupoids import tuple_cap
     if p ** depth > tuple_cap(cap):
         raise DepthTooLarge(f"p^depth = {p**depth} exceeds cap")
     return OdometerSystem(p, depth)
@@ -407,9 +408,7 @@ def random_module(G: FiniteGroupoid, rng: random.Random, max_rank: int = 2) -> G
 
 def _inverse_unimodular(m: IntMatrix) -> IntMatrix:
     """Exact inverse of a unimodular integer matrix."""
-    from .zlinalg import LinearSystem
-    sys = LinearSystem(m)
-    cols = [sys.solve(e) for e in IntMatrix.identity(m.rows).column_list()]
-    if any(x is None for x in cols):
+    inv = LinearSystem(m).solve_columns(IntMatrix.identity(m.rows))
+    if inv is None:
         raise ValueError("matrix is not unimodular")
-    return IntMatrix.from_columns(cols, m.rows)
+    return inv

@@ -28,8 +28,7 @@ from .groupoids import (FiniteGroupoid, GModule, GroupoidError,
 from .homology import _differentials, chain_pushforward
 from .models import constant_module
 from .zlinalg import (FgAbGroup, IntMatrix, LinearSystem,
-                      homology_presentation, image_contains,
-                      induced_on_homology, invariant_factors, kernel_basis,
+                      homology_presentation, induced_on_homology,
                       kernel_group, quotient_group)
 
 
@@ -243,11 +242,6 @@ class LesReport:
             and self.degree0_matches_base
 
 
-def _surjective_over_z(M: IntMatrix) -> bool:
-    facs = invariant_factors(M)
-    return len(facs) == M.rows and all(f == 1 for f in facs)
-
-
 def _verify_ses(sub, mid, quot, f, g, step: int, n_max: int):
     """Verify 0 -> sub --f--> mid --g--> quot -> 0 in degrees 0..n_max.
 
@@ -258,8 +252,12 @@ def _verify_ses(sub, mid, quot, f, g, step: int, n_max: int):
     Returns the degree checks, the presentations of sub, mid and quot,
     the zig-zag connecting maps H_n(quot) -> H_{n+step}(sub) (lift
     through g, apply the differential, pull back through f) and whether
-    every lift existed.
+    every lift existed; a degree where some lift fails gets the zero map.
+    One factorization of each f[n] and g[n] serves every check, lift and
+    pull-back.
     """
+    sys_f = [LinearSystem(f[n]) for n in range(n_max + 1)]
+    sys_g = [LinearSystem(g[n]) for n in range(n_max + 1)]
     checks = []
     for n in range(n_max + 1):
         m = n + step
@@ -269,9 +267,9 @@ def _verify_ses(sub, mid, quot, f, g, step: int, n_max: int):
         checks.append(DegreeChecks(
             n,
             (g[n] * f[n]).is_zero(),
-            kernel_basis(f[n]).cols == 0,
-            image_contains(f[n], kernel_basis(g[n])),  # ker g in im f
-            _surjective_over_z(g[n]),
+            sys_f[n].rank == f[n].cols,
+            sys_f[n].solve_columns(sys_g[n].kernel()) is not None,  # ker g in im f
+            sys_g[n].rank == g[n].rows and all(d == 1 for d in sys_g[n].diagonal()),
             commutes))
     pres = tuple([homology_presentation(*cx[n]) for n in range(n_max + 1)]
                  for cx in (sub, mid, quot))
@@ -282,15 +280,14 @@ def _verify_ses(sub, mid, quot, f, g, step: int, n_max: int):
         m = n + step
         if not 0 <= m <= n_max:
             continue
-        lift_sys, pull_sys = LinearSystem(g[n]), LinearSystem(f[m])
-        k = pres_sub[m].n_generators
-        cols = []
-        for gen in pres_quot[n].generators:
-            lifted = lift_sys.solve(gen)
-            a = None if lifted is None else pull_sys.solve(mid[n][0].apply(lifted))
-            connecting_ok = connecting_ok and a is not None
-            cols.append([0] * k if a is None else pres_sub[m].coords(a))
-        connecting.append(IntMatrix.from_columns(cols, k))
+        gens = IntMatrix.from_columns(pres_quot[n].generators, pres_quot[n].ambient)
+        lifted = sys_g[n].solve_columns(gens)
+        a = None if lifted is None else sys_f[m].solve_columns(mid[n][0] * lifted)
+        if a is None:
+            connecting_ok = False
+            connecting.append(IntMatrix.zeros(pres_sub[m].n_generators, gens.cols))
+        else:
+            connecting.append(pres_sub[m].coords_of(a))
     return checks, pres, connecting, connecting_ok
 
 

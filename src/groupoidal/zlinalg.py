@@ -12,6 +12,13 @@ emit (row, column, value) entries.  The elimination engine starts from a
 copy of the row dicts and keeps its transforms in the same form, which is
 what makes the large-but-very-sparse boundary matrices cheap.
 
+Read-out works on whole matrices.  A LinearSystem solves A*X = B for all
+columns of B at once (one sparse product with U^-1, a divisibility check,
+one product with V^-1), and a ChainHomologyPresentation turns every
+column of M into canonical homology coordinates at once (one product with
+V, a cycle check, one product with the relation transform).  The
+one-vector `solve` and `coords` are their one-column cases.
+
 Pivot rule: step t of the elimination takes the nonzero of the active block
 (rows and columns >= t) with the least key (|v|, Markowitz cost, row,
 column), the Markowitz cost being (row length - 1) * (column length - 1).
@@ -25,6 +32,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -526,6 +534,11 @@ class _Smith:
     def vinv_matrix(self) -> IntMatrix:
         return IntMatrix._of_col_dicts(self.n, self.Vinv_cols)
 
+    def kernel_matrix(self) -> IntMatrix:
+        """The columns rank.. of Vinv, each with its first nonzero made positive."""
+        return IntMatrix._of_col_dicts(
+            self.n, [_normalize_column_sign(col) for col in self.Vinv_cols[self.rank:]])
+
 
 @dataclass(frozen=True)
 class SnfDecomposition:
@@ -561,21 +574,6 @@ def invariant_factors(A: IntMatrix) -> list:
     return _Smith(A).diagonal()
 
 
-def _dense(entries: dict, n: int) -> list:
-    """Length-n vector from a sparse {index: value} column or row."""
-    out = [0] * n
-    for i, v in entries.items():
-        out[i] = v
-    return out
-
-
-def _unit(n: int, i: int, d: int) -> list:
-    """d times the i-th standard basis vector of Z^n."""
-    out = [0] * n
-    out[i] = d
-    return out
-
-
 def _normalize_column_sign(col: dict) -> dict:
     """The sparse column col, negated if its first nonzero entry is negative."""
     if col and col[min(col)] < 0:
@@ -585,9 +583,7 @@ def _normalize_column_sign(col: dict) -> dict:
 
 def kernel_basis(A: IntMatrix) -> IntMatrix:
     """Basis of the saturated integer kernel lattice, as matrix columns."""
-    eng = _Smith(A, need=("Vinv",))
-    return IntMatrix._of_col_dicts(
-        eng.n, [_normalize_column_sign(col) for col in eng.Vinv_cols[eng.rank:]])
+    return _Smith(A, need=("Vinv",)).kernel_matrix()
 
 
 def image_basis(A: IntMatrix) -> IntMatrix:
@@ -605,38 +601,53 @@ def image_basis(A: IntMatrix) -> IntMatrix:
 
 
 class LinearSystem:
-    """Factorization of A reusable for many exact solves of A*x = v."""
+    """Factorization of A reusable for many exact solves of A*X = B.
+
+    The pivot order does not depend on which transforms are tracked, so
+    `kernel()` equals kernel_basis(A) and `diagonal()` equals
+    invariant_factors(A).
+    """
 
     def __init__(self, A: IntMatrix):
-        self.A = A
-        self._eng = _Smith(A, need=("Uinv", "Vinv"))
-        self._uinv = self._eng.uinv_matrix()
+        eng = self._eng = _Smith(A, need=("Uinv", "Vinv"))
+        self._uinv = eng.uinv_matrix()
+        self._vinv_head = IntMatrix._of_col_dicts(eng.n, eng.Vinv_cols[:eng.rank])
 
     @property
     def rank(self) -> int:
         return self._eng.rank
 
-    def solve(self, v: Sequence[int]) -> Optional[list]:
+    def diagonal(self) -> list:
+        return self._eng.diagonal()
+
+    def kernel(self) -> IntMatrix:
+        return self._eng.kernel_matrix()
+
+    def solve_columns(self, B: IntMatrix) -> Optional[IntMatrix]:
+        """Some X with A*X = B, or None when a column of B is not in the
+        image lattice.
+
+        With A = U*S*V: W = U^-1 * B must vanish in rows rank.. and be
+        divisible by d_i in row i < rank; then X = V^-1[:, :rank] * (W / d).
+        """
         eng = self._eng
-        if len(v) != eng.m:
-            raise DimensionMismatch(f"solve: vector length {len(v)} vs {eng.m} rows")
-        w = self._uinv.apply(v)
-        y = [0] * eng.n
-        for i in range(eng.rank):
-            d = eng.rows[i][i]
-            q, rem = divmod(w[i], d)
-            if rem:
-                return None
-            y[i] = q
-        for i in range(eng.rank, eng.m):
-            if w[i]:
-                return None
-        x = [0] * eng.n
-        for i in range(eng.rank):
-            if y[i]:
-                for r, c in eng.Vinv_cols[i].items():
-                    x[r] += y[i] * c
-        return x
+        w_rows = (self._uinv * B)._row_dicts
+        if any(w_rows[eng.rank:]):
+            return None
+        y_rows = []
+        for row, d in zip(w_rows, eng.diagonal()):
+            y = {}
+            for j, w in row.items():
+                q, rem = divmod(w, d)
+                if rem:
+                    return None
+                y[j] = q
+            y_rows.append(y)
+        return self._vinv_head * IntMatrix._of_row_dicts(eng.rank, B.cols, y_rows)
+
+    def solve(self, v: Sequence[int]) -> Optional[list]:
+        x = self.solve_columns(IntMatrix.from_columns([v], self._eng.m))
+        return None if x is None else x.col(0)
 
 
 def solve_in_image(A: IntMatrix, v: Sequence[int]) -> Optional[list]:
@@ -646,10 +657,7 @@ def solve_in_image(A: IntMatrix, v: Sequence[int]) -> Optional[list]:
 
 def image_contains(A: IntMatrix, B: IntMatrix) -> bool:
     """Whether every column of B lies in the image lattice of A."""
-    if B.cols == 0:
-        return True
-    sys = LinearSystem(A)
-    return all(sys.solve(col) is not None for col in B.column_list())
+    return B.cols == 0 or LinearSystem(A).solve_columns(B) is not None
 
 
 def det(A: IntMatrix) -> int:
@@ -846,40 +854,46 @@ class ChainHomologyPresentation:
         _require_zero_composite(d_out, d_in)
         self.ambient = d_out.cols
         eng_out = _Smith(d_out, need=("V", "Vinv"))
-        self._cycle_rank = self.ambient - eng_out.rank
+        r = self._out_rank = eng_out.rank
+        k = self.ambient - r
         self._v = eng_out.v_matrix()  # y = V x; kernel coords are y[rank:]
-        self._out_rank = eng_out.rank
-        self.cycle_basis = IntMatrix._of_col_dicts(self.ambient,
-                                                   eng_out.Vinv_cols[eng_out.rank:])
-        # relation matrix: coordinates of the boundary columns
-        rel = IntMatrix.from_columns(
-            [self._kernel_coords(col) for col in d_in.column_list()], self._cycle_rank)
+        self.cycle_basis = IntMatrix._of_col_dicts(self.ambient, eng_out.Vinv_cols[r:])
+        # relation matrix: kernel coordinates of the boundary columns, rows
+        # rank.. of V * d_in.  Rows < rank vanish, so the columns of d_in are
+        # cycles: d_out * d_in = U * S * (V * d_in) = 0 was checked above,
+        # and the first rank rows of S are d_i times unit rows.
+        rel = IntMatrix._of_row_dicts(k, self.ambient, eng_out.V_rows[r:]) * d_in
         eng_rel = _Smith(rel, need=("U", "Uinv"))
-        self._rel_uinv = eng_rel.uinv_matrix()
         diag = eng_rel.diagonal()
-        k = self._cycle_rank
-        orders_by_index = [diag[i] if i < len(diag) else 0 for i in range(k)]
-        self._canon_indices = ([i for i in range(k) if orders_by_index[i] == 0]
-                               + [i for i in range(k) if orders_by_index[i] >= 2])
-        self.orders = [orders_by_index[i] for i in self._canon_indices]
+        # free generators first, then the torsion ones
+        canon = list(range(len(diag), k)) + [i for i, d in enumerate(diag) if d >= 2]
+        self.orders = [0] * (k - len(diag)) + [d for d in diag if d >= 2]
+        # canonical coordinates of kernel coords z are rows canon of Uinv * z
+        self._coord_rows = IntMatrix._of_row_dicts(
+            len(canon), k, [eng_rel.Uinv_rows[i] for i in canon])
         self.group = FgAbGroup.from_invariant_factors(diag, free_rank=k - len(diag))
         # generator lifts: ambient cycles realizing each canonical generator
-        self.generators = [self.cycle_basis.apply(_dense(eng_rel.U_cols[i], k))
-                           for i in self._canon_indices]
+        self.generators = (self.cycle_basis * IntMatrix._of_col_dicts(
+            k, [eng_rel.U_cols[i] for i in canon])).column_list()
 
-    def _kernel_coords(self, vec: Sequence[int]) -> list:
-        y = self._v.apply(vec)
-        if any(y[i] for i in range(self._out_rank)):
+    def coords_of(self, M: IntMatrix) -> IntMatrix:
+        """Canonical coordinates of the homology classes of the columns of
+        M, which must be ambient cycles, as the columns of the result."""
+        y_rows = (self._v * M)._row_dicts
+        r = self._out_rank
+        if any(y_rows[:r]):
             raise LinAlgError("vector is not a cycle")
-        return y[self._out_rank:]
+        z = IntMatrix._of_row_dicts(self.ambient - r, M.cols, y_rows[r:])
+        out = []
+        for row, d in zip((self._coord_rows * z)._row_dicts, self.orders):
+            if d:
+                row = {j: v % d for j, v in row.items() if v % d}
+            out.append(row)
+        return IntMatrix._of_row_dicts(len(out), M.cols, out)
 
     def coords(self, vec: Sequence[int]) -> list:
         """Canonical coordinates of the homology class of an ambient cycle."""
-        y = self._rel_uinv.apply(self._kernel_coords(vec))
-        out = []
-        for idx, d in zip(self._canon_indices, self.orders):
-            out.append(y[idx] % d if d else y[idx])
-        return out
+        return self.coords_of(IntMatrix.from_columns([vec], self.ambient)).col(0)
 
     @property
     def n_generators(self) -> int:
@@ -901,9 +915,16 @@ def induced_on_homology(chain_map: IntMatrix,
     """
     if chain_map.cols != source.ambient or chain_map.rows != target.ambient:
         raise DimensionMismatch("chain map shape does not match presentations")
-    return IntMatrix.from_columns(
-        [target.coords(chain_map.apply(gen)) for gen in source.generators],
-        target.n_generators)
+    return target.coords_of(
+        chain_map * IntMatrix.from_columns(source.generators, source.ambient))
+
+
+def _with_order_columns(M: IntMatrix, orders: Sequence[int], sign: int) -> IntMatrix:
+    """M followed by one column sign * d * e_i for each nonzero d = orders[i]."""
+    extra = [(i, sign * d) for i, d in enumerate(orders) if d]
+    return IntMatrix.from_entries(
+        M.rows, M.cols + len(extra),
+        chain(M.entries(), ((i, M.cols + c, v) for c, (i, v) in enumerate(extra))))
 
 
 def quotient_group(target: ChainHomologyPresentation, map_matrix: IntMatrix) -> FgAbGroup:
@@ -913,12 +934,8 @@ def quotient_group(target: ChainHomologyPresentation, map_matrix: IntMatrix) -> 
     """
     if map_matrix.rows != target.n_generators:
         raise DimensionMismatch("quotient: coordinate mismatch")
-    k = target.n_generators
-    rel = IntMatrix.from_columns(
-        map_matrix.column_list() + [_unit(k, i, d) for i, d in enumerate(target.orders) if d],
-        k)
-    facs = invariant_factors(rel)
-    return FgAbGroup.from_invariant_factors(facs, free_rank=k - len(facs))
+    facs = invariant_factors(_with_order_columns(map_matrix, target.orders, 1))
+    return FgAbGroup.from_invariant_factors(facs, free_rank=map_matrix.rows - len(facs))
 
 
 def kernel_group(map_matrix: IntMatrix, source_orders: Sequence[int],
@@ -933,23 +950,16 @@ def kernel_group(map_matrix: IntMatrix, source_orders: Sequence[int],
     ks, kt = len(source_orders), len(target_orders)
     if map_matrix.shape != (kt, ks):
         raise DimensionMismatch("kernel: coordinate mismatch")
-    stacked = IntMatrix.from_columns(
-        map_matrix.column_list()
-        + [_unit(kt, i, -d) for i, d in enumerate(target_orders) if d], kt)
-    pre = kernel_basis(stacked)
+    pre = kernel_basis(_with_order_columns(map_matrix, target_orders, -1))
     # reduce the projected generators to a lattice basis
-    basis = image_basis(IntMatrix.from_columns([col[:ks] for col in pre.column_list()], ks))
+    basis = image_basis(IntMatrix._of_row_dicts(ks, pre.cols, pre._row_dicts[:ks]))
     r = basis.cols
     if r == 0:
         return FgAbGroup.trivial()
     # source relations expressed in the kernel-lattice basis
-    sys = LinearSystem(basis)
-    rel_cols = []
-    for i, d in enumerate(source_orders):
-        if d:
-            coords = sys.solve(_unit(ks, i, d))
-            if coords is None:
-                raise LinAlgError("induced map is not well defined on the quotient")
-            rel_cols.append(coords)
-    facs = invariant_factors(IntMatrix.from_columns(rel_cols, r))
+    rel = LinearSystem(basis).solve_columns(
+        _with_order_columns(IntMatrix.zeros(ks, 0), source_orders, 1))
+    if rel is None:
+        raise LinAlgError("induced map is not well defined on the quotient")
+    facs = invariant_factors(rel)
     return FgAbGroup.from_invariant_factors(facs, free_rank=r - len(facs))

@@ -283,13 +283,15 @@ _QUERIES = ["dimension-group", "MODEL", "--queries", "AUX"]
     (["homology", "MODEL"], {"kind": "action", "cayley": [[0, 1], [1, 0]], "perms": 5},
      None),
     (["dimension-group", "MODEL"], {**_UHF2, "levels": float("inf")}, None),
+    (["dimension-group", "MODEL"], {**_UHF2, "levels": 3_000_000}, None),
 ], ids=["max-degree", "cohomology-max-degree", "coefficients", "odometer-p",
         "odometer-depth", "count", "af-levels", "dimension-levels", "pair-fibers",
         "unit-range", "src-not-unit", "module-fiber-type", "module-action-entry",
         "cocycle-list", "cocycle-value", "query-no-stage", "query-no-vector",
         "query-no-q", "query-stage-type", "query-q-zero", "query-stage-beyond", "query-stage-negative",
         "bratteli-p-type", "bratteli-counts-int", "bratteli-counts-strings",
-        "stationary-no-matrix", "cayley-string", "perms-int", "levels-infinity"])
+        "stationary-no-matrix", "cayley-string", "perms-int", "levels-infinity",
+        "levels-over-cap"])
 def test_known_bad_inputs_exit_2_with_one_error_line(argv, model, aux, tmp_path, capsys):
     files = {"MODEL": tmp_path / "model.json", "AUX": tmp_path / "aux.json"}
     for slot, payload in (("MODEL", model), ("AUX", aux)):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupoidal.homology import homology_groups
 from groupoidal.limits import (ColimitGroup, StageBoundExceeded, Tower,
@@ -10,7 +12,7 @@ from groupoidal.limits import (ColimitGroup, StageBoundExceeded, Tower,
 from groupoidal.models import (MalformedDiagram, bratteli_stationary,
                                pair_groupoid_from_map)
 from groupoidal.zlinalg import (FgAbGroup, IntMatrix, LinearSystem,
-                                invariant_factors, rank)
+                                image_contains, invariant_factors, rank)
 
 
 def doubling():
@@ -179,6 +181,32 @@ def test_image_chains_decrease():
             sys = LinearSystem(earlier)
             for j in range(later.cols):
                 assert sys.solve(later.col(j)) is not None
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_stabilized_at_matches_pairwise_lattice_equality(seed):
+    rng = random.Random(seed)
+    N = rng.randint(2, 4)
+    ranks = [rng.randint(1, 3) for _ in range(N + 1)]
+    mats = [IntMatrix(ranks[n], ranks[n + 1],
+                      [[rng.choice([-1, 0, 0, 1, 1, 2]) for _ in range(ranks[n + 1])]
+                       for _ in range(ranks[n])]) for n in range(N)]
+    rep = limit_and_lim1(Tower("inverse", ranks, mats), N)
+    for n_stage, got in enumerate(rep.chains):
+        composites = [mats[n_stage]]
+        for m in range(n_stage + 1, N):
+            composites.append(composites[-1] * mats[m])
+        want = None
+        for start, image in enumerate(composites):
+            if all(image_contains(image, later) and image_contains(later, image)
+                   for later in composites[start + 1:]):
+                want = n_stage + 1 + start
+                break
+        # one trailing image certifies nothing unless it is the only one
+        if start == len(composites) - 1 and start > 0:
+            want = None
+        assert got.stabilized_at == want
 
 
 @pytest.mark.parametrize("p,N,D", [(2, 3, 4), (3, 2, 3)])

@@ -1,14 +1,19 @@
 import random
+from itertools import chain
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupoidal.zlinalg import (BadModulus, CompositionNonzero,
                                 DimensionMismatch, FgAbGroup, IntMatrix,
                                 LinearSystem, coefficients_via_uct, det,
                                 homology_at, homology_presentation,
                                 image_basis, image_contains,
-                                induced_on_homology, invariant_factors,
-                                kernel_basis, rank, snf, solve_in_image)
+                                LinAlgError, induced_on_homology,
+                                invariant_factors, kernel_basis, rank, snf,
+                                solve_in_image)
 
 from oracles import modp_rank, rational_rank
 
@@ -269,3 +274,58 @@ def test_linear_system_reuse():
     assert sys.solve([4, 9]) == [2, 3]
     assert sys.solve([1, 0]) is None
     assert sys.solve([0, 0]) == [0, 0]
+
+
+def _random_matrix(rng, m, n, lo=-3, hi=3):
+    return IntMatrix(m, n, [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)])
+
+
+def _in_image(A, v):
+    """v in the image lattice of A: appending v keeps the rank and the
+    product of the invariant factors (the index in the saturation)."""
+    Av = IntMatrix.from_entries(A.rows, A.cols + 1, chain(
+        A.entries(), ((i, A.cols, x) for i, x in enumerate(v) if x)))
+    fa, fb = invariant_factors(A), invariant_factors(Av)
+    return len(fa) == len(fb) and prod(fa) == prod(fb)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_solve_columns_is_columnwise_solve(seed):
+    rng = random.Random(seed)
+    m, n, k = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 4)
+    A = _random_matrix(rng, m, n)
+    # mix columns of the image with arbitrary ones
+    B = IntMatrix.from_columns(
+        [(A * _random_matrix(rng, n, 1)).col(0) if rng.random() < 0.6
+         else [rng.randint(-4, 4) for _ in range(m)] for _ in range(k)], m)
+    sys = LinearSystem(A)
+    X = sys.solve_columns(B)
+    cols = [sys.solve(B.col(j)) for j in range(k)]
+    assert [c is not None for c in cols] == [_in_image(A, B.col(j)) for j in range(k)]
+    if any(c is None for c in cols):
+        assert X is None
+    else:
+        assert X == IntMatrix.from_columns(cols, n)
+        assert A * X == B
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_coords_of_is_columnwise_coords(seed):
+    rng = random.Random(seed)
+    d_out, d_in = _random_composable_pair(rng, rng.randint(1, 5))
+    pres = homology_presentation(d_out, d_in)
+    k, cols = pres.n_generators, rng.randint(0, 4)
+    # cycles with known classes: C on the generators plus boundaries
+    C = _random_matrix(rng, k, cols, -5, 5)
+    M = (IntMatrix.from_columns(pres.generators, pres.ambient) * C
+         + d_in * _random_matrix(rng, d_in.cols, cols))
+    got = pres.coords_of(M)
+    assert got == IntMatrix.from_columns([pres.coords(M.col(j)) for j in range(cols)], k)
+    assert got.data == [[v % d if d else v for v in row]
+                        for row, d in zip(C.data, pres.orders)]
+    hit = [j for j in range(d_out.cols) if any(d_out.col(j))]
+    if hit:  # a unit vector that d_out does not kill is not a cycle
+        with pytest.raises(LinAlgError):
+            pres.coords_of(IntMatrix.from_entries(d_out.cols, 1, [(hit[0], 0, 1)]))
