@@ -1,7 +1,7 @@
 """Exact homology and cohomology of finite ample groupoid models."""
 
-from .zlinalg import (FgAbGroup, IntMatrix, SnfDecomposition,
-                      coefficients_via_uct, complex_homology, homology_at,
+from .zlinalg import (ChainComplex, FgAbGroup, IntMatrix, SnfDecomposition,
+                      coefficients_via_uct, homology_at,
                       invariant_factors, kernel_basis, rank, snf,
                       solve_in_image)
 from .groupoids import (FiniteGroupoid, GModule, GroupoidFunctor, Nerve,
@@ -21,7 +21,7 @@ from . import models
 
 __all__ = [
     "FgAbGroup", "IntMatrix", "SnfDecomposition", "snf", "kernel_basis",
-    "rank", "invariant_factors", "complex_homology", "homology_at",
+    "rank", "invariant_factors", "ChainComplex", "homology_at",
     "solve_in_image", "coefficients_via_uct",
     "FiniteGroupoid", "GModule", "GroupoidFunctor", "Nerve", "nerve",
     "validate_groupoid", "validate_module", "boundary_matrix_d",

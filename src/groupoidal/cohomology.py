@@ -16,8 +16,7 @@ from typing import List
 
 from .groupoids import (FiniteGroupoid, GModule, GroupoidFunctor,
                         nerve, require_valid_functor)
-from .zlinalg import (ChainHomologyPresentation, FgAbGroup, IntMatrix,
-                      complex_homology, homology_presentation,
+from .zlinalg import (ChainComplex, ChainHomologyPresentation, FgAbGroup, IntMatrix,
                       induced_on_homology, kernel_basis)
 
 
@@ -191,25 +190,18 @@ def rho_matrix(G: FiniteGroupoid, M: GModule, n: int, cap=None) -> IntMatrix:
                             M.rank_at(rep[0]), 1)))
 
 
-def _cohomology_from_deltas(deltas: List[IntMatrix], n_max: int,
-                            rank0: int) -> List[FgAbGroup]:
-    # H^n = ker(delta_n)/im(delta_{n-1}): the cochain complex read downwards
-    ds = deltas[n_max::-1] + [IntMatrix.zeros(rank0, 0)]
-    return complex_homology(ds)[::-1]
-
-
 def cocycle_cohomology(G: FiniteGroupoid, M: GModule, n_max: int,
                        cap=None) -> List[FgAbGroup]:
     """H^0 .. H^{n_max} of the cocycle complex."""
     deltas = [cocycle_coboundary_matrix(G, M, n, cap) for n in range(n_max + 1)]
-    return _cohomology_from_deltas(deltas, n_max, cochain_space(G, M, 0, cap).total_rank)
+    return ChainComplex(deltas, 1).groups()
 
 
 def hom_side_cohomology(G: FiniteGroupoid, M: GModule, n_max: int,
                         cap=None) -> List[FgAbGroup]:
     """H^0 .. H^{n_max} of the equivariant Hom complex."""
     deltas = [hom_coboundary_matrix(G, M, n, cap) for n in range(n_max + 1)]
-    return _cohomology_from_deltas(deltas, n_max, hom_space(G, M, 0, cap).total_rank)
+    return ChainComplex(deltas, 1).groups()
 
 
 @dataclass
@@ -247,8 +239,8 @@ def theta_rho_check(G: FiniteGroupoid, M: GModule, n_max: int,
             failures.append((n, "theta*rho != id"))
         if c_deltas[n] * thetas[n] != thetas[n + 1] * h_deltas[n]:
             failures.append((n, "delta_c o theta != theta o delta"))
-    cg = _cohomology_from_deltas(c_deltas, n_max, thetas[0].rows)
-    hg = _cohomology_from_deltas(h_deltas, n_max, thetas[0].cols)
+    cg = ChainComplex(c_deltas, 1).groups()
+    hg = ChainComplex(h_deltas, 1).groups()
     for n, (a, b) in enumerate(zip(cg, hg)):
         if a != b:
             failures.append((n, f"cohomology mismatch {a} vs {b}"))
@@ -297,12 +289,9 @@ class InducedCohomologyMap:
 
 def _cocycle_presentation(G: FiniteGroupoid, M: GModule, n: int,
                           cap=None) -> ChainHomologyPresentation:
-    d_out = cocycle_coboundary_matrix(G, M, n, cap)
-    if n == 0:
-        d_in = IntMatrix.zeros(cochain_space(G, M, 0, cap).total_rank, 0)
-    else:
-        d_in = cocycle_coboundary_matrix(G, M, n - 1, cap)
-    return homology_presentation(d_out, d_in)
+    """H^n of the cocycle complex, from delta_{n-1} and delta_n alone."""
+    deltas = [cocycle_coboundary_matrix(G, M, k, cap) for k in range(max(n - 1, 0), n + 1)]
+    return ChainComplex(deltas, 1).presentation(len(deltas) - 1)
 
 
 def induced_cohomology_map(phi: GroupoidFunctor, M: GModule, n: int,

@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .zlinalg import IntMatrix, det
+from .zlinalg import IntMatrix, invariant_factors
 
 DEFAULT_CAP = 2_000_000
 
@@ -318,9 +318,7 @@ def validate_module(G: FiniteGroupoid, M: GModule) -> ValidationReport:
             return ValidationReport(False, "unit-action", (u,))
     for g in range(G.n_arrows):
         a = M.action[g]
-        if a.rows != a.cols:
-            return ValidationReport(False, "unimodular", (g,))
-        if abs(det(a)) != 1:
+        if a.rows != a.cols or invariant_factors(a) != [1] * a.rows:
             return ValidationReport(False, "unimodular", (g,))
     for (g, h), gh in G.comp.items():
         if M.action[g] * M.action[h] != M.action[gh]:

@@ -17,25 +17,20 @@ from .groupoids import (FiniteGroupoid, GroupoidError, GroupoidFunctor,
                         boundary_matrix_d, nerve, require_valid_functor)
 from .limits import ColimitGroup, Tower
 from .models import odometer_system
-from .zlinalg import (ChainHomologyPresentation, FgAbGroup, IntMatrix, LinearSystem,
-                      coefficients_via_uct, complex_homology,
-                      homology_presentation, induced_on_homology, kernel_basis)
+from .zlinalg import (ChainComplex, ChainHomologyPresentation, FgAbGroup, IntMatrix,
+                      coefficients_via_uct, induced_on_homology)
 
 
 class NotAPermutation(GroupoidError):
     pass
 
 
-def _differential(G: FiniteGroupoid, n: int, cap=None) -> IntMatrix:
-    """d_n, with d_0 the zero map out of degree 0."""
-    if n == 0:
-        return IntMatrix.zeros(0, len(nerve(G, 0, cap)))
-    return boundary_matrix_d(G, n, cap)
-
-
-def _differentials(G: FiniteGroupoid, n_max: int, cap=None) -> List[IntMatrix]:
-    """d_0, ..., d_{n_max+1}."""
-    return [_differential(G, n, cap) for n in range(n_max + 2)]
+def nerve_complex(G: FiniteGroupoid, n_max: int, cap=None, n_min: int = 0) -> ChainComplex:
+    """The nerve chain complex d_{n_min} .. d_{n_max+1}, with d_0 the zero
+    map out of degree 0; its degree k is the nerve's degree n_min + k."""
+    return ChainComplex([boundary_matrix_d(G, n, cap) if n else
+                         IntMatrix.zeros(0, len(nerve(G, 0, cap)))
+                         for n in range(n_min, n_max + 2)], -1)
 
 
 def homology_groups(G: FiniteGroupoid, n_max: int,
@@ -46,7 +41,7 @@ def homology_groups(G: FiniteGroupoid, n_max: int,
     Z/m coefficients are derived from the integral groups by universal
     coefficients, so a single integer normal-form engine serves any m >= 2.
     """
-    integral = complex_homology(_differentials(G, n_max, cap))
+    integral = nerve_complex(G, n_max, cap).groups()
     if coefficients is None:
         return integral
     out = []
@@ -87,7 +82,7 @@ class InducedMap:
 
 def homology_presentation_of(G: FiniteGroupoid, n: int,
                              cap: Optional[int] = None) -> ChainHomologyPresentation:
-    return homology_presentation(_differential(G, n, cap), _differential(G, n + 1, cap))
+    return nerve_complex(G, n, cap, n_min=n).presentation(0)
 
 
 def induced_homology_map(phi: GroupoidFunctor, n: int,
@@ -124,10 +119,9 @@ def z_action_homology(perm: Sequence[int]) -> ZActionHomology:
     k = len(perm)
     push = permutation_pushforward(perm)
     delta = IntMatrix.identity(k) - push
-    # coker and ker of id - P_*, then of id - P^*
-    h0, h1 = complex_homology([IntMatrix.zeros(0, k), delta, IntMatrix.zeros(k, 0)])
-    h1_dual, h0_dual = complex_homology(
-        [IntMatrix.zeros(0, k), delta.transpose(), IntMatrix.zeros(k, 0)])
+    # coker and ker of id - P_*, then ker and coker of id - P^*
+    h0, h1 = ChainComplex([IntMatrix.zeros(0, k), delta, IntMatrix.zeros(k, 0)], -1).groups()
+    h0_dual, h1_dual = ChainComplex([delta.transpose(), IntMatrix.zeros(0, k)], 1).groups()
     return ZActionHomology(h0, h1, h0_dual, h1_dual)
 
 
@@ -161,39 +155,23 @@ def odometer_homology(p: int, depth_max: int, cap: Optional[int] = None) -> Odom
     so the stabilized degree-1 group is Z.
     """
     system = odometer_system(p, depth_max, cap)
-    pres = []
-    kernels = []
-    deltas = []
-    for d in range(1, depth_max + 1):
-        perm = system.permutation(d)
-        delta = IntMatrix.identity(p ** d) - permutation_pushforward(perm)
-        deltas.append(delta)
-        pres.append(homology_presentation(IntMatrix.zeros(0, p ** d), delta))
-        kernels.append(kernel_basis(delta))
+    pres = []  # (H_0, H_1) presentations by depth
     per_depth = []
-    h0_maps = []
-    for i, d in enumerate(range(1, depth_max + 1)):
-        h0_conn = None
-        h1_conn = None
-        if i > 0:
+    for d in range(1, depth_max + 1):
+        n = p ** d
+        delta = IntMatrix.identity(n) - permutation_pushforward(system.permutation(d))
+        cx = ChainComplex([IntMatrix.zeros(0, n), delta, IntMatrix.zeros(n, 0)], -1)
+        pres.append((cx.presentation(0), cx.presentation(1)))
+        conn = (None, None)
+        if d > 1:
             refine = system.refinement(d - 1)
-            h0_conn = induced_on_homology(refine, pres[i - 1], pres[i])
-            h0_maps.append(h0_conn)
-            # kernel generators map by refinement as well
-            h1_conn = LinearSystem(kernels[i]).solve_columns(refine * kernels[i - 1])
-            if h1_conn is None:
-                raise GroupoidError("refinement does not preserve invariant chains")
-        per_depth.append(OdometerDepth(d, pres[i].group,
-                                       FgAbGroup.free(kernels[i].cols),
-                                       h0_conn, h1_conn))
-    tower = Tower("direct", [p.n_generators for p in pres], h0_maps)
-    colim = ColimitGroup(tower)
-    # the computed connecting maps on the kernels are identities, so the
-    # degree-1 groups stabilize to a single copy of Z; anything else
-    # would mean the refinement model is broken
-    for entry in per_depth[1:]:
-        if entry.h1_connecting != IntMatrix.identity(1):
-            raise GroupoidError(
-                f"degree-1 connecting map at depth {entry.depth} is "
-                f"{entry.h1_connecting.data}, not the identity")
-    return OdometerReport(p, per_depth, colim, FgAbGroup.free(1))
+            conn = [induced_on_homology(refine, a, b) for a, b in zip(pres[-2], pres[-1])]
+            # the degree-1 groups stabilize to a single copy of Z; any other
+            # connecting map would mean the refinement model is broken
+            if conn[1] != IntMatrix.identity(1):
+                raise GroupoidError(f"degree-1 connecting map at depth {d} is "
+                                    f"{conn[1].data}, not the identity")
+        per_depth.append(OdometerDepth(d, pres[-1][0].group, pres[-1][1].group, *conn))
+    tower = Tower("direct", [h0.n_generators for h0, _ in pres],
+                  [e.h0_connecting for e in per_depth[1:]])
+    return OdometerReport(p, per_depth, ColimitGroup(tower), FgAbGroup.free(1))

@@ -160,6 +160,8 @@ def colimit_divisible(C: ColimitGroup, a: ColimitElement, q: int,
     """
     if q < 1:
         raise ValueError("divisor must be >= 1")
+    if a.stage > stage_bound:
+        raise StageBoundExceeded(f"element stage exceeds bound {stage_bound}")
     if q == 1:
         return DivisibilityResult("witness", a.stage, a.vector)
     tower = C.tower

@@ -25,11 +25,10 @@ from .cohomology import (_identity, hom_coboundary_matrix, hom_space,
                          pullback_module)
 from .groupoids import (FiniteGroupoid, GModule, GroupoidError,
                         GroupoidFunctor, tuple_cap)
-from .homology import _differentials, chain_pushforward
+from .homology import chain_pushforward, nerve_complex
 from .models import constant_module
-from .zlinalg import (FgAbGroup, IntMatrix, LinearSystem,
-                      homology_presentation, induced_on_homology,
-                      kernel_group, quotient_group)
+from .zlinalg import (ChainComplex, FgAbGroup, IntMatrix, LinearSystem,
+                      induced_on_homology, kernel_group, quotient_group)
 
 
 class WindowTooLarge(GroupoidError):
@@ -242,11 +241,11 @@ class LesReport:
             and self.degree0_matches_base
 
 
-def _verify_ses(sub, mid, quot, f, g, step: int, n_max: int):
+def _verify_ses(sub: ChainComplex, mid: ChainComplex, quot: ChainComplex,
+                f, g, n_max: int):
     """Verify 0 -> sub --f--> mid --g--> quot -> 0 in degrees 0..n_max.
 
-    Each complex is a list of (d_out, d_in) pairs by degree; the
-    differentials raise the degree by `step` (-1 for chains, +1 for
+    The three complexes have the same `step` (-1 for chains, +1 for
     cochains).  f and g are the chain maps by degree; the squares at
     degree n are checked when f and g are also given in degree n + step.
     Returns the degree checks, the presentations of sub, mid and quot,
@@ -256,14 +255,15 @@ def _verify_ses(sub, mid, quot, f, g, step: int, n_max: int):
     One factorization of each f[n] and g[n] serves every check, lift and
     pull-back.
     """
+    step = mid.step
     sys_f = [LinearSystem(f[n]) for n in range(n_max + 1)]
     sys_g = [LinearSystem(g[n]) for n in range(n_max + 1)]
     checks = []
     for n in range(n_max + 1):
         m = n + step
         commutes = not 0 <= m < len(f) or (
-            f[m] * sub[n][0] == mid[n][0] * f[n]
-            and g[m] * mid[n][0] == quot[n][0] * g[n])
+            f[m] * sub.d_out(n) == mid.d_out(n) * f[n]
+            and g[m] * mid.d_out(n) == quot.d_out(n) * g[n])
         checks.append(DegreeChecks(
             n,
             (g[n] * f[n]).is_zero(),
@@ -271,7 +271,7 @@ def _verify_ses(sub, mid, quot, f, g, step: int, n_max: int):
             sys_f[n].solve_columns(sys_g[n].kernel()) is not None,  # ker g in im f
             sys_g[n].rank == g[n].rows and all(d == 1 for d in sys_g[n].diagonal()),
             commutes))
-    pres = tuple([homology_presentation(*cx[n]) for n in range(n_max + 1)]
+    pres = tuple([cx.presentation(n) for n in range(n_max + 1)]
                  for cx in (sub, mid, quot))
     pres_sub, _, pres_quot = pres
     connecting = []
@@ -282,7 +282,7 @@ def _verify_ses(sub, mid, quot, f, g, step: int, n_max: int):
             continue
         gens = IntMatrix.from_columns(pres_quot[n].generators, pres_quot[n].ambient)
         lifted = sys_g[n].solve_columns(gens)
-        a = None if lifted is None else sys_f[m].solve_columns(mid[n][0] * lifted)
+        a = None if lifted is None else sys_f[m].solve_columns(mid.d_out(n) * lifted)
         if a is None:
             connecting_ok = False
             connecting.append(IntMatrix.zeros(pres_sub[m].n_generators, gens.cols))
@@ -343,15 +343,11 @@ def les_verify(G: FiniteGroupoid, c: ZCocycle, K: int, guard: int, n_max: int,
     A, B = inner.groupoid, outer.groupoid
     degrees = range(n_max + 1)
     if mode == "homology":
-        def chains(H):
-            ds = _differentials(H, n_max, cap)
-            return [(ds[n], ds[n + 1]) for n in degrees]
-
         f = [chain_pushforward(incl, n, cap) - chain_pushforward(shift, n, cap)
              for n in degrees]
         g = [chain_pushforward(proj, n, cap) for n in degrees]
         checks, (pres_in, pres_out, pres_base), connecting, connecting_ok = \
-            _verify_ses(chains(A), chains(B), chains(G), f, g, -1, n_max)
+            _verify_ses(*(nerve_complex(H, n_max, cap) for H in (A, B, G)), f, g, n_max)
         # the cokernel of the induced id - shift surjects onto the image of
         # the window homology in the base; in degree 0 the comparison map
         # is onto, so the cokernel is the base group itself
@@ -364,17 +360,13 @@ def les_verify(G: FiniteGroupoid, c: ZCocycle, K: int, guard: int, n_max: int,
         MA = pullback_module(incl, MB)
         sG, sB, sA = ([hom_space(H, MH, n, cap) for n in range(n_max + 2)]
                       for H, MH in ((G, MG), (B, MB), (A, MA)))
-
-        def cochains(H, MH):
-            deltas = [hom_coboundary_matrix(H, MH, n, cap) for n in degrees]
-            first = IntMatrix.zeros(deltas[0].cols, 0)
-            return [(deltas[n], deltas[n - 1] if n else first) for n in degrees]
-
+        cochains = [ChainComplex([hom_coboundary_matrix(H, MH, n, cap) for n in degrees], 1)
+                    for H, MH in ((G, MG), (B, MB), (A, MA))]
         f = [_hom_pullback(proj, sB[n], sG[n]) for n in range(n_max + 2)]
         g = [_hom_pullback(incl, sA[n], sB[n]) - _hom_pullback(shift, sA[n], sB[n])
              for n in range(n_max + 2)]
         checks, (pres_base, pres_out, pres_in), connecting, connecting_ok = \
-            _verify_ses(cochains(G, MG), cochains(B, MB), cochains(A, MA), f, g, 1, n_max)
+            _verify_ses(*cochains, f, g, n_max)
         # the kernel of the induced id - shift on the outer window equals
         # the (injective) image of the base cohomology
         book = [kernel_group(induced_on_homology(g[n], pres_out[n], pres_in[n]),

@@ -1,9 +1,9 @@
 """Exact integer linear algebra.
 
 Smith normal form with unimodular transforms, integer kernels, solving
-A*x = v over the integers, and the homology ker(d_out)/im(d_in) of a
-composable pair of integer matrices, reported as a finitely generated
-abelian group in invariant-factor normal form.
+A*x = v over the integers, and the homology of a ChainComplex (a list of
+differentials, chains or cochains, checked for d*d = 0 once), reported
+as finitely generated abelian groups in invariant-factor normal form.
 
 Everything runs on Python ints, so intermediate entries may grow without
 overflow.  IntMatrix is sparse, one {column: value} dict per row with no
@@ -660,33 +660,6 @@ def image_contains(A: IntMatrix, B: IntMatrix) -> bool:
     return B.cols == 0 or LinearSystem(A).solve_columns(B) is not None
 
 
-def det(A: IntMatrix) -> int:
-    """Determinant by fraction-free (Bareiss) elimination."""
-    if A.rows != A.cols:
-        raise DimensionMismatch("determinant of a non-square matrix")
-    n = A.rows
-    if n == 0:
-        return 1
-    m = A.data
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 # -- finitely generated abelian groups -------------------------------------
 
 
@@ -800,34 +773,63 @@ class FgAbGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def _require_zero_composite(d_out: IntMatrix, d_in: IntMatrix) -> None:
-    """Raise CompositionNonzero unless d_out * d_in = 0."""
-    if not (d_out * d_in).is_zero():
-        raise CompositionNonzero("d_out * d_in != 0")
+class ChainComplex:
+    """A complex of free abelian groups given by its differentials.
 
-
-def complex_homology(ds: Sequence[IntMatrix]) -> list:
-    """ker(ds[k])/im(ds[k+1]) for k = 0 .. len(ds) - 2, with ds[k]*ds[k+1] = 0.
-
-    The kernel lattice of ds[k] is saturated in the ambient Z^m, so the
-    torsion of the quotient equals the torsion of Z^m/im(ds[k+1]); only
-    the rank of ds[k] and the Smith diagonal of ds[k+1] are needed.  Each
-    differential is factored once, and its rank is the number of its
-    invariant factors.
+    With step -1 (chains) ds[n] is d_n: C_n -> C_{n-1}, and degree n is
+    ker(ds[n])/im(ds[n+1]) for n = 0 .. len(ds) - 2; the caller supplies
+    d_0.  With step +1 (cochains) ds[n] is delta_n: C^n -> C^{n+1}, and
+    degree n is ker(ds[n])/im(ds[n-1]) for n = 0 .. len(ds) - 1, with a
+    zero map into C^0.  Shapes and d*d = 0 are checked once, here.
     """
-    for d_out, d_in in zip(ds, ds[1:]):
-        if d_out.cols != d_in.rows:
-            raise DimensionMismatch(
-                f"cols(d_out)={d_out.cols} must equal rows(d_in)={d_in.rows}")
-        _require_zero_composite(d_out, d_in)
-    facs = [invariant_factors(d) for d in ds]
-    return [FgAbGroup.from_invariant_factors(f_in, free_rank=d_in.rows - len(f_out) - len(f_in))
-            for f_out, f_in, d_in in zip(facs, facs[1:], ds[1:])]
+
+    def __init__(self, ds: Sequence[IntMatrix], step: int):
+        if step not in (-1, 1):
+            raise ValueError(f"step must be -1 or +1, got {step}")
+        self.step = step
+        # read downwards either way: degree n is ker(_ds[i])/im(_ds[i+1])
+        if step < 0:
+            self._ds = list(ds)
+        else:
+            self._ds = list(ds[::-1]) + [IntMatrix.zeros(ds[0].cols, 0)]
+        self.top = len(self._ds) - 2  # degrees run 0 .. top
+        for d_out, d_in in zip(self._ds, self._ds[1:]):
+            # the product raises DimensionMismatch on a shape mismatch
+            if not (d_out * d_in).is_zero():
+                raise CompositionNonzero("d_out * d_in != 0")
+
+    def _at(self, n: int) -> int:
+        if not 0 <= n <= self.top:
+            raise IndexError(f"degree {n} outside 0 .. {self.top}")
+        return n if self.step < 0 else self.top - n
+
+    def d_out(self, n: int) -> IntMatrix:
+        """The differential leaving degree n."""
+        return self._ds[self._at(n)]
+
+    def presentation(self, n: int) -> "ChainHomologyPresentation":
+        i = self._at(n)
+        return ChainHomologyPresentation(self._ds[i], self._ds[i + 1])
+
+    def groups(self) -> list:
+        """The groups of degrees 0 .. top.
+
+        The kernel lattice of d_out is saturated in the ambient Z^m, so the
+        torsion of ker(d_out)/im(d_in) equals the torsion of Z^m/im(d_in);
+        only the rank of d_out and the Smith diagonal of d_in are needed.
+        Each differential is factored once, and its rank is the number of
+        its invariant factors.
+        """
+        ds = self._ds
+        facs = [invariant_factors(d) for d in ds]
+        out = [FgAbGroup.from_invariant_factors(f_in, free_rank=d_in.rows - len(f_out) - len(f_in))
+               for f_out, f_in, d_in in zip(facs, facs[1:], ds[1:])]
+        return out if self.step < 0 else out[::-1]
 
 
 def homology_at(d_out: IntMatrix, d_in: IntMatrix) -> FgAbGroup:
     """ker(d_out)/im(d_in) for a composable pair with d_out*d_in = 0."""
-    return complex_homology([d_out, d_in])[0]
+    return ChainComplex([d_out, d_in], -1).groups()[0]
 
 
 def coefficients_via_uct(h_n: FgAbGroup, h_nm1: FgAbGroup, m: int) -> FgAbGroup:
@@ -845,13 +847,12 @@ class ChainHomologyPresentation:
 
     Heavier than homology_at: tracks a saturated cycle basis and the Smith
     transforms of the relation matrix, so homology classes of ambient
-    vectors and induced maps of chain maps can be computed exactly.
+    vectors and induced maps of chain maps can be computed exactly.  The
+    pair must be composable with d_out * d_in = 0; build it through
+    ChainComplex.presentation, which has checked that.
     """
 
     def __init__(self, d_out: IntMatrix, d_in: IntMatrix):
-        if d_out.cols != d_in.rows:
-            raise DimensionMismatch("presentation: shape mismatch")
-        _require_zero_composite(d_out, d_in)
         self.ambient = d_out.cols
         eng_out = _Smith(d_out, need=("V", "Vinv"))
         r = self._out_rank = eng_out.rank
@@ -860,8 +861,8 @@ class ChainHomologyPresentation:
         self.cycle_basis = IntMatrix._of_col_dicts(self.ambient, eng_out.Vinv_cols[r:])
         # relation matrix: kernel coordinates of the boundary columns, rows
         # rank.. of V * d_in.  Rows < rank vanish, so the columns of d_in are
-        # cycles: d_out * d_in = U * S * (V * d_in) = 0 was checked above,
-        # and the first rank rows of S are d_i times unit rows.
+        # cycles: d_out * d_in = U * S * (V * d_in) = 0, and the first rank
+        # rows of S are d_i times unit rows.
         rel = IntMatrix._of_row_dicts(k, self.ambient, eng_out.V_rows[r:]) * d_in
         eng_rel = _Smith(rel, need=("U", "Uinv"))
         diag = eng_rel.diagonal()
@@ -901,7 +902,8 @@ class ChainHomologyPresentation:
 
 
 def homology_presentation(d_out: IntMatrix, d_in: IntMatrix) -> ChainHomologyPresentation:
-    return ChainHomologyPresentation(d_out, d_in)
+    """Presentation of ker(d_out)/im(d_in), checked as a one-pair complex."""
+    return ChainComplex([d_out, d_in], -1).presentation(0)
 
 
 def induced_on_homology(chain_map: IntMatrix,

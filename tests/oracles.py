@@ -63,6 +63,34 @@ def modp_rank(rows, p):
     return rank
 
 
+def det(rows):
+    """Determinant of a square list-of-rows matrix by fraction-free
+    (Bareiss) elimination."""
+    m = [list(row) for row in rows]
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("determinant of a non-square matrix")
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
 def group_bar_boundaries(table, n_max):
     """Boundary matrices of the standard bar complex of a finite group
     with trivial integer coefficients, degrees 1..n_max+1.

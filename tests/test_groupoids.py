@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupoidal.groupoids import (DegreeTooLarge, FiniteGroupoid, GModule,
                                   bar_boundary_matrix_b, boundary_matrix_d,
@@ -12,6 +14,8 @@ from groupoidal.models import (action_groupoid, constant_module, cyclic_table,
                                sign_module, space_groupoid)
 from groupoidal.zlinalg import (IntMatrix, homology_at, invariant_factors,
                                 rank)
+
+from oracles import det
 
 
 def zoo():
@@ -188,6 +192,34 @@ def test_validate_module_rejects_non_unimodular():
     rep = validate_module(z2, bad)
     assert not rep.ok
     assert rep.axiom in ("unimodular", "action-functorial")
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_validate_module_unimodular_iff_det_is_a_unit(seed):
+    # pair(2) module: a random square A on one arrow, the identity on its
+    # inverse; only the unimodularity check can reject A before the
+    # functoriality checks do
+    rng = random.Random(seed)
+    G = full_pair_groupoid(2)
+    g = next(a for a in range(G.n_arrows) if not G.is_unit(a))
+    n = rng.randint(1, 4)
+    if rng.random() < 0.5:
+        a = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+    else:  # a unimodular A as a product of elementary row operations
+        a = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(rng.randint(0, 6)):
+            i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+            if i == j or rng.random() < 0.2:
+                a[i] = [-v for v in a[i]]
+            else:
+                q = rng.randint(-3, 3)
+                a[i] = [x + q * y for x, y in zip(a[i], a[j])]
+    action = {u: IntMatrix.identity(n) for u in G.units}
+    action[g] = IntMatrix.from_rows(a)
+    action[G.inv[g]] = IntMatrix.identity(n)
+    rep = validate_module(G, GModule(G, {u: n for u in G.units}, action))
+    assert (rep.axiom == "unimodular") == (abs(det(a)) != 1)
 
 
 def test_validate_random_modules():

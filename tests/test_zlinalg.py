@@ -6,16 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupoidal.zlinalg import (BadModulus, CompositionNonzero,
+from groupoidal.zlinalg import (BadModulus, ChainComplex, CompositionNonzero,
                                 DimensionMismatch, FgAbGroup, IntMatrix,
-                                LinearSystem, coefficients_via_uct, det,
+                                LinearSystem, coefficients_via_uct,
                                 homology_at, homology_presentation,
                                 image_basis, image_contains,
                                 LinAlgError, induced_on_homology,
                                 invariant_factors, kernel_basis, rank, snf,
                                 solve_in_image)
 
-from oracles import modp_rank, rational_rank
+from oracles import det, modp_rank, rational_rank
 
 
 def test_snf_identity():
@@ -37,7 +37,7 @@ def test_snf_2x2_example():
     assert d.S == IntMatrix.from_rows([[2, 0], [0, 4]])
     # first invariant factor is the gcd of the entries, product is |det|
     assert d.diagonal()[0] == 2
-    assert d.diagonal()[0] * d.diagonal()[1] == abs(det(A)) == 8
+    assert d.diagonal()[0] * d.diagonal()[1] == abs(det(A.data)) == 8
     assert d.U * d.S * d.V == A
 
 
@@ -130,8 +130,8 @@ def test_snf_invariants_random():
                              for _ in range(m)])
         d = snf(A)
         assert d.U * d.S * d.V == A
-        assert abs(det(d.U)) == 1
-        assert abs(det(d.V)) == 1
+        assert abs(det(d.U.data)) == 1
+        assert abs(det(d.V.data)) == 1
         diag = d.diagonal()
         assert all(x > 0 for x in diag)
         for a, b in zip(diag, diag[1:]):
@@ -329,3 +329,81 @@ def test_coords_of_is_columnwise_coords(seed):
     if hit:  # a unit vector that d_out does not kill is not a cycle
         with pytest.raises(LinAlgError):
             pres.coords_of(IntMatrix.from_entries(d_out.cols, 1, [(hit[0], 0, 1)]))
+
+
+def _random_chain_list(rng, length):
+    """ds[0], ..., ds[length - 1] with ds[k] * ds[k+1] = 0: each next
+    differential is a random combination of kernel vectors of the last."""
+    ds = [_random_matrix(rng, rng.randint(0, 4), rng.randint(1, 4))]
+    for _ in range(length - 1):
+        K = kernel_basis(ds[-1])
+        ds.append(K * _random_matrix(rng, K.cols, rng.randint(0, 4), -2, 2))
+    return ds
+
+
+def _dense_product_is_zero(a, b):
+    """a * b == 0, by a plain triple loop over the dense rows."""
+    ra, rb = a.data, b.data
+    return all(sum(x * rb[k][j] for k, x in enumerate(row)) == 0
+               for row in ra for j in range(b.cols))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), step=st.sampled_from([-1, 1]))
+def test_chain_complex_groups_presentations_and_uct(seed, step):
+    rng = random.Random(seed)
+    chain_ds = _random_chain_list(rng, rng.randint(3, 4))
+    # a cochain complex lists the same maps from degree 0 upwards, and its
+    # degree 0 is the kernel of the last one (nothing maps into it)
+    cx = ChainComplex(chain_ds if step < 0 else chain_ds[::-1], step)
+    if step > 0:
+        chain_ds.append(IntMatrix.zeros(chain_ds[-1].cols, 0))
+    groups = cx.groups()
+    assert len(groups) == len(chain_ds) - 1
+    for n, h in enumerate(groups):
+        # degree n is ker(chain_ds[i]) / im(chain_ds[i + 1])
+        i = n if step < 0 else len(groups) - 1 - n
+        d_out, d_in = chain_ds[i], chain_ds[i + 1]
+        assert cx.d_out(n) == d_out
+        assert cx.presentation(n).group == h
+        for p in (2, 3, 5):
+            # H_n(C (x) F_p) = H_n (x) F_p + Tor(H_below, F_p), where the
+            # p-torsion of H_below is that of coker(d_out): the number of
+            # invariant factors of d_out divisible by p, rank over Q minus
+            # rank over F_p
+            dim = d_out.cols - modp_rank(d_out.data, p) - modp_rank(d_in.data, p)
+            tensor = h.free_rank + sum(1 for t in h.torsion if t % p == 0)
+            tor = rational_rank(d_out.data) - modp_rank(d_out.data, p)
+            assert dim == tensor + tor
+            if 0 <= n + step < len(groups):  # H_below is in the list too
+                assert tor == sum(1 for t in groups[n + step].torsion if t % p == 0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), step=st.sampled_from([-1, 1]))
+def test_chain_complex_checks_every_pair_at_construction(seed, step):
+    rng = random.Random(seed)
+    chain_ds = _random_chain_list(rng, rng.randint(3, 4))
+    k = rng.randint(1, len(chain_ds) - 1)
+    a, b = chain_ds[k - 1], chain_ds[k]
+    if rng.random() < 0.5:
+        # one more row in b: b no longer composes with a
+        bad = IntMatrix.from_entries(b.rows + 1, b.cols, b.entries())
+        error = DimensionMismatch
+    elif b.rows and b.cols:
+        # a unit entry in a row of b whose column of a is nonzero: a * b
+        # stops vanishing whenever a is nonzero
+        i = next((i for i in range(a.cols) if any(a.col(i))), 0)
+        bad = b + IntMatrix.from_entries(b.rows, b.cols, [(i, rng.randrange(b.cols), 1)])
+        error = CompositionNonzero
+    else:
+        return
+    chain_ds[k] = bad
+    ds = chain_ds if step < 0 else chain_ds[::-1]
+    pairs_ok = all(x.cols == y.rows and _dense_product_is_zero(x, y)
+                   for x, y in zip(chain_ds, chain_ds[1:]))
+    if pairs_ok:
+        ChainComplex(ds, step)
+    else:
+        with pytest.raises(error):
+            ChainComplex(ds, step)
