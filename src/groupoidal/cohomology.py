@@ -11,88 +11,62 @@ exhibiting the isomorphism between the two models on any finite instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
+from dataclasses import dataclass
+from typing import Callable, List
 
 from .groupoids import (FiniteGroupoid, GModule, GroupoidFunctor,
-                        nerve, require_valid_functor)
+                        homology_face, nerve, require_valid_functor)
 from .zlinalg import (ChainComplex, ChainHomologyPresentation, FgAbGroup, IntMatrix,
                       induced_on_homology, kernel_basis)
 
 
-class _BlockSpace:
-    """Indexed family of free fibers with offsets into one coordinate space."""
+class BlockSpace:
+    """Free fibers laid end to end in one coordinate space: one block of
+    rank ranks[k] per key, in the order of `keys`.  `key_of` maps an
+    n-string to the key of the block that holds its value."""
 
-    def __init__(self, keys: List[tuple], ranks: List[int]):
+    def __init__(self, keys: List[tuple], ranks: List[int], key_of: Callable):
         self.keys = keys
         self.ranks = ranks
-        self.offsets = []
+        self.key_of = key_of
+        self.offset = {}
         total = 0
-        for r in ranks:
-            self.offsets.append(total)
+        for k, r in zip(keys, ranks):
+            self.offset[k] = total
             total += r
         self.total = total
-        self.position = {k: i for i, k in enumerate(keys)}
-
-    def offset_of(self, key: tuple) -> int:
-        return self.offsets[self.position[key]]
 
 
-@dataclass
-class CochainSpace:
-    """Degree-n cocycle cochains: one fiber copy per n-string (per unit in
-    degree 0), valued in the fiber at the range of the first arrow."""
-
-    degree: int
-    space: _BlockSpace = field(repr=False)
-
-    @property
-    def total_rank(self) -> int:
-        return self.space.total
+def cochain_space(G: FiniteGroupoid, M: GModule, n: int, cap=None) -> BlockSpace:
+    """Degree-n cocycle cochains: one copy per n-string of the fiber at the
+    range of its first arrow (per unit in degree 0); each string is its own
+    key."""
+    keys = list(nerve(G, n, cap).tuples)
+    return BlockSpace(keys, [M.rank_at(G.rng[t[0]]) for t in keys], lambda t: t)
 
 
-@dataclass
-class HomSpace:
+def hom_space(G: FiniteGroupoid, M: GModule, n: int, cap=None) -> BlockSpace:
     """Equivariant homs out of the degree-(n+1) bar term, coordinatized by
-    orbit representatives: strings with a unit first entry, which biject
-    with the n-strings."""
-
-    degree: int
-    space: _BlockSpace = field(repr=False)
-    rep_of_tuple: dict = field(repr=False)
-
-    @property
-    def total_rank(self) -> int:
-        return self.space.total
+    orbit representatives: an n-string t is keyed by (r(g_0),) + t, whose
+    first entry is a unit, and in degree 0 a unit by itself."""
+    def key_of(t):
+        return t if n == 0 else (G.rng[t[0]],) + t
+    keys = sorted(map(key_of, nerve(G, n, cap).tuples))
+    return BlockSpace(keys, [M.rank_at(k[0]) for k in keys], key_of)
 
 
-def cochain_space(G: FiniteGroupoid, M: GModule, n: int, cap=None) -> CochainSpace:
-    if n == 0:
-        keys = [(u,) for u in G.units]
-        ranks = [M.rank_at(u) for u in G.units]
-    else:
-        keys = list(nerve(G, n, cap).tuples)
-        ranks = [M.rank_at(G.rng[t[0]]) for t in keys]
-    return CochainSpace(n, _BlockSpace(keys, ranks))
+def relabel_matrix(cod: BlockSpace, dom: BlockSpace, key_map: Callable) -> IntMatrix:
+    """Identity blocks from dom's block key_map(k) to cod's block k, for
+    every key k of cod."""
+    return IntMatrix.from_entries(
+        cod.total, dom.total,
+        (e for k, r in zip(cod.keys, cod.ranks)
+         for e in _identity(cod.offset[k], dom.offset[key_map(k)], r, 1)))
 
 
-def hom_space(G: FiniteGroupoid, M: GModule, n: int, cap=None) -> HomSpace:
-    if n == 0:
-        reps = [(u,) for u in G.units]
-        tails = list(reps)
-    else:
-        tails = list(nerve(G, n, cap).tuples)
-        reps = [(G.rng[t[0]],) + t for t in tails]
-    order = sorted(range(len(reps)), key=lambda i: reps[i])
-    keys = [reps[i] for i in order]
-    ranks = [M.rank_at(k[0]) for k in keys]
-    rep_of_tuple = {tails[i]: reps[i] for i in range(len(reps))}
-    return HomSpace(n, _BlockSpace(keys, ranks), rep_of_tuple)
-
-
-def _block(row_off: int, col_off: int, block: IntMatrix, sign: int):
-    """Entries of sign * block placed at (row_off, col_off)."""
-    return ((row_off + i, col_off + j, sign * v) for i, j, v in block.entries())
+def _block(row_off: int, col_off: int, block: IntMatrix):
+    """Entries of block placed at (row_off, col_off)."""
+    return ((row_off + i, col_off + j, v) for i, j, v in block.entries())
 
 
 def _identity(row_off: int, col_off: int, size: int, sign: int):
@@ -104,35 +78,21 @@ def cocycle_coboundary_matrix(G: FiniteGroupoid, M: GModule, n: int,
                               cap=None) -> IntMatrix:
     """Matrix of the degree-n cocycle differential.
 
-    Row block at an (n+1)-string (g_0,...,g_n): the action of g_0 applied
-    to the value at the tail, alternating identity blocks at the strings
-    with one adjacent pair composed, and the last entry dropped with sign
-    (-1)^(n+1).  Degree 0 sends a section m to g_0.m(s(g_0)) - m(r(g_0)).
+    Row block at an (n+1)-string t = (g_0,...,g_n): the action of g_0
+    applied to the value at face 0 of t, then (-1)^i times the value at
+    face i for i = 1..n+1 (`homology_face`).  So degree 0 sends a section
+    m to g_0.m(s(g_0)) - m(r(g_0)).
     """
     dom = cochain_space(G, M, n, cap)
     cod = cochain_space(G, M, n + 1, cap)
     entries = []
-    if n == 0:
-        for t in cod.space.keys:
-            (g0,) = t
-            row = cod.space.offset_of(t)
-            entries.extend(_block(row, dom.space.offset_of((G.src[g0],)), M.act(g0), 1))
-            entries.extend(_identity(row, dom.space.offset_of((G.rng[g0],)),
-                                     M.rank_at(G.rng[g0]), -1))
-        return IntMatrix.from_entries(cod.total_rank, dom.total_rank, entries)
-    for t in cod.space.keys:
-        row = cod.space.offset_of(t)
-        g0 = t[0]
-        entries.extend(_block(row, dom.space.offset_of(t[1:]), M.act(g0), 1))
-        sign = -1
-        for i in range(1, n + 1):
-            face = t[:i - 1] + (G.comp[(t[i - 1], t[i])],) + t[i + 1:]
-            entries.extend(_identity(row, dom.space.offset_of(face),
-                                     M.rank_at(G.rng[g0]), sign))
-            sign = -sign
-        entries.extend(_identity(row, dom.space.offset_of(t[:-1]),
-                                 M.rank_at(G.rng[g0]), sign))
-    return IntMatrix.from_entries(cod.total_rank, dom.total_rank, entries)
+    for t, rank in zip(cod.keys, cod.ranks):
+        row = cod.offset[t]
+        entries.extend(_block(row, dom.offset[homology_face(G, t, 0)], M.act(t[0])))
+        for i in range(1, n + 2):
+            entries.extend(_identity(row, dom.offset[homology_face(G, t, i)],
+                                     rank, -1 if i % 2 else 1))
+    return IntMatrix.from_entries(cod.total, dom.total, entries)
 
 
 def hom_coboundary_matrix(G: FiniteGroupoid, M: GModule, n: int,
@@ -143,27 +103,15 @@ def hom_coboundary_matrix(G: FiniteGroupoid, M: GModule, n: int,
     dom = hom_space(G, M, n, cap)
     cod = hom_space(G, M, n + 1, cap)
     entries = []
-    for rep in cod.space.keys:
-        row = cod.space.offset_of(rep)
+    for rep, rank in zip(cod.keys, cod.ranks):
+        row = cod.offset[rep]
         t = rep[1:]  # (g_0, ..., g_n)
-        g0 = t[0]
-        if n == 0:
-            tail_rep = (G.src[g0],)
-        else:
-            tail_rep = dom.rep_of_tuple[t[1:]]
-        entries.extend(_block(row, dom.space.offset_of(tail_rep), M.act(g0), 1))
-        sign = -1
-        for i in range(1, n + 1):
-            face = t[:i - 1] + (G.comp[(t[i - 1], t[i])],) + t[i + 1:]
-            entries.extend(_identity(row, dom.space.offset_of(dom.rep_of_tuple[face]),
-                                     M.rank_at(rep[0]), sign))
-            sign = -sign
-        # dropping the last entry leaves (unit, g_0, ..., g_{n-1}); in
-        # degree 0 that is the unit representative itself
-        last_rep = (rep[0],) if n == 0 else dom.rep_of_tuple[t[:-1]]
-        entries.extend(_identity(row, dom.space.offset_of(last_rep),
-                                 M.rank_at(rep[0]), sign))
-    return IntMatrix.from_entries(cod.total_rank, dom.total_rank, entries)
+        entries.extend(_block(row, dom.offset[dom.key_of(homology_face(G, t, 0))],
+                              M.act(t[0])))
+        for i in range(1, n + 2):
+            entries.extend(_identity(row, dom.offset[dom.key_of(homology_face(G, t, i))],
+                                     rank, -1 if i % 2 else 1))
+    return IntMatrix.from_entries(cod.total, dom.total, entries)
 
 
 def theta_matrix(G: FiniteGroupoid, M: GModule, n: int, cap=None) -> IntMatrix:
@@ -171,23 +119,15 @@ def theta_matrix(G: FiniteGroupoid, M: GModule, n: int, cap=None) -> IntMatrix:
     each n-string: a basis relabeling from the Hom model to the cocycle
     model (the representative's leading unit acts trivially)."""
     dom = hom_space(G, M, n, cap)
-    cod = cochain_space(G, M, n, cap)
-    return IntMatrix.from_entries(
-        cod.total_rank, dom.total_rank,
-        (e for tail, rep in dom.rep_of_tuple.items()
-         for e in _identity(cod.space.offset_of(tail), dom.space.offset_of(rep),
-                            M.rank_at(rep[0]), 1)))
+    return relabel_matrix(cochain_space(G, M, n, cap), dom, dom.key_of)
 
 
 def rho_matrix(G: FiniteGroupoid, M: GModule, n: int, cap=None) -> IntMatrix:
     """Inverse relabeling, reading a cochain as values on representatives."""
     dom = cochain_space(G, M, n, cap)
     cod = hom_space(G, M, n, cap)
-    return IntMatrix.from_entries(
-        cod.total_rank, dom.total_rank,
-        (e for tail, rep in cod.rep_of_tuple.items()
-         for e in _identity(cod.space.offset_of(rep), dom.space.offset_of(tail),
-                            M.rank_at(rep[0]), 1)))
+    string_of = {cod.key_of(t): t for t in dom.keys}
+    return relabel_matrix(cod, dom, string_of.__getitem__)
 
 
 def cocycle_cohomology(G: FiniteGroupoid, M: GModule, n_max: int,
@@ -264,15 +204,8 @@ def cochain_pullback_matrix(phi: GroupoidFunctor, M: GModule, n: int,
                             cap=None) -> IntMatrix:
     """Precomposition with the tuple map, fiberwise the identity; maps
     target cochains to source cochains with pullback coefficients."""
-    G1, G2 = phi.source, phi.target
-    Mpull = pullback_module(phi, M)
-    dom = cochain_space(G2, M, n, cap)
-    cod = cochain_space(G1, Mpull, n, cap)
-    return IntMatrix.from_entries(
-        cod.total_rank, dom.total_rank,
-        (e for t in cod.space.keys
-         for e in _identity(cod.space.offset_of(t), dom.space.offset_of(phi.map_tuple(t)),
-                            Mpull.rank_at(G1.rng[t[0]]) if n else Mpull.rank_at(t[0]), 1)))
+    cod = cochain_space(phi.source, pullback_module(phi, M), n, cap)
+    return relabel_matrix(cod, cochain_space(phi.target, M, n, cap), phi.map_tuple)
 
 
 @dataclass

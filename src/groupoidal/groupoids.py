@@ -85,9 +85,6 @@ class FiniteGroupoid:
     def is_unit(self, g: int) -> bool:
         return self._is_unit[g]
 
-    def compose(self, g: int, h: int) -> int:
-        return self.comp[(g, h)]
-
     def orbits(self) -> List[tuple]:
         """Partition of the units into connected components."""
         parent = {u: u for u in self.units}
@@ -203,8 +200,15 @@ def nerve(G: FiniteGroupoid, n: int, cap: Optional[int] = None) -> Nerve:
 
 
 def homology_face(G: FiniteGroupoid, t: tuple, i: int) -> tuple:
-    """Face i of a composable n-string for the homology complex, n >= 2."""
+    """Face i of a composable n-string t, 0 <= i <= n, in every degree n >= 1.
+
+    Face 0 drops the first arrow, face n the last, and face i composes
+    g_{i-1} g_i.  A 0-string is a unit, so the faces of (g,) are (src g,)
+    and (rng g,).
+    """
     n = len(t)
+    if n == 1:
+        return ((G.src, G.rng)[i][t[0]],)
     if i == 0:
         return t[1:]
     if i == n:
@@ -213,40 +217,28 @@ def homology_face(G: FiniteGroupoid, t: tuple, i: int) -> tuple:
 
 
 def boundary_matrix_d(G: FiniteGroupoid, n: int, cap: Optional[int] = None) -> IntMatrix:
-    """Matrix of d_n from degree-n chains to degree-(n-1) chains.
-
-    d_1 is pushforward along the source minus pushforward along the range;
-    for n >= 2 it is the alternating sum of pushforwards along the faces.
-    """
+    """Matrix of d_n from degree-n chains to degree-(n-1) chains: the
+    alternating sum of pushforwards along the faces, so d_1 is pushforward
+    along the source minus pushforward along the range."""
     if n < 1:
         raise ValueError("boundary degree must be >= 1")
     nv_to = nerve(G, n - 1, cap)
     nv_from = nerve(G, n, cap)
     index = nv_to.index
-    if n == 1:
-        entries = ((index[(ends[g],)], j, sign) for j, (g,) in enumerate(nv_from.tuples)
-                   for ends, sign in ((G.src, 1), (G.rng, -1)))
-    else:
-        entries = ((index[homology_face(G, t, i)], j, -1 if i % 2 else 1)
-                   for j, t in enumerate(nv_from.tuples) for i in range(n + 1))
-    return IntMatrix.from_entries(len(nv_to), len(nv_from), entries)
-
-
-def bar_face(G: FiniteGroupoid, t: tuple, i: int) -> tuple:
-    """Face i of an (n+1)-string for the bar resolution, 0 <= i <= n."""
-    n = len(t) - 1
-    if i == n:
-        return t[:-1]
-    return t[:i] + (G.comp[(t[i], t[i + 1])],) + t[i + 2:]
+    return IntMatrix.from_entries(
+        len(nv_to), len(nv_from),
+        ((index[homology_face(G, t, i)], j, -1 if i % 2 else 1)
+         for j, t in enumerate(nv_from.tuples) for i in range(n + 1)))
 
 
 def bar_boundary_matrix_b(G: FiniteGroupoid, n: int, cap: Optional[int] = None) -> IntMatrix:
     """Matrix of b_n from degree-(n+1) strings to degree-n strings.
 
-    Higher b_n compose an adjacent pair or drop the last entry, never
-    touching the leading arrow's range.  b_0 is pushforward along the
-    range: that is the unique augmentation with b_0 * b_1 = 0, and the
-    resulting complex is exact, split by the contraction
+    b_n is the alternating sum of faces 1..n+1 of the (n+1)-string, which
+    compose an adjacent pair or drop the last entry, never touching the
+    leading arrow's range.  So b_0 is pushforward along the range: that is
+    the unique augmentation with b_0 * b_1 = 0, and the resulting complex
+    is exact, split by the contraction
     (g_0,...,g_{n-1}) -> (r(g_0), g_0, ..., g_{n-1}).
     """
     if n < 0:
@@ -254,19 +246,18 @@ def bar_boundary_matrix_b(G: FiniteGroupoid, n: int, cap: Optional[int] = None) 
     nv_from = nerve(G, n + 1, cap)
     nv_to = nerve(G, n, cap)
     index = nv_to.index
-    if n == 0:
-        entries = ((index[(G.rng[g],)], j, 1) for j, (g,) in enumerate(nv_from.tuples))
-    else:
-        entries = ((index[bar_face(G, t, i)], j, -1 if i % 2 else 1)
-                   for j, t in enumerate(nv_from.tuples) for i in range(n + 1))
-    return IntMatrix.from_entries(len(nv_to), len(nv_from), entries)
+    return IntMatrix.from_entries(
+        len(nv_to), len(nv_from),
+        ((index[homology_face(G, t, i)], j, 1 if i % 2 else -1)
+         for j, t in enumerate(nv_from.tuples) for i in range(1, n + 2)))
 
 
 def coinvariants_collapse(G: FiniteGroupoid, n: int, cap: Optional[int] = None) -> IntMatrix:
     """Matrix of the coinvariants identification of (n+1)-strings with n-strings.
 
-    Sends a string to its tail, and a single arrow to its source unit; it
-    intertwines the bar differentials with the homology differentials.
+    Sends a string to its face 0: its tail, or for a single arrow its
+    source unit.  It intertwines the bar differentials with the homology
+    differentials.
     """
     if n < 0:
         raise ValueError("collapse degree must be >= 0")
@@ -275,8 +266,7 @@ def coinvariants_collapse(G: FiniteGroupoid, n: int, cap: Optional[int] = None) 
     index = nv_to.index
     return IntMatrix.from_entries(
         len(nv_to), len(nv_from),
-        ((index[(G.src[t[0]],) if n == 0 else t[1:]], j, 1)
-         for j, t in enumerate(nv_from.tuples)))
+        ((index[homology_face(G, t, 0)], j, 1) for j, t in enumerate(nv_from.tuples)))
 
 
 class GModule:
@@ -318,7 +308,8 @@ def validate_module(G: FiniteGroupoid, M: GModule) -> ValidationReport:
             return ValidationReport(False, "unit-action", (u,))
     for g in range(G.n_arrows):
         a = M.action[g]
-        if a.rows != a.cols or invariant_factors(a) != [1] * a.rows:
+        # a unit's action is the identity, checked just above
+        if not G.is_unit(g) and (a.rows != a.cols or invariant_factors(a) != [1] * a.rows):
             return ValidationReport(False, "unimodular", (g,))
     for (g, h), gh in G.comp.items():
         if M.action[g] * M.action[h] != M.action[gh]:

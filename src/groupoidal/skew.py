@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from .cohomology import (_identity, hom_coboundary_matrix, hom_space,
-                         pullback_module)
+from .cohomology import (hom_coboundary_matrix, hom_space, pullback_module,
+                         relabel_matrix)
 from .groupoids import (FiniteGroupoid, GModule, GroupoidError,
                         GroupoidFunctor, tuple_cap)
 from .homology import chain_pushforward, nerve_complex
@@ -291,16 +291,6 @@ def _verify_ses(sub: ChainComplex, mid: ChainComplex, quot: ChainComplex,
     return checks, pres, connecting, connecting_ok
 
 
-def _hom_pullback(phi: GroupoidFunctor, row_space, col_space) -> IntMatrix:
-    """Pullback of equivariant homs along a functor, on representatives."""
-    rows, cols = row_space.space, col_space.space
-    return IntMatrix.from_entries(
-        row_space.total_rank, col_space.total_rank,
-        (e for rep in rows.keys
-         for e in _identity(rows.offset_of(rep), cols.offset_of(phi.map_tuple(rep)),
-                            rows.ranks[rows.position[rep]], 1)))
-
-
 def les_verify(G: FiniteGroupoid, c: ZCocycle, K: int, guard: int, n_max: int,
                mode: str = "homology", M: Optional[GModule] = None,
                cap: Optional[int] = None) -> LesReport:
@@ -362,9 +352,10 @@ def les_verify(G: FiniteGroupoid, c: ZCocycle, K: int, guard: int, n_max: int,
                       for H, MH in ((G, MG), (B, MB), (A, MA)))
         cochains = [ChainComplex([hom_coboundary_matrix(H, MH, n, cap) for n in degrees], 1)
                     for H, MH in ((G, MG), (B, MB), (A, MA))]
-        f = [_hom_pullback(proj, sB[n], sG[n]) for n in range(n_max + 2)]
-        g = [_hom_pullback(incl, sA[n], sB[n]) - _hom_pullback(shift, sA[n], sB[n])
-             for n in range(n_max + 2)]
+        # pullback of equivariant homs along a functor, on representatives
+        f = [relabel_matrix(sB[n], sG[n], proj.map_tuple) for n in range(n_max + 2)]
+        g = [relabel_matrix(sA[n], sB[n], incl.map_tuple)
+             - relabel_matrix(sA[n], sB[n], shift.map_tuple) for n in range(n_max + 2)]
         checks, (pres_base, pres_out, pres_in), connecting, connecting_ok = \
             _verify_ses(*cochains, f, g, n_max)
         # the kernel of the induced id - shift on the outer window equals

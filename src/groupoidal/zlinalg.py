@@ -663,19 +663,6 @@ def image_contains(A: IntMatrix, B: IntMatrix) -> bool:
 # -- finitely generated abelian groups -------------------------------------
 
 
-def _factorint(n: int) -> dict:
-    out = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 @dataclass(frozen=True)
 class FgAbGroup:
     """Isomorphism type of a finitely generated abelian group.
@@ -721,28 +708,13 @@ class FgAbGroup:
 
     @classmethod
     def from_orders(cls, orders: Iterable[int], free_rank: int = 0) -> "FgAbGroup":
-        """Normalize arbitrary cyclic orders into an invariant-factor chain."""
-        by_prime = {}
-        rank = free_rank
-        for m in orders:
-            m = abs(int(m))
-            if m == 0:
-                rank += 1
-                continue
-            if m == 1:
-                continue
-            for p, e in _factorint(m).items():
-                by_prime.setdefault(p, []).append(e)
-        width = max((len(v) for v in by_prime.values()), default=0)
-        factors = []
-        for k in range(width):
-            f = 1
-            for p, exps in by_prime.items():
-                exps_sorted = sorted(exps, reverse=True)
-                if k < len(exps_sorted):
-                    f *= p ** exps_sorted[k]
-            factors.append(f)
-        return cls(rank, tuple(sorted(factors)))
+        """Normalize arbitrary cyclic orders into an invariant-factor chain:
+        the Smith diagonal of diag(orders), each order 0 a free summand."""
+        orders = list(orders)
+        k = len(orders)
+        facs = invariant_factors(IntMatrix.from_entries(
+            k, k, ((i, i, int(m)) for i, m in enumerate(orders))))
+        return cls.from_invariant_factors(facs, free_rank + k - len(facs))
 
     @property
     def is_trivial(self) -> bool:

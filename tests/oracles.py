@@ -91,6 +91,46 @@ def det(rows):
     return sign * m[n - 1][n - 1]
 
 
+def _factorint(n):
+    """Prime factorization {p: e} of n >= 1 by trial division."""
+    out = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def orders_normal_form(orders, free_rank=0):
+    """(free rank, invariant factors) of Z^free_rank plus Z/m for each m in
+    orders, an order 0 counting as Z: split every order into prime powers,
+    then the k-th largest factor multiplies the k-th largest power of each
+    prime."""
+    by_prime = {}
+    rank = free_rank
+    for m in orders:
+        m = abs(m)
+        if m == 0:
+            rank += 1
+        elif m > 1:
+            for p, e in _factorint(m).items():
+                by_prime.setdefault(p, []).append(e)
+    width = max((len(v) for v in by_prime.values()), default=0)
+    factors = []
+    for k in range(width):
+        f = 1
+        for p, exps in by_prime.items():
+            exps_sorted = sorted(exps, reverse=True)
+            if k < len(exps_sorted):
+                f *= p ** exps_sorted[k]
+        factors.append(f)
+    return rank, tuple(sorted(factors))
+
+
 def group_bar_boundaries(table, n_max):
     """Boundary matrices of the standard bar complex of a finite group
     with trivial integer coefficients, degrees 1..n_max+1.

@@ -223,6 +223,17 @@ def test_homology_mod_m_coefficients_via_cli(files, capsys):
     assert all(g["torsion"] == [2] for g in parsed["groups"])
 
 
+def test_homology_with_a_large_prime_modulus_answers_in_time(files):
+    # 10**18 + 3 is prime: normalizing Z/m must not factor m by trial division
+    m = 10 ** 18 + 3
+    res = subprocess.run([sys.executable, "-m", "groupoidal.cli", "homology", files["z2"],
+                          "--coefficients", f"Z/{m}", "--format", "json"],
+                         capture_output=True, timeout=20)
+    assert res.returncode == 0
+    groups = json.loads(res.stdout)["groups"]
+    assert [g["torsion"] for g in groups] == [[m], [], []]
+
+
 def test_bad_coefficients_exit_2(files):
     assert cli.main(["homology", files["z2"], "--coefficients", "mod2"]) == 2
 

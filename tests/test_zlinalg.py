@@ -15,7 +15,7 @@ from groupoidal.zlinalg import (BadModulus, ChainComplex, CompositionNonzero,
                                 invariant_factors, kernel_basis, rank, snf,
                                 solve_in_image)
 
-from oracles import det, modp_rank, rational_rank
+from oracles import det, modp_rank, orders_normal_form, rational_rank
 
 
 def test_snf_identity():
@@ -266,6 +266,22 @@ def test_fgabgroup_normal_form():
         FgAbGroup(0, (4, 2))
     s = FgAbGroup.free(1).direct_sum(FgAbGroup.cyclic(2), FgAbGroup.cyclic(4))
     assert s.free_rank == 1 and s.torsion == (2, 4)
+
+
+# large products of 2, 3 and 5 share primes, so normalizing has to merge
+# their powers; 0 is a free summand and 1 and -1 are trivial
+_ORDERS = st.one_of(
+    st.sampled_from([0, 1, -1]), st.integers(-1000, 1000),
+    st.builds(lambda a, b, c, sign: sign * 2 ** a * 3 ** b * 5 ** c,
+              st.integers(0, 60), st.integers(0, 40), st.integers(0, 30),
+              st.sampled_from([1, -1])))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(orders=st.lists(_ORDERS, max_size=6), free_rank=st.integers(0, 3))
+def test_from_orders_matches_prime_power_oracle(orders, free_rank):
+    g = FgAbGroup.from_orders(orders, free_rank)
+    assert (g.free_rank, g.torsion) == orders_normal_form(orders, free_rank)
 
 
 def test_linear_system_reuse():
