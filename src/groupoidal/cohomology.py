@@ -83,8 +83,12 @@ def cocycle_coboundary_matrix(G: FiniteGroupoid, M: GModule, n: int,
     face i for i = 1..n+1 (`homology_face`).  So degree 0 sends a section
     m to g_0.m(s(g_0)) - m(r(g_0)).
     """
-    dom = cochain_space(G, M, n, cap)
-    cod = cochain_space(G, M, n + 1, cap)
+    return _cocycle_coboundary(G, M, n, cochain_space(G, M, n, cap),
+                               cochain_space(G, M, n + 1, cap))
+
+
+def _cocycle_coboundary(G: FiniteGroupoid, M: GModule, n: int,
+                        dom: BlockSpace, cod: BlockSpace) -> IntMatrix:
     entries = []
     for t, rank in zip(cod.keys, cod.ranks):
         row = cod.offset[t]
@@ -100,8 +104,11 @@ def hom_coboundary_matrix(G: FiniteGroupoid, M: GModule, n: int,
     """Degree-n differential of the Hom complex: precompose with the next
     bar boundary, rewriting each face through its orbit representative,
     which twists the face that absorbs the leading unit by the action."""
-    dom = hom_space(G, M, n, cap)
-    cod = hom_space(G, M, n + 1, cap)
+    return _hom_coboundary(G, M, n, hom_space(G, M, n, cap), hom_space(G, M, n + 1, cap))
+
+
+def _hom_coboundary(G: FiniteGroupoid, M: GModule, n: int,
+                    dom: BlockSpace, cod: BlockSpace) -> IntMatrix:
     entries = []
     for rep, rank in zip(cod.keys, cod.ranks):
         row = cod.offset[rep]
@@ -118,16 +125,21 @@ def theta_matrix(G: FiniteGroupoid, M: GModule, n: int, cap=None) -> IntMatrix:
     """Evaluation of an equivariant hom at the unit-first representative of
     each n-string: a basis relabeling from the Hom model to the cocycle
     model (the representative's leading unit acts trivially)."""
-    dom = hom_space(G, M, n, cap)
-    return relabel_matrix(cochain_space(G, M, n, cap), dom, dom.key_of)
+    return _theta(cochain_space(G, M, n, cap), hom_space(G, M, n, cap))
+
+
+def _theta(cochains: BlockSpace, homs: BlockSpace) -> IntMatrix:
+    return relabel_matrix(cochains, homs, homs.key_of)
 
 
 def rho_matrix(G: FiniteGroupoid, M: GModule, n: int, cap=None) -> IntMatrix:
     """Inverse relabeling, reading a cochain as values on representatives."""
-    dom = cochain_space(G, M, n, cap)
-    cod = hom_space(G, M, n, cap)
-    string_of = {cod.key_of(t): t for t in dom.keys}
-    return relabel_matrix(cod, dom, string_of.__getitem__)
+    return _rho(hom_space(G, M, n, cap), cochain_space(G, M, n, cap))
+
+
+def _rho(homs: BlockSpace, cochains: BlockSpace) -> IntMatrix:
+    string_of = {homs.key_of(t): t for t in cochains.keys}
+    return relabel_matrix(homs, cochains, string_of.__getitem__)
 
 
 def cocycle_cohomology(G: FiniteGroupoid, M: GModule, n_max: int,
@@ -167,10 +179,13 @@ def theta_rho_check(G: FiniteGroupoid, M: GModule, n_max: int,
     cohomologies, all as exact matrix statements."""
     failures = []
     degrees = range(n_max + 1)
-    thetas = [theta_matrix(G, M, n, cap) for n in range(n_max + 2)]
-    rhos = [rho_matrix(G, M, n, cap) for n in degrees]
-    c_deltas = [cocycle_coboundary_matrix(G, M, n, cap) for n in degrees]
-    h_deltas = [hom_coboundary_matrix(G, M, n, cap) for n in degrees]
+    # each space is built once, for degrees 0 .. n_max + 1
+    cs = [cochain_space(G, M, n, cap) for n in range(n_max + 2)]
+    hs = [hom_space(G, M, n, cap) for n in range(n_max + 2)]
+    thetas = [_theta(c, h) for c, h in zip(cs, hs)]
+    rhos = [_rho(hs[n], cs[n]) for n in degrees]
+    c_deltas = [_cocycle_coboundary(G, M, n, cs[n], cs[n + 1]) for n in degrees]
+    h_deltas = [_hom_coboundary(G, M, n, hs[n], hs[n + 1]) for n in degrees]
     for n in degrees:
         # theta_n maps the Hom model (columns) to the cocycle model (rows)
         if rhos[n] * thetas[n] != IntMatrix.identity(thetas[n].cols):

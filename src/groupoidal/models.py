@@ -93,7 +93,9 @@ def pair_groupoid_from_map(psi: Sequence[int]) -> FiniteGroupoid:
     psi is given by its list of values on Y = {0..len-1}; X is the set of
     values, which must be exactly {0..max}.  Arrows are the pairs (y1, y2)
     with psi(y1) = psi(y2), ordered lexicographically; (y1,y2)(y2,y3) =
-    (y1,y3).  Unit at y is the pair (y, y).
+    (y1,y3).  Unit at y is the pair (y, y).  The sum over the fibers of
+    k_x^3 composable pairs is checked against tuple_cap() before anything
+    is built.
     """
     yy = len(psi)
     if yy == 0:
@@ -101,17 +103,20 @@ def pair_groupoid_from_map(psi: Sequence[int]) -> FiniteGroupoid:
     values = sorted(set(psi))
     if values != list(range(len(values))):
         raise NotSurjective(f"values {values} are not an initial segment")
-    pairs = [(y1, y2) for y1 in range(yy) for y2 in range(yy) if psi[y1] == psi[y2]]
+    fibers = [[] for _ in values]
+    for y, x in enumerate(psi):
+        fibers[x].append(y)
+    composable = sum(len(f) ** 3 for f in fibers)
+    if composable > tuple_cap():
+        raise GroupoidError(f"{composable} composable pairs exceed cap {tuple_cap()}")
+    pairs = [(y1, y2) for y1 in range(yy) for y2 in fibers[psi[y1]]]
     index = {p: i for i, p in enumerate(pairs)}
     units = [index[(y, y)] for y in range(yy)]
     src = [index[(y2, y2)] for (_, y2) in pairs]
     rng = [index[(y1, y1)] for (y1, _) in pairs]
     inv = [index[(y2, y1)] for (y1, y2) in pairs]
-    comp = {}
-    for i, (a, b) in enumerate(pairs):
-        for j, (c, d) in enumerate(pairs):
-            if b == c:
-                comp[(i, j)] = index[(a, d)]
+    comp = {(i, index[(b, d)]): index[(a, d)]
+            for i, (a, b) in enumerate(pairs) for d in fibers[psi[b]]}
     return FiniteGroupoid(src, rng, comp, inv, units)
 
 

@@ -24,8 +24,15 @@ Pivot rule: step t of the elimination takes the nonzero of the active block
 column), the Markowitz cost being (row length - 1) * (column length - 1).
 The engine finds it with a lazily updated heap of per-column best keys
 instead of rescanning every nonzero.  The order is kept exact, not just
-good: U, V, kernel bases, homology generators and divisibility witnesses
-are part of the program's output, and all of them follow the pivot order.
+good, for the transform read-outs (snf, kernel_basis, image_basis,
+LinearSystem, ChainHomologyPresentation): U, V, kernel bases, homology
+generators and divisibility witnesses are part of the program's output,
+and all of them follow the pivot order.  `rank` and `invariant_factors`
+need no transform, and the Smith diagonal is canonical, so they first
+strip the +-1 pivots in any order a cheap sparsity rule picks (unit-pivot
+pre-elimination, as in Dumas-Saunders-Villard 2001) and run the
+exact-order engine only on the small remainder.  Their result does not
+depend on the order.
 """
 
 from __future__ import annotations
@@ -269,7 +276,10 @@ class _Smith:
     whose length changed, a column swap both columns.  The pivots are
     exactly those of a full scan (`tests/oracles.py` keeps one), because
     the transforms, kernel bases, generators and witness vectors read out
-    of the engine are part of the output and depend on the order.
+    of the engine are part of the output and depend on the order.  `rank`
+    and `invariant_factors` hand it only what is left once the unit pivots
+    are stripped, in no particular order (`_strip_unit_pivots`), since
+    the diagonal alone is canonical.
     """
 
     def __init__(self, A: IntMatrix, need: Iterable[str] = ()):
@@ -565,13 +575,82 @@ def snf(A: IntMatrix) -> SnfDecomposition:
                             eng.uinv_matrix(), eng.vinv_matrix())
 
 
+def _has_unit(row: dict) -> bool:
+    values = row.values()
+    return 1 in values or -1 in values
+
+
+def _strip_unit_pivots(A: IntMatrix) -> tuple:
+    """(ones, R): A is equivalent to diag(1^ones, R).
+
+    Repeatedly takes a +-1 entry, from the shortest live row that holds
+    one, in that row's shortest column (ties to the lower index), clears
+    its column by exact row subtraction and drops the pivot row and
+    column, which leaves the Schur complement.  R is what is left once no
+    live row holds a unit, with its zero rows and columns removed.
+    """
+    rows = [dict(row) for row in A._row_dicts]
+    colidx = [set() for _ in range(A.cols)]
+    for i, row in enumerate(rows):
+        for j in row:
+            colidx[j].add(i)
+    # (row length, row) for every row holding a unit, plus stale entries
+    heap = [(len(row), i) for i, row in enumerate(rows) if _has_unit(row)]
+    heapq.heapify(heap)
+    ones = 0
+    while heap:
+        length, p = heapq.heappop(heap)
+        prow = rows[p]
+        if prow is None or len(prow) != length:
+            continue
+        units = [j for j, v in prow.items() if v == 1 or v == -1]
+        if not units:
+            continue
+        j = min(units, key=lambda c: (len(colidx[c]), c))
+        rows[p] = None
+        for c in prow:
+            colidx[c].discard(p)
+        unit = prow.pop(j)
+        targets, colidx[j] = colidx[j], set()
+        for i in targets:
+            row = rows[i]
+            q = row.pop(j) * unit  # a unit is its own inverse
+            for c, v in prow.items():
+                sub = q * v
+                old = row.get(c)
+                if old is None:
+                    row[c] = -sub
+                    colidx[c].add(i)
+                elif old != sub:
+                    row[c] = old - sub
+                else:
+                    del row[c]
+                    colidx[c].discard(i)
+            if _has_unit(row):
+                heapq.heappush(heap, (len(row), i))
+        ones += 1
+    live = [row for row in rows if row]
+    cols = {c: k for k, c in enumerate(sorted(set().union(*live)))}
+    return ones, IntMatrix._of_row_dicts(
+        len(live), len(cols), [{cols[c]: v for c, v in row.items()} for row in live])
+
+
 def rank(A: IntMatrix) -> int:
-    return _Smith(A).rank
+    """Rank of A: the unit pivots stripped first, then the exact-order
+    engine on the remainder.  The rank does not depend on pivot order."""
+    ones, rest = _strip_unit_pivots(A)
+    return ones + _Smith(rest).rank
 
 
 def invariant_factors(A: IntMatrix) -> list:
-    """Nonzero diagonal of the Smith form, in divisibility order."""
-    return _Smith(A).diagonal()
+    """Nonzero diagonal of the Smith form, in divisibility order.
+
+    The Smith form is canonical, so the unit pivots are stripped first, by
+    a cheap sparsity rule, and only the remainder goes through the
+    exact-order engine; each stripped pivot is one factor 1.
+    """
+    ones, rest = _strip_unit_pivots(A)
+    return [1] * ones + _Smith(rest).diagonal()
 
 
 def _normalize_column_sign(col: dict) -> dict:

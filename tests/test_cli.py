@@ -297,6 +297,7 @@ _QUERIES = ["dimension-group", "MODEL", "--queries", "AUX"]
     (["dimension-group", "MODEL"], {**_UHF2, "levels": 3_000_000}, None),
     (_QUERIES, {"kind": "bratteli", "stationary": True, "matrices": [[[1, 1], [1, 0]]]},
      [{"op": "divisible", "stage": 3, "vector": [1, 0], "q": 2, "bound": 1}]),
+    (["homology", "MODEL"], {"kind": "pair", "fibers": [3000]}, None),
 ], ids=["max-degree", "cohomology-max-degree", "coefficients", "odometer-p",
         "odometer-depth", "count", "af-levels", "dimension-levels", "pair-fibers",
         "unit-range", "src-not-unit", "module-fiber-type", "module-action-entry",
@@ -304,7 +305,7 @@ _QUERIES = ["dimension-group", "MODEL", "--queries", "AUX"]
         "query-no-q", "query-stage-type", "query-q-zero", "query-stage-beyond", "query-stage-negative",
         "bratteli-p-type", "bratteli-counts-int", "bratteli-counts-strings",
         "stationary-no-matrix", "cayley-string", "perms-int", "levels-infinity",
-        "levels-over-cap", "query-divisible-stage-over-bound"])
+        "levels-over-cap", "query-divisible-stage-over-bound", "pair-fibers-over-cap"])
 def test_known_bad_inputs_exit_2_with_one_error_line(argv, model, aux, tmp_path, capsys):
     files = {"MODEL": tmp_path / "model.json", "AUX": tmp_path / "aux.json"}
     for slot, payload in (("MODEL", model), ("AUX", aux)):

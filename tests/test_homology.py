@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 
@@ -203,3 +204,23 @@ def test_s3_classical_homology():
     s3 = group_groupoid(S3_TABLE)
     assert homology_groups(s3, 3) == [Z, FgAbGroup.cyclic(2), ZERO,
                                       FgAbGroup.from_orders([6])]
+
+
+def test_s3_to_degree_4_factors_only_small_remainders():
+    # rank and invariant factors strip the unit pivots first, so the
+    # exact-order engine sees only what no +-1 pivot can reduce; the full
+    # d_5 of S3 is 1296 x 7776
+    from test_models import S3_TABLE
+    from groupoidal import zlinalg
+    shapes = []
+
+    class Recording(zlinalg._Smith):
+        def __init__(self, A, need=()):
+            shapes.append(A.shape)
+            super().__init__(A, need)
+
+    s3 = group_groupoid(S3_TABLE)
+    with mock.patch.object(zlinalg, "_Smith", Recording):
+        got = homology_groups(s3, 4)
+    assert got == [Z, FgAbGroup.cyclic(2), ZERO, FgAbGroup.cyclic(6), ZERO]
+    assert shapes and max(rows for rows, _ in shapes) <= 32, shapes

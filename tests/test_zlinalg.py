@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groupoidal import zlinalg
 from groupoidal.zlinalg import (BadModulus, ChainComplex, CompositionNonzero,
                                 DimensionMismatch, FgAbGroup, IntMatrix,
                                 LinearSystem, coefficients_via_uct,
@@ -423,3 +424,45 @@ def test_chain_complex_checks_every_pair_at_construction(seed, step):
     else:
         with pytest.raises(error):
             ChainComplex(ds, step)
+
+
+def _unimodular(rng, k):
+    """A random permutation of the rows of a unit lower triangular matrix."""
+    rows = [[1 if i == j else rng.randint(-3, 3) if j < i else 0 for j in range(k)]
+            for i in range(k)]
+    rng.shuffle(rows)
+    return IntMatrix(k, k, rows)
+
+
+def _prepass_matrix(kind, rng):
+    m, n = rng.randint(0, 7), rng.randint(0, 7)
+    if kind == "no-units":
+        A = IntMatrix(m, n, [[rng.choice([0, 0, 2, -2, 3, -3, 4, 6]) for _ in range(n)]
+                             for _ in range(m)])
+    elif kind == "sparse":
+        A = IntMatrix(m, n, [[rng.choice([0, 0, 0, 1, -1, 2, -3]) for _ in range(n)]
+                             for _ in range(m)])
+    else:
+        # P * L * D * R * Q with the units of D first: each unit pivot
+        # leaves the next one in its Schur complement, so they cascade
+        diag = sorted((rng.choice([1, 1, -1, 2, 3, 6, 0]) for _ in range(min(m, n))),
+                      key=lambda d: abs(d) != 1)
+        D = IntMatrix.from_entries(m, n, ((i, i, d) for i, d in enumerate(diag)))
+        A = _unimodular(rng, m) * D * _unimodular(rng, n).transpose()
+    # zero some rows and columns
+    dead_rows = {i for i in range(m) if rng.random() < 0.1}
+    dead_cols = {j for j in range(n) if rng.random() < 0.1}
+    return IntMatrix.from_entries(m, n, ((i, j, v) for i, j, v in A.entries()
+                                         if i not in dead_rows and j not in dead_cols))
+
+
+@pytest.mark.parametrize("kind", ["no-units", "sparse", "unimodular-products"])
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_unit_prepass_matches_exact_engine_and_oracles(kind, seed):
+    A = _prepass_matrix(kind, random.Random(seed))
+    facs = invariant_factors(A)
+    assert facs == zlinalg._Smith(A).diagonal()
+    assert rank(A) == len(facs) == rational_rank(A.data)
+    for p in (2, 3, 5):
+        assert sum(1 for f in facs if f % p) == modp_rank(A.data, p)
