@@ -4,11 +4,16 @@ Exit codes: 0 success, 2 for usage/parse/validation problems, 3 when a
 requested verification ran but failed.  All output is pure-integer data;
 JSON is emitted with a fixed key order so identical inputs produce
 byte-identical bytes.
+
+The argument parser is built once per process (`build_parser` is cached)
+and holds no per-call state, so `main` can be called repeatedly in one
+process, as the tests and the benchmark do, without rebuilding it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import re
@@ -104,12 +109,13 @@ def parse_input(path: str):
         fibers = _field(doc, "fibers", path)
         if not isinstance(fibers, list):
             raise ParseError(f"{path}: fibers must be a list of positive integers")
-        psi = []
         for x, size in enumerate(fibers):
             if not isinstance(size, int) or size < 1:
                 raise ParseError(f"{path}: fibers[{x}] must be a positive integer")
-            psi.extend([x] * size)
-        return models.pair_groupoid_from_map(psi)
+        # the sizes are checked before the point list is allocated
+        models.require_pair_cap(fibers)
+        return models.pair_groupoid_from_map(
+            [x for x, size in enumerate(fibers) for _ in range(size)])
     if kind == "action":
         try:
             return models.action_groupoid(
@@ -472,7 +478,13 @@ def cmd_z_action(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and shared by every later call.
+
+    Parsing reads it and never writes it: `parse_args` returns a fresh
+    namespace, and the `minimums` defaults are only read.  Callers must not
+    modify the returned parser."""
     ap = argparse.ArgumentParser(
         prog="groupoidal",
         description="Exact homology/cohomology of finite ample groupoid models")
@@ -543,8 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         # integer options are range-checked before any model is built
         for name, low in args.minimums.items():

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Callable, List
 
 from .groupoids import (FiniteGroupoid, GModule, GroupoidFunctor,
-                        homology_face, nerve, require_valid_functor)
+                        homology_face, nerve, require_nerve_work,
+                        require_valid_functor)
 from .zlinalg import (ChainComplex, ChainHomologyPresentation, FgAbGroup, IntMatrix,
                       induced_on_homology, kernel_basis)
 
@@ -142,18 +143,27 @@ def _rho(homs: BlockSpace, cochains: BlockSpace) -> IntMatrix:
     return relabel_matrix(homs, cochains, string_of.__getitem__)
 
 
+def _complex(G: FiniteGroupoid, M: GModule, degrees: range, space: Callable,
+             coboundary: Callable, cap) -> ChainComplex:
+    """The complex of delta_n for n in `degrees`, with each space of degree
+    degrees.start .. degrees.stop built once and shared by both deltas."""
+    spaces = [space(G, M, n, cap) for n in range(degrees.start, degrees.stop + 1)]
+    return ChainComplex([coboundary(G, M, n, dom, cod) for n, dom, cod
+                         in zip(degrees, spaces, spaces[1:])], 1)
+
+
 def cocycle_cohomology(G: FiniteGroupoid, M: GModule, n_max: int,
                        cap=None) -> List[FgAbGroup]:
     """H^0 .. H^{n_max} of the cocycle complex."""
-    deltas = [cocycle_coboundary_matrix(G, M, n, cap) for n in range(n_max + 1)]
-    return ChainComplex(deltas, 1).groups()
+    require_nerve_work(G, n_max + 1, cap)
+    return _complex(G, M, range(n_max + 1), cochain_space, _cocycle_coboundary, cap).groups()
 
 
 def hom_side_cohomology(G: FiniteGroupoid, M: GModule, n_max: int,
                         cap=None) -> List[FgAbGroup]:
     """H^0 .. H^{n_max} of the equivariant Hom complex."""
-    deltas = [hom_coboundary_matrix(G, M, n, cap) for n in range(n_max + 1)]
-    return ChainComplex(deltas, 1).groups()
+    require_nerve_work(G, n_max + 1, cap)
+    return _complex(G, M, range(n_max + 1), hom_space, _hom_coboundary, cap).groups()
 
 
 @dataclass
@@ -177,6 +187,7 @@ def theta_rho_check(G: FiniteGroupoid, M: GModule, n_max: int,
     """Verify rho*theta = id, theta*rho = id, the chain-map identity
     delta_c o theta = theta o delta, and degreewise agreement of the two
     cohomologies, all as exact matrix statements."""
+    require_nerve_work(G, n_max + 1, cap)
     failures = []
     degrees = range(n_max + 1)
     # each space is built once, for degrees 0 .. n_max + 1
@@ -238,8 +249,9 @@ class InducedCohomologyMap:
 def _cocycle_presentation(G: FiniteGroupoid, M: GModule, n: int,
                           cap=None) -> ChainHomologyPresentation:
     """H^n of the cocycle complex, from delta_{n-1} and delta_n alone."""
-    deltas = [cocycle_coboundary_matrix(G, M, k, cap) for k in range(max(n - 1, 0), n + 1)]
-    return ChainComplex(deltas, 1).presentation(len(deltas) - 1)
+    degrees = range(max(n - 1, 0), n + 1)
+    return _complex(G, M, degrees, cochain_space, _cocycle_coboundary,
+                    cap).presentation(len(degrees) - 1)
 
 
 def induced_cohomology_map(phi: GroupoidFunctor, M: GModule, n: int,

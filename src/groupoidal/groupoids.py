@@ -199,6 +199,28 @@ def nerve(G: FiniteGroupoid, n: int, cap: Optional[int] = None) -> Nerve:
     return nv
 
 
+def require_nerve_work(G: FiniteGroupoid, top: int, cap: Optional[int] = None) -> None:
+    """Raise DegreeTooLarge unless degrees 0..top fit the cap in total.
+
+    An n-string has n + 1 faces of about n entries each, so degree n costs
+    about (n + 1)^2 per string.  The string counts come from the number of
+    n-strings ending at each unit u (whose last arrow starts at u; the
+    0-string (u,) ends at u), updated one degree at a time over the arrows.
+    No string is built, and the count stops once the total passes the cap.
+    """
+    limit = tuple_cap(cap)
+    ends = dict.fromkeys(G.units, 1)
+    total = 0
+    for n in range(top + 1):
+        if n:
+            # h extends the strings ending at rng(h) to strings ending at src(h)
+            ends = {u: sum(ends[G.rng[h]] for h in G.arrows_by_src[u]) for u in G.units}
+        total += sum(ends.values()) * (n + 1) ** 2
+        if total > limit:
+            raise DegreeTooLarge(
+                f"nerve degrees 0..{top} need more than {limit} face entries (the cap)")
+
+
 def homology_face(G: FiniteGroupoid, t: tuple, i: int) -> tuple:
     """Face i of a composable n-string t, 0 <= i <= n, in every degree n >= 1.
 

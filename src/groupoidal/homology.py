@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from .groupoids import (FiniteGroupoid, GroupoidError, GroupoidFunctor,
-                        boundary_matrix_d, nerve, require_valid_functor)
+                        boundary_matrix_d, nerve, require_nerve_work,
+                        require_valid_functor)
 from .limits import ColimitGroup, Tower
 from .models import odometer_system
 from .zlinalg import (ChainComplex, ChainHomologyPresentation, FgAbGroup, IntMatrix,
@@ -28,6 +29,7 @@ class NotAPermutation(GroupoidError):
 def nerve_complex(G: FiniteGroupoid, n_max: int, cap=None, n_min: int = 0) -> ChainComplex:
     """The nerve chain complex d_{n_min} .. d_{n_max+1}, with d_0 the zero
     map out of degree 0; its degree k is the nerve's degree n_min + k."""
+    require_nerve_work(G, n_max + 1, cap)
     return ChainComplex([boundary_matrix_d(G, n, cap) if n else
                          IntMatrix.zeros(0, len(nerve(G, 0, cap)))
                          for n in range(n_min, n_max + 2)], -1)

@@ -8,7 +8,7 @@ every downstream matrix is reproducible bit for bit.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from .groupoids import (FiniteGroupoid, GModule, GroupoidError,
                         GroupoidFunctor, tuple_cap)
@@ -87,6 +87,14 @@ def cyclic_table(k: int) -> List[List[int]]:
     return [[(a + b) % k for b in range(k)] for a in range(k)]
 
 
+def require_pair_cap(fiber_sizes: Iterable[int]) -> None:
+    """Raise GroupoidError when the pair groupoid on fibers of these sizes
+    has more than tuple_cap() composable pairs (k^3 per fiber of size k)."""
+    composable = sum(k ** 3 for k in fiber_sizes)
+    if composable > tuple_cap():
+        raise GroupoidError(f"{composable} composable pairs exceed cap {tuple_cap()}")
+
+
 def pair_groupoid_from_map(psi: Sequence[int]) -> FiniteGroupoid:
     """Equivalence-relation groupoid of a surjection psi: Y -> X.
 
@@ -95,7 +103,7 @@ def pair_groupoid_from_map(psi: Sequence[int]) -> FiniteGroupoid:
     with psi(y1) = psi(y2), ordered lexicographically; (y1,y2)(y2,y3) =
     (y1,y3).  Unit at y is the pair (y, y).  The sum over the fibers of
     k_x^3 composable pairs is checked against tuple_cap() before anything
-    is built.
+    is built (`require_pair_cap`).
     """
     yy = len(psi)
     if yy == 0:
@@ -106,9 +114,7 @@ def pair_groupoid_from_map(psi: Sequence[int]) -> FiniteGroupoid:
     fibers = [[] for _ in values]
     for y, x in enumerate(psi):
         fibers[x].append(y)
-    composable = sum(len(f) ** 3 for f in fibers)
-    if composable > tuple_cap():
-        raise GroupoidError(f"{composable} composable pairs exceed cap {tuple_cap()}")
+    require_pair_cap(map(len, fibers))
     pairs = [(y1, y2) for y1 in range(yy) for y2 in fibers[psi[y1]]]
     index = {p: i for i, p in enumerate(pairs)}
     units = [index[(y, y)] for y in range(yy)]

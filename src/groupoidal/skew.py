@@ -24,7 +24,7 @@ from typing import Dict, List, Optional
 from .cohomology import (hom_coboundary_matrix, hom_space, pullback_module,
                          relabel_matrix)
 from .groupoids import (FiniteGroupoid, GModule, GroupoidError,
-                        GroupoidFunctor, tuple_cap)
+                        GroupoidFunctor, require_nerve_work, tuple_cap)
 from .homology import chain_pushforward, nerve_complex
 from .models import constant_module
 from .zlinalg import (ChainComplex, FgAbGroup, IntMatrix, LinearSystem,
@@ -331,6 +331,7 @@ def les_verify(G: FiniteGroupoid, c: ZCocycle, K: int, guard: int, n_max: int,
             "nontrivial cocycles" if nonzero else
             "zero cocycle: the window splits into level copies")
     A, B = inner.groupoid, outer.groupoid
+    require_nerve_work(B, n_max + 1, cap)  # the outer window has the most strings
     degrees = range(n_max + 1)
     if mode == "homology":
         f = [chain_pushforward(incl, n, cap) - chain_pushforward(shift, n, cap)

@@ -179,6 +179,24 @@ def test_bad_flag_exits_2(files):
     assert e.value.code == 2
 
 
+def test_main_reuses_one_parser_without_carrying_state(capsys, monkeypatch):
+    # a usage error and a range error leave nothing behind for the next call
+    with pytest.raises(SystemExit) as e:
+        cli.main(["homology"])
+    assert e.value.code == 2
+    assert cli.main(["homology", "x.json", "--max-degree", "-1"]) == cli.USAGE_ERROR
+    golden = os.path.join(os.path.dirname(__file__), "golden")
+    monkeypatch.chdir(golden)
+    with open("homology-s3.json", "rb") as fh:
+        expected = fh.read()
+    capsys.readouterr()
+    for _ in range(2):
+        assert cli.main(["homology", "inputs/s3.json", "--max-degree", "3",
+                         "--format", "json"]) == 0
+        assert capsys.readouterr().out.encode() == expected
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_cap_env_override(files, capsys, monkeypatch):
     monkeypatch.setenv("GROUPOIDAL_CAP", "2")
     code = cli.main(["homology", files["pair3"], "--max-degree", "2"])
@@ -298,6 +316,17 @@ _QUERIES = ["dimension-group", "MODEL", "--queries", "AUX"]
     (_QUERIES, {"kind": "bratteli", "stationary": True, "matrices": [[[1, 1], [1, 0]]]},
      [{"op": "divisible", "stage": 3, "vector": [1, 0], "q": 2, "bound": 1}]),
     (["homology", "MODEL"], {"kind": "pair", "fibers": [3000]}, None),
+    # refused before the point list is allocated; at this size a list would
+    # not fit in memory, so allocating first fails fast instead of paging
+    (["homology", "MODEL"], {"kind": "pair", "fibers": [10 ** 12]}, None),
+    (["homology", "MODEL", "--max-degree", "100000"], {"kind": "pair", "fibers": [1]},
+     None),
+    (["cohomology", "MODEL", "--max-degree", "100000"], {"kind": "pair", "fibers": [1]},
+     None),
+    (["verify-theta", "MODEL", "--max-degree", "100000"], {"kind": "pair", "fibers": [1]},
+     None),
+    (["skew-les", "MODEL", "--window", "2", "--guard", "1", "--max-degree", "100000"],
+     {"kind": "pair", "fibers": [1]}, None),
 ], ids=["max-degree", "cohomology-max-degree", "coefficients", "odometer-p",
         "odometer-depth", "count", "af-levels", "dimension-levels", "pair-fibers",
         "unit-range", "src-not-unit", "module-fiber-type", "module-action-entry",
@@ -305,7 +334,9 @@ _QUERIES = ["dimension-group", "MODEL", "--queries", "AUX"]
         "query-no-q", "query-stage-type", "query-q-zero", "query-stage-beyond", "query-stage-negative",
         "bratteli-p-type", "bratteli-counts-int", "bratteli-counts-strings",
         "stationary-no-matrix", "cayley-string", "perms-int", "levels-infinity",
-        "levels-over-cap", "query-divisible-stage-over-bound", "pair-fibers-over-cap"])
+        "levels-over-cap", "query-divisible-stage-over-bound", "pair-fibers-over-cap",
+        "pair-fiber-huge", "homology-total-work", "cohomology-total-work",
+        "verify-theta-total-work", "skew-les-total-work"])
 def test_known_bad_inputs_exit_2_with_one_error_line(argv, model, aux, tmp_path, capsys):
     files = {"MODEL": tmp_path / "model.json", "AUX": tmp_path / "aux.json"}
     for slot, payload in (("MODEL", model), ("AUX", aux)):

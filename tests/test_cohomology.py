@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from groupoidal import cohomology
 from groupoidal.cohomology import (cochain_pullback_matrix,
                                    cocycle_coboundary_matrix,
                                    cocycle_cohomology, hom_coboundary_matrix,
@@ -21,6 +22,20 @@ from oracles import (betti_over_field_cochain, complex_betti, group_cochain_delt
 
 Z = FgAbGroup.free(1)
 ZERO = FgAbGroup.trivial()
+
+
+def test_cohomology_builds_each_block_space_once(monkeypatch):
+    # degrees 0..3 need the spaces of degrees 0..4: five of each kind
+    calls = {"cochain_space": 0, "hom_space": 0}
+    for name in calls:
+        def counted(*args, _build=getattr(cohomology, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _build(*args, **kwargs)
+        monkeypatch.setattr(cohomology, name, counted)
+    z3 = group_groupoid(cyclic_table(3))
+    M = constant_module(z3, 1)
+    assert cocycle_cohomology(z3, M, 3) == hom_side_cohomology(z3, M, 3)
+    assert calls == {"cochain_space": 5, "hom_space": 5}
 
 
 def test_delta0_trivial_module_on_group_is_zero():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from groupoidal.groupoids import (DegreeTooLarge, FiniteGroupoid, GModule,
                                   bar_boundary_matrix_b, boundary_matrix_d,
-                                  coinvariants_collapse, nerve,
+                                  coinvariants_collapse, nerve, require_nerve_work,
                                   validate_groupoid, validate_module)
 from groupoidal.models import (action_groupoid, constant_module, cyclic_table,
                                disjoint_union, full_pair_groupoid,
@@ -76,6 +76,24 @@ def test_nerve_cap():
     p3 = full_pair_groupoid(3)
     with pytest.raises(DegreeTooLarge):
         nerve(FiniteGroupoid(p3.src, p3.rng, p3.comp, p3.inv, p3.units), 4, cap=10)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_nerve_work_estimate_matches_the_enumerated_nerves(seed):
+    # the estimate counts strings without building them; the cap it is
+    # checked against is the exact total of count(n) * (n + 1)^2
+    G = random_groupoid(random.Random(seed))
+    top = 3
+    total = sum(len(nerve(G, n)) * (n + 1) ** 2 for n in range(top + 1))
+    require_nerve_work(G, top, cap=total)
+    with pytest.raises(DegreeTooLarge):
+        require_nerve_work(G, top, cap=total - 1)
+
+
+def test_nerve_work_refuses_a_huge_degree_at_once():
+    # one string per degree, but face work grows like n^2 per string
+    with pytest.raises(DegreeTooLarge):
+        require_nerve_work(space_groupoid(1), 10 ** 9)
 
 
 def test_boundary_d1_group_is_zero():
