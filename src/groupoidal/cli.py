@@ -24,8 +24,8 @@ from . import cohomology as coh
 from . import homology as hom
 from . import limits as lim
 from . import models, skew
-from .groupoids import (FiniteGroupoid, GModule, GroupoidError,
-                        validate_groupoid, validate_module)
+from .groupoids import (FiniteGroupoid, GModule, GroupoidError, require_nerve_work,
+                        tuple_cap, validate_groupoid, validate_module)
 from .zlinalg import FgAbGroup, IntMatrix, LinAlgError
 
 
@@ -193,7 +193,10 @@ def _parse_bratteli(doc: dict, path: str):
         raise ValidationError(f"{path}: {e}")
 
 
-def parse_module(path: str, G: FiniteGroupoid) -> GModule:
+def parse_module(path: str, G: FiniteGroupoid, top: int) -> GModule:
+    """Parse a module file over G for a command that builds nerve degrees
+    0..top; the work its fiber ranks add is checked before any action is
+    built."""
     doc = _load_json(path)
     fibers_doc = _object(doc, "fibers", path)
     fibers = {}
@@ -202,6 +205,7 @@ def parse_module(path: str, G: FiniteGroupoid) -> GModule:
         if key not in fibers_doc:
             raise ParseError(f"{path}: missing fiber rank for unit {u}")
         fibers[u] = _int(fibers_doc[key], f"fibers[{key}]", path)
+    require_nerve_work(G, top, fibers)
     action_doc = _object(doc, "action", path) if "action" in doc else {}
     action = {}
     for g in range(G.n_arrows):
@@ -285,7 +289,8 @@ def cmd_homology(args) -> int:
 
 def cmd_cohomology(args) -> int:
     G = _require_groupoid(parse_input(args.input), args.input)
-    M = parse_module(args.module, G) if args.module else models.constant_module(G, 1)
+    M = (parse_module(args.module, G, args.max_degree + 1) if args.module
+         else models.constant_module(G, 1))
     groups = coh.cocycle_cohomology(G, M, args.max_degree)
     payload = {"command": "cohomology", "input": args.input,
                "module": args.module or "constant rank 1",
@@ -298,7 +303,8 @@ def cmd_verify_theta(args) -> int:
     instances = []
     if args.input:
         G = _require_groupoid(parse_input(args.input), args.input)
-        M = parse_module(args.module, G) if args.module else models.constant_module(G, 1)
+        M = (parse_module(args.module, G, args.max_degree + 1) if args.module
+             else models.constant_module(G, 1))
         instances.append((args.input, G, M))
     else:
         rng = random.Random(args.seed)
@@ -331,7 +337,7 @@ def cmd_skew_les(args) -> int:
         c = skew.ZCocycle.zero(G)
     else:
         c = parse_cocycle(args.cocycle, G)
-    M = parse_module(args.module, G) if args.module else None
+    M = parse_module(args.module, G, args.max_degree + 1) if args.module else None
     report = skew.les_verify(G, c, args.window, args.guard, args.max_degree,
                              mode=args.mode, M=M)
     payload = {
@@ -557,6 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        tuple_cap()  # a malformed cap is refused before any work
         # integer options are range-checked before any model is built
         for name, low in args.minimums.items():
             value = getattr(args, name)

@@ -24,12 +24,15 @@ from .zlinalg import (ChainComplex, ChainHomologyPresentation, FgAbGroup, IntMat
 class BlockSpace:
     """Free fibers laid end to end in one coordinate space: one block of
     rank ranks[k] per key, in the order of `keys`.  `key_of` maps an
-    n-string to the key of the block that holds its value."""
+    n-string to the key of the block that holds its value, and `string_of`
+    maps a key back to its n-string."""
 
-    def __init__(self, keys: List[tuple], ranks: List[int], key_of: Callable):
+    def __init__(self, keys: List[tuple], ranks: List[int], key_of: Callable,
+                 string_of: Callable):
         self.keys = keys
         self.ranks = ranks
         self.key_of = key_of
+        self.string_of = string_of
         self.offset = {}
         total = 0
         for k, r in zip(keys, ranks):
@@ -38,22 +41,25 @@ class BlockSpace:
         self.total = total
 
 
-def cochain_space(G: FiniteGroupoid, M: GModule, n: int, cap=None) -> BlockSpace:
+def cochain_space(G: FiniteGroupoid, M: GModule, n: int) -> BlockSpace:
     """Degree-n cocycle cochains: one copy per n-string of the fiber at the
     range of its first arrow (per unit in degree 0); each string is its own
     key."""
-    keys = list(nerve(G, n, cap).tuples)
-    return BlockSpace(keys, [M.rank_at(G.rng[t[0]]) for t in keys], lambda t: t)
+    keys = list(nerve(G, n).tuples)
+    return BlockSpace(keys, [M.rank_at(G.rng[t[0]]) for t in keys], lambda t: t, lambda t: t)
 
 
-def hom_space(G: FiniteGroupoid, M: GModule, n: int, cap=None) -> BlockSpace:
+def hom_space(G: FiniteGroupoid, M: GModule, n: int) -> BlockSpace:
     """Equivariant homs out of the degree-(n+1) bar term, coordinatized by
     orbit representatives: an n-string t is keyed by (r(g_0),) + t, whose
     first entry is a unit, and in degree 0 a unit by itself."""
     def key_of(t):
         return t if n == 0 else (G.rng[t[0]],) + t
-    keys = sorted(map(key_of, nerve(G, n, cap).tuples))
-    return BlockSpace(keys, [M.rank_at(k[0]) for k in keys], key_of)
+
+    def string_of(k):
+        return k if n == 0 else k[1:]
+    keys = sorted(map(key_of, nerve(G, n).tuples))
+    return BlockSpace(keys, [M.rank_at(k[0]) for k in keys], key_of, string_of)
 
 
 def relabel_matrix(cod: BlockSpace, dom: BlockSpace, key_map: Callable) -> IntMatrix:
@@ -75,8 +81,7 @@ def _identity(row_off: int, col_off: int, size: int, sign: int):
     return ((row_off + i, col_off + i, sign) for i in range(size))
 
 
-def cocycle_coboundary_matrix(G: FiniteGroupoid, M: GModule, n: int,
-                              cap=None) -> IntMatrix:
+def cocycle_coboundary_matrix(G: FiniteGroupoid, M: GModule, n: int) -> IntMatrix:
     """Matrix of the degree-n cocycle differential.
 
     Row block at an (n+1)-string t = (g_0,...,g_n): the action of g_0
@@ -84,36 +89,24 @@ def cocycle_coboundary_matrix(G: FiniteGroupoid, M: GModule, n: int,
     face i for i = 1..n+1 (`homology_face`).  So degree 0 sends a section
     m to g_0.m(s(g_0)) - m(r(g_0)).
     """
-    return _cocycle_coboundary(G, M, n, cochain_space(G, M, n, cap),
-                               cochain_space(G, M, n + 1, cap))
+    return _coboundary(G, M, n, cochain_space(G, M, n), cochain_space(G, M, n + 1))
 
 
-def _cocycle_coboundary(G: FiniteGroupoid, M: GModule, n: int,
-                        dom: BlockSpace, cod: BlockSpace) -> IntMatrix:
-    entries = []
-    for t, rank in zip(cod.keys, cod.ranks):
-        row = cod.offset[t]
-        entries.extend(_block(row, dom.offset[homology_face(G, t, 0)], M.act(t[0])))
-        for i in range(1, n + 2):
-            entries.extend(_identity(row, dom.offset[homology_face(G, t, i)],
-                                     rank, -1 if i % 2 else 1))
-    return IntMatrix.from_entries(cod.total, dom.total, entries)
-
-
-def hom_coboundary_matrix(G: FiniteGroupoid, M: GModule, n: int,
-                          cap=None) -> IntMatrix:
+def hom_coboundary_matrix(G: FiniteGroupoid, M: GModule, n: int) -> IntMatrix:
     """Degree-n differential of the Hom complex: precompose with the next
     bar boundary, rewriting each face through its orbit representative,
     which twists the face that absorbs the leading unit by the action."""
-    return _hom_coboundary(G, M, n, hom_space(G, M, n, cap), hom_space(G, M, n + 1, cap))
+    return _coboundary(G, M, n, hom_space(G, M, n), hom_space(G, M, n + 1))
 
 
-def _hom_coboundary(G: FiniteGroupoid, M: GModule, n: int,
-                    dom: BlockSpace, cod: BlockSpace) -> IntMatrix:
+def _coboundary(G: FiniteGroupoid, M: GModule, n: int,
+                dom: BlockSpace, cod: BlockSpace) -> IntMatrix:
+    """delta_n between two spaces of one model, each face of an
+    (n+1)-string found through dom's key of it."""
     entries = []
-    for rep, rank in zip(cod.keys, cod.ranks):
-        row = cod.offset[rep]
-        t = rep[1:]  # (g_0, ..., g_n)
+    for key, rank in zip(cod.keys, cod.ranks):
+        row = cod.offset[key]
+        t = cod.string_of(key)  # (g_0, ..., g_n)
         entries.extend(_block(row, dom.offset[dom.key_of(homology_face(G, t, 0))],
                               M.act(t[0])))
         for i in range(1, n + 2):
@@ -122,48 +115,45 @@ def _hom_coboundary(G: FiniteGroupoid, M: GModule, n: int,
     return IntMatrix.from_entries(cod.total, dom.total, entries)
 
 
-def theta_matrix(G: FiniteGroupoid, M: GModule, n: int, cap=None) -> IntMatrix:
+def theta_matrix(G: FiniteGroupoid, M: GModule, n: int) -> IntMatrix:
     """Evaluation of an equivariant hom at the unit-first representative of
     each n-string: a basis relabeling from the Hom model to the cocycle
     model (the representative's leading unit acts trivially)."""
-    return _theta(cochain_space(G, M, n, cap), hom_space(G, M, n, cap))
+    return _theta(cochain_space(G, M, n), hom_space(G, M, n))
 
 
 def _theta(cochains: BlockSpace, homs: BlockSpace) -> IntMatrix:
     return relabel_matrix(cochains, homs, homs.key_of)
 
 
-def rho_matrix(G: FiniteGroupoid, M: GModule, n: int, cap=None) -> IntMatrix:
+def rho_matrix(G: FiniteGroupoid, M: GModule, n: int) -> IntMatrix:
     """Inverse relabeling, reading a cochain as values on representatives."""
-    return _rho(hom_space(G, M, n, cap), cochain_space(G, M, n, cap))
+    return _rho(hom_space(G, M, n), cochain_space(G, M, n))
 
 
 def _rho(homs: BlockSpace, cochains: BlockSpace) -> IntMatrix:
-    string_of = {homs.key_of(t): t for t in cochains.keys}
-    return relabel_matrix(homs, cochains, string_of.__getitem__)
+    return relabel_matrix(homs, cochains, homs.string_of)
 
 
-def _complex(G: FiniteGroupoid, M: GModule, degrees: range, space: Callable,
-             coboundary: Callable, cap) -> ChainComplex:
-    """The complex of delta_n for n in `degrees`, with each space of degree
-    degrees.start .. degrees.stop built once and shared by both deltas."""
-    spaces = [space(G, M, n, cap) for n in range(degrees.start, degrees.stop + 1)]
-    return ChainComplex([coboundary(G, M, n, dom, cod) for n, dom, cod
-                         in zip(degrees, spaces, spaces[1:])], 1)
+def cochain_complex(G: FiniteGroupoid, M: GModule, spaces: List[BlockSpace],
+                    first: int = 0) -> ChainComplex:
+    """The complex of delta_first, delta_first+1, ... between consecutive
+    `spaces` (of degrees first, first + 1, ..., all of one model), so each
+    space is built once and shared by the deltas into and out of it."""
+    return ChainComplex([_coboundary(G, M, n, dom, cod) for n, (dom, cod)
+                         in enumerate(zip(spaces, spaces[1:]), first)], 1)
 
 
-def cocycle_cohomology(G: FiniteGroupoid, M: GModule, n_max: int,
-                       cap=None) -> List[FgAbGroup]:
+def cocycle_cohomology(G: FiniteGroupoid, M: GModule, n_max: int) -> List[FgAbGroup]:
     """H^0 .. H^{n_max} of the cocycle complex."""
-    require_nerve_work(G, n_max + 1, cap)
-    return _complex(G, M, range(n_max + 1), cochain_space, _cocycle_coboundary, cap).groups()
+    require_nerve_work(G, n_max + 1, M.fiber_rank)
+    return cochain_complex(G, M, [cochain_space(G, M, n) for n in range(n_max + 2)]).groups()
 
 
-def hom_side_cohomology(G: FiniteGroupoid, M: GModule, n_max: int,
-                        cap=None) -> List[FgAbGroup]:
+def hom_side_cohomology(G: FiniteGroupoid, M: GModule, n_max: int) -> List[FgAbGroup]:
     """H^0 .. H^{n_max} of the equivariant Hom complex."""
-    require_nerve_work(G, n_max + 1, cap)
-    return _complex(G, M, range(n_max + 1), hom_space, _hom_coboundary, cap).groups()
+    require_nerve_work(G, n_max + 1, M.fiber_rank)
+    return cochain_complex(G, M, [hom_space(G, M, n) for n in range(n_max + 2)]).groups()
 
 
 @dataclass
@@ -182,31 +172,28 @@ class ThetaRhoReport:
         return f"failures: {self.failures}"
 
 
-def theta_rho_check(G: FiniteGroupoid, M: GModule, n_max: int,
-                    cap=None) -> ThetaRhoReport:
+def theta_rho_check(G: FiniteGroupoid, M: GModule, n_max: int) -> ThetaRhoReport:
     """Verify rho*theta = id, theta*rho = id, the chain-map identity
     delta_c o theta = theta o delta, and degreewise agreement of the two
     cohomologies, all as exact matrix statements."""
-    require_nerve_work(G, n_max + 1, cap)
+    require_nerve_work(G, n_max + 1, M.fiber_rank)
     failures = []
     degrees = range(n_max + 1)
     # each space is built once, for degrees 0 .. n_max + 1
-    cs = [cochain_space(G, M, n, cap) for n in range(n_max + 2)]
-    hs = [hom_space(G, M, n, cap) for n in range(n_max + 2)]
+    cs = [cochain_space(G, M, n) for n in range(n_max + 2)]
+    hs = [hom_space(G, M, n) for n in range(n_max + 2)]
     thetas = [_theta(c, h) for c, h in zip(cs, hs)]
     rhos = [_rho(hs[n], cs[n]) for n in degrees]
-    c_deltas = [_cocycle_coboundary(G, M, n, cs[n], cs[n + 1]) for n in degrees]
-    h_deltas = [_hom_coboundary(G, M, n, hs[n], hs[n + 1]) for n in degrees]
+    cc, hc = cochain_complex(G, M, cs), cochain_complex(G, M, hs)
     for n in degrees:
         # theta_n maps the Hom model (columns) to the cocycle model (rows)
         if rhos[n] * thetas[n] != IntMatrix.identity(thetas[n].cols):
             failures.append((n, "rho*theta != id"))
         if thetas[n] * rhos[n] != IntMatrix.identity(thetas[n].rows):
             failures.append((n, "theta*rho != id"))
-        if c_deltas[n] * thetas[n] != thetas[n + 1] * h_deltas[n]:
+        if cc.d_out(n) * thetas[n] != thetas[n + 1] * hc.d_out(n):
             failures.append((n, "delta_c o theta != theta o delta"))
-    cg = ChainComplex(c_deltas, 1).groups()
-    hg = ChainComplex(h_deltas, 1).groups()
+    cg, hg = cc.groups(), hc.groups()
     for n, (a, b) in enumerate(zip(cg, hg)):
         if a != b:
             failures.append((n, f"cohomology mismatch {a} vs {b}"))
@@ -226,12 +213,11 @@ def pullback_module(phi: GroupoidFunctor, M: GModule) -> GModule:
     return GModule(G1, fibers, action)
 
 
-def cochain_pullback_matrix(phi: GroupoidFunctor, M: GModule, n: int,
-                            cap=None) -> IntMatrix:
+def cochain_pullback_matrix(phi: GroupoidFunctor, M: GModule, n: int) -> IntMatrix:
     """Precomposition with the tuple map, fiberwise the identity; maps
     target cochains to source cochains with pullback coefficients."""
-    cod = cochain_space(phi.source, pullback_module(phi, M), n, cap)
-    return relabel_matrix(cod, cochain_space(phi.target, M, n, cap), phi.map_tuple)
+    cod = cochain_space(phi.source, pullback_module(phi, M), n)
+    return relabel_matrix(cod, cochain_space(phi.target, M, n), phi.map_tuple)
 
 
 @dataclass
@@ -246,20 +232,18 @@ class InducedCohomologyMap:
         return kernel_basis(self.chain_matrix).cols == 0
 
 
-def _cocycle_presentation(G: FiniteGroupoid, M: GModule, n: int,
-                          cap=None) -> ChainHomologyPresentation:
+def _cocycle_presentation(G: FiniteGroupoid, M: GModule, n: int) -> ChainHomologyPresentation:
     """H^n of the cocycle complex, from delta_{n-1} and delta_n alone."""
-    degrees = range(max(n - 1, 0), n + 1)
-    return _complex(G, M, degrees, cochain_space, _cocycle_coboundary,
-                    cap).presentation(len(degrees) - 1)
+    first = max(n - 1, 0)
+    spaces = [cochain_space(G, M, k) for k in range(first, n + 2)]
+    return cochain_complex(G, M, spaces, first).presentation(n - first)
 
 
-def induced_cohomology_map(phi: GroupoidFunctor, M: GModule, n: int,
-                           cap=None) -> InducedCohomologyMap:
+def induced_cohomology_map(phi: GroupoidFunctor, M: GModule, n: int) -> InducedCohomologyMap:
     """Contravariant induced map on degree-n cohomology presentations."""
     require_valid_functor(phi)
-    chain = cochain_pullback_matrix(phi, M, n, cap)
-    src = _cocycle_presentation(phi.target, M, n, cap)
-    dst = _cocycle_presentation(phi.source, pullback_module(phi, M), n, cap)
+    chain = cochain_pullback_matrix(phi, M, n)
+    src = _cocycle_presentation(phi.target, M, n)
+    dst = _cocycle_presentation(phi.source, pullback_module(phi, M), n)
     return InducedCohomologyMap(n, chain, src, dst,
                                 induced_on_homology(chain, src, dst))

@@ -31,11 +31,17 @@ class InvalidFunctor(GroupoidError):
     pass
 
 
-def tuple_cap(cap: Optional[int] = None) -> int:
-    if cap is not None:
-        return cap
+def tuple_cap() -> int:
+    """The work cap: GROUPOIDAL_CAP if set, else DEFAULT_CAP.  Every size
+    check reads it here; a value that is not a positive integer is refused."""
     env = os.environ.get("GROUPOIDAL_CAP")
-    return int(env) if env else DEFAULT_CAP
+    try:
+        cap = int(env) if env else DEFAULT_CAP
+    except ValueError:  # not an integer, or too many digits to convert
+        cap = 0
+    if cap < 1:
+        raise GroupoidError(f"GROUPOIDAL_CAP must be a positive integer, got {env!r}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -165,10 +171,10 @@ class Nerve:
         return len(self.tuples)
 
 
-def nerve(G: FiniteGroupoid, n: int, cap: Optional[int] = None) -> Nerve:
+def nerve(G: FiniteGroupoid, n: int) -> Nerve:
     if n < 0:
         raise ValueError("nerve degree must be >= 0")
-    limit = tuple_cap(cap)
+    limit = tuple_cap()
     if n in G._nerves:
         cached = G._nerves[n]
         if len(cached) > limit:
@@ -179,7 +185,7 @@ def nerve(G: FiniteGroupoid, n: int, cap: Optional[int] = None) -> Nerve:
     elif n == 1:
         tuples = tuple((g,) for g in range(G.n_arrows))
     else:
-        prev = nerve(G, n - 1, cap).tuples
+        prev = nerve(G, n - 1).tuples
         out = []
         count = 0
         for t in prev:
@@ -199,26 +205,31 @@ def nerve(G: FiniteGroupoid, n: int, cap: Optional[int] = None) -> Nerve:
     return nv
 
 
-def require_nerve_work(G: FiniteGroupoid, top: int, cap: Optional[int] = None) -> None:
+def require_nerve_work(G: FiniteGroupoid, top: int, ranks: Optional[Dict[int, int]] = None,
+                       copies: int = 1) -> None:
     """Raise DegreeTooLarge unless degrees 0..top fit the cap in total.
 
     An n-string has n + 1 faces of about n entries each, so degree n costs
-    about (n + 1)^2 per string.  The string counts come from the number of
-    n-strings ending at each unit u (whose last arrow starts at u; the
-    0-string (u,) ends at u), updated one degree at a time over the arrows.
-    No string is built, and the count stops once the total passes the cap.
+    about (n + 1)^2 per string, plus with module `ranks` the rank of its
+    cochain block, at the range of its first arrow.  The string counts come
+    from the number of n-strings ending at each unit u (whose last arrow
+    starts at u; the 0-string (u,) ends at u), updated one degree at a time
+    over the arrows; reversing a string shows as many start at u.  Each
+    string counts `copies` times.  No string is built, and the count stops
+    once the total passes the cap.
     """
-    limit = tuple_cap(cap)
+    limit = tuple_cap()
     ends = dict.fromkeys(G.units, 1)
     total = 0
     for n in range(top + 1):
         if n:
             # h extends the strings ending at rng(h) to strings ending at src(h)
             ends = {u: sum(ends[G.rng[h]] for h in G.arrows_by_src[u]) for u in G.units}
-        total += sum(ends.values()) * (n + 1) ** 2
+        total += copies * sum(k * ((n + 1) ** 2 + (ranks[u] if ranks else 0))
+                              for u, k in ends.items())
         if total > limit:
             raise DegreeTooLarge(
-                f"nerve degrees 0..{top} need more than {limit} face entries (the cap)")
+                f"nerve degrees 0..{top} need more than {limit} entries of work (the cap)")
 
 
 def homology_face(G: FiniteGroupoid, t: tuple, i: int) -> tuple:
@@ -238,14 +249,14 @@ def homology_face(G: FiniteGroupoid, t: tuple, i: int) -> tuple:
     return t[:i - 1] + (G.comp[(t[i - 1], t[i])],) + t[i + 1:]
 
 
-def boundary_matrix_d(G: FiniteGroupoid, n: int, cap: Optional[int] = None) -> IntMatrix:
+def boundary_matrix_d(G: FiniteGroupoid, n: int) -> IntMatrix:
     """Matrix of d_n from degree-n chains to degree-(n-1) chains: the
     alternating sum of pushforwards along the faces, so d_1 is pushforward
     along the source minus pushforward along the range."""
     if n < 1:
         raise ValueError("boundary degree must be >= 1")
-    nv_to = nerve(G, n - 1, cap)
-    nv_from = nerve(G, n, cap)
+    nv_to = nerve(G, n - 1)
+    nv_from = nerve(G, n)
     index = nv_to.index
     return IntMatrix.from_entries(
         len(nv_to), len(nv_from),
@@ -253,7 +264,7 @@ def boundary_matrix_d(G: FiniteGroupoid, n: int, cap: Optional[int] = None) -> I
          for j, t in enumerate(nv_from.tuples) for i in range(n + 1)))
 
 
-def bar_boundary_matrix_b(G: FiniteGroupoid, n: int, cap: Optional[int] = None) -> IntMatrix:
+def bar_boundary_matrix_b(G: FiniteGroupoid, n: int) -> IntMatrix:
     """Matrix of b_n from degree-(n+1) strings to degree-n strings.
 
     b_n is the alternating sum of faces 1..n+1 of the (n+1)-string, which
@@ -265,8 +276,8 @@ def bar_boundary_matrix_b(G: FiniteGroupoid, n: int, cap: Optional[int] = None) 
     """
     if n < 0:
         raise ValueError("bar degree must be >= 0")
-    nv_from = nerve(G, n + 1, cap)
-    nv_to = nerve(G, n, cap)
+    nv_from = nerve(G, n + 1)
+    nv_to = nerve(G, n)
     index = nv_to.index
     return IntMatrix.from_entries(
         len(nv_to), len(nv_from),
@@ -274,7 +285,7 @@ def bar_boundary_matrix_b(G: FiniteGroupoid, n: int, cap: Optional[int] = None) 
          for j, t in enumerate(nv_from.tuples) for i in range(1, n + 2)))
 
 
-def coinvariants_collapse(G: FiniteGroupoid, n: int, cap: Optional[int] = None) -> IntMatrix:
+def coinvariants_collapse(G: FiniteGroupoid, n: int) -> IntMatrix:
     """Matrix of the coinvariants identification of (n+1)-strings with n-strings.
 
     Sends a string to its face 0: its tail, or for a single arrow its
@@ -283,8 +294,8 @@ def coinvariants_collapse(G: FiniteGroupoid, n: int, cap: Optional[int] = None) 
     """
     if n < 0:
         raise ValueError("collapse degree must be >= 0")
-    nv_from = nerve(G, n + 1, cap)
-    nv_to = nerve(G, n, cap)
+    nv_from = nerve(G, n + 1)
+    nv_to = nerve(G, n)
     index = nv_to.index
     return IntMatrix.from_entries(
         len(nv_to), len(nv_from),

@@ -26,24 +26,23 @@ class NotAPermutation(GroupoidError):
     pass
 
 
-def nerve_complex(G: FiniteGroupoid, n_max: int, cap=None, n_min: int = 0) -> ChainComplex:
+def nerve_complex(G: FiniteGroupoid, n_max: int, n_min: int = 0) -> ChainComplex:
     """The nerve chain complex d_{n_min} .. d_{n_max+1}, with d_0 the zero
     map out of degree 0; its degree k is the nerve's degree n_min + k."""
-    require_nerve_work(G, n_max + 1, cap)
-    return ChainComplex([boundary_matrix_d(G, n, cap) if n else
-                         IntMatrix.zeros(0, len(nerve(G, 0, cap)))
+    require_nerve_work(G, n_max + 1)
+    return ChainComplex([boundary_matrix_d(G, n) if n else
+                         IntMatrix.zeros(0, len(nerve(G, 0)))
                          for n in range(n_min, n_max + 2)], -1)
 
 
 def homology_groups(G: FiniteGroupoid, n_max: int,
-                    coefficients: Optional[int] = None,
-                    cap: Optional[int] = None) -> List[FgAbGroup]:
+                    coefficients: Optional[int] = None) -> List[FgAbGroup]:
     """H_0 .. H_{n_max}, integrally or with Z/m coefficients.
 
     Z/m coefficients are derived from the integral groups by universal
     coefficients, so a single integer normal-form engine serves any m >= 2.
     """
-    integral = nerve_complex(G, n_max, cap).groups()
+    integral = nerve_complex(G, n_max).groups()
     if coefficients is None:
         return integral
     out = []
@@ -54,10 +53,10 @@ def homology_groups(G: FiniteGroupoid, n_max: int,
     return out
 
 
-def chain_pushforward(phi: GroupoidFunctor, n: int, cap: Optional[int] = None) -> IntMatrix:
+def chain_pushforward(phi: GroupoidFunctor, n: int) -> IntMatrix:
     """Matrix of the degree-n chain map summing over tuple preimages."""
-    nv1 = nerve(phi.source, n, cap)
-    nv2 = nerve(phi.target, n, cap)
+    nv1 = nerve(phi.source, n)
+    nv2 = nerve(phi.target, n)
     return IntMatrix.from_entries(len(nv2), len(nv1),
                                   ((nv2.index[phi.map_tuple(t)], j, 1)
                                    for j, t in enumerate(nv1.tuples)))
@@ -82,17 +81,15 @@ class InducedMap:
         return self.target.group
 
 
-def homology_presentation_of(G: FiniteGroupoid, n: int,
-                             cap: Optional[int] = None) -> ChainHomologyPresentation:
-    return nerve_complex(G, n, cap, n_min=n).presentation(0)
+def homology_presentation_of(G: FiniteGroupoid, n: int) -> ChainHomologyPresentation:
+    return nerve_complex(G, n, n_min=n).presentation(0)
 
 
-def induced_homology_map(phi: GroupoidFunctor, n: int,
-                         cap: Optional[int] = None) -> InducedMap:
+def induced_homology_map(phi: GroupoidFunctor, n: int) -> InducedMap:
     require_valid_functor(phi)
-    chain = chain_pushforward(phi, n, cap)
-    src = homology_presentation_of(phi.source, n, cap)
-    dst = homology_presentation_of(phi.target, n, cap)
+    chain = chain_pushforward(phi, n)
+    src = homology_presentation_of(phi.source, n)
+    dst = homology_presentation_of(phi.target, n)
     return InducedMap(n, chain, src, dst, induced_on_homology(chain, src, dst))
 
 
@@ -147,7 +144,7 @@ class OdometerReport:
     stabilized_h1: FgAbGroup
 
 
-def odometer_homology(p: int, depth_max: int, cap: Optional[int] = None) -> OdometerReport:
+def odometer_homology(p: int, depth_max: int) -> OdometerReport:
     """Per-depth two-term homology of the p-odometer with the connecting
     maps induced by cylinder refinement, computed on presentations.
 
@@ -156,7 +153,7 @@ def odometer_homology(p: int, depth_max: int, cap: Optional[int] = None) -> Odom
     group colimit (Z, x p).  The kernels carry identity connecting maps,
     so the stabilized degree-1 group is Z.
     """
-    system = odometer_system(p, depth_max, cap)
+    system = odometer_system(p, depth_max)
     pres = []  # (H_0, H_1) presentations by depth
     per_depth = []
     for d in range(1, depth_max + 1):

@@ -357,8 +357,7 @@ def _depth_inclusion(p: int, depth: int) -> IntMatrix:
     return IntMatrix.from_entries(p * n, n, ((w, w % n, 1) for w in range(p * n)))
 
 
-def af_cohomology_tower(B: BratteliDiagram, N: int, D: int,
-                        cap: Optional[int] = None) -> AfCohomologyReport:
+def af_cohomology_tower(B: BratteliDiagram, N: int, D: int) -> AfCohomologyReport:
     """Degree-0/1 cohomology evidence for a stationary one-vertex diagram.
 
     Words of length d index depth-d cylinders with the first digit most
@@ -379,7 +378,7 @@ def af_cohomology_tower(B: BratteliDiagram, N: int, D: int,
         raise MalformedDiagram("need at least two edges")
     if N < 1 or D < 1:
         raise ValueError("need N >= 1 and D >= 1")
-    if p ** (D + N) > tuple_cap(cap):
+    if p ** (D + N) > tuple_cap():
         raise DepthTooLarge(f"p^(D+N) = {p**(D+N)} exceeds cap")
     # stationary threads: iota(f) = sigma^*(f) in depth D+1
     fixed = kernel_basis(_depth_inclusion(p, D) - _shift_pullback(p, D))

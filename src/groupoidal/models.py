@@ -305,7 +305,7 @@ def bratteli_stationary(multiplicity, levels: int) -> BratteliDiagram:
 # -- odometers ---------------------------------------------------------------
 
 
-def odometer_system(p: int, depth: int, cap: Optional[int] = None) -> "OdometerSystem":
+def odometer_system(p: int, depth: int) -> "OdometerSystem":
     """Coherent add-one-with-carry permutations on p^d cylinders.
 
     Cylinder index at depth d encodes digits least-significant first:
@@ -317,7 +317,7 @@ def odometer_system(p: int, depth: int, cap: Optional[int] = None) -> "OdometerS
         raise ValueError("base must be >= 2")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if p ** depth > tuple_cap(cap):
+    if p ** depth > tuple_cap():
         raise DepthTooLarge(f"p^depth = {p**depth} exceeds cap")
     return OdometerSystem(p, depth)
 

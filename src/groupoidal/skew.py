@@ -21,8 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from .cohomology import (hom_coboundary_matrix, hom_space, pullback_module,
-                         relabel_matrix)
+from .cohomology import cochain_complex, hom_space, pullback_module, relabel_matrix
 from .groupoids import (FiniteGroupoid, GModule, GroupoidError,
                         GroupoidFunctor, require_nerve_work, tuple_cap)
 from .homology import chain_pushforward, nerve_complex
@@ -145,12 +144,11 @@ class SkewWindow:
                                [other.index[(g, k + 1)] for (g, k) in self.labels])
 
 
-def _window(G: FiniteGroupoid, c: ZCocycle, lo: int, hi: int,
-            cap: Optional[int] = None) -> SkewWindow:
+def _window(G: FiniteGroupoid, c: ZCocycle, lo: int, hi: int) -> SkewWindow:
     if hi < lo:
         raise WindowTooLarge("empty level range")
     n_levels = hi - lo + 1
-    if n_levels * G.n_arrows > tuple_cap(cap):
+    if n_levels * G.n_arrows > tuple_cap():
         raise WindowTooLarge(f"{n_levels} levels x {G.n_arrows} arrows exceeds cap")
     labels = []
     for k in range(lo, hi + 1):
@@ -185,15 +183,14 @@ def _window(G: FiniteGroupoid, c: ZCocycle, lo: int, hi: int,
     return SkewWindow(G, c, lo, hi, w, tuple(labels), index, shift)
 
 
-def skew_window(G: FiniteGroupoid, c: ZCocycle, K: int,
-                cap: Optional[int] = None) -> SkewWindow:
+def skew_window(G: FiniteGroupoid, c: ZCocycle, K: int) -> SkewWindow:
     """Symmetric window of radius K around level 0."""
     rep = validate_cocycle(G, c)
     if not rep.ok:
         raise GroupoidError(rep.message())
     if K < 0:
         raise WindowTooLarge("negative radius")
-    return _window(G, c, -K, K, cap)
+    return _window(G, c, -K, K)
 
 
 # -- long exact sequence verification -----------------------------------------
@@ -292,8 +289,7 @@ def _verify_ses(sub: ChainComplex, mid: ChainComplex, quot: ChainComplex,
 
 
 def les_verify(G: FiniteGroupoid, c: ZCocycle, K: int, guard: int, n_max: int,
-               mode: str = "homology", M: Optional[GModule] = None,
-               cap: Optional[int] = None) -> LesReport:
+               mode: str = "homology", M: Optional[GModule] = None) -> LesReport:
     """Build the three complexes and verify the short exact sequence of
     complexes degreewise, exactly; report groups, zig-zag connecting maps,
     and the degree-0 rank bookkeeping.  Chains run inner --(id - shift)-->
@@ -319,8 +315,14 @@ def les_verify(G: FiniteGroupoid, c: ZCocycle, K: int, guard: int, n_max: int,
         raise GuardTooSmall(
             f"degree {n_max} chains of cocycle step {maxc} need interior "
             f">= {(span + 1) // 2}, have {interior}")
-    inner = _window(G, c, -interior, interior, cap)
-    outer = _window(G, c, -interior, interior + 1, cap)
+    if mode == "cohomology" and M is None:
+        M = constant_module(G, 1)
+    # checked before either window is built: the outer window, which has the
+    # most strings, holds at most one lift of each string of G per level
+    require_nerve_work(G, n_max + 1, M.fiber_rank if mode == "cohomology" else None,
+                       copies=2 * interior + 2)
+    inner = _window(G, c, -interior, interior)
+    outer = _window(G, c, -interior, interior + 1)
     incl = inner.inclusion_into(outer)
     shift = inner.shift_into(outer)
     proj = outer.projection()
@@ -331,14 +333,12 @@ def les_verify(G: FiniteGroupoid, c: ZCocycle, K: int, guard: int, n_max: int,
             "nontrivial cocycles" if nonzero else
             "zero cocycle: the window splits into level copies")
     A, B = inner.groupoid, outer.groupoid
-    require_nerve_work(B, n_max + 1, cap)  # the outer window has the most strings
     degrees = range(n_max + 1)
     if mode == "homology":
-        f = [chain_pushforward(incl, n, cap) - chain_pushforward(shift, n, cap)
-             for n in degrees]
-        g = [chain_pushforward(proj, n, cap) for n in degrees]
+        f = [chain_pushforward(incl, n) - chain_pushforward(shift, n) for n in degrees]
+        g = [chain_pushforward(proj, n) for n in degrees]
         checks, (pres_in, pres_out, pres_base), connecting, connecting_ok = \
-            _verify_ses(*(nerve_complex(H, n_max, cap) for H in (A, B, G)), f, g, n_max)
+            _verify_ses(*(nerve_complex(H, n_max) for H in (A, B, G)), f, g, n_max)
         # the cokernel of the induced id - shift surjects onto the image of
         # the window homology in the base; in degree 0 the comparison map
         # is onto, so the cokernel is the base group itself
@@ -346,13 +346,11 @@ def les_verify(G: FiniteGroupoid, c: ZCocycle, K: int, guard: int, n_max: int,
                                induced_on_homology(f[n], pres_in[n], pres_out[n]))
                 for n in degrees]
     else:
-        MG = M if M is not None else constant_module(G, 1)
-        MB = pullback_module(proj, MG)
+        MB = pullback_module(proj, M)
         MA = pullback_module(incl, MB)
-        sG, sB, sA = ([hom_space(H, MH, n, cap) for n in range(n_max + 2)]
-                      for H, MH in ((G, MG), (B, MB), (A, MA)))
-        cochains = [ChainComplex([hom_coboundary_matrix(H, MH, n, cap) for n in degrees], 1)
-                    for H, MH in ((G, MG), (B, MB), (A, MA))]
+        modules = ((G, M), (B, MB), (A, MA))
+        sG, sB, sA = ([hom_space(H, MH, n) for n in range(n_max + 2)] for H, MH in modules)
+        cochains = [cochain_complex(H, MH, s) for (H, MH), s in zip(modules, (sG, sB, sA))]
         # pullback of equivariant homs along a functor, on representatives
         f = [relabel_matrix(sB[n], sG[n], proj.map_tuple) for n in range(n_max + 2)]
         g = [relabel_matrix(sA[n], sB[n], incl.map_tuple)

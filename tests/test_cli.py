@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -70,10 +71,10 @@ def test_parse_malformed_compose_triple(files):
 
 def test_parse_module_validation(files):
     G = cli.parse_input(files["z2"])
-    M = cli.parse_module(files["sign"], G)
+    M = cli.parse_module(files["sign"], G, 3)
     assert M.act(1).data == [[-1]]
     with pytest.raises(cli.ValidationError):
-        cli.parse_module(files["badmod"], G)
+        cli.parse_module(files["badmod"], G, 3)
 
 
 def test_homology_command(files, capsys):
@@ -108,7 +109,7 @@ def test_verify_theta_seed_42(files, capsys):
 def test_verify_theta_reports_failure_exit_code(files, capsys, monkeypatch):
     from groupoidal.cohomology import ThetaRhoReport
 
-    def fake_check(G, M, n_max, cap=None):
+    def fake_check(G, M, n_max):
         return ThetaRhoReport(n_max, False, [(0, "forced")], [], [])
 
     monkeypatch.setattr(cli.coh, "theta_rho_check", fake_check)
@@ -201,6 +202,20 @@ def test_cap_env_override(files, capsys, monkeypatch):
     monkeypatch.setenv("GROUPOIDAL_CAP", "2")
     code = cli.main(["homology", files["pair3"], "--max-degree", "2"])
     assert code == cli.USAGE_ERROR
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "0", "2.5", "9" * 5000],
+                         ids=["letters", "negative", "zero", "fraction", "too-many-digits"])
+@pytest.mark.parametrize("argv", [["homology", "z2"], ["z-action", "--perm", "1,0"]],
+                         ids=["homology", "z-action"])
+def test_malformed_cap_exits_2_with_one_error_line(value, argv, files, capsys, monkeypatch):
+    monkeypatch.setenv("GROUPOIDAL_CAP", value)
+    code = cli.main([files.get(a, a) for a in argv])
+    captured = capsys.readouterr()
+    assert code == cli.USAGE_ERROR
+    assert captured.out == ""
+    assert captured.err == ("error: GroupoidError: GROUPOIDAL_CAP must be a positive "
+                            f"integer, got {value!r}\n")
 
 
 def _run_subprocess(argv, hash_seed):
@@ -346,6 +361,33 @@ def test_known_bad_inputs_exit_2_with_one_error_line(argv, model, aux, tmp_path,
     assert code == cli.USAGE_ERROR
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+# each would allocate gigabytes if built; the child's address space is
+# limited and its time bounded, so a regression fails fast instead of
+# exhausting memory
+@pytest.mark.parametrize("argv, model, aux, env", [
+    (_MODULE, _Z2, {"fibers": {"0": 10 ** 6}}, {}),
+    (["skew-les", "MODEL", "--window", "1000000", "--guard", "3"],
+     {"kind": "pair", "fibers": [1]}, None, {}),
+    (["skew-les", "MODEL", "--window", "300000", "--guard", "3"],
+     {"kind": "pair", "fibers": [1]}, None, {}),
+    (["homology", "MODEL"], _Z2, None, {"GROUPOIDAL_CAP": "abc"}),
+], ids=["module-rank-huge", "skew-window-huge", "skew-window-large", "cap-malformed"])
+def test_oversize_inputs_exit_2_before_building(argv, model, aux, env, tmp_path):
+    files = {"MODEL": tmp_path / "model.json", "AUX": tmp_path / "aux.json"}
+    for slot, payload in (("MODEL", model), ("AUX", aux)):
+        files[slot].write_text(json.dumps(payload), encoding="utf-8")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+    res = subprocess.run([sys.executable, "-m", "groupoidal.cli"]
+                         + [str(files[a]) if a in files else a for a in argv],
+                         capture_output=True, text=True, timeout=5,
+                         env={**os.environ, **env}, preexec_fn=limit)
+    assert res.returncode == cli.USAGE_ERROR, res.stderr[-300:]
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
 
 
 # one valid model file of each kind and a command that takes it; no command

@@ -72,22 +72,42 @@ def test_nerve_degree_zero_is_units():
     assert nerve(g, 0).tuples == ((0,), (1,), (2,))
 
 
-def test_nerve_cap():
+def test_nerve_cap(monkeypatch):
     p3 = full_pair_groupoid(3)
+    monkeypatch.setenv("GROUPOIDAL_CAP", "10")
     with pytest.raises(DegreeTooLarge):
-        nerve(FiniteGroupoid(p3.src, p3.rng, p3.comp, p3.inv, p3.units), 4, cap=10)
+        nerve(FiniteGroupoid(p3.src, p3.rng, p3.comp, p3.inv, p3.units), 4)
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_nerve_work_estimate_matches_the_enumerated_nerves(seed):
+def test_nerve_work_estimate_matches_the_enumerated_nerves(seed, monkeypatch):
     # the estimate counts strings without building them; the cap it is
     # checked against is the exact total of count(n) * (n + 1)^2
     G = random_groupoid(random.Random(seed))
     top = 3
     total = sum(len(nerve(G, n)) * (n + 1) ** 2 for n in range(top + 1))
-    require_nerve_work(G, top, cap=total)
+    monkeypatch.setenv("GROUPOIDAL_CAP", str(total))
+    require_nerve_work(G, top)
+    monkeypatch.setenv("GROUPOIDAL_CAP", str(total - 1))
     with pytest.raises(DegreeTooLarge):
-        require_nerve_work(G, top, cap=total - 1)
+        require_nerve_work(G, top)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_nerve_work_with_module_ranks_adds_each_cochain_block(seed, monkeypatch):
+    # an n-string adds the rank at the range of its first arrow, its block
+    # in the cochains, to its face work
+    rng = random.Random(seed)
+    G = random_groupoid(rng)
+    ranks = {u: rng.randrange(5) for u in G.units}
+    top = 3
+    total = sum((n + 1) ** 2 + ranks[G.rng[t[0]]]
+                for n in range(top + 1) for t in nerve(G, n).tuples)
+    monkeypatch.setenv("GROUPOIDAL_CAP", str(total))
+    require_nerve_work(G, top, ranks)
+    monkeypatch.setenv("GROUPOIDAL_CAP", str(total - 1))
+    with pytest.raises(DegreeTooLarge):
+        require_nerve_work(G, top, ranks)
 
 
 def test_nerve_work_refuses_a_huge_degree_at_once():

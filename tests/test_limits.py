@@ -226,7 +226,9 @@ def test_af_cohomology_rejects_general_diagrams():
         af_cohomology_tower(B, 2, 2)
 
 
-def test_af_cohomology_depth_cap():
+def test_af_cohomology_depth_cap(monkeypatch):
     from groupoidal.models import DepthTooLarge
+    B = bratteli_stationary(2, 3)
+    monkeypatch.setenv("GROUPOIDAL_CAP", "10")
     with pytest.raises(DepthTooLarge):
-        af_cohomology_tower(bratteli_stationary(2, 3), 3, 4, cap=10)
+        af_cohomology_tower(B, 3, 4)

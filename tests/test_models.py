@@ -217,7 +217,8 @@ def test_random_groupoid_size_and_validity():
         assert validate_module(g, m).ok
 
 
-def test_odometer_depth_cap():
+def test_odometer_depth_cap(monkeypatch):
     from groupoidal.models import DepthTooLarge
+    monkeypatch.setenv("GROUPOIDAL_CAP", "100")
     with pytest.raises(DepthTooLarge):
-        odometer_system(2, 10, cap=100)
+        odometer_system(2, 10)

@@ -1,6 +1,8 @@
 import pytest
 
-from groupoidal.groupoids import validate_groupoid
+from groupoidal import cohomology, skew
+from groupoidal.groupoids import (DegreeTooLarge, nerve, require_nerve_work,
+                                  validate_groupoid)
 from groupoidal.homology import z_action_homology
 from groupoidal.models import (cyclic_table, full_pair_groupoid,
                                group_groupoid)
@@ -90,10 +92,42 @@ def test_shift_injective_and_functorial():
             assert G.comp[(w.shift[a], w.shift[b])] == w.shift[ab]
 
 
-def test_window_cap():
+@pytest.mark.parametrize("values", [(0, 0, 0), (0, 1, 2), (2, 0, 1), (0, 3, 1)])
+def test_window_work_estimate_is_an_upper_bound(values, monkeypatch):
+    # the check made before a window is built counts each string of the base
+    # once per level; that is never below the exact count of the window's
+    # strings, and equals it for the zero cocycle
     p3 = full_pair_groupoid(3)
+    K, top = 3, 2
+    W = skew_window(p3, potential_cocycle(p3, values), K).groupoid
+    total = sum(len(nerve(W, n)) * (n + 1) ** 2 for n in range(top + 1))
+    monkeypatch.setenv("GROUPOIDAL_CAP", str(total - 1))
+    with pytest.raises(DegreeTooLarge):
+        require_nerve_work(p3, top, copies=2 * K + 1)
+    if not any(values):
+        monkeypatch.setenv("GROUPOIDAL_CAP", str(total))
+        require_nerve_work(p3, top, copies=2 * K + 1)
+
+
+def test_cohomology_les_builds_each_hom_space_once(monkeypatch):
+    # the base and both windows need the spaces of degrees 0..3: twelve
+    calls = []
+
+    def counted(*args, _build=cohomology.hom_space):
+        calls.append(args)
+        return _build(*args)
+    monkeypatch.setattr(cohomology, "hom_space", counted)
+    monkeypatch.setattr(skew, "hom_space", counted)
+    p2 = full_pair_groupoid(2)
+    assert les_verify(p2, ZCocycle.zero(p2), 4, 1, 2, mode="cohomology").ok
+    assert len(calls) == 12
+
+
+def test_window_cap(monkeypatch):
+    p3 = full_pair_groupoid(3)
+    monkeypatch.setenv("GROUPOIDAL_CAP", "100")
     with pytest.raises(WindowTooLarge):
-        skew_window(p3, ZCocycle.zero(p3), 50, cap=100)
+        skew_window(p3, ZCocycle.zero(p3), 50)
 
 
 def test_guard_too_small():
