@@ -193,10 +193,10 @@ def _parse_bratteli(doc: dict, path: str):
         raise ValidationError(f"{path}: {e}")
 
 
-def parse_module(path: str, G: FiniteGroupoid, top: int) -> GModule:
+def parse_module(path: str, G: FiniteGroupoid, top: int, normalized: bool = False) -> GModule:
     """Parse a module file over G for a command that builds nerve degrees
-    0..top; the work its fiber ranks add is checked before any action is
-    built."""
+    0..top (nondegenerate strings only, if `normalized`); the work its fiber
+    ranks add is checked before any action is built."""
     doc = _load_json(path)
     fibers_doc = _object(doc, "fibers", path)
     fibers = {}
@@ -205,7 +205,7 @@ def parse_module(path: str, G: FiniteGroupoid, top: int) -> GModule:
         if key not in fibers_doc:
             raise ParseError(f"{path}: missing fiber rank for unit {u}")
         fibers[u] = _int(fibers_doc[key], f"fibers[{key}]", path)
-    require_nerve_work(G, top, fibers)
+    require_nerve_work(G, top, fibers, normalized=normalized)
     action_doc = _object(doc, "action", path) if "action" in doc else {}
     action = {}
     for g in range(G.n_arrows):
@@ -289,7 +289,7 @@ def cmd_homology(args) -> int:
 
 def cmd_cohomology(args) -> int:
     G = _require_groupoid(parse_input(args.input), args.input)
-    M = (parse_module(args.module, G, args.max_degree + 1) if args.module
+    M = (parse_module(args.module, G, args.max_degree + 1, normalized=True) if args.module
          else models.constant_module(G, 1))
     groups = coh.cocycle_cohomology(G, M, args.max_degree)
     payload = {"command": "cohomology", "input": args.input,

@@ -7,6 +7,14 @@ on the bar resolution, realized on orbit representatives (strings whose
 first entry is a unit).  The comparison maps between them are assembled
 as explicit matrices and checked to be mutually inverse chain maps,
 exhibiting the isomorphism between the two models on any finite instance.
+
+`cocycle_cohomology` and `hom_side_cohomology` work on the normalized
+cochains, those that vanish on degenerate strings (strings with a unit
+entry): extension by zero includes them into the full cochains as a
+subcomplex with the same cohomology (Eilenberg-Mac Lane; Mac Lane,
+Homology, ch. VIII), keyed on the much fewer nondegenerate strings.  The
+comparison check, the skew LES and the induced maps stay on the full
+cochains, because the statements they check are about those complexes.
 """
 
 from __future__ import annotations
@@ -15,8 +23,8 @@ from dataclasses import dataclass
 from typing import Callable, List
 
 from .groupoids import (FiniteGroupoid, GModule, GroupoidFunctor,
-                        homology_face, nerve, require_nerve_work,
-                        require_valid_functor)
+                        homology_face, nerve, nondegenerate_faces,
+                        require_nerve_work, require_valid_functor)
 from .zlinalg import (ChainComplex, ChainHomologyPresentation, FgAbGroup, IntMatrix,
                       induced_on_homology, kernel_basis)
 
@@ -25,14 +33,16 @@ class BlockSpace:
     """Free fibers laid end to end in one coordinate space: one block of
     rank ranks[k] per key, in the order of `keys`.  `key_of` maps an
     n-string to the key of the block that holds its value, and `string_of`
-    maps a key back to its n-string."""
+    maps a key back to its n-string.  A `normalized` space has keys on the
+    nondegenerate strings only."""
 
     def __init__(self, keys: List[tuple], ranks: List[int], key_of: Callable,
-                 string_of: Callable):
+                 string_of: Callable, normalized: bool = False):
         self.keys = keys
         self.ranks = ranks
         self.key_of = key_of
         self.string_of = string_of
+        self.normalized = normalized
         self.offset = {}
         total = 0
         for k, r in zip(keys, ranks):
@@ -41,25 +51,28 @@ class BlockSpace:
         self.total = total
 
 
-def cochain_space(G: FiniteGroupoid, M: GModule, n: int) -> BlockSpace:
-    """Degree-n cocycle cochains: one copy per n-string of the fiber at the
-    range of its first arrow (per unit in degree 0); each string is its own
-    key."""
-    keys = list(nerve(G, n).tuples)
-    return BlockSpace(keys, [M.rank_at(G.rng[t[0]]) for t in keys], lambda t: t, lambda t: t)
+def cochain_space(G: FiniteGroupoid, M: GModule, n: int,
+                  normalized: bool = False) -> BlockSpace:
+    """Degree-n cocycle cochains: one copy per n-string (nondegenerate, if
+    `normalized`) of the fiber at the range of its first arrow (per unit in
+    degree 0); each string is its own key."""
+    keys = list(nerve(G, n, normalized).tuples)
+    return BlockSpace(keys, [M.rank_at(G.rng[t[0]]) for t in keys], lambda t: t, lambda t: t,
+                      normalized)
 
 
-def hom_space(G: FiniteGroupoid, M: GModule, n: int) -> BlockSpace:
+def hom_space(G: FiniteGroupoid, M: GModule, n: int, normalized: bool = False) -> BlockSpace:
     """Equivariant homs out of the degree-(n+1) bar term, coordinatized by
-    orbit representatives: an n-string t is keyed by (r(g_0),) + t, whose
-    first entry is a unit, and in degree 0 a unit by itself."""
+    orbit representatives: an n-string t (nondegenerate, if `normalized`) is
+    keyed by (r(g_0),) + t, whose first entry is a unit, and in degree 0 a
+    unit by itself."""
     def key_of(t):
         return t if n == 0 else (G.rng[t[0]],) + t
 
     def string_of(k):
         return k if n == 0 else k[1:]
-    keys = sorted(map(key_of, nerve(G, n).tuples))
-    return BlockSpace(keys, [M.rank_at(k[0]) for k in keys], key_of, string_of)
+    keys = sorted(map(key_of, nerve(G, n, normalized).tuples))
+    return BlockSpace(keys, [M.rank_at(k[0]) for k in keys], key_of, string_of, normalized)
 
 
 def relabel_matrix(cod: BlockSpace, dom: BlockSpace, key_map: Callable) -> IntMatrix:
@@ -102,7 +115,10 @@ def hom_coboundary_matrix(G: FiniteGroupoid, M: GModule, n: int) -> IntMatrix:
 def _coboundary(G: FiniteGroupoid, M: GModule, n: int,
                 dom: BlockSpace, cod: BlockSpace) -> IntMatrix:
     """delta_n between two spaces of one model, each face of an
-    (n+1)-string found through dom's key of it."""
+    (n+1)-string found through dom's key of it.  On normalized spaces the
+    degenerate faces are skipped: a normalized cochain vanishes there."""
+    if cod.normalized:
+        return _normalized_coboundary(G, M, dom, cod)
     entries = []
     for key, rank in zip(cod.keys, cod.ranks):
         row = cod.offset[key]
@@ -112,6 +128,19 @@ def _coboundary(G: FiniteGroupoid, M: GModule, n: int,
         for i in range(1, n + 2):
             entries.extend(_identity(row, dom.offset[dom.key_of(homology_face(G, t, i))],
                                      rank, -1 if i % 2 else 1))
+    return IntMatrix.from_entries(cod.total, dom.total, entries)
+
+
+def _normalized_coboundary(G: FiniteGroupoid, M: GModule, dom: BlockSpace,
+                           cod: BlockSpace) -> IntMatrix:
+    entries = []
+    for key, rank in zip(cod.keys, cod.ranks):
+        row = cod.offset[key]
+        t = cod.string_of(key)
+        for i, face in nondegenerate_faces(G, t):  # face 0 is never degenerate
+            col = dom.offset[dom.key_of(face)]
+            entries.extend(_identity(row, col, rank, -1 if i % 2 else 1) if i
+                           else _block(row, col, M.act(t[0])))
     return IntMatrix.from_entries(cod.total, dom.total, entries)
 
 
@@ -145,15 +174,18 @@ def cochain_complex(G: FiniteGroupoid, M: GModule, spaces: List[BlockSpace],
 
 
 def cocycle_cohomology(G: FiniteGroupoid, M: GModule, n_max: int) -> List[FgAbGroup]:
-    """H^0 .. H^{n_max} of the cocycle complex."""
-    require_nerve_work(G, n_max + 1, M.fiber_rank)
-    return cochain_complex(G, M, [cochain_space(G, M, n) for n in range(n_max + 2)]).groups()
+    """H^0 .. H^{n_max} of the cocycle complex, on the normalized cochains."""
+    require_nerve_work(G, n_max + 1, M.fiber_rank, normalized=True)
+    return cochain_complex(G, M, [cochain_space(G, M, n, normalized=True)
+                                  for n in range(n_max + 2)]).groups()
 
 
 def hom_side_cohomology(G: FiniteGroupoid, M: GModule, n_max: int) -> List[FgAbGroup]:
-    """H^0 .. H^{n_max} of the equivariant Hom complex."""
-    require_nerve_work(G, n_max + 1, M.fiber_rank)
-    return cochain_complex(G, M, [hom_space(G, M, n) for n in range(n_max + 2)]).groups()
+    """H^0 .. H^{n_max} of the equivariant Hom complex, on the normalized
+    cochains."""
+    require_nerve_work(G, n_max + 1, M.fiber_rank, normalized=True)
+    return cochain_complex(G, M, [hom_space(G, M, n, normalized=True)
+                                  for n in range(n_max + 2)]).groups()
 
 
 @dataclass

@@ -5,7 +5,8 @@ A finite groupoid is stored as explicit tables: arrows are the integers
 partial composition table, defined exactly when src(g) = rng(h) (so gh
 means "g after h").  All boundary and bar-resolution matrices are written
 in the lexicographic nerve bases, which makes every matrix reproducible
-bit for bit.
+bit for bit.  The normalized nerve keeps, above degree 0, only the strings
+with no unit entry; its boundary drops the faces that are degenerate.
 """
 
 from __future__ import annotations
@@ -42,6 +43,18 @@ def tuple_cap() -> int:
     if cap < 1:
         raise GroupoidError(f"GROUPOIDAL_CAP must be a positive integer, got {env!r}")
     return cap
+
+
+def power_exceeds_cap(base: int, exponent: int) -> bool:
+    """Whether base**exponent, for base >= 2, passes tuple_cap(): found by a
+    product that stops once it passes the cap, so the power is never built."""
+    limit = tuple_cap()
+    size = 1
+    for _ in range(exponent):
+        size *= base
+        if size > limit:
+            return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -82,7 +95,7 @@ class FiniteGroupoid:
             by_src[self.src[g]].append(g)
         self.arrows_by_rng = {u: tuple(v) for u, v in by_rng.items()}
         self.arrows_by_src = {u: tuple(v) for u, v in by_src.items()}
-        self._nerves: Dict[int, "Nerve"] = {}
+        self._nerves: Dict[Tuple[int, bool], "Nerve"] = {}
 
     @property
     def n_units(self) -> int:
@@ -171,26 +184,31 @@ class Nerve:
         return len(self.tuples)
 
 
-def nerve(G: FiniteGroupoid, n: int) -> Nerve:
+def nerve(G: FiniteGroupoid, n: int, normalized: bool = False) -> Nerve:
+    """The composable n-strings, or with `normalized` the nondegenerate
+    ones: every unit in degree 0, and above it the strings with no unit
+    entry, the basis of the normalized complex."""
     if n < 0:
         raise ValueError("nerve degree must be >= 0")
     limit = tuple_cap()
-    if n in G._nerves:
-        cached = G._nerves[n]
+    if (n, normalized) in G._nerves:
+        cached = G._nerves[n, normalized]
         if len(cached) > limit:
             raise DegreeTooLarge(f"nerve degree {n} exceeds cap {limit}")
         return cached
     if n == 0:
         tuples = tuple((u,) for u in G.units)
     elif n == 1:
-        tuples = tuple((g,) for g in range(G.n_arrows))
+        tuples = tuple((g,) for g in range(G.n_arrows)
+                       if not (normalized and G.is_unit(g)))
     else:
-        prev = nerve(G, n - 1).tuples
+        prev = nerve(G, n - 1, normalized).tuples
+        extend = _arrows(G, G.arrows_by_rng, normalized)
         out = []
         count = 0
         for t in prev:
             # arrows h with rng(h) = src(last) extend the string on the right
-            tail = G.arrows_by_rng[G.src[t[-1]]]
+            tail = extend[G.src[t[-1]]]
             count += len(tail)
             if count > limit:
                 raise DegreeTooLarge(
@@ -201,12 +219,19 @@ def nerve(G: FiniteGroupoid, n: int) -> Nerve:
     if len(tuples) > limit:
         raise DegreeTooLarge(f"nerve degree {n} exceeds cap {limit}")
     nv = Nerve(n, tuples, {t: i for i, t in enumerate(tuples)})
-    G._nerves[n] = nv
+    G._nerves[n, normalized] = nv
     return nv
 
 
+def _arrows(G: FiniteGroupoid, by_unit: Dict[int, tuple], normalized: bool) -> Dict[int, tuple]:
+    """`by_unit` (arrows per unit), without the units if `normalized`."""
+    if not normalized:
+        return by_unit
+    return {u: tuple(h for h in hs if not G.is_unit(h)) for u, hs in by_unit.items()}
+
+
 def require_nerve_work(G: FiniteGroupoid, top: int, ranks: Optional[Dict[int, int]] = None,
-                       copies: int = 1) -> None:
+                       copies: int = 1, normalized: bool = False) -> None:
     """Raise DegreeTooLarge unless degrees 0..top fit the cap in total.
 
     An n-string has n + 1 faces of about n entries each, so degree n costs
@@ -214,19 +239,24 @@ def require_nerve_work(G: FiniteGroupoid, top: int, ranks: Optional[Dict[int, in
     cochain block, at the range of its first arrow.  The string counts come
     from the number of n-strings ending at each unit u (whose last arrow
     starts at u; the 0-string (u,) ends at u), updated one degree at a time
-    over the arrows; reversing a string shows as many start at u.  Each
+    over the arrows, or with `normalized` over the arrows that are not
+    units; reversing a string shows as many start at u.  Each degree costs
+    at least one string's (n + 1)^2, even where no string survives
+    normalization, so a huge degree is refused whatever the basis.  Each
     string counts `copies` times.  No string is built, and the count stops
     once the total passes the cap.
     """
     limit = tuple_cap()
+    arrows = _arrows(G, G.arrows_by_src, normalized)
     ends = dict.fromkeys(G.units, 1)
     total = 0
     for n in range(top + 1):
         if n:
             # h extends the strings ending at rng(h) to strings ending at src(h)
-            ends = {u: sum(ends[G.rng[h]] for h in G.arrows_by_src[u]) for u in G.units}
-        total += copies * sum(k * ((n + 1) ** 2 + (ranks[u] if ranks else 0))
-                              for u, k in ends.items())
+            ends = {u: sum(ends[G.rng[h]] for h in arrows[u]) for u in G.units}
+        total += copies * max((n + 1) ** 2,
+                              sum(k * ((n + 1) ** 2 + (ranks[u] if ranks else 0))
+                                  for u, k in ends.items()))
         if total > limit:
             raise DegreeTooLarge(
                 f"nerve degrees 0..{top} need more than {limit} entries of work (the cap)")
@@ -249,19 +279,37 @@ def homology_face(G: FiniteGroupoid, t: tuple, i: int) -> tuple:
     return t[:i - 1] + (G.comp[(t[i - 1], t[i])],) + t[i + 1:]
 
 
-def boundary_matrix_d(G: FiniteGroupoid, n: int) -> IntMatrix:
+def nondegenerate_faces(G: FiniteGroupoid, t: tuple):
+    """(i, face i) for each face of a nondegenerate n-string t that is
+    nondegenerate, by `homology_face`.  Faces 0 and n drop an entry, so only
+    an interior face can be degenerate: when g_{i-1} g_i is a unit.  In the
+    normalized complex a degenerate face is zero."""
+    n = len(t)
+    for i in range(n + 1):
+        face = homology_face(G, t, i)
+        if not (0 < i < n and G.is_unit(face[i - 1])):
+            yield i, face
+
+
+def boundary_matrix_d(G: FiniteGroupoid, n: int, normalized: bool = False) -> IntMatrix:
     """Matrix of d_n from degree-n chains to degree-(n-1) chains: the
     alternating sum of pushforwards along the faces, so d_1 is pushforward
-    along the source minus pushforward along the range."""
+    along the source minus pushforward along the range.  With `normalized`,
+    on the nondegenerate bases, dropping the degenerate faces: the quotient
+    by the degenerate strings."""
     if n < 1:
         raise ValueError("boundary degree must be >= 1")
-    nv_to = nerve(G, n - 1)
-    nv_from = nerve(G, n)
+    nv_to = nerve(G, n - 1, normalized)
+    nv_from = nerve(G, n, normalized)
     index = nv_to.index
-    return IntMatrix.from_entries(
-        len(nv_to), len(nv_from),
-        ((index[homology_face(G, t, i)], j, -1 if i % 2 else 1)
-         for j, t in enumerate(nv_from.tuples) for i in range(n + 1)))
+    if normalized:
+        entries = ((index[face], j, -1 if i % 2 else 1)
+                   for j, t in enumerate(nv_from.tuples)
+                   for i, face in nondegenerate_faces(G, t))
+    else:
+        entries = ((index[homology_face(G, t, i)], j, -1 if i % 2 else 1)
+                   for j, t in enumerate(nv_from.tuples) for i in range(n + 1))
+    return IntMatrix.from_entries(len(nv_to), len(nv_from), entries)
 
 
 def bar_boundary_matrix_b(G: FiniteGroupoid, n: int) -> IntMatrix:

@@ -1,7 +1,13 @@
 """Homology of finite groupoids and of two-term models of Z-actions.
 
-Degree-n homology is ker(d_n)/im(d_{n+1}) over the nerve bases; induced
-maps of groupoid homomorphisms are computed on explicit presentations.
+Degree-n homology is ker(d_n)/im(d_{n+1}) over the nerve bases.
+`homology_groups` works on the normalized complex, the quotient by the
+degenerate strings (those with a unit entry), which has the same homology
+(Eilenberg-Mac Lane; Mac Lane, Homology, ch. VIII) and a much smaller top
+degree.  Induced maps of groupoid homomorphisms are computed on explicit
+presentations of the full complexes, as is the skew LES, because the
+statements they check are about the full nerve bases.
+
 The Z-action operations use the two-term complex id - P on functions,
 which is the standard computation route for transformation groupoids at
 this scale, and the odometer is modelled as the coherent family of
@@ -26,11 +32,13 @@ class NotAPermutation(GroupoidError):
     pass
 
 
-def nerve_complex(G: FiniteGroupoid, n_max: int, n_min: int = 0) -> ChainComplex:
+def nerve_complex(G: FiniteGroupoid, n_max: int, n_min: int = 0,
+                  normalized: bool = False) -> ChainComplex:
     """The nerve chain complex d_{n_min} .. d_{n_max+1}, with d_0 the zero
-    map out of degree 0; its degree k is the nerve's degree n_min + k."""
-    require_nerve_work(G, n_max + 1)
-    return ChainComplex([boundary_matrix_d(G, n) if n else
+    map out of degree 0; its degree k is the nerve's degree n_min + k.
+    With `normalized`, the quotient by the degenerate strings."""
+    require_nerve_work(G, n_max + 1, normalized=normalized)
+    return ChainComplex([boundary_matrix_d(G, n, normalized) if n else
                          IntMatrix.zeros(0, len(nerve(G, 0)))
                          for n in range(n_min, n_max + 2)], -1)
 
@@ -42,7 +50,7 @@ def homology_groups(G: FiniteGroupoid, n_max: int,
     Z/m coefficients are derived from the integral groups by universal
     coefficients, so a single integer normal-form engine serves any m >= 2.
     """
-    integral = nerve_complex(G, n_max).groups()
+    integral = nerve_complex(G, n_max, normalized=True).groups()
     if coefficients is None:
         return integral
     out = []

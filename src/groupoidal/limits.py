@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import List, Optional, Sequence
 
-from .groupoids import tuple_cap
+from .groupoids import power_exceeds_cap, tuple_cap
 from .models import BratteliDiagram, DepthTooLarge, MalformedDiagram
 from .zlinalg import (FgAbGroup, IntMatrix, LinearSystem, image_basis,
                       invariant_factors, kernel_basis)
@@ -378,8 +378,9 @@ def af_cohomology_tower(B: BratteliDiagram, N: int, D: int) -> AfCohomologyRepor
         raise MalformedDiagram("need at least two edges")
     if N < 1 or D < 1:
         raise ValueError("need N >= 1 and D >= 1")
-    if p ** (D + N) > tuple_cap():
-        raise DepthTooLarge(f"p^(D+N) = {p**(D+N)} exceeds cap")
+    if power_exceeds_cap(p, D + N):
+        raise DepthTooLarge(f"p^(D+N) for p = {p}, depth D = {D} and levels N = {N} "
+                            f"exceeds cap {tuple_cap()}")
     # stationary threads: iota(f) = sigma^*(f) in depth D+1
     fixed = kernel_basis(_depth_inclusion(p, D) - _shift_pullback(p, D))
     constants_only = (fixed.cols == 1 and len(set(fixed.col(0))) == 1

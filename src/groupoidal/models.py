@@ -11,7 +11,7 @@ import random
 from typing import Iterable, List, Optional, Sequence
 
 from .groupoids import (FiniteGroupoid, GModule, GroupoidError,
-                        GroupoidFunctor, tuple_cap)
+                        GroupoidFunctor, power_exceeds_cap, tuple_cap)
 from .zlinalg import IntMatrix, LinearSystem
 
 
@@ -89,10 +89,16 @@ def cyclic_table(k: int) -> List[List[int]]:
 
 def require_pair_cap(fiber_sizes: Iterable[int]) -> None:
     """Raise GroupoidError when the pair groupoid on fibers of these sizes
-    has more than tuple_cap() composable pairs (k^3 per fiber of size k)."""
-    composable = sum(k ** 3 for k in fiber_sizes)
-    if composable > tuple_cap():
-        raise GroupoidError(f"{composable} composable pairs exceed cap {tuple_cap()}")
+    has more than tuple_cap() composable pairs (k^3 per fiber of size k).
+    The sum stops once it passes the cap, and the message names the fibers,
+    not the sum, which can have too many digits to print."""
+    limit = tuple_cap()
+    composable = 0
+    for x, k in enumerate(fiber_sizes):
+        composable += k ** 3
+        if composable > limit:
+            raise GroupoidError(f"pair fibers 0..{x} have more than {limit} composable pairs "
+                                "(the cap)")
 
 
 def pair_groupoid_from_map(psi: Sequence[int]) -> FiniteGroupoid:
@@ -317,8 +323,8 @@ def odometer_system(p: int, depth: int) -> "OdometerSystem":
         raise ValueError("base must be >= 2")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if p ** depth > tuple_cap():
-        raise DepthTooLarge(f"p^depth = {p**depth} exceeds cap")
+    if power_exceeds_cap(p, depth):
+        raise DepthTooLarge(f"p^depth for p = {p} and depth {depth} exceeds cap {tuple_cap()}")
     return OdometerSystem(p, depth)
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import resource
@@ -373,7 +374,14 @@ def test_known_bad_inputs_exit_2_with_one_error_line(argv, model, aux, tmp_path,
     (["skew-les", "MODEL", "--window", "300000", "--guard", "3"],
      {"kind": "pair", "fibers": [1]}, None, {}),
     (["homology", "MODEL"], _Z2, None, {"GROUPOIDAL_CAP": "abc"}),
-], ids=["module-rank-huge", "skew-window-huge", "skew-window-large", "cap-malformed"])
+    # a power p^d or a sum of k^3 is compared with the cap without being
+    # printed: the message names the inputs, not a number of many digits
+    (["af-cohomology", "MODEL", "--levels", "3", "--depth", "100000"], _UHF2, None, {}),
+    (["af-cohomology", "MODEL", "--levels", "1000000", "--depth", "3"], _UHF2, None, {}),
+    (["odometer", "--p", "2", "--max-depth", "1000"], None, None, {}),
+    (["homology", "MODEL"], {"kind": "pair", "fibers": [10 ** 1500]}, None, {}),
+], ids=["module-rank-huge", "skew-window-huge", "skew-window-large", "cap-malformed",
+        "af-depth-huge", "af-levels-huge", "odometer-depth-huge", "pair-fiber-digits"])
 def test_oversize_inputs_exit_2_before_building(argv, model, aux, env, tmp_path):
     files = {"MODEL": tmp_path / "model.json", "AUX": tmp_path / "aux.json"}
     for slot, payload in (("MODEL", model), ("AUX", aux)):
@@ -388,6 +396,27 @@ def test_oversize_inputs_exit_2_before_building(argv, model, aux, env, tmp_path)
     assert res.returncode == cli.USAGE_ERROR, res.stderr[-300:]
     assert res.stdout == ""
     assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+    assert len(res.stderr) <= 301, res.stderr[:300]
+
+
+def test_s3_homology_to_degree_5_fits_the_default_cap(tmp_path):
+    # the normalized complex has 15625 top strings instead of 46656, so the
+    # total work fits the default cap and the elimination ends in seconds
+    path = tmp_path / "s3.json"
+    path.write_text(json.dumps({"kind": "group", "cayley": _s3_table()}), encoding="utf-8")
+    env = {k: v for k, v in os.environ.items() if k != "GROUPOIDAL_CAP"}
+    res = subprocess.run([sys.executable, "-m", "groupoidal.cli", "homology", str(path),
+                          "--max-degree", "5", "--format", "json"],
+                         capture_output=True, text=True, timeout=30, env=env)
+    assert res.returncode == 0, res.stderr[-300:]
+    groups = [(g["free_rank"], g["torsion"]) for g in json.loads(res.stdout)["groups"]]
+    assert groups == [(1, []), (0, [2]), (0, []), (0, [6]), (0, []), (0, [2])]
+
+
+def _s3_table():
+    elements = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(elements)}
+    return [[index[tuple(a[b[x]] for x in range(3))] for b in elements] for a in elements]
 
 
 # one valid model file of each kind and a command that takes it; no command

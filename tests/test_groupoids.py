@@ -110,6 +110,36 @@ def test_nerve_work_with_module_ranks_adds_each_cochain_block(seed, monkeypatch)
         require_nerve_work(G, top, ranks)
 
 
+@pytest.mark.parametrize("with_ranks", [False, True], ids=["plain", "ranks"])
+@pytest.mark.parametrize("seed", range(6))
+def test_normalized_nerve_work_estimate_matches_the_nondegenerate_strings(
+        seed, with_ranks, monkeypatch):
+    # the normalized route counts only the strings with no unit entry, and
+    # each degree at least one string's (n + 1)^2, even if none survives
+    rng = random.Random(seed)
+    G = random_groupoid(rng)
+    ranks = {u: rng.randrange(5) for u in G.units} if with_ranks else None
+    top = 3
+    total = sum(max((n + 1) ** 2,
+                    sum((n + 1) ** 2 + (ranks[G.rng[t[0]]] if ranks else 0)
+                        for t in nerve(G, n, normalized=True).tuples))
+                for n in range(top + 1))
+    monkeypatch.setenv("GROUPOIDAL_CAP", str(total))
+    require_nerve_work(G, top, ranks, normalized=True)
+    monkeypatch.setenv("GROUPOIDAL_CAP", str(total - 1))
+    with pytest.raises(DegreeTooLarge):
+        require_nerve_work(G, top, ranks, normalized=True)
+
+
+def test_normalized_nerve_work_charges_degrees_with_no_strings():
+    # a point has no nondegenerate string above degree 0; degree n still
+    # costs (n + 1)^2, so a huge degree is refused as on the full nerve
+    G = space_groupoid(1)
+    assert len(nerve(G, 1, normalized=True)) == 0
+    with pytest.raises(DegreeTooLarge):
+        require_nerve_work(G, 10 ** 5, normalized=True)
+
+
 def test_nerve_work_refuses_a_huge_degree_at_once():
     # one string per degree, but face work grows like n^2 per string
     with pytest.raises(DegreeTooLarge):
