@@ -24,8 +24,8 @@ from . import cohomology as coh
 from . import homology as hom
 from . import limits as lim
 from . import models, skew
-from .groupoids import (FiniteGroupoid, GModule, GroupoidError, require_nerve_work,
-                        tuple_cap, validate_groupoid, validate_module)
+from .groupoids import (DegreeTooLarge, FiniteGroupoid, GModule, GroupoidError,
+                        require_nerve_work, tuple_cap, validate_groupoid, validate_module)
 from .zlinalg import FgAbGroup, IntMatrix, LinAlgError
 
 
@@ -52,6 +52,8 @@ def _load_json(path: str) -> dict:
         raise ParseError(f"{path}: file not found")
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: line {e.lineno}: {e.msg}")
+    except ValueError as e:  # not UTF-8, or an integer of too many digits to convert
+        raise ParseError(f"{path}: {e}")
 
 
 def _field(doc: dict, name: str, path: str):
@@ -62,11 +64,16 @@ def _field(doc: dict, name: str, path: str):
     return doc[name]
 
 
+def _is_int(value) -> bool:
+    """Whether a parsed JSON value is an integer: JSON's true and false
+    load as bools, which Python counts as ints, and 2.0 loads as a float."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _int(value, what: str, path: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
+    if not _is_int(value):
         raise ParseError(f"{path}: {what} must be an integer, got {value!r}")
+    return value
 
 
 def _object(doc: dict, name: str, path: str) -> dict:
@@ -78,7 +85,7 @@ def _object(doc: dict, name: str, path: str) -> dict:
 
 def _int_rows(rows, what: str, path: str) -> list:
     if not (isinstance(rows, list) and all(
-            isinstance(r, list) and all(isinstance(v, int) for v in r) for r in rows)):
+            isinstance(r, list) and all(_is_int(v) for v in r) for r in rows)):
         raise ParseError(f"{path}: {what} must be a list of integer rows")
     return rows
 
@@ -110,7 +117,7 @@ def parse_input(path: str):
         if not isinstance(fibers, list):
             raise ParseError(f"{path}: fibers must be a list of positive integers")
         for x, size in enumerate(fibers):
-            if not isinstance(size, int) or size < 1:
+            if not _is_int(size) or size < 1:
                 raise ParseError(f"{path}: fibers[{x}] must be a positive integer")
         # the sizes are checked before the point list is allocated
         models.require_pair_cap(fibers)
@@ -127,7 +134,7 @@ def parse_input(path: str):
         return _parse_bratteli(doc, path)
     if kind == "odometer":
         p = _field(doc, "p", path)
-        if not isinstance(p, int) or p < 2:
+        if not _is_int(p) or p < 2:
             raise ParseError(f"{path}: p must be an integer >= 2")
         return ("odometer", p)
     raise ParseError(f"{path}: unknown kind '{kind}'")
@@ -136,14 +143,14 @@ def parse_input(path: str):
 def _arrow_ids(doc: dict, name: str, path: str, n: int) -> list:
     values = _field(doc, name, path)
     if not (isinstance(values, list)
-            and all(isinstance(v, int) and 0 <= v < n for v in values)):
+            and all(_is_int(v) and 0 <= v < n for v in values)):
         raise ParseError(f"{path}: {name} must be a list of arrow ids in 0..{n - 1}")
     return values
 
 
 def _parse_explicit(doc: dict, path: str) -> FiniteGroupoid:
     n = _field(doc, "arrows", path)
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise ParseError(f"{path}: arrows must be a non-negative integer")
     src, rng, inv, units = (_arrow_ids(doc, name, path, n)
                             for name in ("src", "rng", "inv", "units"))
@@ -160,7 +167,7 @@ def _parse_explicit(doc: dict, path: str) -> FiniteGroupoid:
     comp = {}
     for t in triples:
         if not (isinstance(t, list) and len(t) == 3
-                and all(isinstance(v, int) and 0 <= v < n for v in t)):
+                and all(_is_int(v) and 0 <= v < n for v in t)):
             raise ParseError(f"{path}: malformed compose triple {t}")
         comp[(t[0], t[1])] = t[2]
     G = FiniteGroupoid(src, rng, comp, inv, units)
@@ -308,9 +315,15 @@ def cmd_verify_theta(args) -> int:
         instances.append((args.input, G, M))
     else:
         rng = random.Random(args.seed)
+        work, limit = 0, tuple_cap()
         for i in range(args.count):
             G = models.random_groupoid(rng)
             M = models.random_module(G, rng)
+            # the instances' work is summed and refused before any is checked
+            work += require_nerve_work(G, args.max_degree + 1, M.fiber_rank)
+            if work > limit:
+                raise DegreeTooLarge(f"--count {args.count} instances need more than "
+                                     f"{limit} entries of work (the cap)")
             instances.append((f"random[{i}]", G, M))
     results = []
     all_ok = True
@@ -373,9 +386,12 @@ def cmd_skew_les(args) -> int:
 
 def _element(C: lim.ColimitGroup, doc: dict, path: str) -> lim.ColimitElement:
     stage = _int(_field(doc, "stage", path), "stage", path)
+    vector = _field(doc, "vector", path)
+    if not (isinstance(vector, list) and all(_is_int(v) for v in vector)):
+        raise ParseError(f"{path}: vector must be a list of integers")
     try:
-        return C.element(stage, _field(doc, "vector", path))
-    except (TypeError, ValueError) as e:
+        return C.element(stage, vector)
+    except ValueError as e:
         raise ParseError(f"{path}: vector: {e}")
 
 
@@ -386,6 +402,11 @@ def cmd_dimension_group(args) -> int:
     C = lim.dimension_group(B, args.levels)
     tower = C.tower
     n_stages = args.levels + 1 if args.levels is not None else (tower.n_stages or 2)
+    # a stationary tower has any number of stages: those printed, each a rank
+    # and a square map, are counted before any is built
+    if tower.stationary and n_stages * (1 + tower.rank_at(0) ** 2) > tuple_cap():
+        raise models.DepthTooLarge(f"--levels {args.levels} of a rank-{tower.rank_at(0)} "
+                                   f"stationary tower exceeds cap {tuple_cap()}")
     payload = {"command": "dimension-group", "input": args.input,
                "stationary": tower.stationary,
                "stage_ranks": [tower.rank_at(n) for n in range(n_stages)],

@@ -13,8 +13,11 @@ cochains, those that vanish on degenerate strings (strings with a unit
 entry): extension by zero includes them into the full cochains as a
 subcomplex with the same cohomology (Eilenberg-Mac Lane; Mac Lane,
 Homology, ch. VIII), keyed on the much fewer nondegenerate strings.  The
-comparison check, the skew LES and the induced maps stay on the full
-cochains, because the statements they check are about those complexes.
+basis alone decides which: a space is keyed on the strings of
+`nerve(G, n, normalized)`, and the coboundary skips every face that has no
+key in its domain, where a normalized cochain is zero.  The comparison
+check, the skew LES and the induced maps stay on the full cochains,
+because the statements they check are about those complexes.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from dataclasses import dataclass
 from typing import Callable, List
 
 from .groupoids import (FiniteGroupoid, GModule, GroupoidFunctor,
-                        homology_face, nerve, nondegenerate_faces,
-                        require_nerve_work, require_valid_functor)
+                        homology_face, nerve, require_nerve_work,
+                        require_valid_functor)
 from .zlinalg import (ChainComplex, ChainHomologyPresentation, FgAbGroup, IntMatrix,
                       induced_on_homology, kernel_basis)
 
@@ -33,16 +36,13 @@ class BlockSpace:
     """Free fibers laid end to end in one coordinate space: one block of
     rank ranks[k] per key, in the order of `keys`.  `key_of` maps an
     n-string to the key of the block that holds its value, and `string_of`
-    maps a key back to its n-string.  A `normalized` space has keys on the
-    nondegenerate strings only."""
+    maps a key back to its n-string."""
 
-    def __init__(self, keys: List[tuple], ranks: List[int], key_of: Callable,
-                 string_of: Callable, normalized: bool = False):
+    def __init__(self, keys: List[tuple], ranks: List[int], key_of: Callable, string_of: Callable):
         self.keys = keys
         self.ranks = ranks
         self.key_of = key_of
         self.string_of = string_of
-        self.normalized = normalized
         self.offset = {}
         total = 0
         for k, r in zip(keys, ranks):
@@ -57,8 +57,7 @@ def cochain_space(G: FiniteGroupoid, M: GModule, n: int,
     `normalized`) of the fiber at the range of its first arrow (per unit in
     degree 0); each string is its own key."""
     keys = list(nerve(G, n, normalized).tuples)
-    return BlockSpace(keys, [M.rank_at(G.rng[t[0]]) for t in keys], lambda t: t, lambda t: t,
-                      normalized)
+    return BlockSpace(keys, [M.rank_at(G.rng[t[0]]) for t in keys], lambda t: t, lambda t: t)
 
 
 def hom_space(G: FiniteGroupoid, M: GModule, n: int, normalized: bool = False) -> BlockSpace:
@@ -72,7 +71,7 @@ def hom_space(G: FiniteGroupoid, M: GModule, n: int, normalized: bool = False) -
     def string_of(k):
         return k if n == 0 else k[1:]
     keys = sorted(map(key_of, nerve(G, n, normalized).tuples))
-    return BlockSpace(keys, [M.rank_at(k[0]) for k in keys], key_of, string_of, normalized)
+    return BlockSpace(keys, [M.rank_at(k[0]) for k in keys], key_of, string_of)
 
 
 def relabel_matrix(cod: BlockSpace, dom: BlockSpace, key_map: Callable) -> IntMatrix:
@@ -115,32 +114,17 @@ def hom_coboundary_matrix(G: FiniteGroupoid, M: GModule, n: int) -> IntMatrix:
 def _coboundary(G: FiniteGroupoid, M: GModule, n: int,
                 dom: BlockSpace, cod: BlockSpace) -> IntMatrix:
     """delta_n between two spaces of one model, each face of an
-    (n+1)-string found through dom's key of it.  On normalized spaces the
-    degenerate faces are skipped: a normalized cochain vanishes there."""
-    if cod.normalized:
-        return _normalized_coboundary(G, M, dom, cod)
+    (n+1)-string found through dom's key of it.  A face with no key in dom
+    is skipped: on normalized spaces a cochain vanishes there."""
     entries = []
     for key, rank in zip(cod.keys, cod.ranks):
         row = cod.offset[key]
         t = cod.string_of(key)  # (g_0, ..., g_n)
-        entries.extend(_block(row, dom.offset[dom.key_of(homology_face(G, t, 0))],
-                              M.act(t[0])))
-        for i in range(1, n + 2):
-            entries.extend(_identity(row, dom.offset[dom.key_of(homology_face(G, t, i))],
-                                     rank, -1 if i % 2 else 1))
-    return IntMatrix.from_entries(cod.total, dom.total, entries)
-
-
-def _normalized_coboundary(G: FiniteGroupoid, M: GModule, dom: BlockSpace,
-                           cod: BlockSpace) -> IntMatrix:
-    entries = []
-    for key, rank in zip(cod.keys, cod.ranks):
-        row = cod.offset[key]
-        t = cod.string_of(key)
-        for i, face in nondegenerate_faces(G, t):  # face 0 is never degenerate
-            col = dom.offset[dom.key_of(face)]
-            entries.extend(_identity(row, col, rank, -1 if i % 2 else 1) if i
-                           else _block(row, col, M.act(t[0])))
+        for i in range(n + 2):
+            col = dom.offset.get(dom.key_of(homology_face(G, t, i)))
+            if col is not None:
+                entries.extend(_identity(row, col, rank, -1 if i % 2 else 1) if i
+                               else _block(row, col, M.act(t[0])))
     return IntMatrix.from_entries(cod.total, dom.total, entries)
 
 

@@ -6,7 +6,9 @@ partial composition table, defined exactly when src(g) = rng(h) (so gh
 means "g after h").  All boundary and bar-resolution matrices are written
 in the lexicographic nerve bases, which makes every matrix reproducible
 bit for bit.  The normalized nerve keeps, above degree 0, only the strings
-with no unit entry; its boundary drops the faces that are degenerate.
+with no unit entry.  The basis alone decides normalization: every builder
+treats a face that is not in its codomain basis as zero, which on the
+normalized nerve is the quotient by the degenerate strings.
 """
 
 from __future__ import annotations
@@ -231,8 +233,8 @@ def _arrows(G: FiniteGroupoid, by_unit: Dict[int, tuple], normalized: bool) -> D
 
 
 def require_nerve_work(G: FiniteGroupoid, top: int, ranks: Optional[Dict[int, int]] = None,
-                       copies: int = 1, normalized: bool = False) -> None:
-    """Raise DegreeTooLarge unless degrees 0..top fit the cap in total.
+                       copies: int = 1, normalized: bool = False) -> int:
+    """The work of degrees 0..top; raise DegreeTooLarge if it passes the cap.
 
     An n-string has n + 1 faces of about n entries each, so degree n costs
     about (n + 1)^2 per string, plus with module `ranks` the rank of its
@@ -260,6 +262,7 @@ def require_nerve_work(G: FiniteGroupoid, top: int, ranks: Optional[Dict[int, in
         if total > limit:
             raise DegreeTooLarge(
                 f"nerve degrees 0..{top} need more than {limit} entries of work (the cap)")
+    return total
 
 
 def homology_face(G: FiniteGroupoid, t: tuple, i: int) -> tuple:
@@ -279,37 +282,21 @@ def homology_face(G: FiniteGroupoid, t: tuple, i: int) -> tuple:
     return t[:i - 1] + (G.comp[(t[i - 1], t[i])],) + t[i + 1:]
 
 
-def nondegenerate_faces(G: FiniteGroupoid, t: tuple):
-    """(i, face i) for each face of a nondegenerate n-string t that is
-    nondegenerate, by `homology_face`.  Faces 0 and n drop an entry, so only
-    an interior face can be degenerate: when g_{i-1} g_i is a unit.  In the
-    normalized complex a degenerate face is zero."""
-    n = len(t)
-    for i in range(n + 1):
-        face = homology_face(G, t, i)
-        if not (0 < i < n and G.is_unit(face[i - 1])):
-            yield i, face
-
-
 def boundary_matrix_d(G: FiniteGroupoid, n: int, normalized: bool = False) -> IntMatrix:
     """Matrix of d_n from degree-n chains to degree-(n-1) chains: the
     alternating sum of pushforwards along the faces, so d_1 is pushforward
-    along the source minus pushforward along the range.  With `normalized`,
-    on the nondegenerate bases, dropping the degenerate faces: the quotient
-    by the degenerate strings."""
+    along the source minus pushforward along the range.  A face outside the
+    degree-(n-1) basis is zero, so with `normalized`, on the nondegenerate
+    bases, this is the quotient by the degenerate strings."""
     if n < 1:
         raise ValueError("boundary degree must be >= 1")
     nv_to = nerve(G, n - 1, normalized)
     nv_from = nerve(G, n, normalized)
     index = nv_to.index
-    if normalized:
-        entries = ((index[face], j, -1 if i % 2 else 1)
-                   for j, t in enumerate(nv_from.tuples)
-                   for i, face in nondegenerate_faces(G, t))
-    else:
-        entries = ((index[homology_face(G, t, i)], j, -1 if i % 2 else 1)
-                   for j, t in enumerate(nv_from.tuples) for i in range(n + 1))
-    return IntMatrix.from_entries(len(nv_to), len(nv_from), entries)
+    return IntMatrix.from_entries(
+        len(nv_to), len(nv_from),
+        ((row, j, -1 if i % 2 else 1) for j, t in enumerate(nv_from.tuples) for i in range(n + 1)
+         if (row := index.get(homology_face(G, t, i))) is not None))
 
 
 def bar_boundary_matrix_b(G: FiniteGroupoid, n: int) -> IntMatrix:

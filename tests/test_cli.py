@@ -343,6 +343,14 @@ _QUERIES = ["dimension-group", "MODEL", "--queries", "AUX"]
      None),
     (["skew-les", "MODEL", "--window", "2", "--guard", "1", "--max-degree", "100000"],
      {"kind": "pair", "fibers": [1]}, None),
+    # an integer is a JSON integer: not a float, a string or a bool
+    (_MODULE, _Z2, {"fibers": {"0": 2.9}}),
+    (_MODULE, _Z2, {"fibers": {"0": "1"}}),
+    (_QUERIES, _UHF2, [{"op": "divisible", "stage": 0.9, "vector": [1], "q": 2}]),
+    (_QUERIES, _UHF2, [{"op": "divisible", "stage": 0, "vector": [1], "q": "3"}]),
+    (_QUERIES, _UHF2, [{"op": "divisible", "stage": 0, "vector": [1.5], "q": 2}]),
+    (["homology", "MODEL"], {"kind": "pair", "fibers": [True, 2]}, None),
+    (_COCYCLE, _Z2, {"values": {"1": 0.0}}),
 ], ids=["max-degree", "cohomology-max-degree", "coefficients", "odometer-p",
         "odometer-depth", "count", "af-levels", "dimension-levels", "pair-fibers",
         "unit-range", "src-not-unit", "module-fiber-type", "module-action-entry",
@@ -352,12 +360,28 @@ _QUERIES = ["dimension-group", "MODEL", "--queries", "AUX"]
         "stationary-no-matrix", "cayley-string", "perms-int", "levels-infinity",
         "levels-over-cap", "query-divisible-stage-over-bound", "pair-fibers-over-cap",
         "pair-fiber-huge", "homology-total-work", "cohomology-total-work",
-        "verify-theta-total-work", "skew-les-total-work"])
+        "verify-theta-total-work", "skew-les-total-work", "module-fiber-float",
+        "module-fiber-string", "query-stage-float", "query-q-string", "query-vector-float",
+        "pair-fibers-bool", "cocycle-value-float"])
 def test_known_bad_inputs_exit_2_with_one_error_line(argv, model, aux, tmp_path, capsys):
     files = {"MODEL": tmp_path / "model.json", "AUX": tmp_path / "aux.json"}
     for slot, payload in (("MODEL", model), ("AUX", aux)):
         files[slot].write_text(json.dumps(payload), encoding="utf-8")
     code = cli.main([str(files[a]) if a in files else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == cli.USAGE_ERROR
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", [b'{"kind": "pair", "fibers": [' + b"9" * 5000 + b"]}",
+                                  b'{"kind": "pair", "fibers": [\xff]}'],
+                         ids=["integer-digits", "not-utf8"])
+def test_unreadable_model_file_exits_2_with_one_error_line(text, tmp_path, capsys):
+    # json.load raises a plain ValueError for both, not a JSONDecodeError
+    path = tmp_path / "model.json"
+    path.write_bytes(text)
+    code = cli.main(["homology", str(path)])
     captured = capsys.readouterr()
     assert code == cli.USAGE_ERROR
     assert captured.out == ""
@@ -380,8 +404,14 @@ def test_known_bad_inputs_exit_2_with_one_error_line(argv, model, aux, tmp_path,
     (["af-cohomology", "MODEL", "--levels", "1000000", "--depth", "3"], _UHF2, None, {}),
     (["odometer", "--p", "2", "--max-depth", "1000"], None, None, {}),
     (["homology", "MODEL"], {"kind": "pair", "fibers": [10 ** 1500]}, None, {}),
+    # flags that multiply the work without a model to match: the stages a
+    # stationary tower prints, and the random instances generated
+    (["dimension-group", "MODEL", "--levels", "3000000"], {**_UHF2, "levels": 3}, None, {}),
+    (["dimension-group", "MODEL", "--levels", "100000000"], {**_UHF2, "levels": 3}, None, {}),
+    (["verify-theta", "--seed", "1", "--count", "100000000"], None, None, {}),
 ], ids=["module-rank-huge", "skew-window-huge", "skew-window-large", "cap-malformed",
-        "af-depth-huge", "af-levels-huge", "odometer-depth-huge", "pair-fiber-digits"])
+        "af-depth-huge", "af-levels-huge", "odometer-depth-huge", "pair-fiber-digits",
+        "dimension-levels-large", "dimension-levels-huge", "verify-theta-count-huge"])
 def test_oversize_inputs_exit_2_before_building(argv, model, aux, env, tmp_path):
     files = {"MODEL": tmp_path / "model.json", "AUX": tmp_path / "aux.json"}
     for slot, payload in (("MODEL", model), ("AUX", aux)):

@@ -87,7 +87,7 @@ def test_nerve_work_estimate_matches_the_enumerated_nerves(seed, monkeypatch):
     top = 3
     total = sum(len(nerve(G, n)) * (n + 1) ** 2 for n in range(top + 1))
     monkeypatch.setenv("GROUPOIDAL_CAP", str(total))
-    require_nerve_work(G, top)
+    assert require_nerve_work(G, top) == total
     monkeypatch.setenv("GROUPOIDAL_CAP", str(total - 1))
     with pytest.raises(DegreeTooLarge):
         require_nerve_work(G, top)
@@ -104,7 +104,7 @@ def test_nerve_work_with_module_ranks_adds_each_cochain_block(seed, monkeypatch)
     total = sum((n + 1) ** 2 + ranks[G.rng[t[0]]]
                 for n in range(top + 1) for t in nerve(G, n).tuples)
     monkeypatch.setenv("GROUPOIDAL_CAP", str(total))
-    require_nerve_work(G, top, ranks)
+    assert require_nerve_work(G, top, ranks) == total
     monkeypatch.setenv("GROUPOIDAL_CAP", str(total - 1))
     with pytest.raises(DegreeTooLarge):
         require_nerve_work(G, top, ranks)

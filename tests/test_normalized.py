@@ -14,7 +14,7 @@ import pytest
 
 from groupoidal.cohomology import (cochain_complex, cochain_space, cocycle_cohomology,
                                    hom_side_cohomology, hom_space)
-from groupoidal.groupoids import boundary_matrix_d, nerve
+from groupoidal.groupoids import boundary_matrix_d, homology_face, nerve
 from groupoidal.homology import homology_groups, nerve_complex
 from groupoidal.models import (action_groupoid, constant_module, cyclic_table,
                                disjoint_union, full_pair_groupoid, group_groupoid,
@@ -79,6 +79,27 @@ def test_normalized_basis_is_the_nondegenerate_strings_in_lex_order(G, M):
     for n in range(TOP + 1):
         want = tuple(t for t in nerve(G, n).tuples if not _degenerate(G, t, n))
         assert nerve(G, n, normalized=True).tuples == want
+
+
+# the builders treat a face outside the codomain basis as zero, so these
+# two tests are what stops a string missing from a basis from going unseen
+@pytest.mark.parametrize("G, M", CASES)
+def test_every_face_of_a_full_string_is_in_the_full_basis(G, M):
+    for n in range(1, TOP + 1):
+        index = nerve(G, n - 1).index
+        for t in nerve(G, n).tuples:
+            for i in range(n + 1):
+                assert homology_face(G, t, i) in index, (t, i)
+
+
+@pytest.mark.parametrize("G, M", CASES)
+def test_a_normalized_face_is_in_the_basis_unless_its_composite_is_a_unit(G, M):
+    for n in range(1, TOP + 1):
+        index = nerve(G, n - 1, normalized=True).index
+        for t in nerve(G, n, normalized=True).tuples:
+            for i in range(n + 1):
+                degenerate = 0 < i < n and G.is_unit(G.comp[t[i - 1], t[i]])
+                assert (homology_face(G, t, i) in index) != degenerate, (t, i)
 
 
 @pytest.mark.parametrize("G, M", CASES)
