@@ -102,7 +102,7 @@ def _list(doc: dict, name: str, path: str) -> list:
 
 
 def parse_input(path: str):
-    """Parse a model file into a groupoid, Bratteli diagram, or odometer."""
+    """Parse a model file into a groupoid or a Bratteli diagram."""
     doc = _load_json(path)
     kind = _field(doc, "kind", path)
     if kind == "explicit":
@@ -132,11 +132,6 @@ def parse_input(path: str):
             raise ValidationError(f"{path}: {e}")
     if kind == "bratteli":
         return _parse_bratteli(doc, path)
-    if kind == "odometer":
-        p = _field(doc, "p", path)
-        if not _is_int(p) or p < 2:
-            raise ParseError(f"{path}: p must be an integer >= 2")
-        return ("odometer", p)
     raise ParseError(f"{path}: unknown kind '{kind}'")
 
 
@@ -284,7 +279,10 @@ def cmd_homology(args) -> int:
         match = re.fullmatch(r"Z/([0-9]+)", args.coefficients)
         if match is None:
             raise ParseError("coefficients must be Z or Z/m")
-        coeff = int(match.group(1))
+        try:
+            coeff = int(match.group(1))
+        except ValueError:  # more digits than Python converts to an int
+            raise ParseError("coefficients Z/m: m has too many digits")
         label = f"Z/{coeff}"
     groups = hom.homology_groups(G, args.max_degree, coefficients=coeff)
     payload = {"command": "homology", "input": args.input,

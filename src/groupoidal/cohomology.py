@@ -29,7 +29,7 @@ from .groupoids import (FiniteGroupoid, GModule, GroupoidFunctor,
                         homology_face, nerve, require_nerve_work,
                         require_valid_functor)
 from .zlinalg import (ChainComplex, ChainHomologyPresentation, FgAbGroup, IntMatrix,
-                      induced_on_homology, kernel_basis)
+                      induced_on_homology, rank)
 
 
 class BlockSpace:
@@ -117,13 +117,13 @@ def _coboundary(G: FiniteGroupoid, M: GModule, n: int,
     (n+1)-string found through dom's key of it.  A face with no key in dom
     is skipped: on normalized spaces a cochain vanishes there."""
     entries = []
-    for key, rank in zip(cod.keys, cod.ranks):
+    for key, r in zip(cod.keys, cod.ranks):
         row = cod.offset[key]
         t = cod.string_of(key)  # (g_0, ..., g_n)
         for i in range(n + 2):
             col = dom.offset.get(dom.key_of(homology_face(G, t, i)))
             if col is not None:
-                entries.extend(_identity(row, col, rank, -1 if i % 2 else 1) if i
+                entries.extend(_identity(row, col, r, -1 if i % 2 else 1) if i
                                else _block(row, col, M.act(t[0])))
     return IntMatrix.from_entries(cod.total, dom.total, entries)
 
@@ -245,7 +245,7 @@ class InducedCohomologyMap:
     matrix: IntMatrix
 
     def is_injective_at_chain_level(self) -> bool:
-        return kernel_basis(self.chain_matrix).cols == 0
+        return rank(self.chain_matrix) == self.chain_matrix.cols
 
 
 def _cocycle_presentation(G: FiniteGroupoid, M: GModule, n: int) -> ChainHomologyPresentation:

@@ -12,13 +12,13 @@ is never presented as a group, only as a certificate or as evidence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 from typing import List, Optional, Sequence
 
 from .groupoids import power_exceeds_cap, tuple_cap
-from .models import BratteliDiagram, DepthTooLarge, MalformedDiagram
-from .zlinalg import (FgAbGroup, IntMatrix, LinearSystem, image_basis,
-                      invariant_factors, kernel_basis)
+from .models import BratteliDiagram, DepthTooLarge, MalformedDiagram, OdometerSystem
+from .zlinalg import (FgAbGroup, IntMatrix, image_basis, invariant_factors,
+                      kernel_basis, rank)
 
 
 class StageBoundExceeded(Exception):
@@ -126,7 +126,7 @@ def colimit_equal(C: ColimitGroup, a: ColimitElement, b: ColimitElement,
         raise StageBoundExceeded(f"element stages exceed bound {stage_bound}")
     start = max(a.stage, b.stage)
     injective_stationary = (C.tower.stationary
-                            and kernel_basis(C.tower.map_at(0)).cols == 0)
+                            and rank(C.tower.map_at(0)) == C.tower.map_at(0).cols)
     for s in range(start, stage_bound + 1):
         if C.push(a, s).vector == C.push(b, s).vector:
             return EqualityResult("equal", s)
@@ -229,20 +229,6 @@ def af_homology(B: BratteliDiagram, n: int) -> AfHomology:
 # -- truncated inverse limits and lim^1 ---------------------------------------
 
 
-def _lattice_index(outer: IntMatrix, inner: IntMatrix) -> Optional[int]:
-    """Index [outer : inner] when both have equal rank, else None."""
-    coords = LinearSystem(outer).solve_columns(inner)
-    if coords is None:
-        return None
-    facs = invariant_factors(coords)
-    if len(facs) != outer.cols:
-        return None
-    out = 1
-    for f in facs:
-        out *= f
-    return out
-
-
 @dataclass
 class StageChain:
     """Image chain at one stage of an inverse tower."""
@@ -287,24 +273,27 @@ def limit_and_lim1(T: Tower, N: int) -> Lim1Report:
     nonml = []
     for n_stage in range(N):
         composite = None
-        images = []
+        factors = []
         for m in range(n_stage + 1, N + 1):
             step = T.map_at(m - 1)
             composite = step if composite is None else composite * step
-            images.append(image_basis(composite))
-        ranks = [b.cols for b in images]
+            factors.append(invariant_factors(composite))
+        ranks = [len(f) for f in factors]
+        # the images are nested, im(C * S) in im(C); at equal rank both have
+        # the same saturation L, and [L : im A] is the product of A's
+        # invariant factors, so the step's index is the ratio of products
         indices: List[Optional[int]] = [None]
-        for prev, cur in zip(images, images[1:]):
-            indices.append(_lattice_index(prev, cur))
-        # the images are nested, im(C * S) in im(C), so images[start]
-        # equals every later image exactly when each later step has index 1
-        start = len(images) - 1
+        indices += [prod(cur) // prod(prev) if len(cur) == len(prev) else None
+                    for prev, cur in zip(factors, factors[1:])]
+        # images[start] equals every later image exactly when each later
+        # step has index 1
+        start = len(factors) - 1
         while start > 0 and indices[start] == 1:
             start -= 1
         stabilized = n_stage + 1 + start
         # the trailing image alone stabilizes vacuously; demand at least
         # one observed repeat before certifying
-        if start == len(images) - 1 and len(images) >= 2:
+        if start == len(factors) - 1 and len(factors) >= 2:
             stabilized = None
         if stabilized is None:
             nonml.append(n_stage)
@@ -351,18 +340,14 @@ def _shift_pullback(p: int, depth: int) -> IntMatrix:
     return IntMatrix.from_entries(p * n, n, ((w, w // p, 1) for w in range(p * n)))
 
 
-def _depth_inclusion(p: int, depth: int) -> IntMatrix:
-    """Depth-`depth` functions seen at depth+1 (value of the truncation)."""
-    n = p ** depth
-    return IntMatrix.from_entries(p * n, n, ((w, w % n, 1) for w in range(p * n)))
-
-
 def af_cohomology_tower(B: BratteliDiagram, N: int, D: int) -> AfCohomologyReport:
     """Degree-0/1 cohomology evidence for a stationary one-vertex diagram.
 
-    Words of length d index depth-d cylinders with the first digit most
-    significant here (w // p drops the last digit, w % p^d the first),
-    which matches the two matrix constructions above.
+    Words of length d index depth-d cylinders least-significant digit
+    first, w = a_1 + a_2 p + ... + a_d p^(d-1), as in
+    `models.odometer_system`: w // p drops the first digit (the shift,
+    `_shift_pullback`) and w % p^d the last (the truncation, whose
+    pullback is `OdometerSystem.refinement`).
 
     Degree 0: the stationary-thread lattice {f : f = f o shift} inside
     depth-D functions; for the full shift this is a faithful model of the
@@ -382,9 +367,11 @@ def af_cohomology_tower(B: BratteliDiagram, N: int, D: int) -> AfCohomologyRepor
         raise DepthTooLarge(f"p^(D+N) for p = {p}, depth D = {D} and levels N = {N} "
                             f"exceeds cap {tuple_cap()}")
     # stationary threads: iota(f) = sigma^*(f) in depth D+1
-    fixed = kernel_basis(_depth_inclusion(p, D) - _shift_pullback(p, D))
-    constants_only = (fixed.cols == 1 and len(set(fixed.col(0))) == 1
-                      and fixed.col(0)[0] != 0)
+    A = OdometerSystem(p, D).refinement(D) - _shift_pullback(p, D)
+    fixed_rank = A.cols - rank(A)
+    # the kernel is saturated and (1, ..., 1) is primitive, so the kernel
+    # is exactly the constants when it has rank 1 and holds (1, ..., 1)
+    constants_only = fixed_rank == 1 and not any(A.apply([1] * A.cols))
     # exact truncated tower: stage n holds depth D+N-n functions
     ranks = [p ** (D + N - n) for n in range(N + 1)]
     maps = [_shift_pullback(p, D + N - n - 1) for n in range(N)]
@@ -395,9 +382,8 @@ def af_cohomology_tower(B: BratteliDiagram, N: int, D: int) -> AfCohomologyRepor
         nonml = 0 in report.nonml_stages
         truncated_rank = report.thread_rank()
     else:
-        img = image_basis(maps[0])
-        image_ranks = [img.cols]
-        nonml = img.cols < ranks[0]
+        image_ranks = [rank(maps[0])]
+        nonml = image_ranks[0] < ranks[0]
         truncated_rank = ranks[1]
-    return AfCohomologyReport(p, N, D, fixed.cols, constants_only,
+    return AfCohomologyReport(p, N, D, fixed_rank, constants_only,
                               truncated_rank, image_ranks, nonml)

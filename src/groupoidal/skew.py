@@ -228,8 +228,10 @@ class LesReport:
     degreewise_groups: List[FgAbGroup]
     degree0_group: FgAbGroup
     degree0_matches_base: bool
+    # true for every cocycle: on a finite groupoid c is the coboundary of
+    # `potential`, the zero cocycle of the zero potential included
     cocycle_is_coboundary: bool
-    potential: Optional[Dict[int, int]]
+    potential: Dict[int, int]
     note: str
 
     @property
@@ -327,10 +329,9 @@ def les_verify(G: FiniteGroupoid, c: ZCocycle, K: int, guard: int, n_max: int,
     shift = inner.shift_into(outer)
     proj = outer.projection()
     potential = cocycle_potential(G, c)
-    nonzero = any(v for v in c.values)
     note = ("the cocycle is a coboundary (every integer cocycle on a finite "
             "groupoid is); windowed checks do not model essentially "
-            "nontrivial cocycles" if nonzero else
+            "nontrivial cocycles" if any(c.values) else
             "zero cocycle: the window splits into level copies")
     A, B = inner.groupoid, outer.groupoid
     degrees = range(n_max + 1)
@@ -366,4 +367,4 @@ def les_verify(G: FiniteGroupoid, c: ZCocycle, K: int, guard: int, n_max: int,
     return LesReport(mode, K, guard, interior, n_max, checks, base_groups,
                      [p.group for p in pres_in], connecting, connecting_ok,
                      book, book[0], book[0] == base_groups[0],
-                     nonzero, potential if nonzero else None, note)
+                     True, potential, note)

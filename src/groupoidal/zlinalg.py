@@ -33,6 +33,13 @@ strip the +-1 pivots in any order a cheap sparsity rule picks (unit-pivot
 pre-elimination, as in Dumas-Saunders-Villard 2001) and run the
 exact-order engine only on the small remainder.  Their result does not
 depend on the order.
+
+So callers keep one rule.  A number or a yes/no that `rank` and
+`invariant_factors` determine (a rank or nullity, injectivity, the index
+of two nested images of equal rank) is read off them.  The transform
+read-outs run only where a basis, coordinates or a witness is needed; a
+check may share a factorization that its caller builds anyway for such a
+read-out, as the skew LES's exactness checks share the lifts' systems.
 """
 
 from __future__ import annotations

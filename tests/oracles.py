@@ -91,6 +91,41 @@ def det(rows):
     return sign * m[n - 1][n - 1]
 
 
+def lattice_index(outer, inner):
+    """Index [L(outer) : L(inner)] of the lattices spanned by two lattice
+    bases, each a list of integer columns of one length; None unless
+    L(inner) lies in L(outer) with equal rank.
+
+    The solve route: outer * X = inner is solved over Q by Gauss-Jordan
+    elimination, and the index is |det X| when X is integral and
+    nonsingular.  No Smith form is involved.
+    """
+    r = len(outer)
+    if len(inner) != r:
+        return None
+    if r == 0:
+        return 1
+    n = len(outer[0])
+    m = [[Fraction(c[i]) for c in outer] + [Fraction(c[i]) for c in inner]
+         for i in range(n)]
+    for col in range(r):
+        piv = next((i for i in range(col, n) if m[i][col]), None)
+        if piv is None:
+            raise ValueError("the columns of outer are not independent")
+        m[col], m[piv] = m[piv], m[col]
+        m[col] = [v / m[col][col] for v in m[col]]
+        for i in range(n):
+            if i != col and m[i][col]:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
+    if any(v for row in m[r:] for v in row[r:]):
+        return None  # some column of inner is outside the span of outer
+    x = [row[r:] for row in m[:r]]
+    if any(v.denominator != 1 for row in x for v in row):
+        return None
+    return abs(det([[int(v) for v in row] for row in x])) or None
+
+
 def _factorint(n):
     """Prime factorization {p: e} of n >= 1 by trial division."""
     out = {}

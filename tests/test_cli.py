@@ -351,6 +351,10 @@ _QUERIES = ["dimension-group", "MODEL", "--queries", "AUX"]
     (_QUERIES, _UHF2, [{"op": "divisible", "stage": 0, "vector": [1.5], "q": 2}]),
     (["homology", "MODEL"], {"kind": "pair", "fibers": [True, 2]}, None),
     (_COCYCLE, _Z2, {"values": {"1": 0.0}}),
+    # more digits than Python converts to an int
+    (["homology", "MODEL", "--coefficients", "Z/" + "9" * 5000], _Z2, None),
+    # the odometer takes --p; no command reads an odometer model file
+    (["homology", "MODEL"], {"kind": "odometer", "p": 2}, None),
 ], ids=["max-degree", "cohomology-max-degree", "coefficients", "odometer-p",
         "odometer-depth", "count", "af-levels", "dimension-levels", "pair-fibers",
         "unit-range", "src-not-unit", "module-fiber-type", "module-action-entry",
@@ -362,7 +366,8 @@ _QUERIES = ["dimension-group", "MODEL", "--queries", "AUX"]
         "pair-fiber-huge", "homology-total-work", "cohomology-total-work",
         "verify-theta-total-work", "skew-les-total-work", "module-fiber-float",
         "module-fiber-string", "query-stage-float", "query-q-string", "query-vector-float",
-        "pair-fibers-bool", "cocycle-value-float"])
+        "pair-fibers-bool", "cocycle-value-float", "coefficients-digits",
+        "odometer-model-kind"])
 def test_known_bad_inputs_exit_2_with_one_error_line(argv, model, aux, tmp_path, capsys):
     files = {"MODEL": tmp_path / "model.json", "AUX": tmp_path / "aux.json"}
     for slot, payload in (("MODEL", model), ("AUX", aux)):
@@ -449,8 +454,7 @@ def _s3_table():
     return [[index[tuple(a[b[x]] for x in range(3))] for b in elements] for a in elements]
 
 
-# one valid model file of each kind and a command that takes it; no command
-# takes an odometer file, so that one exits 2 even unchanged
+# one valid model file of each kind and a command that takes it
 _VALID_MODELS = [
     (["homology", "MODEL", "--max-degree", "1"],
      {"kind": "explicit", "arrows": 2, "units": [0], "src": [0, 0], "rng": [0, 0],
@@ -463,7 +467,6 @@ _VALID_MODELS = [
     (["dimension-group", "MODEL"],
      {"kind": "bratteli", "stationary": True, "matrices": [[[2]]], "levels": 2}),
     (["dimension-group", "MODEL"], _TWO_STAGES),
-    (["homology", "MODEL"], {"kind": "odometer", "p": 2}),
 ]
 
 _JSON_VALUES = st.recursive(

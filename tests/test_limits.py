@@ -1,9 +1,11 @@
+import os
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groupoidal import cli, zlinalg
 from groupoidal.homology import homology_groups
 from groupoidal.limits import (ColimitGroup, StageBoundExceeded, Tower,
                                af_cohomology_tower, af_homology,
@@ -11,8 +13,10 @@ from groupoidal.limits import (ColimitGroup, StageBoundExceeded, Tower,
                                dimension_group, limit_and_lim1)
 from groupoidal.models import (MalformedDiagram, bratteli_stationary,
                                pair_groupoid_from_map)
-from groupoidal.zlinalg import (FgAbGroup, IntMatrix, LinearSystem,
+from groupoidal.zlinalg import (FgAbGroup, IntMatrix, LinearSystem, image_basis,
                                 image_contains, invariant_factors, rank)
+
+from oracles import lattice_index
 
 
 def doubling():
@@ -207,6 +211,57 @@ def test_stabilized_at_matches_pairwise_lattice_equality(seed):
         if start == len(composites) - 1 and start > 0:
             want = None
         assert got.stabilized_at == want
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_stage_chains_match_the_solve_route_index(seed):
+    # ranks down to 0, zero maps and non-unit entries, so chains drop rank,
+    # vanish, and hold steps of index above 1
+    rng = random.Random(seed)
+    N = rng.randint(2, 4)
+    ranks = [rng.randint(0, 4) for _ in range(N + 1)]
+    mats = [IntMatrix.zeros(ranks[n], ranks[n + 1]) if rng.random() < 0.15 else
+            IntMatrix(ranks[n], ranks[n + 1],
+                      [[rng.choice([0, 0, 1, -1, 2, 3, -4, 6]) for _ in range(ranks[n + 1])]
+                       for _ in range(ranks[n])]) for n in range(N)]
+    rep = limit_and_lim1(Tower("inverse", ranks, mats), N)
+    for n_stage, chain in enumerate(rep.chains):
+        composites = [mats[n_stage]]
+        for m in range(n_stage + 1, N):
+            composites.append(composites[-1] * mats[m])
+        images = [image_basis(c).column_list() for c in composites]
+        assert chain.ranks == [len(b) for b in images]
+        assert chain.indices == [None] + [lattice_index(prev, cur)
+                                          for prev, cur in zip(images, images[1:])]
+
+
+def _transform_factorizations(argv, monkeypatch, capsys):
+    """Engines built by one CLI run that track a transform factor."""
+    needs = []
+
+    class Recording(zlinalg._Smith):
+        def __init__(self, A, need=()):
+            need = tuple(need)
+            needs.append(need)
+            super().__init__(A, need)
+
+    monkeypatch.setattr(zlinalg, "_Smith", Recording)
+    monkeypatch.chdir(os.path.join(os.path.dirname(__file__), "golden"))
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    return sum(1 for need in needs if need)
+
+
+@pytest.mark.parametrize("argv, want", [
+    # the thread basis and the stage-0 basis; every rank and index is
+    # read off invariant factors
+    (["af-cohomology", "inputs/uhf2.json", "--levels", "4", "--depth", "5"], 2),
+    (["af-cohomology", "inputs/uhf2.json", "--levels", "1", "--depth", "5"], 0),
+    (["dimension-group", "inputs/uhf6.json", "--queries", "inputs/uhf6-queries.json"], 0),
+], ids=["af-levels-4", "af-levels-1", "dimension-group-uhf6"])
+def test_numbers_do_not_run_the_transform_engine(argv, want, monkeypatch, capsys):
+    assert _transform_factorizations(argv, monkeypatch, capsys) == want
 
 
 @pytest.mark.parametrize("p,N,D", [(2, 3, 4), (3, 2, 3)])

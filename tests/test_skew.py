@@ -24,6 +24,13 @@ def test_zero_cocycle_valid():
     assert validate_cocycle(z2, ZCocycle.zero(z2)).ok
 
 
+def test_zero_cocycle_is_the_coboundary_of_the_zero_potential():
+    z2 = group_groupoid(cyclic_table(2))
+    rep = les_verify(z2, ZCocycle.zero(z2), 4, 1, 1)
+    assert rep.cocycle_is_coboundary
+    assert rep.potential == {u: 0 for u in z2.units}
+
+
 def test_potential_cocycle_valid():
     p3 = full_pair_groupoid(3)
     c = potential_cocycle(p3, (0, 1, 2))
