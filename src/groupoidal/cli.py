@@ -195,20 +195,33 @@ def _parse_bratteli(doc: dict, path: str):
         raise ValidationError(f"{path}: {e}")
 
 
+def _known_keys(doc: dict, keys, what: str, path: str) -> None:
+    """Refuse a key of doc that is not in keys, naming it."""
+    for key in doc:
+        if key not in keys:
+            raise ParseError(f"{path}: {what} has an unknown key {key[:40]!r}")
+
+
 def parse_module(path: str, G: FiniteGroupoid, top: int, normalized: bool = False) -> GModule:
-    """Parse a module file over G for a command that builds nerve degrees
-    0..top (nondegenerate strings only, if `normalized`); the work its fiber
-    ranks add is checked before any action is built."""
+    """Parse a module file over G; the work its fiber ranks add to G's nerve
+    degrees 0..top (nondegenerate strings only, if `normalized`) is checked
+    before any action is built.  A key that names no unit or arrow is
+    refused."""
     doc = _load_json(path)
     fibers_doc = _object(doc, "fibers", path)
+    _known_keys(doc, ("fibers", "action"), "the module", path)
+    _known_keys(fibers_doc, {str(u) for u in G.units}, "fibers", path)
     fibers = {}
     for u in G.units:
         key = str(u)
         if key not in fibers_doc:
             raise ParseError(f"{path}: missing fiber rank for unit {u}")
         fibers[u] = _int(fibers_doc[key], f"fibers[{key}]", path)
+        if fibers[u] < 0:
+            raise ParseError(f"{path}: fibers[{key}] must be a non-negative integer")
     require_nerve_work(G, top, fibers, normalized=normalized)
     action_doc = _object(doc, "action", path) if "action" in doc else {}
+    _known_keys(action_doc, {str(g) for g in range(G.n_arrows)}, "action", path)
     action = {}
     for g in range(G.n_arrows):
         key = str(g)
@@ -228,6 +241,8 @@ def parse_module(path: str, G: FiniteGroupoid, top: int, normalized: bool = Fals
 def parse_cocycle(path: str, G: FiniteGroupoid) -> skew.ZCocycle:
     doc = _load_json(path)
     values_doc = _object(doc, "values", path)
+    _known_keys(doc, ("values",), "the cocycle", path)
+    _known_keys(values_doc, {str(g) for g in range(G.n_arrows)}, "values", path)
     values = [_int(values_doc.get(str(g), 0), f"values[{g}]", path)
               for g in range(G.n_arrows)]
     c = skew.ZCocycle.from_values(values)
@@ -294,8 +309,9 @@ def cmd_homology(args) -> int:
 
 def cmd_cohomology(args) -> int:
     G = _require_groupoid(parse_input(args.input), args.input)
-    M = (parse_module(args.module, G, args.max_degree + 1, normalized=True) if args.module
-         else models.constant_module(G, 1))
+    # the module's actions, and the composable pairs its validation
+    # multiplies, are bounded on G; the cochains are counted on G's isotropy
+    M = parse_module(args.module, G, 2) if args.module else models.constant_module(G, 1)
     groups = coh.cocycle_cohomology(G, M, args.max_degree)
     payload = {"command": "cohomology", "input": args.input,
                "module": args.module or "constant rank 1",

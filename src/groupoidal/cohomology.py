@@ -8,16 +8,17 @@ first entry is a unit).  The comparison maps between them are assembled
 as explicit matrices and checked to be mutually inverse chain maps,
 exhibiting the isomorphism between the two models on any finite instance.
 
-`cocycle_cohomology` and `hom_side_cohomology` work on the normalized
+`cocycle_cohomology` and `hom_side_cohomology` work on the isotropy
+groups of one unit per orbit, with the module pulled back to them (a
+Morita equivalence, `groupoids.isotropy_inclusion`), on the normalized
 cochains, those that vanish on degenerate strings (strings with a unit
 entry): extension by zero includes them into the full cochains as a
 subcomplex with the same cohomology (Eilenberg-Mac Lane; Mac Lane,
-Homology, ch. VIII), keyed on the much fewer nondegenerate strings.  The
-basis alone decides which: a space is keyed on the strings of
-`nerve(G, n, normalized)`, and the coboundary skips every face that has no
-key in its domain, where a normalized cochain is zero.  The comparison
-check, the skew LES and the induced maps stay on the full cochains,
-because the statements they check are about those complexes.
+Homology, ch. VIII).  The basis alone decides which: a space is keyed on
+the strings of `nerve(G, n, normalized)`, and the coboundary skips every
+face that has no key in its domain, where a normalized cochain is zero.
+The comparison check, the skew LES and the induced maps stay on the full
+cochains, because the statements they check are about those complexes.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 from typing import Callable, List
 
 from .groupoids import (FiniteGroupoid, GModule, GroupoidFunctor,
-                        homology_face, nerve, require_nerve_work,
-                        require_valid_functor)
+                        homology_face, isotropy_inclusion, nerve,
+                        require_nerve_work, require_valid_functor)
 from .zlinalg import (ChainComplex, ChainHomologyPresentation, FgAbGroup, IntMatrix,
                       induced_on_homology, rank)
 
@@ -158,17 +159,26 @@ def cochain_complex(G: FiniteGroupoid, M: GModule, spaces: List[BlockSpace],
 
 
 def cocycle_cohomology(G: FiniteGroupoid, M: GModule, n_max: int) -> List[FgAbGroup]:
-    """H^0 .. H^{n_max} of the cocycle complex, on the normalized cochains."""
-    require_nerve_work(G, n_max + 1, M.fiber_rank, normalized=True)
-    return cochain_complex(G, M, [cochain_space(G, M, n, normalized=True)
-                                  for n in range(n_max + 2)]).groups()
+    """H^0 .. H^{n_max} of the cocycle complex."""
+    return _isotropy_cohomology(G, M, n_max, cochain_space)
 
 
 def hom_side_cohomology(G: FiniteGroupoid, M: GModule, n_max: int) -> List[FgAbGroup]:
-    """H^0 .. H^{n_max} of the equivariant Hom complex, on the normalized
-    cochains."""
-    require_nerve_work(G, n_max + 1, M.fiber_rank, normalized=True)
-    return cochain_complex(G, M, [hom_space(G, M, n, normalized=True)
+    """H^0 .. H^{n_max} of the equivariant Hom complex."""
+    return _isotropy_cohomology(G, M, n_max, hom_space)
+
+
+def _isotropy_cohomology(G: FiniteGroupoid, M: GModule, n_max: int,
+                         space: Callable) -> List[FgAbGroup]:
+    """The groups of one model (`space` builds its cochains) on the
+    normalized cochains of the isotropy groups H of G, with M pulled back
+    to H along the inclusion, which is a Morita equivalence."""
+    i, _ = isotropy_inclusion(G)
+    H = i.source
+    if H is not G:
+        M = pullback_module(i, M)
+    require_nerve_work(H, n_max + 1, M.fiber_rank, normalized=True)
+    return cochain_complex(H, M, [space(H, M, n, normalized=True)
                                   for n in range(n_max + 2)]).groups()
 
 

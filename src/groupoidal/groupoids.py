@@ -441,3 +441,31 @@ def require_valid_functor(phi: GroupoidFunctor) -> None:
     rep = validate_functor(phi)
     if not rep.ok:
         raise InvalidFunctor(rep.message())
+
+
+def isotropy_inclusion(G: FiniteGroupoid) -> Tuple[GroupoidFunctor, Dict[int, int]]:
+    """The inclusion i: H -> G of the isotropy groups at the least unit x of
+    each orbit, and for every unit y the least arrow k_y: x -> y (k_x = x).
+
+    H is Morita equivalent to G: r(g) = k_{r(g)}^-1 g k_{s(g)} retracts G
+    onto H, and k is a natural transformation from i r to the identity, so
+    H has G's homology and, with a module pulled back along i, its
+    cohomology (Crainic-Moerdijk).  If every orbit is one unit, i = id_G.
+    """
+    base: Dict[int, int] = {}
+    for x in G.units:
+        if x not in base:  # the least unit of a new orbit
+            base[x] = x
+            for g in G.arrows_by_src[x]:
+                base.setdefault(G.rng[g], g)
+    bases = [x for x in G.units if base[x] == x]
+    if len(bases) == G.n_units:
+        return GroupoidFunctor.identity(G), base
+    arrows = [g for x in bases for g in G.arrows_by_src[x] if G.rng[g] == x]
+    pos = {g: j for j, g in enumerate(arrows)}
+    H = FiniteGroupoid([pos[G.src[g]] for g in arrows], [pos[G.rng[g]] for g in arrows],
+                       {(pos[g], pos[h]): pos[G.comp[g, h]]
+                        for g in arrows for h in G.arrows_by_rng[G.src[g]] if h in pos},
+                       [pos[G.inv[g]] for g in arrows],
+                       [pos[x] for x in bases])
+    return GroupoidFunctor(H, G, arrows), base

@@ -1,10 +1,12 @@
 """Homology of finite groupoids and of two-term models of Z-actions.
 
 Degree-n homology is ker(d_n)/im(d_{n+1}) over the nerve bases.
-`homology_groups` works on the normalized complex, the quotient by the
-degenerate strings (those with a unit entry), which has the same homology
-(Eilenberg-Mac Lane; Mac Lane, Homology, ch. VIII) and a much smaller top
-degree.  Induced maps of groupoid homomorphisms are computed on explicit
+`homology_groups` works on the isotropy groups of one unit per orbit
+(`groupoids.isotropy_inclusion`), Morita equivalent to G, on their
+normalized complex, the quotient by the degenerate strings (those with a
+unit entry); both keep the homology (Crainic-Moerdijk; Eilenberg-Mac
+Lane, see Mac Lane, Homology, ch. VIII), and G's nerve is never built.
+Induced maps of groupoid homomorphisms are computed on explicit
 presentations of the full complexes, as is the skew LES, because the
 statements they check are about the full nerve bases.
 
@@ -20,8 +22,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from .groupoids import (FiniteGroupoid, GroupoidError, GroupoidFunctor,
-                        boundary_matrix_d, nerve, require_nerve_work,
-                        require_valid_functor)
+                        boundary_matrix_d, isotropy_inclusion, nerve,
+                        require_nerve_work, require_valid_functor)
 from .limits import ColimitGroup, Tower
 from .models import odometer_system
 from .zlinalg import (ChainComplex, ChainHomologyPresentation, FgAbGroup, IntMatrix,
@@ -50,7 +52,8 @@ def homology_groups(G: FiniteGroupoid, n_max: int,
     Z/m coefficients are derived from the integral groups by universal
     coefficients, so a single integer normal-form engine serves any m >= 2.
     """
-    integral = nerve_complex(G, n_max, normalized=True).groups()
+    H = isotropy_inclusion(G)[0].source
+    integral = nerve_complex(H, n_max, normalized=True).groups()
     if coefficients is None:
         return integral
     out = []

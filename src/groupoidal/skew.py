@@ -23,7 +23,8 @@ from typing import Dict, List, Optional
 
 from .cohomology import cochain_complex, hom_space, pullback_module, relabel_matrix
 from .groupoids import (FiniteGroupoid, GModule, GroupoidError,
-                        GroupoidFunctor, require_nerve_work, tuple_cap)
+                        GroupoidFunctor, isotropy_inclusion, require_nerve_work,
+                        tuple_cap)
 from .homology import chain_pushforward, nerve_complex
 from .models import constant_module
 from .zlinalg import (ChainComplex, FgAbGroup, IntMatrix, LinearSystem,
@@ -81,31 +82,11 @@ def cocycle_potential(G: FiniteGroupoid, c: ZCocycle) -> Dict[int, int]:
     """A potential f on units with c(g) = f(r(g)) - f(s(g)).
 
     On a finite groupoid every integer cocycle is of this form (finite
-    isotropy groups admit no nonzero homomorphism to Z); the potential is
-    normalized to 0 at the smallest unit of each orbit.
+    isotropy groups admit no nonzero homomorphism to Z).  It is read off
+    the base arrows k_y: x -> y of `isotropy_inclusion`, f(y) = c(k_y), so
+    it is 0 at the least unit x of each orbit.
     """
-    f: Dict[int, int] = {}
-    for orbit in G.orbits():
-        base = orbit[0]
-        f[base] = 0
-        frontier = [base]
-        seen = {base}
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for g in G.arrows_by_src[u]:
-                    v = G.rng[g]
-                    if v not in seen:
-                        f[v] = f[u] + c(g)
-                        seen.add(v)
-                        nxt.append(v)
-                for g in G.arrows_by_rng[u]:
-                    v = G.src[g]
-                    if v not in seen:
-                        f[v] = f[u] - c(g)
-                        seen.add(v)
-                        nxt.append(v)
-            frontier = nxt
+    f = {y: c(k) for y, k in isotropy_inclusion(G)[1].items()}
     for g in range(G.n_arrows):
         if c(g) != f[G.rng[g]] - f[G.src[g]]:
             raise GroupoidError("not a cocycle: no potential exists")

@@ -355,6 +355,13 @@ _QUERIES = ["dimension-group", "MODEL", "--queries", "AUX"]
     (["homology", "MODEL", "--coefficients", "Z/" + "9" * 5000], _Z2, None),
     # the odometer takes --p; no command reads an odometer model file
     (["homology", "MODEL"], {"kind": "odometer", "p": 2}, None),
+    # a key that names no unit or arrow, or no field, is refused, not dropped
+    (_MODULE, _Z2, {"fibers": {"0": 1}, "action": {"5": [[-1]]}}),
+    (_MODULE, _Z2, {"fibers": {"0": 1, "1": 1}}),
+    (_MODULE, _Z2, {"fibers": {"0": 1}, "actions": {"1": [[-1]]}}),
+    (_MODULE, _Z2, {"fibers": {"0": -1}}),
+    (_COCYCLE, _Z2, {"values": {"9": 3}}),
+    (_COCYCLE, _Z2, {"values": {}, "potential": {"0": 1}}),
 ], ids=["max-degree", "cohomology-max-degree", "coefficients", "odometer-p",
         "odometer-depth", "count", "af-levels", "dimension-levels", "pair-fibers",
         "unit-range", "src-not-unit", "module-fiber-type", "module-action-entry",
@@ -367,8 +374,10 @@ _QUERIES = ["dimension-group", "MODEL", "--queries", "AUX"]
         "verify-theta-total-work", "skew-les-total-work", "module-fiber-float",
         "module-fiber-string", "query-stage-float", "query-q-string", "query-vector-float",
         "pair-fibers-bool", "cocycle-value-float", "coefficients-digits",
-        "odometer-model-kind"])
-def test_known_bad_inputs_exit_2_with_one_error_line(argv, model, aux, tmp_path, capsys):
+        "odometer-model-kind", "module-action-key", "module-fiber-key",
+        "module-field", "module-fiber-negative", "cocycle-value-key", "cocycle-field"])
+def test_known_bad_inputs_exit_2_with_one_error_line(argv, model, aux, tmp_path, capsys,
+                                                     request):
     files = {"MODEL": tmp_path / "model.json", "AUX": tmp_path / "aux.json"}
     for slot, payload in (("MODEL", model), ("AUX", aux)):
         files[slot].write_text(json.dumps(payload), encoding="utf-8")
@@ -377,6 +386,16 @@ def test_known_bad_inputs_exit_2_with_one_error_line(argv, model, aux, tmp_path,
     assert code == cli.USAGE_ERROR
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert _NAMED.get(request.node.callspec.id, "") in captured.err
+
+
+# what the error line must name, for the cases that check it
+_NAMED = {"module-action-key": "action has an unknown key '5'",
+          "module-fiber-key": "fibers has an unknown key '1'",
+          "module-field": "the module has an unknown key 'actions'",
+          "module-fiber-negative": "fibers[0] must be a non-negative integer",
+          "cocycle-value-key": "values has an unknown key '9'",
+          "cocycle-field": "the cocycle has an unknown key 'potential'"}
 
 
 @pytest.mark.parametrize("text", [b'{"kind": "pair", "fibers": [' + b"9" * 5000 + b"]}",
@@ -432,6 +451,30 @@ def test_oversize_inputs_exit_2_before_building(argv, model, aux, env, tmp_path)
     assert res.stdout == ""
     assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
     assert len(res.stderr) <= 301, res.stderr[:300]
+
+
+# --max-degree of the commands that compute on the isotropy groups, on a log
+# grid: an action model with orbits of one and two points, and a pair model
+# of two orbits.  Inside the cap a value must finish, outside it the one
+# error line must be short, in a child with bounded memory and time.
+@pytest.mark.parametrize("value", [-1, 1, 100, 10 ** 4, 10 ** 100],
+                         ids=["minus-1", "1", "1e2", "1e4", "1e100"])
+@pytest.mark.parametrize("model", [
+    {"kind": "action", "cayley": [[0, 1], [1, 0]], "perms": [[0, 1, 2, 3], [1, 0, 2, 3]]},
+    {"kind": "pair", "fibers": [3, 2]},
+], ids=["action", "pair"])
+@pytest.mark.parametrize("command", ["homology", "cohomology"])
+def test_max_degree_on_a_log_grid_exits_0_or_2(command, model, value, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model), encoding="utf-8")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+    res = subprocess.run([sys.executable, "-m", "groupoidal.cli", command, str(path),
+                          "--max-degree", str(value)],
+                         capture_output=True, text=True, timeout=5, preexec_fn=limit)
+    assert res.returncode in (0, cli.USAGE_ERROR), res.stderr[-300:]
+    assert res.stderr.count("\n") <= 1 and len(res.stderr) <= 301, res.stderr[:300]
 
 
 def test_s3_homology_to_degree_5_fits_the_default_cap(tmp_path):
