@@ -9,15 +9,18 @@ Everything runs on Python ints, so intermediate entries may grow without
 overflow.  IntMatrix is sparse, one {column: value} dict per row with no
 stored zeros, and this module alone knows that format: builders elsewhere
 emit (row, column, value) entries.  The elimination engine starts from a
-copy of the row dicts and keeps its transforms in the same form, which is
-what makes the large-but-very-sparse boundary matrices cheap.
+copy of the row dicts and keeps U, V and V^-1 in the same form, which is
+what makes the large-but-very-sparse boundary matrices cheap.  U^-1 is
+never formed: the engine logs its row operations and replays them where
+U^-1 is applied (see _Smith).
 
 Read-out works on whole matrices.  A LinearSystem solves A*X = B for all
-columns of B at once (one sparse product with U^-1, a divisibility check,
-one product with V^-1), and a ChainHomologyPresentation turns every
-column of M into canonical homology coordinates at once (one product with
-V, a cycle check, one product with the relation transform).  The
-one-vector `solve` and `coords` are their one-column cases.
+columns of B at once (the row-operation log replayed on a copy of B, a
+divisibility check, one product with V^-1), and a
+ChainHomologyPresentation turns every column of M into canonical homology
+coordinates at once (one product with V, a cycle check, one product with
+the rows of the relation transform's U^-1 that it reads out of the log).
+The one-vector `solve` and `coords` are their one-column cases.
 
 Pivot rule: step t of the elimination takes the nonzero of the active block
 (rows and columns >= t) with the least key (|v|, Markowitz cost, row,
@@ -262,13 +265,46 @@ def _round_div(a: int, b: int) -> int:
     return q
 
 
+def _sparse_add(target: dict, source: dict, q: int):
+    """target += q * source, for sparse vectors that hold no zeros."""
+    for k, v in source.items():
+        new = target.get(k, 0) + q * v
+        if new:
+            target[k] = new
+        else:
+            target.pop(k, None)
+
+
+def _replay(ops: Iterable[tuple], vecs: list) -> list:
+    """Apply logged row operations, in order, to the sparse vectors vecs in
+    place: (i, j, q) adds q * vecs[j] to vecs[i], (i, j) swaps them and
+    (i,) negates vecs[i]."""
+    for op in ops:
+        if len(op) == 3:
+            i, j, q = op
+            _sparse_add(vecs[i], vecs[j], q)
+        elif len(op) == 2:
+            i, j = op
+            vecs[i], vecs[j] = vecs[j], vecs[i]
+        else:
+            i = op[0]
+            vecs[i] = {k: -v for k, v in vecs[i].items()}
+    return vecs
+
+
 class _Smith:
     """Sparse Smith normal form engine.
 
-    Maintains A = U * S * V while S is reduced in place; only the transform
-    factors named in `need` ("U", "Uinv", "V", "Vinv") are tracked.  U and
-    Vinv are kept column-major, Uinv and V row-major, so kernels and solves
-    read straight out of the sparse dictionaries.
+    Maintains A = U * S * V while S is reduced in place.  Of the factors
+    named in `need` ("U", "Uinv", "V", "Vinv"), U, V and Vinv are tracked
+    as matrices, U and Vinv column-major and V row-major, so kernels read
+    straight out of the sparse dictionaries.  Uinv is never built: with
+    "Uinv" the engine logs each row operation on S in order (add q * row j
+    to row i, swap two rows, negate a row), and Uinv is their product,
+    replayed on whatever it is applied to (`uinv_times`, `uinv_rows`).  A
+    tracked Uinv fills towards a dense triangle on matrices such as
+    id - P for a long cycle, while its applications stay sparse (the
+    product form of the inverse, Dantzig and Orchard-Hays 1954).
 
     Pivot rule: step t takes the least key (|v|, (len(row) - 1) *
     (len(col) - 1), i, j) over the nonzeros v = S[i][j] with i, j >= t.
@@ -298,7 +334,7 @@ class _Smith:
                 self.colidx[j].add(i)
         need = set(need)
         self.U_cols = [{i: 1} for i in range(self.m)] if "U" in need else None
-        self.Uinv_rows = [{i: 1} for i in range(self.m)] if "Uinv" in need else None
+        self.row_ops = [] if "Uinv" in need else None
         self.V_rows = [{j: 1} for j in range(self.n)] if "V" in need else None
         self.Vinv_cols = [{j: 1} for j in range(self.n)] if "Vinv" in need else None
         self.rank = 0
@@ -308,15 +344,6 @@ class _Smith:
         self._reduce()
 
     # -- elementary operations; each keeps A = U S V true ------------------
-
-    @staticmethod
-    def _sparse_add(target: dict, source: dict, q: int):
-        for k, v in source.items():
-            new = target.get(k, 0) + q * v
-            if new:
-                target[k] = new
-            else:
-                target.pop(k, None)
 
     def _row_add(self, i: int, j: int, q: int):
         # S: row_i += q * row_j
@@ -332,9 +359,9 @@ class _Smith:
                 ri.pop(col, None)
                 self.colidx[col].discard(i)
         if self.U_cols is not None:  # U: col_j -= q * col_i
-            self._sparse_add(self.U_cols[j], self.U_cols[i], -q)
-        if self.Uinv_rows is not None:  # Uinv: row_i += q * row_j
-            self._sparse_add(self.Uinv_rows[i], self.Uinv_rows[j], q)
+            _sparse_add(self.U_cols[j], self.U_cols[i], -q)
+        if self.row_ops is not None:
+            self.row_ops.append((i, j, q))
 
     def _row_swap(self, i: int, j: int):
         if i == j:
@@ -354,15 +381,15 @@ class _Smith:
         self.rows[i], self.rows[j] = self.rows[j], self.rows[i]
         if self.U_cols is not None:
             self.U_cols[i], self.U_cols[j] = self.U_cols[j], self.U_cols[i]
-        if self.Uinv_rows is not None:
-            self.Uinv_rows[i], self.Uinv_rows[j] = self.Uinv_rows[j], self.Uinv_rows[i]
+        if self.row_ops is not None:
+            self.row_ops.append((i, j))
 
     def _row_neg(self, i: int):
         self.rows[i] = {k: -v for k, v in self.rows[i].items()}
         if self.U_cols is not None:
             self.U_cols[i] = {k: -v for k, v in self.U_cols[i].items()}
-        if self.Uinv_rows is not None:
-            self.Uinv_rows[i] = {k: -v for k, v in self.Uinv_rows[i].items()}
+        if self.row_ops is not None:
+            self.row_ops.append((i,))
 
     def _col_add(self, j: int, k: int, q: int):
         # S: col_j += q * col_k
@@ -382,9 +409,9 @@ class _Smith:
                 colj.discard(i)
                 dirty.update(ri)
         if self.V_rows is not None:  # V: row_k -= q * row_j
-            self._sparse_add(self.V_rows[k], self.V_rows[j], -q)
+            _sparse_add(self.V_rows[k], self.V_rows[j], -q)
         if self.Vinv_cols is not None:  # Vinv: col_j += q * col_k
-            self._sparse_add(self.Vinv_cols[j], self.Vinv_cols[k], q)
+            _sparse_add(self.Vinv_cols[j], self.Vinv_cols[k], q)
 
     def _col_swap(self, j: int, k: int):
         if j == k:
@@ -542,8 +569,27 @@ class _Smith:
     def u_matrix(self) -> IntMatrix:
         return IntMatrix._of_col_dicts(self.m, self.U_cols)
 
+    def uinv_times(self, B: IntMatrix) -> IntMatrix:
+        """U^-1 * B: the logged row operations replayed, in order, on a copy
+        of the rows of B."""
+        rows = _replay(self.row_ops, [dict(row) for row in B._row_dicts])
+        return IntMatrix._of_row_dicts(self.m, B.cols, rows)
+
+    def uinv_rows(self, which: Sequence[int]) -> IntMatrix:
+        """The rows `which` of U^-1.  They are e^T * E_last * ... * E_first
+        for the logged operations E, so the transposed operations are
+        replayed, last first, on the columns of those rows; the cost follows
+        their fill, not m^2."""
+        cols = [{} for _ in range(self.m)]
+        for r, i in enumerate(which):
+            cols[i][r] = 1
+        # R * (I + q e_i e_j^T) adds q * column i of R to its column j
+        _replay((op if len(op) < 3 else (op[1], op[0], op[2]) for op in reversed(self.row_ops)),
+                cols)
+        return IntMatrix._of_col_dicts(len(which), cols)
+
     def uinv_matrix(self) -> IntMatrix:
-        return IntMatrix._of_row_dicts(self.m, self.m, self.Uinv_rows)
+        return self.uinv_times(IntMatrix.identity(self.m))
 
     def v_matrix(self) -> IntMatrix:
         return IntMatrix._of_row_dicts(self.n, self.n, self.V_rows)
@@ -689,6 +735,8 @@ def image_basis(A: IntMatrix) -> IntMatrix:
 class LinearSystem:
     """Factorization of A reusable for many exact solves of A*X = B.
 
+    It keeps V^-1 and the log of the engine's row operations, which each
+    solve replays on its right-hand sides in place of a product with U^-1.
     The pivot order does not depend on which transforms are tracked, so
     `kernel()` equals kernel_basis(A) and `diagonal()` equals
     invariant_factors(A).
@@ -696,7 +744,6 @@ class LinearSystem:
 
     def __init__(self, A: IntMatrix):
         eng = self._eng = _Smith(A, need=("Uinv", "Vinv"))
-        self._uinv = eng.uinv_matrix()
         self._vinv_head = IntMatrix._of_col_dicts(eng.n, eng.Vinv_cols[:eng.rank])
 
     @property
@@ -713,11 +760,12 @@ class LinearSystem:
         """Some X with A*X = B, or None when a column of B is not in the
         image lattice.
 
-        With A = U*S*V: W = U^-1 * B must vanish in rows rank.. and be
-        divisible by d_i in row i < rank; then X = V^-1[:, :rank] * (W / d).
+        With A = U*S*V: W = U^-1 * B, the engine's row operations replayed
+        on a copy of B, must vanish in rows rank.. and be divisible by d_i
+        in row i < rank; then X = V^-1[:, :rank] * (W / d).
         """
         eng = self._eng
-        w_rows = (self._uinv * B)._row_dicts
+        w_rows = eng.uinv_times(B)._row_dicts
         if any(w_rows[eng.rank:]):
             return None
         y_rows = []
@@ -927,9 +975,9 @@ class ChainHomologyPresentation:
         # free generators first, then the torsion ones
         canon = list(range(len(diag), k)) + [i for i, d in enumerate(diag) if d >= 2]
         self.orders = [0] * (k - len(diag)) + [d for d in diag if d >= 2]
-        # canonical coordinates of kernel coords z are rows canon of Uinv * z
-        self._coord_rows = IntMatrix._of_row_dicts(
-            len(canon), k, [eng_rel.Uinv_rows[i] for i in canon])
+        # canonical coordinates of kernel coords z are rows canon of Uinv * z;
+        # only those rows are read out of the engine's row-operation log
+        self._coord_rows = eng_rel.uinv_rows(canon)
         self.group = FgAbGroup.from_invariant_factors(diag, free_rank=k - len(diag))
         # generator lifts: ambient cycles realizing each canonical generator
         self.generators = (self.cycle_basis * IntMatrix._of_col_dicts(

@@ -433,9 +433,13 @@ def test_unreadable_model_file_exits_2_with_one_error_line(text, tmp_path, capsy
     (["dimension-group", "MODEL", "--levels", "3000000"], {**_UHF2, "levels": 3}, None, {}),
     (["dimension-group", "MODEL", "--levels", "100000000"], {**_UHF2, "levels": 3}, None, {}),
     (["verify-theta", "--seed", "1", "--count", "100000000"], None, None, {}),
+    # a million points over three depths, although the last depth alone
+    # (p^3) is within the cap: every depth is factored
+    (["odometer", "--p", "100", "--max-depth", "3"], None, None, {}),
 ], ids=["module-rank-huge", "skew-window-huge", "skew-window-large", "cap-malformed",
         "af-depth-huge", "af-levels-huge", "odometer-depth-huge", "pair-fiber-digits",
-        "dimension-levels-large", "dimension-levels-huge", "verify-theta-count-huge"])
+        "dimension-levels-large", "dimension-levels-huge", "verify-theta-count-huge",
+        "odometer-points-over-depths"])
 def test_oversize_inputs_exit_2_before_building(argv, model, aux, env, tmp_path):
     files = {"MODEL": tmp_path / "model.json", "AUX": tmp_path / "aux.json"}
     for slot, payload in (("MODEL", model), ("AUX", aux)):
@@ -453,12 +457,23 @@ def test_oversize_inputs_exit_2_before_building(argv, model, aux, env, tmp_path)
     assert len(res.stderr) <= 301, res.stderr[:300]
 
 
+def _limited_cli(argv):
+    """Run the CLI in a child with 1 GiB of address space and 5 s."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+    return subprocess.run([sys.executable, "-m", "groupoidal.cli"] + argv,
+                          capture_output=True, text=True, timeout=5, preexec_fn=limit)
+
+
+_LOG_GRID = [-1, 1, 100, 10 ** 4, 10 ** 100]
+_LOG_IDS = ["minus-1", "1", "1e2", "1e4", "1e100"]
+
+
 # --max-degree of the commands that compute on the isotropy groups, on a log
 # grid: an action model with orbits of one and two points, and a pair model
 # of two orbits.  Inside the cap a value must finish, outside it the one
 # error line must be short, in a child with bounded memory and time.
-@pytest.mark.parametrize("value", [-1, 1, 100, 10 ** 4, 10 ** 100],
-                         ids=["minus-1", "1", "1e2", "1e4", "1e100"])
+@pytest.mark.parametrize("value", _LOG_GRID, ids=_LOG_IDS)
 @pytest.mark.parametrize("model", [
     {"kind": "action", "cayley": [[0, 1], [1, 0]], "perms": [[0, 1, 2, 3], [1, 0, 2, 3]]},
     {"kind": "pair", "fibers": [3, 2]},
@@ -467,14 +482,41 @@ def test_oversize_inputs_exit_2_before_building(argv, model, aux, env, tmp_path)
 def test_max_degree_on_a_log_grid_exits_0_or_2(command, model, value, tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(model), encoding="utf-8")
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
-    res = subprocess.run([sys.executable, "-m", "groupoidal.cli", command, str(path),
-                          "--max-degree", str(value)],
-                         capture_output=True, text=True, timeout=5, preexec_fn=limit)
+    res = _limited_cli([command, str(path), "--max-degree", str(value)])
     assert res.returncode in (0, cli.USAGE_ERROR), res.stderr[-300:]
     assert res.stderr.count("\n") <= 1 and len(res.stderr) <= 301, res.stderr[:300]
+
+
+# both integer flags of the odometer on the log grid, every pair of values:
+# inside the cap the tower must finish, outside it the one error line must
+# be short
+@pytest.mark.parametrize("depth", _LOG_GRID, ids=[f"depth-{i}" for i in _LOG_IDS])
+@pytest.mark.parametrize("p", _LOG_GRID, ids=[f"p-{i}" for i in _LOG_IDS])
+def test_odometer_flags_on_a_log_grid_exit_0_or_2(p, depth):
+    res = _limited_cli(["odometer", "--p", str(p), "--max-depth", str(depth)])
+    assert res.returncode in (0, cli.USAGE_ERROR), res.stderr[-300:]
+    assert res.stderr.count("\n") <= 1 and len(res.stderr) <= 301, res.stderr[:300]
+    if res.returncode == cli.USAGE_ERROR:
+        assert res.stdout == ""
+
+
+@pytest.mark.parametrize("p, depth", [(2, 13), (3, 8)])
+def test_deep_odometer_towers_finish_with_the_closed_form_answer(p, depth):
+    # each depth's id - P is the boundary of one p^d-cycle; its left
+    # transform is read out of the engine's row-operation log, which stays
+    # sparse where a tracked inverse fills a dense triangle
+    res = _limited_cli(["odometer", "--p", str(p), "--max-depth", str(depth),
+                        "--format", "json"])
+    assert res.returncode == 0, res.stderr[-300:]
+    doc = json.loads(res.stdout)
+    z = {"free_rank": 1, "torsion": []}
+    assert [e["depth"] for e in doc["depths"]] == list(range(1, depth + 1))
+    for e in doc["depths"]:
+        assert e["h0"] == z and e["h1"] == z
+        first = e["depth"] == 1
+        assert e["h0_connecting"] == (None if first else [[p]])
+        assert e["h1_connecting"] == (None if first else [[1]])
+    assert doc["stabilized_h1"] == z
 
 
 def test_s3_homology_to_degree_5_fits_the_default_cap(tmp_path):

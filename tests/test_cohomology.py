@@ -17,6 +17,7 @@ from groupoidal.models import (action_groupoid, constant_functor,
                                space_groupoid)
 from groupoidal.zlinalg import FgAbGroup, IntMatrix, kernel_basis
 
+from isotropy_models import random_orbit_groupoid
 from oracles import (betti_over_field_cochain, complex_betti, group_cochain_deltas,
                      modp_rank, orbit_count, rational_rank)
 
@@ -160,6 +161,15 @@ def test_theta_rho_random_instances():
     for i in range(10):
         G = random_groupoid(rng)
         M = random_module(G, rng)
+        rep = theta_rho_check(G, M, 2)
+        assert rep.ok, (i, rep.failures)
+
+
+def test_theta_rho_random_orbit_instances():
+    # orbits of several units whose isotropy acts on the module
+    rng = random.Random(43)
+    for i in range(4):
+        G, M = random_orbit_groupoid(rng)
         rep = theta_rho_check(G, M, 2)
         assert rep.ok, (i, rep.failures)
 

@@ -36,6 +36,8 @@ from groupoidal.models import (action_groupoid, constant_module, cyclic_table,
                                sign_module, space_groupoid)
 from groupoidal.zlinalg import IntMatrix
 
+from isotropy_models import random_orbit_groupoid
+
 TOP = 3  # prism identities in degrees 0..TOP
 
 
@@ -83,8 +85,16 @@ def _random(seed):
     return G, random_module(G, rng)
 
 
+def _random_orbits(seed):
+    return random_orbit_groupoid(random.Random(seed))
+
+
+# random{seed} never has an orbit of several units with nontrivial isotropy;
+# orbits{seed} always has one, with a module on which that isotropy acts
+RANDOM_ORBITS = [pytest.param(*_random_orbits(seed), id=f"orbits{seed}") for seed in range(8)]
 CASES = ([pytest.param(G, M, id=name) for name, G, M in _zoo()]
-         + [pytest.param(*_random(seed), id=f"random{seed}") for seed in range(8)])
+         + [pytest.param(*_random(seed), id=f"random{seed}") for seed in range(8)]
+         + RANDOM_ORBITS)
 
 
 def _module(G, M):
@@ -242,3 +252,14 @@ def test_a_pair_groupoid_over_the_cap_on_g_answers_on_its_isotropy(command, tmp_
     assert code == 0
     assert elapsed < 2.0
     assert '"free_rank": 1' in out and out.count('"free_rank": 0') == 6
+
+
+@pytest.mark.parametrize("G, M", RANDOM_ORBITS)
+def test_random_orbit_cases_pull_back_a_nontrivial_isotropy_action(G, M):
+    # an orbit of several units whose isotropy acts nontrivially, so the
+    # pullback along i carries a twist the base arrows k_y must transport
+    i, k = isotropy_inclusion(G)
+    bases = {orbit[0] for orbit in G.orbits() if len(orbit) > 1}
+    twisted = [g for g in i.arrow_map if G.src[g] in bases
+               and M.act(g) != IntMatrix.identity(M.rank_at(G.src[g]))]
+    assert twisted

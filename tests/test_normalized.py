@@ -22,6 +22,7 @@ from groupoidal.models import (action_groupoid, constant_module, cyclic_table,
                                space_groupoid)
 from groupoidal.zlinalg import FgAbGroup, IntMatrix, coefficients_via_uct
 
+from isotropy_models import random_orbit_groupoid
 from oracles import modp_rank
 
 TOP = 3  # chain and cochain degrees 0..TOP
@@ -45,8 +46,11 @@ def _random(seed):
     return G, random_module(G, rng)
 
 
+# orbits{seed}: an orbit of several units whose isotropy acts on the module
 CASES = ([pytest.param(G, M, id=f"zoo{k}") for k, (G, M) in enumerate(_zoo())]
-         + [pytest.param(*_random(seed), id=f"random{seed}") for seed in range(8)])
+         + [pytest.param(*_random(seed), id=f"random{seed}") for seed in range(8)]
+         + [pytest.param(*random_orbit_groupoid(random.Random(seed)), id=f"orbits{seed}")
+            for seed in range(4)])
 
 
 def _module(G, M):

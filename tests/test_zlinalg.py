@@ -466,3 +466,82 @@ def test_unit_prepass_matches_exact_engine_and_oracles(kind, seed):
     assert rank(A) == len(facs) == rational_rank(A.data)
     for p in (2, 3, 5):
         assert sum(1 for f in facs if f % p) == modp_rank(A.data, p)
+
+
+# -- the left transform as a row-operation log -------------------------------
+
+
+def _cycle_boundary(n, rng=None):
+    """id - P for the n-cycle i -> i + 1 mod n, its points relabelled by rng."""
+    label = list(range(n))
+    if rng is not None:
+        rng.shuffle(label)
+    return IntMatrix.identity(n) - IntMatrix.from_entries(
+        n, n, ((label[(i + 1) % n], label[i], 1) for i in range(n)))
+
+
+def _torsion_form(rng, m, n):
+    """X * D * Y with X, Y unimodular and D a Smith form with torsion."""
+    diag = sorted(rng.choice([1, 2, 2, 3, 4, 6, 12, 0]) for _ in range(min(m, n)))
+    diag = [d for d in diag if d] + [0] * diag.count(0)
+    D = IntMatrix.from_entries(m, n, ((i, i, d) for i, d in enumerate(diag)))
+    return _unimodular(rng, m) * D * _unimodular(rng, n).transpose()
+
+
+def _log_cases():
+    rng = random.Random(20261019)
+    cases = [(f"random-{k}", _random_matrix(rng, rng.randint(0, 7), rng.randint(0, 7)))
+             for k in range(12)]
+    cases += [(f"sparse-{k}", _prepass_matrix("sparse", rng)) for k in range(8)]
+    cases += [(f"cycle-{n}", _cycle_boundary(n)) for n in (1, 2, 3, 8, 27, 64)]
+    cases += [(f"cycle-{n}-relabelled", _cycle_boundary(n, rng)) for n in (5, 16, 40)]
+    cases += [(f"torsion-{k}", _torsion_form(rng, rng.randint(1, 6), rng.randint(1, 6)))
+              for k in range(10)]
+    return cases
+
+
+LOG_CASES = [pytest.param(A, id=name) for name, A in _log_cases()]
+
+
+@pytest.mark.parametrize("A", LOG_CASES)
+def test_log_rows_equal_the_log_replayed_on_the_identity(A):
+    eng = zlinalg._Smith(A, need=("Uinv",))
+    full = eng.uinv_matrix().data
+    rng = random.Random(A.rows * 31 + A.cols)
+    picks = [list(range(A.rows)), list(range(A.rows))[::-1],
+             rng.sample(range(A.rows), rng.randint(0, A.rows))]
+    for which in picks:
+        assert eng.uinv_rows(which) == IntMatrix.from_rows([full[i] for i in which], A.rows)
+
+
+@pytest.mark.parametrize("A", LOG_CASES)
+def test_log_inverts_u_and_carries_a_to_the_smith_form(A):
+    eng = zlinalg._Smith(A, need=("U", "Uinv", "V", "Vinv"))
+    u_inv = eng.uinv_matrix()
+    assert u_inv * eng.u_matrix() == IntMatrix.identity(A.rows)
+    assert eng.u_matrix() * u_inv == IntMatrix.identity(A.rows)
+    assert u_inv * A * eng.vinv_matrix() == eng.s_matrix()
+    d = snf(A)
+    assert d.U_inv == u_inv and d.U_inv * d.U == IntMatrix.identity(A.rows)
+    # the tracked transforms pick the same pivots with or without the log
+    assert zlinalg._Smith(A, need=("U",)).u_matrix() == eng.u_matrix()
+
+
+@pytest.mark.parametrize("A", LOG_CASES)
+def test_solve_columns_through_the_log_is_exact(A):
+    rng = random.Random(A.rows * 17 + A.cols)
+    B = IntMatrix.from_columns(
+        [(A * _random_matrix(rng, A.cols, 1)).col(0) if rng.random() < 0.5
+         else [rng.randint(-4, 4) for _ in range(A.rows)] for _ in range(5)], A.rows)
+    sys = LinearSystem(A)
+    for j in range(B.cols):
+        col = IntMatrix.from_columns([B.col(j)], A.rows)
+        x = sys.solve_columns(col)
+        assert (x is not None) == _in_image(A, B.col(j))
+        if x is not None:
+            assert A * x == col
+    X = sys.solve_columns(B)
+    if all(_in_image(A, B.col(j)) for j in range(B.cols)):
+        assert X is not None and A * X == B
+    else:
+        assert X is None
