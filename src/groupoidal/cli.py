@@ -25,7 +25,8 @@ from . import homology as hom
 from . import limits as lim
 from . import models, skew
 from .groupoids import (DegreeTooLarge, FiniteGroupoid, GModule, GroupoidError,
-                        require_nerve_work, tuple_cap, validate_groupoid, validate_module)
+                        require_module_work, require_nerve_work, tuple_cap,
+                        validate_groupoid, validate_module)
 from .zlinalg import FgAbGroup, IntMatrix, LinAlgError
 
 
@@ -202,11 +203,11 @@ def _known_keys(doc: dict, keys, what: str, path: str) -> None:
             raise ParseError(f"{path}: {what} has an unknown key {key[:40]!r}")
 
 
-def parse_module(path: str, G: FiniteGroupoid, top: int, normalized: bool = False) -> GModule:
-    """Parse a module file over G; the work its fiber ranks add to G's nerve
-    degrees 0..top (nondegenerate strings only, if `normalized`) is checked
-    before any action is built.  A key that names no unit or arrow is
-    refused."""
+def parse_module(path: str, G: FiniteGroupoid, top: Optional[int] = None) -> GModule:
+    """Parse a module file over G.  Before any action is built, the work of
+    its fiber ranks is checked: with `top`, on G's nerve degrees 0..top,
+    which the caller builds; without, the work of validating it through
+    the isotropy groups.  A key that names no unit or arrow is refused."""
     doc = _load_json(path)
     fibers_doc = _object(doc, "fibers", path)
     _known_keys(doc, ("fibers", "action"), "the module", path)
@@ -219,7 +220,10 @@ def parse_module(path: str, G: FiniteGroupoid, top: int, normalized: bool = Fals
         fibers[u] = _int(fibers_doc[key], f"fibers[{key}]", path)
         if fibers[u] < 0:
             raise ParseError(f"{path}: fibers[{key}] must be a non-negative integer")
-    require_nerve_work(G, top, fibers, normalized=normalized)
+    if top is None:
+        require_module_work(G, fibers)
+    else:
+        require_nerve_work(G, top, fibers)
     action_doc = _object(doc, "action", path) if "action" in doc else {}
     _known_keys(action_doc, {str(g) for g in range(G.n_arrows)}, "action", path)
     action = {}
@@ -309,9 +313,8 @@ def cmd_homology(args) -> int:
 
 def cmd_cohomology(args) -> int:
     G = _require_groupoid(parse_input(args.input), args.input)
-    # the module's actions, and the composable pairs its validation
-    # multiplies, are bounded on G; the cochains are counted on G's isotropy
-    M = parse_module(args.module, G, 2) if args.module else models.constant_module(G, 1)
+    # the module is validated, and its cochains built, through G's isotropy
+    M = parse_module(args.module, G) if args.module else models.constant_module(G, 1)
     groups = coh.cocycle_cohomology(G, M, args.max_degree)
     payload = {"command": "cohomology", "input": args.input,
                "module": args.module or "constant rank 1",

@@ -9,16 +9,15 @@ as explicit matrices and checked to be mutually inverse chain maps,
 exhibiting the isomorphism between the two models on any finite instance.
 
 `cocycle_cohomology` and `hom_side_cohomology` work on the isotropy
-groups of one unit per orbit, with the module pulled back to them (a
-Morita equivalence, `groupoids.isotropy_inclusion`), on the normalized
-cochains, those that vanish on degenerate strings (strings with a unit
-entry): extension by zero includes them into the full cochains as a
-subcomplex with the same cohomology (Eilenberg-Mac Lane; Mac Lane,
-Homology, ch. VIII).  The basis alone decides which: a space is keyed on
-the strings of `nerve(G, n, normalized)`, and the coboundary skips every
-face that has no key in its domain, where a normalized cochain is zero.
-The comparison check, the skew LES and the induced maps stay on the full
-cochains, because the statements they check are about those complexes.
+groups H of one unit per orbit, with the module pulled back to them (a
+Morita equivalence, `groupoids.isotropy_inclusion`).  Both models compute
+the same groups, so both read them on Hom_H(A_*, M) for the Morse
+resolution A_* of each group (`resolution`): one block of the fiber per
+critical cell, 1, 2, 3, 5, 9, ... for S3 in degrees 0, 1, 2, ..., where
+the cochains of G have a block per composable string.  No nerve of G or H
+is built.  The comparison check, the skew LES and the induced maps stay
+on the full cochains, because the statements they check are about those
+complexes.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from typing import Callable, List
 from .groupoids import (FiniteGroupoid, GModule, GroupoidFunctor,
                         homology_face, isotropy_inclusion, nerve,
                         require_nerve_work, require_valid_functor)
+from .resolution import isotropy_cochains
 from .zlinalg import (ChainComplex, ChainHomologyPresentation, FgAbGroup, IntMatrix,
                       induced_on_homology, rank)
 
@@ -52,26 +52,24 @@ class BlockSpace:
         self.total = total
 
 
-def cochain_space(G: FiniteGroupoid, M: GModule, n: int,
-                  normalized: bool = False) -> BlockSpace:
-    """Degree-n cocycle cochains: one copy per n-string (nondegenerate, if
-    `normalized`) of the fiber at the range of its first arrow (per unit in
-    degree 0); each string is its own key."""
-    keys = list(nerve(G, n, normalized).tuples)
+def cochain_space(G: FiniteGroupoid, M: GModule, n: int) -> BlockSpace:
+    """Degree-n cocycle cochains: one copy per n-string of the fiber at the
+    range of its first arrow (per unit in degree 0); each string is its own
+    key."""
+    keys = list(nerve(G, n).tuples)
     return BlockSpace(keys, [M.rank_at(G.rng[t[0]]) for t in keys], lambda t: t, lambda t: t)
 
 
-def hom_space(G: FiniteGroupoid, M: GModule, n: int, normalized: bool = False) -> BlockSpace:
+def hom_space(G: FiniteGroupoid, M: GModule, n: int) -> BlockSpace:
     """Equivariant homs out of the degree-(n+1) bar term, coordinatized by
-    orbit representatives: an n-string t (nondegenerate, if `normalized`) is
-    keyed by (r(g_0),) + t, whose first entry is a unit, and in degree 0 a
-    unit by itself."""
+    orbit representatives: an n-string t is keyed by (r(g_0),) + t, whose
+    first entry is a unit, and in degree 0 a unit by itself."""
     def key_of(t):
         return t if n == 0 else (G.rng[t[0]],) + t
 
     def string_of(k):
         return k if n == 0 else k[1:]
-    keys = sorted(map(key_of, nerve(G, n, normalized).tuples))
+    keys = sorted(map(key_of, nerve(G, n).tuples))
     return BlockSpace(keys, [M.rank_at(k[0]) for k in keys], key_of, string_of)
 
 
@@ -116,7 +114,8 @@ def _coboundary(G: FiniteGroupoid, M: GModule, n: int,
                 dom: BlockSpace, cod: BlockSpace) -> IntMatrix:
     """delta_n between two spaces of one model, each face of an
     (n+1)-string found through dom's key of it.  A face with no key in dom
-    is skipped: on normalized spaces a cochain vanishes there."""
+    is skipped, so a space may leave out strings on which its cochains
+    vanish."""
     entries = []
     for key, r in zip(cod.keys, cod.ranks):
         row = cod.offset[key]
@@ -160,26 +159,23 @@ def cochain_complex(G: FiniteGroupoid, M: GModule, spaces: List[BlockSpace],
 
 def cocycle_cohomology(G: FiniteGroupoid, M: GModule, n_max: int) -> List[FgAbGroup]:
     """H^0 .. H^{n_max} of the cocycle complex."""
-    return _isotropy_cohomology(G, M, n_max, cochain_space)
+    return _isotropy_cohomology(G, M, n_max)
 
 
 def hom_side_cohomology(G: FiniteGroupoid, M: GModule, n_max: int) -> List[FgAbGroup]:
     """H^0 .. H^{n_max} of the equivariant Hom complex."""
-    return _isotropy_cohomology(G, M, n_max, hom_space)
+    return _isotropy_cohomology(G, M, n_max)
 
 
-def _isotropy_cohomology(G: FiniteGroupoid, M: GModule, n_max: int,
-                         space: Callable) -> List[FgAbGroup]:
-    """The groups of one model (`space` builds its cochains) on the
-    normalized cochains of the isotropy groups H of G, with M pulled back
-    to H along the inclusion, which is a Morita equivalence."""
+def _isotropy_cohomology(G: FiniteGroupoid, M: GModule, n_max: int) -> List[FgAbGroup]:
+    """The groups of either model, read on Hom_H(A_*, M) for the isotropy
+    groups H of G, with M pulled back to H along the inclusion, which is a
+    Morita equivalence."""
     i, _ = isotropy_inclusion(G)
     H = i.source
     if H is not G:
         M = pullback_module(i, M)
-    require_nerve_work(H, n_max + 1, M.fiber_rank, normalized=True)
-    return cochain_complex(H, M, [space(H, M, n, normalized=True)
-                                  for n in range(n_max + 2)]).groups()
+    return isotropy_cochains(H, M, n_max).groups()
 
 
 @dataclass

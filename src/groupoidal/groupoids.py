@@ -5,10 +5,7 @@ A finite groupoid is stored as explicit tables: arrows are the integers
 partial composition table, defined exactly when src(g) = rng(h) (so gh
 means "g after h").  All boundary and bar-resolution matrices are written
 in the lexicographic nerve bases, which makes every matrix reproducible
-bit for bit.  The normalized nerve keeps, above degree 0, only the strings
-with no unit entry.  The basis alone decides normalization: every builder
-treats a face that is not in its codomain basis as zero, which on the
-normalized nerve is the quotient by the degenerate strings.
+bit for bit.
 """
 
 from __future__ import annotations
@@ -97,7 +94,7 @@ class FiniteGroupoid:
             by_src[self.src[g]].append(g)
         self.arrows_by_rng = {u: tuple(v) for u, v in by_rng.items()}
         self.arrows_by_src = {u: tuple(v) for u, v in by_src.items()}
-        self._nerves: Dict[Tuple[int, bool], "Nerve"] = {}
+        self._nerves: Dict[int, "Nerve"] = {}
 
     @property
     def n_units(self) -> int:
@@ -186,31 +183,28 @@ class Nerve:
         return len(self.tuples)
 
 
-def nerve(G: FiniteGroupoid, n: int, normalized: bool = False) -> Nerve:
-    """The composable n-strings, or with `normalized` the nondegenerate
-    ones: every unit in degree 0, and above it the strings with no unit
-    entry, the basis of the normalized complex."""
+def nerve(G: FiniteGroupoid, n: int) -> Nerve:
+    """The composable n-strings: every unit in degree 0, and above it the
+    strings (g_1, ..., g_n) with src(g_i) = rng(g_{i+1})."""
     if n < 0:
         raise ValueError("nerve degree must be >= 0")
     limit = tuple_cap()
-    if (n, normalized) in G._nerves:
-        cached = G._nerves[n, normalized]
+    if n in G._nerves:
+        cached = G._nerves[n]
         if len(cached) > limit:
             raise DegreeTooLarge(f"nerve degree {n} exceeds cap {limit}")
         return cached
     if n == 0:
         tuples = tuple((u,) for u in G.units)
     elif n == 1:
-        tuples = tuple((g,) for g in range(G.n_arrows)
-                       if not (normalized and G.is_unit(g)))
+        tuples = tuple((g,) for g in range(G.n_arrows))
     else:
-        prev = nerve(G, n - 1, normalized).tuples
-        extend = _arrows(G, G.arrows_by_rng, normalized)
+        prev = nerve(G, n - 1).tuples
         out = []
         count = 0
         for t in prev:
             # arrows h with rng(h) = src(last) extend the string on the right
-            tail = extend[G.src[t[-1]]]
+            tail = G.arrows_by_rng[G.src[t[-1]]]
             count += len(tail)
             if count > limit:
                 raise DegreeTooLarge(
@@ -221,19 +215,12 @@ def nerve(G: FiniteGroupoid, n: int, normalized: bool = False) -> Nerve:
     if len(tuples) > limit:
         raise DegreeTooLarge(f"nerve degree {n} exceeds cap {limit}")
     nv = Nerve(n, tuples, {t: i for i, t in enumerate(tuples)})
-    G._nerves[n, normalized] = nv
+    G._nerves[n] = nv
     return nv
 
 
-def _arrows(G: FiniteGroupoid, by_unit: Dict[int, tuple], normalized: bool) -> Dict[int, tuple]:
-    """`by_unit` (arrows per unit), without the units if `normalized`."""
-    if not normalized:
-        return by_unit
-    return {u: tuple(h for h in hs if not G.is_unit(h)) for u, hs in by_unit.items()}
-
-
 def require_nerve_work(G: FiniteGroupoid, top: int, ranks: Optional[Dict[int, int]] = None,
-                       copies: int = 1, normalized: bool = False) -> int:
+                       copies: int = 1) -> int:
     """The work of degrees 0..top; raise DegreeTooLarge if it passes the cap.
 
     An n-string has n + 1 faces of about n entries each, so degree n costs
@@ -241,27 +228,41 @@ def require_nerve_work(G: FiniteGroupoid, top: int, ranks: Optional[Dict[int, in
     cochain block, at the range of its first arrow.  The string counts come
     from the number of n-strings ending at each unit u (whose last arrow
     starts at u; the 0-string (u,) ends at u), updated one degree at a time
-    over the arrows, or with `normalized` over the arrows that are not
-    units; reversing a string shows as many start at u.  Each degree costs
-    at least one string's (n + 1)^2, even where no string survives
-    normalization, so a huge degree is refused whatever the basis.  Each
-    string counts `copies` times.  No string is built, and the count stops
-    once the total passes the cap.
+    over the arrows; reversing a string shows as many start at u.  Each
+    degree costs at least one string's (n + 1)^2, even with no string, so
+    a huge degree is refused whatever the groupoid.  Each string counts
+    `copies` times.  No string is built, and the count stops once the total
+    passes the cap.
     """
     limit = tuple_cap()
-    arrows = _arrows(G, G.arrows_by_src, normalized)
     ends = dict.fromkeys(G.units, 1)
     total = 0
     for n in range(top + 1):
         if n:
             # h extends the strings ending at rng(h) to strings ending at src(h)
-            ends = {u: sum(ends[G.rng[h]] for h in arrows[u]) for u in G.units}
+            ends = {u: sum(ends[G.rng[h]] for h in G.arrows_by_src[u]) for u in G.units}
         total += copies * max((n + 1) ** 2,
                               sum(k * ((n + 1) ** 2 + (ranks[u] if ranks else 0))
                                   for u, k in ends.items()))
         if total > limit:
             raise DegreeTooLarge(
                 f"nerve degrees 0..{top} need more than {limit} entries of work (the cap)")
+    return total
+
+
+def require_module_work(G: FiniteGroupoid, ranks: Dict[int, int]) -> int:
+    """The work of `validate_module` on a module with fiber `ranks`: one
+    product of up to rank^3 entries for every arrow of G and every
+    composable pair of its isotropy groups; raise DegreeTooLarge if it
+    passes the cap."""
+    i, _ = isotropy_inclusion(G)
+    H = i.source
+    total = (sum(1 + ranks[G.rng[g]] ** 3 for g in range(G.n_arrows))
+             + sum(len(H.arrows_by_src[x]) ** 2 * (1 + ranks[i(x)] ** 3) for x in H.units))
+    limit = tuple_cap()
+    if total > limit:
+        raise DegreeTooLarge(f"validating the module needs more than {limit} entries "
+                             "of work (the cap)")
     return total
 
 
@@ -282,21 +283,19 @@ def homology_face(G: FiniteGroupoid, t: tuple, i: int) -> tuple:
     return t[:i - 1] + (G.comp[(t[i - 1], t[i])],) + t[i + 1:]
 
 
-def boundary_matrix_d(G: FiniteGroupoid, n: int, normalized: bool = False) -> IntMatrix:
+def boundary_matrix_d(G: FiniteGroupoid, n: int) -> IntMatrix:
     """Matrix of d_n from degree-n chains to degree-(n-1) chains: the
     alternating sum of pushforwards along the faces, so d_1 is pushforward
-    along the source minus pushforward along the range.  A face outside the
-    degree-(n-1) basis is zero, so with `normalized`, on the nondegenerate
-    bases, this is the quotient by the degenerate strings."""
+    along the source minus pushforward along the range."""
     if n < 1:
         raise ValueError("boundary degree must be >= 1")
-    nv_to = nerve(G, n - 1, normalized)
-    nv_from = nerve(G, n, normalized)
+    nv_to = nerve(G, n - 1)
+    nv_from = nerve(G, n)
     index = nv_to.index
     return IntMatrix.from_entries(
         len(nv_to), len(nv_from),
-        ((row, j, -1 if i % 2 else 1) for j, t in enumerate(nv_from.tuples) for i in range(n + 1)
-         if (row := index.get(homology_face(G, t, i))) is not None))
+        ((index[homology_face(G, t, i)], j, -1 if i % 2 else 1)
+         for j, t in enumerate(nv_from.tuples) for i in range(n + 1)))
 
 
 def bar_boundary_matrix_b(G: FiniteGroupoid, n: int) -> IntMatrix:
@@ -361,30 +360,49 @@ class GModule:
 
 
 def validate_module(G: FiniteGroupoid, M: GModule) -> ValidationReport:
-    """Functoriality and unimodularity of the arrow action."""
+    """Functoriality and invertibility of the arrow action, checked through
+    the isotropy reduction (`isotropy_inclusion`).
+
+    M is a functor on G exactly when its restriction to the isotropy groups
+    H is one, every base arrow k_y acts invertibly, M(k_y^-1) M(k_y) = I,
+    and every arrow g: a -> b acts as M(k_b) M(ir(g)) M(k_a^-1), where
+    ir(g) = k_b^-1 g k_a: then M(g) M(h) = M(k_c) M(ir(g) ir(h)) M(k_a^-1)
+    = M(gh).  So the check multiplies over the arrows and H's composable
+    pairs, not over G's pairs.  The actions are then invertible, hence
+    unimodular; a base arrow whose inverse check fails is named as not
+    unimodular when its action or its inverse's is not.
+    """
     for u in G.units:
         if u not in M.fiber_rank or M.fiber_rank[u] < 0:
             return ValidationReport(False, "fiber-rank", (u,))
     for g in range(G.n_arrows):
         if g not in M.action:
             return ValidationReport(False, "action-missing", (g,))
-        a = M.action[g]
-        if a.shape != (M.fiber_rank[G.rng[g]], M.fiber_rank[G.src[g]]):
+        if M.action[g].shape != (M.fiber_rank[G.rng[g]], M.fiber_rank[G.src[g]]):
             return ValidationReport(False, "action-shape", (g,))
     for u in G.units:
         if M.action[u] != IntMatrix.identity(M.fiber_rank[u]):
             return ValidationReport(False, "unit-action", (u,))
     for g in range(G.n_arrows):
-        a = M.action[g]
-        # a unit's action is the identity, checked just above
-        if not G.is_unit(g) and (a.rows != a.cols or invariant_factors(a) != [1] * a.rows):
+        if M.fiber_rank[G.rng[g]] != M.fiber_rank[G.src[g]]:
             return ValidationReport(False, "unimodular", (g,))
-    for (g, h), gh in G.comp.items():
-        if M.action[g] * M.action[h] != M.action[gh]:
-            return ValidationReport(False, "action-functorial", (g, h))
+    i, k = isotropy_inclusion(G)
+    act = [M.action[g] for g in i.arrow_map]
+    for (g, h), gh in i.source.comp.items():
+        if act[g] * act[h] != act[gh]:
+            return ValidationReport(False, "action-functorial", (i(g), i(h)))
+    back = {y: M.action[G.inv[k[y]]] for y in G.units}
+    for y in G.units:
+        if back[y] * M.action[k[y]] != IntMatrix.identity(M.fiber_rank[y]):
+            for g in (k[y], G.inv[k[y]]):
+                if invariant_factors(M.action[g]) != [1] * M.fiber_rank[y]:
+                    return ValidationReport(False, "unimodular", (g,))
+            return ValidationReport(False, "action-inverse", (k[y],))
     for g in range(G.n_arrows):
-        if M.action[g] * M.action[G.inv[g]] != IntMatrix.identity(M.fiber_rank[G.rng[g]]):
-            return ValidationReport(False, "action-inverse", (g,))
+        a, b = G.src[g], G.rng[g]
+        ir = G.comp[G.comp[G.inv[k[b]], g], k[a]]
+        if M.action[k[b]] * M.action[ir] * back[a] != M.action[g]:
+            return ValidationReport(False, "action-functorial", (g,))
     return ValidationReport(True)
 
 

@@ -1,11 +1,13 @@
 """Homology of finite groupoids and of two-term models of Z-actions.
 
 Degree-n homology is ker(d_n)/im(d_{n+1}) over the nerve bases.
-`homology_groups` works on the isotropy groups of one unit per orbit
-(`groupoids.isotropy_inclusion`), Morita equivalent to G, on their
-normalized complex, the quotient by the degenerate strings (those with a
-unit entry); both keep the homology (Crainic-Moerdijk; Eilenberg-Mac
-Lane, see Mac Lane, Homology, ch. VIII), and G's nerve is never built.
+`homology_groups` works on the isotropy groups H of one unit per orbit
+(`groupoids.isotropy_inclusion`), Morita equivalent to G (Crainic-
+Moerdijk), on A_* (x)_H Z for the Morse resolution A_* of each group
+(`resolution`): S3 has 1, 2, 3, 5, 9, 17, ... cells in degrees 0, 1, 2,
+..., where G's nerve has 6^n strings and the normalized bar complex 5^n,
+and Z/n has one cell in every degree.  No nerve of G or H is built, so
+at the default cap S3 and D4 answer to degree 8, A4 to 6 and Z/5 to 12.
 Induced maps of groupoid homomorphisms are computed on explicit
 presentations of the full complexes, as is the skew LES, because the
 statements they check are about the full nerve bases.
@@ -26,6 +28,7 @@ from .groupoids import (FiniteGroupoid, GroupoidError, GroupoidFunctor,
                         require_nerve_work, require_valid_functor)
 from .limits import ColimitGroup, Tower
 from .models import odometer_system
+from .resolution import isotropy_chains
 from .zlinalg import (ChainComplex, ChainHomologyPresentation, FgAbGroup, IntMatrix,
                       coefficients_via_uct, induced_on_homology)
 
@@ -34,13 +37,11 @@ class NotAPermutation(GroupoidError):
     pass
 
 
-def nerve_complex(G: FiniteGroupoid, n_max: int, n_min: int = 0,
-                  normalized: bool = False) -> ChainComplex:
+def nerve_complex(G: FiniteGroupoid, n_max: int, n_min: int = 0) -> ChainComplex:
     """The nerve chain complex d_{n_min} .. d_{n_max+1}, with d_0 the zero
-    map out of degree 0; its degree k is the nerve's degree n_min + k.
-    With `normalized`, the quotient by the degenerate strings."""
-    require_nerve_work(G, n_max + 1, normalized=normalized)
-    return ChainComplex([boundary_matrix_d(G, n, normalized) if n else
+    map out of degree 0; its degree k is the nerve's degree n_min + k."""
+    require_nerve_work(G, n_max + 1)
+    return ChainComplex([boundary_matrix_d(G, n) if n else
                          IntMatrix.zeros(0, len(nerve(G, 0)))
                          for n in range(n_min, n_max + 2)], -1)
 
@@ -52,8 +53,7 @@ def homology_groups(G: FiniteGroupoid, n_max: int,
     Z/m coefficients are derived from the integral groups by universal
     coefficients, so a single integer normal-form engine serves any m >= 2.
     """
-    H = isotropy_inclusion(G)[0].source
-    integral = nerve_complex(H, n_max, normalized=True).groups()
+    integral = isotropy_chains(isotropy_inclusion(G)[0].source, n_max).groups()
     if coefficients is None:
         return integral
     out = []

@@ -2,13 +2,16 @@
 
 Nothing here calls the package's normal-form engine: ranks come from
 Fraction-based Gaussian elimination over Q and from elimination mod p,
-and the group (co)homology complexes are rebuilt from scratch with plain
-itertools tuple enumeration.  `full_scan_pivot` only reads an engine's
+the group (co)homology complexes are rebuilt from scratch with plain
+itertools tuple enumeration, and a module is checked on every composable
+pair of its groupoid.  `full_scan_pivot` only reads an engine's
 state, to check the pivot the engine picks.
 """
 
 from fractions import Fraction
 from itertools import product
+
+from groupoidal.zlinalg import IntMatrix
 
 
 def rational_rank(rows):
@@ -299,3 +302,33 @@ def full_scan_pivot(eng, t):
                 best_key = key
                 best = (i, j)
     return best
+
+
+def validate_module_on_all_pairs(G, M):
+    """The module check run over every composable pair of G: fiber ranks,
+    action shapes, unit actions, square actions with determinant +-1 on the
+    non-units, M(g) M(h) = M(gh) on every pair and M(g) M(g^-1) = I.
+    Returns (ok, axiom, witness) for the first failure."""
+    for u in G.units:
+        if u not in M.fiber_rank or M.fiber_rank[u] < 0:
+            return False, "fiber-rank", (u,)
+    for g in range(G.n_arrows):
+        if g not in M.action:
+            return False, "action-missing", (g,)
+        a = M.action[g]
+        if a.shape != (M.fiber_rank[G.rng[g]], M.fiber_rank[G.src[g]]):
+            return False, "action-shape", (g,)
+    for u in G.units:
+        if M.action[u] != IntMatrix.identity(M.fiber_rank[u]):
+            return False, "unit-action", (u,)
+    for g in range(G.n_arrows):
+        a = M.action[g]
+        if not G.is_unit(g) and (a.rows != a.cols or abs(det(a.data)) != 1):
+            return False, "unimodular", (g,)
+    for (g, h), gh in G.comp.items():
+        if M.action[g] * M.action[h] != M.action[gh]:
+            return False, "action-functorial", (g, h)
+    for g in range(G.n_arrows):
+        if M.action[g] * M.action[G.inv[g]] != IntMatrix.identity(M.fiber_rank[G.rng[g]]):
+            return False, "action-inverse", (g,)
+    return True, None, None

@@ -7,6 +7,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -500,6 +501,54 @@ def test_odometer_flags_on_a_log_grid_exit_0_or_2(p, depth):
         assert res.stdout == ""
 
 
+# every integer flag of every subcommand on the log grid, one flag at a
+# time with the others at working values: inside the cap the command must
+# finish, outside it the one error line must be short, in a child with
+# bounded memory and time.  The flags the two grids above do not cover run
+# in tier 1 at 10^2, 10^4 and 10^100; the full grid, marked `grid`, runs in
+# its own CI step.
+_FLAG_MODELS = {"z2": {"kind": "group", "cayley": [[0, 1], [1, 0]]},
+                "uhf2": {"kind": "bratteli", "stationary": True, "p": 2, "levels": 2},
+                "bratteli2": {"kind": "bratteli", "matrices": [[[1, 1], [1, 0]]],
+                              "stationary": True, "levels": 2}}
+_FLAGS = [  # (id, argv with VALUE for the flag under test, in tier 1)
+    ("homology-max-degree", ["homology", "z2", "--max-degree", "VALUE"], False),
+    ("cohomology-max-degree", ["cohomology", "z2", "--max-degree", "VALUE"], False),
+    ("verify-theta-max-degree", ["verify-theta", "--max-degree", "VALUE"], True),
+    ("verify-theta-seed", ["verify-theta", "--seed", "VALUE"], True),
+    ("verify-theta-count", ["verify-theta", "--count", "VALUE"], True),
+    ("skew-les-window", ["skew-les", "z2", "--window", "VALUE", "--guard", "1"], True),
+    ("skew-les-guard", ["skew-les", "z2", "--window", "8", "--guard", "VALUE"], True),
+    ("skew-les-max-degree", ["skew-les", "z2", "--window", "6", "--guard", "2",
+                             "--max-degree", "VALUE"], True),
+    ("skew-les-cohomology-max-degree", ["skew-les", "z2", "--window", "6", "--guard", "2",
+                                        "--mode", "cohomology", "--max-degree", "VALUE"], True),
+    ("dimension-group-levels-uhf2", ["dimension-group", "uhf2", "--levels", "VALUE"], True),
+    ("dimension-group-levels-bratteli2", ["dimension-group", "bratteli2", "--levels", "VALUE"],
+     True),
+    ("af-cohomology-levels", ["af-cohomology", "uhf2", "--levels", "VALUE", "--depth", "2"], True),
+    ("af-cohomology-depth", ["af-cohomology", "uhf2", "--levels", "2", "--depth", "VALUE"], True),
+    ("odometer-p", ["odometer", "--p", "VALUE", "--max-depth", "2"], False),
+    ("odometer-max-depth", ["odometer", "--p", "2", "--max-depth", "VALUE"], False),
+]
+
+
+@pytest.mark.parametrize("argv, value", [
+    pytest.param(argv, value, id=f"{name}-{value_id}",
+                 marks=() if tier1 and value > 1 else pytest.mark.grid)
+    for name, argv, tier1 in _FLAGS for value, value_id in zip(_LOG_GRID, _LOG_IDS)])
+def test_integer_flags_on_a_log_grid_exit_0_or_2(argv, value, tmp_path):
+    paths = {}
+    for name, model in _FLAG_MODELS.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(model), encoding="utf-8")
+    res = _limited_cli([str(value) if a == "VALUE" else str(paths.get(a, a)) for a in argv])
+    assert res.returncode in (0, cli.USAGE_ERROR), res.stderr[-300:]
+    assert res.stderr.count("\n") <= 1 and len(res.stderr) <= 301, res.stderr[:300]
+    if res.returncode == cli.USAGE_ERROR:
+        assert res.stdout == ""
+
+
 @pytest.mark.parametrize("p, depth", [(2, 13), (3, 8)])
 def test_deep_odometer_towers_finish_with_the_closed_form_answer(p, depth):
     # each depth's id - P is the boundary of one p^d-cycle; its left
@@ -520,8 +569,8 @@ def test_deep_odometer_towers_finish_with_the_closed_form_answer(p, depth):
 
 
 def test_s3_homology_to_degree_5_fits_the_default_cap(tmp_path):
-    # the normalized complex has 15625 top strings instead of 46656, so the
-    # total work fits the default cap and the elimination ends in seconds
+    # the isotropy resolution of S3 has 9 cells in degree 5 and 17 in degree
+    # 6, where the nerve has 46656 strings, so the work fits the default cap
     path = tmp_path / "s3.json"
     path.write_text(json.dumps({"kind": "group", "cayley": _s3_table()}), encoding="utf-8")
     env = {k: v for k, v in os.environ.items() if k != "GROUPOIDAL_CAP"}
@@ -537,6 +586,39 @@ def _s3_table():
     elements = list(itertools.permutations(range(3)))
     index = {p: i for i, p in enumerate(elements)}
     return [[index[tuple(a[b[x]] for x in range(3))] for b in elements] for a in elements]
+
+
+def _cli_groups(argv):
+    """The groups a whole CLI process prints at the default cap, which must
+    exit 0 in under 2 s."""
+    start = time.perf_counter()
+    res = subprocess.run([sys.executable, "-m", "groupoidal.cli"] + argv + ["--format", "json"],
+                         capture_output=True, text=True, timeout=30,
+                         env={k: v for k, v in os.environ.items() if k != "GROUPOIDAL_CAP"})
+    assert res.returncode == 0, res.stderr[-300:]
+    assert time.perf_counter() - start < 2.0, argv
+    return [(g["free_rank"], g["torsion"]) for g in json.loads(res.stdout)["groups"]]
+
+
+@pytest.mark.parametrize("group, degree", [("s3", 7), ("d4", 6), ("a4", 5), ("z5", 10)])
+def test_isotropy_resolutions_reach_these_degrees_in_under_2_s(group, degree, tmp_path):
+    # whole processes at the default cap; each answer is checked against
+    # the other command by universal coefficients: for a finite group,
+    # H^0 = Z, H^1 = 0 and H^{n+1} = H_n for n >= 1
+    from test_resolution import A4, D4, S3
+    table = {"s3": S3, "d4": D4, "a4": A4, "z5": [[(a + b) % 5 for b in range(5)]
+                                                 for a in range(5)]}[group]
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"kind": "group", "cayley": table}), encoding="utf-8")
+    chains = _cli_groups(["homology", str(path), "--max-degree", str(degree)])
+    cochains = _cli_groups(["cohomology", str(path), "--max-degree", str(degree + 1)])
+    assert chains[0] == cochains[0] == (1, []) and cochains[1] == (0, [])
+    assert cochains[2:] == chains[1:]
+    if group == "s3":  # Z/2, 0, Z/6, 0 repeating
+        assert chains[1:] == [[(0, [2]), (0, []), (0, [6]), (0, [])][(n - 1) % 4]
+                              for n in range(1, degree + 1)]
+    if group == "z5":
+        assert chains[1:] == [(0, [5] if n % 2 else []) for n in range(1, degree + 1)]
 
 
 # one valid model file of each kind and a command that takes it

@@ -33,9 +33,13 @@ def test_cohomology_builds_each_block_space_once(monkeypatch):
             calls[_name] += 1
             return _build(*args, **kwargs)
         monkeypatch.setattr(cohomology, name, counted)
+    # theta_rho_check builds both models on the full cochains, and the
+    # groups of both equal the ones read on the isotropy resolution
     z3 = group_groupoid(cyclic_table(3))
     M = constant_module(z3, 1)
-    assert cocycle_cohomology(z3, M, 3) == hom_side_cohomology(z3, M, 3)
+    rep = theta_rho_check(z3, M, 3)
+    assert rep.ok
+    assert rep.cocycle_groups == rep.hom_groups == cocycle_cohomology(z3, M, 3)
     assert calls == {"cochain_space": 5, "hom_space": 5}
 
 

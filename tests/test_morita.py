@@ -14,22 +14,26 @@ dP + Pd = ir - id on the full nerve (Segal 1968; Quillen 1973, section 1).
 Its transpose, with the action of k_y on the fibers, is a cochain homotopy
 for the cocycle complex with any module.  The tests check both as exact
 matrix identities, and that the groups computed on H are those of G's
-normalized complexes, which stay the reference here.
+normalized complexes (`normalized.py` of the tests), which stay the
+reference here.
 """
 
 import itertools
+import json
 import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from groupoidal import cli
+from groupoidal import cli, groupoids
 from groupoidal.cohomology import (cochain_complex, cochain_space, cocycle_cohomology,
-                                   hom_side_cohomology, hom_space, pullback_module)
+                                   hom_side_cohomology, pullback_module)
 from groupoidal.groupoids import (FiniteGroupoid, GModule, GroupoidFunctor,
                                   boundary_matrix_d, isotropy_inclusion, nerve,
                                   validate_functor, validate_groupoid, validate_module)
-from groupoidal.homology import homology_groups, nerve_complex
+from groupoidal.homology import homology_groups
 from groupoidal.models import (action_groupoid, constant_module, cyclic_table,
                                disjoint_union, full_pair_groupoid, group_groupoid,
                                pair_groupoid_from_map, random_groupoid, random_module,
@@ -37,6 +41,9 @@ from groupoidal.models import (action_groupoid, constant_module, cyclic_table,
 from groupoidal.zlinalg import IntMatrix
 
 from isotropy_models import random_orbit_groupoid
+from oracles import validate_module_on_all_pairs
+from normalized import (normalized_cochain_groups, normalized_cochain_space, normalized_complex,
+                        normalized_hom_space)
 
 TOP = 3  # prism identities in degrees 0..TOP
 
@@ -214,24 +221,28 @@ def test_cochain_prism_is_a_cochain_homotopy_with_the_module(G, M):
 @pytest.mark.parametrize("G, M", CASES)
 def test_isotropy_groups_equal_the_normalized_route_on_g(G, M):
     M = _module(G, M)
-    assert homology_groups(G, TOP) == nerve_complex(G, TOP, normalized=True).groups()
+    assert homology_groups(G, TOP) == normalized_complex(G, TOP).groups()
     top = TOP - 1
-    for space, groups in ((cochain_space, cocycle_cohomology),
-                          (hom_space, hom_side_cohomology)):
-        want = cochain_complex(G, M, [space(G, M, n, normalized=True)
-                                      for n in range(top + 2)]).groups()
+    for space, groups in ((normalized_cochain_space, cocycle_cohomology),
+                          (normalized_hom_space, hom_side_cohomology)):
+        want = normalized_cochain_groups(G, M, top, space)
         assert groups(G, M, top) == want, space.__name__
 
 
 @pytest.mark.parametrize("G, M", CASES)
-def test_groups_build_no_nerve_of_g_unless_g_is_its_own_isotropy(G, M):
-    # a fresh copy, since the other tests build G's nerves
+def test_groups_build_no_nerve_of_g_unless_g_is_its_own_isotropy(G, M, monkeypatch):
+    # a fresh copy, since the other tests build G's nerves; the groups are
+    # read on the Morse resolutions of the isotropy groups, so no nerve of
+    # G or of H is built, whether or not H is G
     G = FiniteGroupoid(G.src, G.rng, G.comp, G.inv, G.units)
     M = GModule(G, M.fiber_rank, M.action) if M is not None else constant_module(G, 1)
+    built = []
+    # every nerve, of any groupoid, is made by groupoids.nerve through Nerve
+    monkeypatch.setattr(groupoids, "Nerve", lambda degree, *_: built.append(degree))
     homology_groups(G, TOP)
     cocycle_cohomology(G, M, TOP - 1)
     hom_side_cohomology(G, M, TOP - 1)
-    assert bool(G._nerves) == (isotropy_inclusion(G)[0].source is G)
+    assert not G._nerves and not built
 
 
 @pytest.mark.parametrize("G, M", CASES)
@@ -254,6 +265,21 @@ def test_a_pair_groupoid_over_the_cap_on_g_answers_on_its_isotropy(command, tmp_
     assert '"free_rank": 1' in out and out.count('"free_rank": 0') == 6
 
 
+def test_a_module_on_a_pair_groupoid_is_validated_on_its_isotropy(tmp_path, capsys):
+    # 10^6 composable pairs on G, one unit on H: the module is counted and
+    # checked on the arrows and H's pairs, so it no longer exits 2
+    model = tmp_path / "pair100.json"
+    model.write_text('{"kind": "pair", "fibers": [100]}', encoding="utf-8")
+    # arrow (y1, y2) is numbered 100 * y1 + y2, so the unit at y is 101 * y
+    module = tmp_path / "rank1.json"
+    module.write_text(json.dumps({"fibers": {str(101 * y): 1 for y in range(100)}}),
+                      encoding="utf-8")
+    code = cli.main(["cohomology", str(model), "--module", str(module), "--max-degree", "2",
+                     "--format", "json"])
+    groups = [(g["free_rank"], g["torsion"]) for g in json.loads(capsys.readouterr().out)["groups"]]
+    assert code == 0 and groups == [(1, []), (0, []), (0, [])]
+
+
 @pytest.mark.parametrize("G, M", RANDOM_ORBITS)
 def test_random_orbit_cases_pull_back_a_nontrivial_isotropy_action(G, M):
     # an orbit of several units whose isotropy acts nontrivially, so the
@@ -263,3 +289,51 @@ def test_random_orbit_cases_pull_back_a_nontrivial_isotropy_action(G, M):
     twisted = [g for g in i.arrow_map if G.src[g] in bases
                and M.act(g) != IntMatrix.identity(M.rank_at(G.src[g]))]
     assert twisted
+
+
+# validate_module checks a module through the isotropy reduction; the check
+# on all of G's composable pairs (`oracles`) is the reference
+MODULE_CASES = ([(G, _module(G, M)) for _, G, M in _zoo()]
+                + [_random_orbits(seed) for seed in range(8)])
+
+
+def _changed(M, g, matrix):
+    return GModule(M.groupoid, M.fiber_rank, {**M.action, g: matrix})
+
+
+def _base_arrows(G):
+    _, k = isotropy_inclusion(G)
+    return {k[y] for y in G.units if k[y] != y}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=st.integers(0, len(MODULE_CASES) - 1), data=st.data())
+def test_validate_module_accepts_the_modules_the_all_pairs_check_accepts(case, data):
+    G, M = MODULE_CASES[case]
+    g = data.draw(st.integers(0, G.n_arrows - 1))
+    r = M.rank_at(G.src[g])
+    kind = data.draw(st.sampled_from(["none", "scaled", "entries"]))
+    if kind == "scaled":  # -M(g), or 2 M(g), which is not invertible
+        M = _changed(M, g, M.act(g).scaled(data.draw(st.sampled_from([-1, 2]))))
+    elif kind == "entries":
+        rows = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=r, max_size=r),
+                                  min_size=r, max_size=r))
+        M = _changed(M, g, IntMatrix.from_rows(rows, r))
+    assert validate_module(G, M).ok == validate_module_on_all_pairs(G, M)[0]
+
+
+@pytest.mark.parametrize("G, M", RANDOM_ORBITS)
+def test_validate_module_rejects_a_broken_non_base_arrow_and_a_singular_base_arrow(G, M):
+    assert validate_module(G, M).ok and validate_module_on_all_pairs(G, M)[0]
+    base = _base_arrows(G)
+    i, _ = isotropy_inclusion(G)
+    other = next(g for g in range(G.n_arrows) if g not in base and G.inv[g] not in base
+                 and g not in i.arrow_map)
+    broken = _changed(M, other, M.act(other).scaled(-1))
+    assert not validate_module(G, broken).ok
+    assert not validate_module_on_all_pairs(G, broken)[0]
+    k = min(base)
+    singular = _changed(M, k, M.act(k).scaled(2))
+    rep = validate_module(G, singular)
+    assert not rep.ok and rep.axiom == "unimodular" and rep.witness == (k,)
+    assert validate_module_on_all_pairs(G, singular)[:2] == (False, "unimodular")

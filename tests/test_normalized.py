@@ -6,6 +6,8 @@ kills them is a chain map: d_norm * p = p * d_full.  The normalized
 cochains are the cochains that vanish on degenerate strings, so extension
 by zero i is a cochain map: delta_full * i = i * delta_norm.  Both have the
 same (co)homology as the full complexes, which stay the reference here.
+The normalized route itself lives in `normalized.py` of the tests, as a
+reference for the Morse resolutions the program computes on.
 """
 
 import random
@@ -23,6 +25,9 @@ from groupoidal.models import (action_groupoid, constant_module, cyclic_table,
 from groupoidal.zlinalg import FgAbGroup, IntMatrix, coefficients_via_uct
 
 from isotropy_models import random_orbit_groupoid
+from normalized import (normalized_boundary, normalized_cochain_groups,
+                        normalized_cochain_space, normalized_complex, normalized_hom_space,
+                        normalized_nerve)
 from oracles import modp_rank
 
 TOP = 3  # chain and cochain degrees 0..TOP
@@ -63,7 +68,7 @@ def _degenerate(G, t, n):
 
 def _projection(G, n):
     """Normalized degree-n chains <- full degree-n chains."""
-    full, norm = nerve(G, n), nerve(G, n, normalized=True)
+    full, norm = nerve(G, n), normalized_nerve(G, n)
     return IntMatrix.from_entries(
         len(norm), len(full),
         ((norm.index[t], j, 1) for j, t in enumerate(full.tuples)
@@ -82,7 +87,7 @@ def _extension(full, norm):
 def test_normalized_basis_is_the_nondegenerate_strings_in_lex_order(G, M):
     for n in range(TOP + 1):
         want = tuple(t for t in nerve(G, n).tuples if not _degenerate(G, t, n))
-        assert nerve(G, n, normalized=True).tuples == want
+        assert normalized_nerve(G, n).tuples == want
 
 
 # the builders treat a face outside the codomain basis as zero, so these
@@ -99,8 +104,8 @@ def test_every_face_of_a_full_string_is_in_the_full_basis(G, M):
 @pytest.mark.parametrize("G, M", CASES)
 def test_a_normalized_face_is_in_the_basis_unless_its_composite_is_a_unit(G, M):
     for n in range(1, TOP + 1):
-        index = nerve(G, n - 1, normalized=True).index
-        for t in nerve(G, n, normalized=True).tuples:
+        index = normalized_nerve(G, n - 1).index
+        for t in normalized_nerve(G, n).tuples:
             for i in range(n + 1):
                 degenerate = 0 < i < n and G.is_unit(G.comp[t[i - 1], t[i]])
                 assert (homology_face(G, t, i) in index) != degenerate, (t, i)
@@ -109,16 +114,18 @@ def test_a_normalized_face_is_in_the_basis_unless_its_composite_is_a_unit(G, M):
 @pytest.mark.parametrize("G, M", CASES)
 def test_projection_onto_normalized_chains_is_a_chain_map(G, M):
     for n in range(1, TOP + 1):
-        d_full, d_norm = boundary_matrix_d(G, n), boundary_matrix_d(G, n, normalized=True)
+        d_full, d_norm = boundary_matrix_d(G, n), normalized_boundary(G, n)
         assert d_norm * _projection(G, n) == _projection(G, n - 1) * d_full, n
 
 
-@pytest.mark.parametrize("space", [cochain_space, hom_space], ids=["cocycle", "hom"])
+@pytest.mark.parametrize("space", [(cochain_space, normalized_cochain_space),
+                                   (hom_space, normalized_hom_space)], ids=["cocycle", "hom"])
 @pytest.mark.parametrize("G, M", CASES)
 def test_extension_by_zero_of_normalized_cochains_is_a_cochain_map(G, M, space):
     M = _module(G, M)
-    full = [space(G, M, n) for n in range(TOP + 1)]
-    norm = [space(G, M, n, normalized=True) for n in range(TOP + 1)]
+    full_space, norm_space = space
+    full = [full_space(G, M, n) for n in range(TOP + 1)]
+    norm = [norm_space(G, M, n) for n in range(TOP + 1)]
     cx_full, cx_norm = cochain_complex(G, M, full), cochain_complex(G, M, norm)
     ext = [_extension(f, g) for f, g in zip(full, norm)]
     for n in range(TOP):
@@ -128,6 +135,7 @@ def test_extension_by_zero_of_normalized_cochains_is_a_cochain_map(G, M, space):
 @pytest.mark.parametrize("G, M", CASES)
 def test_normalized_homology_equals_the_full_route(G, M):
     full = nerve_complex(G, TOP).groups()
+    assert normalized_complex(G, TOP).groups() == full
     assert homology_groups(G, TOP) == full
     for m in (4, 6):
         below, want = FgAbGroup.trivial(), []
@@ -153,7 +161,9 @@ def test_normalized_mod_p_homology_matches_full_mod_p_ranks(G, M, p):
 def test_normalized_cohomology_equals_the_full_route_in_both_models(G, M):
     M = _module(G, M)
     top = TOP - 1
-    for space, groups in ((cochain_space, cocycle_cohomology),
-                          (hom_space, hom_side_cohomology)):
+    for space, norm_space, groups in (
+            (cochain_space, normalized_cochain_space, cocycle_cohomology),
+            (hom_space, normalized_hom_space, hom_side_cohomology)):
         full = cochain_complex(G, M, [space(G, M, n) for n in range(top + 2)]).groups()
+        assert normalized_cochain_groups(G, M, top, norm_space) == full, space.__name__
         assert groups(G, M, top) == full, space.__name__
