@@ -611,9 +611,9 @@ def test_isotropy_resolutions_reach_these_degrees_in_under_2_s(group, degree, tm
     path = tmp_path / "group.json"
     path.write_text(json.dumps({"kind": "group", "cayley": table}), encoding="utf-8")
     chains = _cli_groups(["homology", str(path), "--max-degree", str(degree)])
-    cochains = _cli_groups(["cohomology", str(path), "--max-degree", str(degree + 1)])
+    cochains = _cli_groups(["cohomology", str(path), "--max-degree", str(degree)])
     assert chains[0] == cochains[0] == (1, []) and cochains[1] == (0, [])
-    assert cochains[2:] == chains[1:]
+    assert cochains[2:] == chains[1:-1]
     if group == "s3":  # Z/2, 0, Z/6, 0 repeating
         assert chains[1:] == [[(0, [2]), (0, []), (0, [6]), (0, [])][(n - 1) % 4]
                               for n in range(1, degree + 1)]

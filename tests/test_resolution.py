@@ -9,6 +9,7 @@ normalized (Eilenberg-Mac Lane) complexes of `normalized.py`, on a zoo of
 groups, on action groupoids and on seeded random groups with modules.
 """
 
+import inspect
 import itertools
 import random
 import sys
@@ -24,9 +25,9 @@ from groupoidal.models import (action_groupoid, constant_module, cyclic_table,
                                permutation_module, random_groupoid, random_module,
                                space_groupoid)
 from groupoidal.resolution import Budget, GroupResolution
-from groupoidal.zlinalg import IntMatrix
+from groupoidal.zlinalg import IntMatrix, LinearSystem
 
-from isotropy_models import random_orbit_groupoid
+from isotropy_models import _unimodular, random_orbit_groupoid
 from normalized import (normalized_cochain_groups, normalized_cochain_space, normalized_complex,
                         normalized_hom_space)
 
@@ -210,8 +211,6 @@ def test_flow_is_a_chain_map_and_the_identity_on_critical_cells(name):
 def _twisted(G, M, rng):
     """M with every fiber's basis changed by a random unimodular C_u:
     g acts by C_{r(g)} M(g) C_{s(g)}^-1, an isomorphic module."""
-    from isotropy_models import _unimodular
-    from groupoidal.zlinalg import LinearSystem
     conj = {u: _unimodular(rng, M.rank_at(u)) for u in G.units}
     inv = {u: LinearSystem(c).solve_columns(IntMatrix.identity(c.rows)) for u, c in conj.items()}
     return GModule(G, M.fiber_rank, {g: conj[G.rng[g]] * M.act(g) * inv[G.src[g]]
@@ -334,7 +333,8 @@ def test_the_flow_runs_on_an_explicit_stack():
     G = FiniteGroupoid([0] * k, [0] * k, {(a, b): (a + b) % k for a in range(k) for b in range(k)},
                        [-a % k for a in range(k)], [0])
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(250)
+    # 150 frames above the test's own stack, far fewer than the chain's 499
+    sys.setrecursionlimit(len(inspect.stack(0)) + 150)
     try:
         groups = homology_groups(G, 1)
     finally:
