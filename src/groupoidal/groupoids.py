@@ -127,7 +127,9 @@ class FiniteGroupoid:
 
 
 def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
-    """Check every groupoid axiom; report the first violation with witnesses."""
+    """Check every groupoid axiom; report the first violation with witnesses.
+    The composable triples, whose associativity is checked, are counted
+    first, and DegreeTooLarge is raised if they pass the cap."""
     n = G.n_arrows
     for u in G.units:
         if not (0 <= u < n):
@@ -162,6 +164,11 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
             return ValidationReport(False, "inverse-endpoints", (g,))
         if G.comp[(g, gi)] != G.rng[g] or G.comp[(gi, g)] != G.src[g]:
             return ValidationReport(False, "inverse-law", (g,))
+    # pairs[u]: the composable pairs (h, k) with rng(h) = u, not built
+    pairs = {u: sum(len(G.arrows_by_rng[G.src[h]]) for h in hs)
+             for u, hs in G.arrows_by_rng.items()}
+    if sum(pairs[G.src[g]] for g in range(n)) > tuple_cap():
+        raise DegreeTooLarge(f"{n} arrows have more composable triples than the cap")
     for g in range(n):
         for h in G.arrows_by_rng[G.src[g]]:
             gh = G.comp[(g, h)]

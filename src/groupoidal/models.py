@@ -10,8 +10,8 @@ from __future__ import annotations
 import random
 from typing import Iterable, List, Optional, Sequence
 
-from .groupoids import (FiniteGroupoid, GModule, GroupoidError,
-                        GroupoidFunctor, tuple_cap)
+from .groupoids import (DegreeTooLarge, FiniteGroupoid, GModule, GroupoidError,
+                        GroupoidFunctor, power_exceeds_cap, tuple_cap)
 from .zlinalg import IntMatrix, LinearSystem
 
 
@@ -48,11 +48,15 @@ def group_groupoid(cayley: Sequence[Sequence[int]]) -> FiniteGroupoid:
     """One-unit groupoid from a k x k Cayley table; arrow i is element i.
 
     The identity element may sit anywhere in the table; it becomes the
-    single unit.
+    single unit.  The k^3 associativity checks are charged against the cap
+    first.
     """
     k = len(cayley)
     if k < 1 or any(len(row) != k for row in cayley):
         raise NotAGroup("table is not square")
+    if power_exceeds_cap(k, 3):
+        raise DegreeTooLarge(f"a {k}-element table needs {k}^3 associativity checks, "
+                             "more than the cap")
     table = [[int(v) for v in row] for row in cayley]
     for row in table:
         for v in row:
@@ -143,7 +147,8 @@ def action_groupoid(cayley: Sequence[Sequence[int]],
 
     perms[g] is the permutation of X given by element g of the Cayley
     table.  Arrow id is g*|X| + x for the arrow (g, x): src = x,
-    rng = g.x, and (g1, g2.x)(g2, x) = (g1 g2, x).  Units are (e, x).
+    rng = g.x, and (g1, g2.x)(g2, x) = (g1 g2, x).  Units are (e, x).  The
+    k^2 |X| checks of the action law are charged against the cap first.
     """
     group = group_groupoid(cayley)
     k = len(cayley)
@@ -152,6 +157,9 @@ def action_groupoid(cayley: Sequence[Sequence[int]],
     npts = len(perms[0]) if perms else 0
     if npts == 0:
         raise NotAnAction("empty set")
+    if k * k * npts > tuple_cap():
+        raise DegreeTooLarge(f"{k} elements on {npts} points need {k}^2 * {npts} action "
+                             "checks, more than the cap")
     for p in perms:
         if sorted(p) != list(range(npts)):
             raise NotAnAction(f"{p} is not a permutation")

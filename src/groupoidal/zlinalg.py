@@ -8,7 +8,8 @@ as finitely generated abelian groups in invariant-factor normal form.
 Everything runs on Python ints, so intermediate entries may grow without
 overflow.  IntMatrix is sparse, one {column: value} dict per row with no
 stored zeros, and this module alone knows that format: builders elsewhere
-emit (row, column, value) entries.  The elimination engine starts from a
+emit (row, column, value) entries, or rows of {column: value} through
+`IntMatrix.from_row_dicts`.  The elimination engine starts from a
 copy of the row dicts and keeps U, V and V^-1 in the same form, which is
 what makes the large-but-very-sparse boundary matrices cheap.  U^-1 is
 never formed: the engine logs its row operations and replays them where
@@ -75,10 +76,11 @@ class IntMatrix:
     holding the nonzero entries only.
 
     The storage format is private to this module.  Other modules build
-    matrices with `from_entries` or the shape constructors, and read them
-    through `entries`, `col`, `column_list` and `apply`.  `data` is a
-    dense list-of-lists copy for output and tests; writing into it does not
-    change the matrix.  No operation modifies a matrix once it is built.
+    matrices with `from_entries`, `from_row_dicts` or the shape
+    constructors, and read them through `entries`, `col`, `column_list`
+    and `apply`.  `data` is a dense list-of-lists copy for output and
+    tests; writing into it does not change the matrix.  No operation
+    modifies a matrix once it is built.
     """
 
     __slots__ = ("rows", "cols", "_row_dicts")
@@ -99,22 +101,33 @@ class IntMatrix:
     def from_entries(cls, rows: int, cols: int, entries: Iterable[tuple]) -> "IntMatrix":
         """rows x cols matrix holding at (i, j) the sum of the v over the
         triples (i, j, v) in entries."""
-        out = cls(rows, cols)
-        row_dicts = out._row_dicts
+        row_dicts = cls(rows, cols)._row_dicts  # refuses a negative shape
         for i, j, v in entries:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise DimensionMismatch(f"entry ({i}, {j}) outside a {rows}x{cols} matrix")
             row = row_dicts[i]
             row[j] = row.get(j, 0) + v
-        out._row_dicts = [row if all(row.values()) else {j: v for j, v in row.items() if v}
-                          for row in row_dicts]
-        return out
+        return cls.from_row_dicts(cols, row_dicts)
+
+    @classmethod
+    def from_row_dicts(cls, cols: int, rows: list) -> "IntMatrix":
+        """len(rows) x cols matrix whose row i holds rows[i], a {column:
+        value} dict.  The dicts are taken over, not copied, and their zero
+        values are dropped.  A column outside 0..cols - 1 raises
+        DimensionMismatch, and so does a negative cols."""
+        if (min(chain.from_iterable(rows), default=0) < 0
+                or max(chain.from_iterable(rows), default=-1) >= cols):
+            raise DimensionMismatch(f"a column outside 0..{cols - 1}")
+        if not all(map(all, map(dict.values, rows))):
+            rows = [row if all(row.values()) else {j: v for j, v in row.items() if v}
+                    for row in rows]
+        return cls._of_row_dicts(len(rows), cols, rows)
 
     @classmethod
     def _of_row_dicts(cls, rows: int, cols: int, row_dicts: list) -> "IntMatrix":
         # the dicts must hold no zeros and must not be modified afterwards
-        out = cls(rows, cols)
-        out._row_dicts = row_dicts
+        out = cls(0, cols)
+        out.rows, out._row_dicts = rows, row_dicts
         return out
 
     @classmethod

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from groupoidal import cli
 from groupoidal.groupoids import FiniteGroupoid
-from groupoidal.models import BratteliDiagram
+from groupoidal.models import BratteliDiagram, cyclic_table
 
 
 @pytest.fixture()
@@ -437,10 +437,21 @@ def test_unreadable_model_file_exits_2_with_one_error_line(text, tmp_path, capsy
     # a million points over three depths, although the last depth alone
     # (p^3) is within the cap: every depth is factored
     (["odometer", "--p", "100", "--max-depth", "3"], None, None, {}),
+    # checks over all triples of a table: k^3 for a group, k^2 |X| for an
+    # action, and the composable triples of an explicit groupoid
+    (["homology", "MODEL"], {"kind": "group", "cayley": cyclic_table(400)}, None, {}),
+    (["homology", "MODEL"], {"kind": "action", "cayley": cyclic_table(100),
+                             "perms": [[(x + g) % 300 for x in range(300)] for g in range(100)]},
+     None, {}),
+    (["homology", "MODEL"], {"kind": "explicit", "arrows": 130, "src": [0] * 130,
+                             "rng": [0] * 130, "inv": [-g % 130 for g in range(130)],
+                             "units": [0], "compose": [[a, b, (a + b) % 130] for a in range(130)
+                                                       for b in range(130)]}, None, {}),
 ], ids=["module-rank-huge", "skew-window-huge", "skew-window-large", "cap-malformed",
         "af-depth-huge", "af-levels-huge", "odometer-depth-huge", "pair-fiber-digits",
         "dimension-levels-large", "dimension-levels-huge", "verify-theta-count-huge",
-        "odometer-points-over-depths"])
+        "odometer-points-over-depths", "group-table-large", "action-table-large",
+        "explicit-triples-large"])
 def test_oversize_inputs_exit_2_before_building(argv, model, aux, env, tmp_path):
     files = {"MODEL": tmp_path / "model.json", "AUX": tmp_path / "aux.json"}
     for slot, payload in (("MODEL", model), ("AUX", aux)):
@@ -456,6 +467,14 @@ def test_oversize_inputs_exit_2_before_building(argv, model, aux, env, tmp_path)
     assert res.stdout == ""
     assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
     assert len(res.stderr) <= 301, res.stderr[:300]
+
+
+def test_a_100_element_group_table_still_parses(tmp_path):
+    # 100^3 associativity checks are inside the default cap
+    path = tmp_path / "z100.json"
+    path.write_text(json.dumps({"kind": "group", "cayley": cyclic_table(100)}), encoding="utf-8")
+    G = cli.parse_input(str(path))
+    assert G.n_arrows == 100 and G.n_units == 1
 
 
 def _limited_cli(argv):

@@ -15,7 +15,7 @@ from groupoidal.models import (action_groupoid, constant_functor,
                                inclusion_functor_left, permutation_module,
                                random_groupoid, random_module, sign_module,
                                space_groupoid)
-from groupoidal.zlinalg import FgAbGroup, IntMatrix, kernel_basis
+from groupoidal.zlinalg import FgAbGroup, IntMatrix, invariant_factors, kernel_basis
 
 from isotropy_models import random_orbit_groupoid
 from oracles import (betti_over_field_cochain, complex_betti, group_cochain_deltas,
@@ -281,3 +281,106 @@ def test_s3_classical_cohomology():
     got = cocycle_cohomology(s3, constant_module(s3, 1), 2)
     assert got == [Z, ZERO, FgAbGroup.cyclic(2)]
     assert theta_rho_check(s3, constant_module(s3, 1), 1).ok
+
+
+# -- failure injection: theta_rho_check must report a broken identity ---------
+
+
+def _orbit_instance():
+    # an orbit whose isotropy acts on the module, beside a small random
+    # block: 16 arrows, 6 units, fibers of rank 1 to 3
+    G, M = random_orbit_groupoid(random.Random(7))
+    assert not hom_coboundary_matrix(G, M, 0).is_zero()
+    return G, M
+
+
+def _hom_spaces(monkeypatch):
+    """Record every space hom_space builds, by identity."""
+    built = set()
+
+    def recording(*args, _build=cohomology.hom_space):
+        space = _build(*args)
+        built.add(id(space))
+        return space
+    monkeypatch.setattr(cohomology, "hom_space", recording)
+    return built
+
+
+def _negate_one_entry(d: IntMatrix) -> IntMatrix:
+    i, j, v = min(d.entries())
+    return d + IntMatrix.from_entries(d.rows, d.cols, [(i, j, -2 * v)])
+
+
+def test_theta_rho_check_catches_a_flipped_entry_of_the_hom_delta(monkeypatch):
+    # delta_0 is the top differential at n_max = 0, so d o d cannot see a
+    # wrong entry in it; the chain-map identity must
+    G, M = _orbit_instance()
+    homs = _hom_spaces(monkeypatch)
+
+    def flipped(G, M, n, dom, cod, _build=cohomology._coboundary):
+        d = _build(G, M, n, dom, cod)
+        return _negate_one_entry(d) if id(dom) in homs else d
+    monkeypatch.setattr(cohomology, "_coboundary", flipped)
+    rep = theta_rho_check(G, M, 0)
+    assert not rep.ok
+    assert rep.failures == [(0, "delta_c o theta != theta o delta")]
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_theta_rho_check_names_the_degree_of_a_wrong_hom_delta(degree, monkeypatch):
+    # below the top, d o d sees a negated entry, so it is negated after the
+    # Hom complex is built and checked: in the delta the comparison reads
+    G, M = _orbit_instance()
+    homs = _hom_spaces(monkeypatch)
+
+    class Flipped:
+        def __init__(self, complex_):
+            self.complex = complex_
+
+        def d_out(self, n):
+            d = self.complex.d_out(n)
+            return _negate_one_entry(d) if n == degree else d
+
+    def building(G, M, spaces, first=0, _build=cohomology.cochain_complex):
+        complex_ = _build(G, M, spaces, first)
+        return Flipped(complex_) if id(spaces[0]) in homs else complex_
+    monkeypatch.setattr(cohomology, "cochain_complex", building)
+    rep = theta_rho_check(G, M, 2)
+    assert not rep.ok
+    assert rep.failures == [(degree, "delta_c o theta != theta o delta")]
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2])
+def test_theta_rho_check_names_a_non_invertible_theta_one_degree_up(n_max, monkeypatch):
+    # theta' = theta (I + x y^T) with y^T delta_h = 0 still satisfies
+    # delta_c theta = theta' delta_h in degree n_max, but det(I + x y^T) =
+    # 1 + y_k >= 2, so theta' is not invertible over Z in degree n_max + 1
+    G, M = _orbit_instance()
+    d = hom_coboundary_matrix(G, M, n_max)
+    y = kernel_basis(d.transpose()).column_list()[0]
+    if max(y) <= 0:
+        y = [-v for v in y]
+    k = y.index(max(y))
+    P = IntMatrix.identity(d.rows) + IntMatrix.from_entries(
+        d.rows, d.rows, [(k, j, v) for j, v in enumerate(y) if v])
+    assert invariant_factors(P) != [1] * d.rows
+    thetas = []  # built in degrees 0 .. n_max + 1
+
+    def skewed(cochains, homs, _build=cohomology._theta):
+        thetas.append(_build(cochains, homs))
+        return thetas[-1] * P if len(thetas) == n_max + 2 else thetas[-1]
+    monkeypatch.setattr(cohomology, "_theta", skewed)
+    rep = theta_rho_check(G, M, n_max)
+    assert len(thetas) == n_max + 2
+    assert rep.failures == [(n_max + 1, "rho*theta != id"), (n_max + 1, "theta*rho != id")]
+
+
+def test_theta_rho_check_compares_with_the_isotropy_route(monkeypatch):
+    G, M = _orbit_instance()
+    right = cocycle_cohomology(G, M, 2)
+    wrong = right[:1] + [FgAbGroup.free(7)] + right[2:]
+    monkeypatch.setattr(cohomology, "_isotropy_cohomology", lambda G, M, n_max: wrong)
+    rep = theta_rho_check(G, M, 2)
+    assert not rep.ok
+    assert rep.cocycle_groups == right and rep.hom_groups == wrong
+    assert rep.failures == [(1, f"cohomology mismatch {right[1]} vs {wrong[1]}")]

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from groupoidal.groupoids import validate_groupoid, validate_module
+from groupoidal.groupoids import (DegreeTooLarge, FiniteGroupoid, nerve, validate_groupoid,
+                                  validate_module)
 from groupoidal.homology import homology_groups
 from groupoidal.models import (MalformedDiagram, NotAGroup, NotAnAction,
                                NotSurjective, action_groupoid,
@@ -222,3 +223,37 @@ def test_odometer_depth_cap(monkeypatch):
     monkeypatch.setenv("GROUPOIDAL_CAP", "100")
     with pytest.raises(DepthTooLarge):
         odometer_system(2, 10)
+
+
+# -- checks over all triples are charged against the cap first ------------------
+
+
+def test_group_table_charges_k_cubed_before_the_associativity_check(monkeypatch):
+    monkeypatch.setenv("GROUPOIDAL_CAP", str(5 ** 3))
+    assert group_groupoid(cyclic_table(5)).n_arrows == 5
+    monkeypatch.setenv("GROUPOIDAL_CAP", str(5 ** 3 - 1))
+    with pytest.raises(DegreeTooLarge):
+        group_groupoid(cyclic_table(5))
+
+
+def test_action_charges_k_squared_times_the_points(monkeypatch):
+    perms = [[(x + 2 * g) % 6 for x in range(6)] for g in range(3)]
+    monkeypatch.setenv("GROUPOIDAL_CAP", str(3 * 3 * 6))
+    assert action_groupoid(cyclic_table(3), perms).n_units == 6
+    monkeypatch.setenv("GROUPOIDAL_CAP", str(3 * 3 * 6 - 1))
+    with pytest.raises(DegreeTooLarge):
+        action_groupoid(cyclic_table(3), perms)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_validate_groupoid_charges_the_composable_triples(seed, monkeypatch):
+    # the count is that of the composable 3-strings, without building them;
+    # the pair block keeps it above 1, so the cap below it is positive
+    G = disjoint_union(random_groupoid(random.Random(seed)), full_pair_groupoid(2))
+    triples = len(nerve(G, 3))
+    copy = FiniteGroupoid(G.src, G.rng, G.comp, G.inv, G.units)
+    monkeypatch.setenv("GROUPOIDAL_CAP", str(triples))
+    assert validate_groupoid(copy).ok
+    monkeypatch.setenv("GROUPOIDAL_CAP", str(triples - 1))
+    with pytest.raises(DegreeTooLarge):
+        validate_groupoid(copy)

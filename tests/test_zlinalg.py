@@ -178,6 +178,39 @@ def test_from_entries_sums_repeats_and_keeps_no_zeros():
             IntMatrix.from_entries(2, 3, [bad])
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.data())
+def test_from_row_dicts_equals_from_entries(rows, cols, data):
+    # repeated positions with values in -2..2 often sum to zero
+    cells = st.tuples(st.integers(0, max(rows - 1, 0)), st.integers(0, max(cols - 1, 0)),
+                      st.integers(-2, 2))
+    entries = data.draw(st.lists(cells, max_size=30)) if rows and cols else []
+    row_dicts = [{} for _ in range(rows)]
+    for i, j, v in entries:
+        row_dicts[i][j] = row_dicts[i].get(j, 0) + v
+    A = IntMatrix.from_row_dicts(cols, row_dicts)
+    B = IntMatrix.from_entries(rows, cols, entries)
+    assert A == B and A.shape == (rows, cols)
+    assert list(A.entries()) == list(B.entries())
+    assert all(v for _, _, v in A.entries())
+
+
+def test_from_row_dicts_drops_zeros_and_checks_columns():
+    A = IntMatrix.from_row_dicts(3, [{0: 0, 2: 5}, {1: 0}, {}])
+    assert A.data == [[0, 0, 5], [0, 0, 0], [0, 0, 0]]
+    assert list(A.entries()) == [(0, 2, 5)]
+    assert A.is_zero() is False and IntMatrix.from_row_dicts(2, [{0: 0}, {1: 0}]).is_zero()
+    assert IntMatrix.from_row_dicts(4, [{}, {}]) == IntMatrix.zeros(2, 4)
+    assert IntMatrix.from_row_dicts(5, []).shape == (0, 5)
+    assert IntMatrix.from_row_dicts(0, [{}, {}]).shape == (2, 0)
+    assert IntMatrix.from_row_dicts(0, []).shape == (0, 0)
+    for bad in ([{-1: 1}], [{}, {3: 1}], [{0: 1, 7: 0}], [{-2: 0}]):
+        with pytest.raises(DimensionMismatch):
+            IntMatrix.from_row_dicts(3, bad)
+    with pytest.raises(DimensionMismatch):
+        IntMatrix.from_row_dicts(0, [{0: 1}])
+
+
 def test_snf_against_sympy():
     import sympy
     from sympy.matrices.normalforms import smith_normal_form
