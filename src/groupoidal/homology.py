@@ -162,7 +162,9 @@ def odometer_homology(p: int, depth_max: int) -> OdometerReport:
     The connecting maps on the depth-d cokernels come out as
     multiplication by p; the assembled direct tower is the dimension
     group colimit (Z, x p).  The kernels carry identity connecting maps,
-    so the stabilized degree-1 group is Z.
+    so the stabilized degree-1 group is Z.  Each depth's id - P is
+    factored once: its complex's engine serves both presentations, as d_in
+    of degree 0 (whose d_out is zero) and d_out of degree 1.
     """
     system = odometer_system(p, depth_max)
     pres = []  # (H_0, H_1) presentations by depth

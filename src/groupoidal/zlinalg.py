@@ -21,7 +21,10 @@ divisibility check, one product with V^-1), and a
 ChainHomologyPresentation turns every column of M into canonical homology
 coordinates at once (one product with V, a cycle check, one product with
 the rows of the relation transform's U^-1 that it reads out of the log).
-The one-vector `solve` and `coords` are their one-column cases.
+The one-vector `solve` and `coords` are their one-column cases.  A
+ChainComplex holds one engine per differential for its presentations,
+tracking the union of the transforms they read off it, so each
+differential is factored once however many degrees read it.
 
 Pivot rule: step t of the elimination takes the nonzero of the active block
 (rows and columns >= t) with the least key (|v|, Markowitz cost, row,
@@ -52,11 +55,14 @@ import heapq
 from dataclasses import dataclass
 from itertools import chain
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 
 class LinAlgError(Exception):
-    """Base class for exact-linear-algebra failures."""
+    """Base class for exact-linear-algebra failures.  `degree` is the degree
+    of a ChainComplex at which one was found, or None."""
+
+    degree: Optional[int] = None
 
 
 class DimensionMismatch(LinAlgError):
@@ -64,7 +70,11 @@ class DimensionMismatch(LinAlgError):
 
 
 class CompositionNonzero(LinAlgError):
-    """d_out * d_in is not the zero matrix."""
+    """d_out * d_in is not the zero matrix at `degree` of a ChainComplex."""
+
+    def __init__(self, degree: int):
+        super().__init__(f"d_out * d_in != 0 at degree {degree}")
+        self.degree = degree
 
 
 class BadModulus(LinAlgError):
@@ -899,7 +909,18 @@ class ChainComplex:
     ker(ds[n])/im(ds[n+1]) for n = 0 .. len(ds) - 2; the caller supplies
     d_0.  With step +1 (cochains) ds[n] is delta_n: C^n -> C^{n+1}, and
     degree n is ker(ds[n])/im(ds[n-1]) for n = 0 .. len(ds) - 1, with a
-    zero map into C^0.  Shapes and d*d = 0 are checked once, here.
+    zero map into C^0.  Shapes and d*d = 0 are checked once, here; a
+    nonzero composite raises CompositionNonzero naming its degree.
+
+    `presentation` reads each differential off one shared engine, built on
+    first use: V and V^-1 are tracked where the differential leaves a
+    degree 0 .. top, and U and U^-1 where the differential above it is
+    zero, since then V = I and the differential itself is the relation
+    matrix of the degree above.  The pivot order, and with it U, V and the
+    row-operation log, does not depend on which transforms are tracked, so
+    every presentation equals the one from engines of its own.  An engine
+    is dropped once every presentation that reads it has been built, so a
+    repeated call factors again.
     """
 
     def __init__(self, ds: Sequence[IntMatrix], step: int):
@@ -912,10 +933,12 @@ class ChainComplex:
         else:
             self._ds = list(ds[::-1]) + [IntMatrix.zeros(ds[0].cols, 0)]
         self.top = len(self._ds) - 2  # degrees run 0 .. top
-        for d_out, d_in in zip(self._ds, self._ds[1:]):
+        for i, (d_out, d_in) in enumerate(zip(self._ds, self._ds[1:])):
             # the product raises DimensionMismatch on a shape mismatch
             if not (d_out * d_in).is_zero():
-                raise CompositionNonzero("d_out * d_in != 0")
+                raise CompositionNonzero(i if step < 0 else self.top - i)
+        self._engines = {}  # position in _ds -> its engine, while a reader is unbuilt
+        self._built = set()  # positions whose presentation has been built
 
     def _at(self, n: int) -> int:
         if not 0 <= n <= self.top:
@@ -926,9 +949,27 @@ class ChainComplex:
         """The differential leaving degree n."""
         return self._ds[self._at(n)]
 
+    def _readers(self, j: int) -> set:
+        # the positions whose presentation reads _ds[j]'s engine: j for V and
+        # V^-1, and j - 1 for U and U^-1 when _ds[j - 1] is zero
+        return {i for i in (j, j - 1) if 0 <= i <= self.top and (i == j or self._ds[i].is_zero())}
+
+    def _engine(self, j: int) -> _Smith:
+        if j not in self._engines:
+            readers = self._readers(j)
+            self._engines[j] = _Smith(self._ds[j], (("V", "Vinv") if j in readers else ())
+                                      + (("U", "Uinv") if j - 1 in readers else ()))
+        return self._engines[j]
+
     def presentation(self, n: int) -> "ChainHomologyPresentation":
         i = self._at(n)
-        return ChainHomologyPresentation(self._ds[i], self._ds[i + 1])
+        pres = ChainHomologyPresentation(self._ds[i], self._ds[i + 1],
+                                         lambda k: self._engine(i + k))
+        self._built.add(i)
+        for j in (i, i + 1):  # drop an engine once all its readers are built
+            if self._readers(j) <= self._built:
+                self._engines.pop(j, None)
+        return pres
 
     def groups(self) -> list:
         """The groups of degrees 0 .. top.
@@ -968,12 +1009,15 @@ class ChainHomologyPresentation:
     transforms of the relation matrix, so homology classes of ambient
     vectors and induced maps of chain maps can be computed exactly.  The
     pair must be composable with d_out * d_in = 0; build it through
-    ChainComplex.presentation, which has checked that.
+    ChainComplex.presentation, which has checked that and hands it the
+    complex's engines: `engine(0)`, d_out's, tracks V and V^-1, and
+    `engine(1)`, d_in's, tracks U and U^-1 when d_out is zero.  Only a
+    nonzero d_out needs a relation matrix V[rank:] * d_in factored here.
     """
 
-    def __init__(self, d_out: IntMatrix, d_in: IntMatrix):
+    def __init__(self, d_out: IntMatrix, d_in: IntMatrix, engine: Callable[[int], _Smith]):
         self.ambient = d_out.cols
-        eng_out = _Smith(d_out, need=("V", "Vinv"))
+        eng_out = engine(0)
         r = self._out_rank = eng_out.rank
         k = self.ambient - r
         self._v = eng_out.v_matrix()  # y = V x; kernel coords are y[rank:]
@@ -981,9 +1025,13 @@ class ChainHomologyPresentation:
         # relation matrix: kernel coordinates of the boundary columns, rows
         # rank.. of V * d_in.  Rows < rank vanish, so the columns of d_in are
         # cycles: d_out * d_in = U * S * (V * d_in) = 0, and the first rank
-        # rows of S are d_i times unit rows.
-        rel = IntMatrix._of_row_dicts(k, self.ambient, eng_out.V_rows[r:]) * d_in
-        eng_rel = _Smith(rel, need=("U", "Uinv"))
+        # rows of S are d_i times unit rows.  A zero d_out leaves V = I and
+        # the relation matrix d_in itself, whose engine the complex holds.
+        if r:
+            rel = IntMatrix._of_row_dicts(k, self.ambient, eng_out.V_rows[r:]) * d_in
+            eng_rel = _Smith(rel, need=("U", "Uinv"))
+        else:
+            eng_rel = engine(1)
         diag = eng_rel.diagonal()
         # free generators first, then the torsion ones
         canon = list(range(len(diag), k)) + [i for i, d in enumerate(diag) if d >= 2]

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -294,15 +295,15 @@ def _orbit_instance():
     return G, M
 
 
-def _hom_spaces(monkeypatch):
-    """Record every space hom_space builds, by identity."""
+def _spaces_built_by(monkeypatch, builder="hom_space"):
+    """Record every space the builder builds, by identity."""
     built = set()
 
-    def recording(*args, _build=cohomology.hom_space):
+    def recording(*args, _build=getattr(cohomology, builder)):
         space = _build(*args)
         built.add(id(space))
         return space
-    monkeypatch.setattr(cohomology, "hom_space", recording)
+    monkeypatch.setattr(cohomology, builder, recording)
     return built
 
 
@@ -315,7 +316,7 @@ def test_theta_rho_check_catches_a_flipped_entry_of_the_hom_delta(monkeypatch):
     # delta_0 is the top differential at n_max = 0, so d o d cannot see a
     # wrong entry in it; the chain-map identity must
     G, M = _orbit_instance()
-    homs = _hom_spaces(monkeypatch)
+    homs = _spaces_built_by(monkeypatch)
 
     def flipped(G, M, n, dom, cod, _build=cohomology._coboundary):
         d = _build(G, M, n, dom, cod)
@@ -331,7 +332,7 @@ def test_theta_rho_check_names_the_degree_of_a_wrong_hom_delta(degree, monkeypat
     # below the top, d o d sees a negated entry, so it is negated after the
     # Hom complex is built and checked: in the delta the comparison reads
     G, M = _orbit_instance()
-    homs = _hom_spaces(monkeypatch)
+    homs = _spaces_built_by(monkeypatch)
 
     class Flipped:
         def __init__(self, complex_):
@@ -384,3 +385,45 @@ def test_theta_rho_check_compares_with_the_isotropy_route(monkeypatch):
     assert not rep.ok
     assert rep.cocycle_groups == right and rep.hom_groups == wrong
     assert rep.failures == [(1, f"cohomology mismatch {right[1]} vs {wrong[1]}")]
+
+
+def _negated_delta_0(monkeypatch, model):
+    """Negate one entry of delta_0 of the cocycle or the Hom model, so that
+    delta_1 o delta_0 != 0 in that full complex."""
+    built = _spaces_built_by(monkeypatch, {"cocycle": "cochain_space", "Hom": "hom_space"}[model])
+
+    def flipped(G, M, n, dom, cod, _build=cohomology._coboundary):
+        d = _build(G, M, n, dom, cod)
+        return _negate_one_entry(d) if n == 0 and id(dom) in built else d
+    monkeypatch.setattr(cohomology, "_coboundary", flipped)
+
+
+@pytest.mark.parametrize("model", ["cocycle", "Hom"])
+def test_theta_rho_check_reports_a_broken_differential_at_its_degree(model, monkeypatch):
+    # d o d fails as the full complex is built; that is a failed check at
+    # degree 1, not an error, and the checks that need the complex are
+    # skipped
+    G, M = _orbit_instance()
+    right = cocycle_cohomology(G, M, 2)
+    _negated_delta_0(monkeypatch, model)
+    rep = theta_rho_check(G, M, 2)
+    assert not rep.ok
+    assert rep.failures == [(1, f"d o d != 0 in the {model} complex")]
+    assert rep.hom_groups == right
+    assert rep.cocycle_groups == ([] if model == "cocycle" else right)
+
+
+def test_verify_theta_exits_3_on_a_broken_differential(tmp_path, monkeypatch, capsys):
+    # the pair groupoid on three points with Z at each: delta_0 sends m to
+    # m(s) - m(r), and delta_1 meets its first entry
+    from groupoidal import cli
+    pair = tmp_path / "pair3.json"
+    pair.write_text(json.dumps({"kind": "pair", "fibers": [3]}))
+    _negated_delta_0(monkeypatch, "Hom")
+    code = cli.main(["verify-theta", str(pair), "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == cli.VERIFICATION_FAILED
+    assert "Traceback" not in err and "error" not in err
+    doc = json.loads(out)
+    assert not doc["ok"]
+    assert doc["instances"][0]["failures"] == [["1", "d o d != 0 in the Hom complex"]]

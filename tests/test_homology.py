@@ -180,6 +180,24 @@ def test_odometer_connecting_maps(p, depth):
     assert rep.stabilized_h1 == Z
 
 
+def test_odometer_factors_each_id_minus_p_once():
+    # H_0 reads id - P as its relation matrix (d_0 is zero) and H_1 as its
+    # d_out: one engine of the depth's complex serves both
+    from groupoidal import zlinalg
+    factored = []
+
+    class Recording(zlinalg._Smith):
+        def __init__(self, A, need=()):
+            if not A.is_zero():
+                factored.append((A.shape, frozenset(need)))
+            super().__init__(A, need)
+
+    with mock.patch.object(zlinalg, "_Smith", Recording):
+        odometer_homology(2, 13)
+    assert factored == [((2 ** d, 2 ** d), frozenset({"U", "Uinv", "V", "Vinv"}))
+                        for d in range(1, 14)]
+
+
 def test_odometer_colimit_divisibility():
     rep = odometer_homology(2, 4)
     C = rep.h0_colimit

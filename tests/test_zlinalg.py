@@ -455,8 +455,66 @@ def test_chain_complex_checks_every_pair_at_construction(seed, step):
     if pairs_ok:
         ChainComplex(ds, step)
     else:
-        with pytest.raises(error):
+        with pytest.raises(error) as info:
             ChainComplex(ds, step)
+        if error is CompositionNonzero:
+            # the first failing pair from the top (cochains) or from the
+            # bottom (chains) is named by its degree
+            i = next(i for i, (x, y) in enumerate(zip(chain_ds, chain_ds[1:]))
+                     if not _dense_product_is_zero(x, y))
+            n = i if step < 0 else len(chain_ds) - 1 - i
+            assert info.value.degree == n
+            assert str(info.value) == f"d_out * d_in != 0 at degree {n}"
+
+
+def _read_out(pres):
+    """Everything a presentation reports, with the classes of its cycle
+    basis and generators in its coordinates."""
+    gens = IntMatrix.from_columns(pres.generators, pres.ambient)
+    return (pres.group, pres.orders, pres.generators, pres.cycle_basis,
+            pres.coords_of(pres.cycle_basis), pres.coords_of(gens))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), step=st.sampled_from([-1, 1]),
+       zero_at=st.lists(st.booleans(), min_size=5, max_size=5))
+def test_presentations_share_one_engine_per_differential(seed, step, zero_at):
+    # zero differentials at either end and in the middle: each one makes
+    # the differential above it a relation matrix read off the shared engine
+    rng = random.Random(seed)
+    chain_ds = [IntMatrix.zeros(d.rows, d.cols) if zero else d
+                for d, zero in zip(_random_chain_list(rng, rng.randint(2, 5)), zero_at)]
+    ds = chain_ds if step < 0 else chain_ds[::-1]
+    if step > 0:
+        chain_ds.append(IntMatrix.zeros(chain_ds[-1].cols, 0))
+    cx = ChainComplex(ds, step)
+    top = len(chain_ds) - 2
+    groups = cx.groups()
+    forward = [cx.presentation(n) for n in range(top + 1)]
+    backward = ChainComplex(ds, step)
+    backward = [backward.presentation(n) for n in range(top, -1, -1)][::-1]
+    for n, (pres, h) in enumerate(zip(forward, groups)):
+        i = n if step < 0 else top - n
+        d_out, d_in = chain_ds[i], chain_ds[i + 1]
+        assert pres.group == h
+        # generators are cycles with unit coordinates; boundaries are 0
+        for j, gen in enumerate(pres.generators):
+            assert not any(d_out.apply(gen))
+            assert pres.coords(gen) == [int(k == j) % d if d else int(k == j)
+                                        for k, d in enumerate(pres.orders)]
+        assert pres.coords_of(d_in).is_zero()
+        for p in (2, 3, 5):
+            dim = d_out.cols - modp_rank(d_out.data, p) - modp_rank(d_in.data, p)
+            tor = rational_rank(d_out.data) - modp_rank(d_out.data, p)
+            assert dim == h.free_rank + sum(1 for t in h.torsion if t % p == 0) + tor
+        # the call order, a second call, and engines that track only what
+        # one presentation reads all give the same read-out
+        own = zlinalg.ChainHomologyPresentation(d_out, d_in, lambda k: zlinalg._Smith(
+            (d_out, d_in)[k], (("V", "Vinv"), ("U", "Uinv"))[k]))
+        want = _read_out(pres)
+        assert _read_out(backward[n]) == want
+        assert _read_out(cx.presentation(n)) == want
+        assert _read_out(own) == want
 
 
 def _unimodular(rng, k):
