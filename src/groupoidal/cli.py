@@ -24,7 +24,7 @@ from . import cohomology as coh
 from . import homology as hom
 from . import limits as lim
 from . import models, skew
-from .groupoids import (DegreeTooLarge, FiniteGroupoid, GModule, GroupoidError,
+from .groupoids import (Budget, FiniteGroupoid, GModule, GroupoidError,
                         require_module_work, require_nerve_work, tuple_cap,
                         validate_groupoid, validate_module)
 from .zlinalg import FgAbGroup, IntMatrix, LinAlgError
@@ -120,10 +120,10 @@ def parse_input(path: str):
         for x, size in enumerate(fibers):
             if not _is_int(size) or size < 1:
                 raise ParseError(f"{path}: fibers[{x}] must be a positive integer")
-        # the sizes are checked before the point list is allocated
-        models.require_pair_cap(fibers)
+        # the points are passed one at a time and charged as they are read,
+        # so a fiber past the cap is never listed
         return models.pair_groupoid_from_map(
-            [x for x, size in enumerate(fibers) for _ in range(size)])
+            x for x, size in enumerate(fibers) for _ in range(size))
     if kind == "action":
         try:
             return models.action_groupoid(
@@ -332,15 +332,12 @@ def cmd_verify_theta(args) -> int:
         instances.append((args.input, G, M))
     else:
         rng = random.Random(args.seed)
-        work, limit = 0, tuple_cap()
+        # the instances' work is summed and refused before any is checked
+        budget = Budget(f"--count {args.count} instances")
         for i in range(args.count):
             G = models.random_groupoid(rng)
             M = models.random_module(G, rng)
-            # the instances' work is summed and refused before any is checked
-            work += require_nerve_work(G, args.max_degree + 1, M.fiber_rank)
-            if work > limit:
-                raise DegreeTooLarge(f"--count {args.count} instances need more than "
-                                     f"{limit} entries of work (the cap)")
+            budget.charge(require_nerve_work(G, args.max_degree + 1, M.fiber_rank))
             instances.append((f"random[{i}]", G, M))
     results = []
     all_ok = True
@@ -420,10 +417,10 @@ def cmd_dimension_group(args) -> int:
     tower = C.tower
     n_stages = args.levels + 1 if args.levels is not None else (tower.n_stages or 2)
     # a stationary tower has any number of stages: those printed, each a rank
-    # and a square map, are counted before any is built
-    if tower.stationary and n_stages * (1 + tower.rank_at(0) ** 2) > tuple_cap():
-        raise models.DepthTooLarge(f"--levels {args.levels} of a rank-{tower.rank_at(0)} "
-                                   f"stationary tower exceeds cap {tuple_cap()}")
+    # and a square map, are charged before any is built
+    if tower.stationary:
+        Budget(f"--levels {args.levels} of a rank-{tower.rank_at(0)} stationary tower").charge(
+            n_stages * (1 + tower.rank_at(0) ** 2))
     payload = {"command": "dimension-group", "input": args.input,
                "stationary": tower.stationary,
                "stage_ranks": [tower.rank_at(n) for n in range(n_stages)],

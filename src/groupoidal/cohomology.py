@@ -35,50 +35,39 @@ from .zlinalg import (ChainComplex, ChainHomologyPresentation, FgAbGroup, IntMat
 
 
 class BlockSpace:
-    """Free fibers laid end to end in one coordinate space: one block of
-    rank ranks[k] per key, in the order of `keys`.  `key_of` maps an
-    n-string to the key of the block that holds its value, `string_of`
-    maps a key back to its n-string, and `at` maps an n-string straight to
-    the offset of that block."""
+    """Free fibers laid end to end in one coordinate space: one block per
+    n-string of `keys`, in that order, holding the value at that string,
+    of rank ranks[i] for the i-th; `offset` maps a string to its block."""
 
-    def __init__(self, keys: List[tuple], ranks: List[int], key_of: Callable, string_of: Callable):
+    def __init__(self, keys: List[tuple], ranks: List[int]):
         self.keys = keys
         self.ranks = ranks
-        self.key_of = key_of
-        self.string_of = string_of
         self.offset = {}
         total = 0
         for k, r in zip(keys, ranks):
             self.offset[k] = total
             total += r
         self.total = total
-        self.at = {string_of(k): off for k, off in self.offset.items()}
 
 
 def cochain_space(G: FiniteGroupoid, M: GModule, n: int) -> BlockSpace:
     """Degree-n cocycle cochains: one copy per n-string of the fiber at the
-    range of its first arrow (per unit in degree 0); each string is its own
-    key."""
+    range of its first arrow (per unit in degree 0), in lex order."""
     keys = list(nerve(G, n).tuples)
-    return BlockSpace(keys, [M.rank_at(G.rng[t[0]]) for t in keys], lambda t: t, lambda t: t)
+    return BlockSpace(keys, [M.rank_at(G.rng[t[0]]) for t in keys])
 
 
 def hom_space(G: FiniteGroupoid, M: GModule, n: int) -> BlockSpace:
     """Equivariant homs out of the degree-(n+1) bar term, coordinatized by
-    orbit representatives: an n-string t is keyed by (r(g_0),) + t, whose
-    first entry is a unit, and in degree 0 a unit by itself."""
-    def key_of(t):
-        return t if n == 0 else (G.rng[t[0]],) + t
-
-    def string_of(k):
-        return k if n == 0 else k[1:]
-    keys = sorted(map(key_of, nerve(G, n).tuples))
-    return BlockSpace(keys, [M.rank_at(k[0]) for k in keys], key_of, string_of)
+    orbit representatives: the n-string t stands for (r(g_0),) + t, whose
+    first entry is a unit, and the strings are ordered by it."""
+    keys = sorted(nerve(G, n).tuples, key=lambda t: (G.rng[t[0]],) + t)
+    return BlockSpace(keys, [M.rank_at(G.rng[t[0]]) for t in keys])
 
 
 def relabel_matrix(cod: BlockSpace, dom: BlockSpace, key_map: Callable) -> IntMatrix:
     """Identity blocks from dom's block key_map(k) to cod's block k, for
-    every key k of cod: one single-entry row per coordinate."""
+    every string k of cod: one single-entry row per coordinate."""
     offset = dom.offset
     return IntMatrix.from_row_dicts(dom.total, [
         {col + a: 1} for k, r in zip(cod.keys, cod.ranks)
@@ -105,23 +94,22 @@ def hom_coboundary_matrix(G: FiniteGroupoid, M: GModule, n: int) -> IntMatrix:
 
 def _coboundary(G: FiniteGroupoid, M: GModule, n: int,
                 dom: BlockSpace, cod: BlockSpace) -> IntMatrix:
-    """delta_n between two spaces of one model, one row block per key of
-    cod: the action block at face 0, then +-1 on the diagonal at faces
-    1..n+1, each face found through `dom.at`.  A face with no block in dom
-    is skipped, so a space may leave out strings on which its cochains
+    """delta_n between two spaces of one model, one row block per string
+    of cod: the action block at face 0, then +-1 on the diagonal at faces
+    1..n+1, each face found through `dom.offset`.  A face with no block in
+    dom is skipped, so a space may leave out strings on which its cochains
     vanish."""
-    at, acts, rows = dom.at, {}, []  # acts: each arrow's action entries, read once
-    for key, r in zip(cod.keys, cod.ranks):
-        t = cod.string_of(key)  # (g_0, ..., g_n)
+    offset, acts, rows = dom.offset, {}, []  # acts: each arrow's action entries, read once
+    for t, r in zip(cod.keys, cod.ranks):  # t = (g_0, ..., g_n)
         block = [{} for _ in range(r)]
-        col = at.get(homology_face(G, t, 0))
+        col = offset.get(homology_face(G, t, 0))
         if col is not None:
             if t[0] not in acts:
                 acts[t[0]] = tuple(M.act(t[0]).entries())
             for a, j, v in acts[t[0]]:
                 block[a][col + j] = v
         for i in range(1, n + 2):
-            col = at.get(homology_face(G, t, i))
+            col = offset.get(homology_face(G, t, i))
             if col is not None:
                 sign = -1 if i % 2 else 1
                 for a, row in enumerate(block, col):  # row a - col, column a
@@ -138,7 +126,7 @@ def theta_matrix(G: FiniteGroupoid, M: GModule, n: int) -> IntMatrix:
 
 
 def _theta(cochains: BlockSpace, homs: BlockSpace) -> IntMatrix:
-    return relabel_matrix(cochains, homs, homs.key_of)
+    return relabel_matrix(cochains, homs, lambda t: t)
 
 
 def rho_matrix(G: FiniteGroupoid, M: GModule, n: int) -> IntMatrix:
@@ -147,7 +135,7 @@ def rho_matrix(G: FiniteGroupoid, M: GModule, n: int) -> IntMatrix:
 
 
 def _rho(homs: BlockSpace, cochains: BlockSpace) -> IntMatrix:
-    return relabel_matrix(homs, cochains, homs.string_of)
+    return relabel_matrix(homs, cochains, lambda t: t)
 
 
 def cochain_complex(G: FiniteGroupoid, M: GModule, spaces: List[BlockSpace],

@@ -24,7 +24,7 @@ class GroupoidError(Exception):
 
 
 class DegreeTooLarge(GroupoidError):
-    """A nerve enumeration would exceed the configured tuple cap."""
+    """A request needs more work than the cap admits (`Budget`)."""
 
 
 class InvalidFunctor(GroupoidError):
@@ -32,8 +32,8 @@ class InvalidFunctor(GroupoidError):
 
 
 def tuple_cap() -> int:
-    """The work cap: GROUPOIDAL_CAP if set, else DEFAULT_CAP.  Every size
-    check reads it here; a value that is not a positive integer is refused."""
+    """The work cap: GROUPOIDAL_CAP if set, else DEFAULT_CAP; a value that
+    is not a positive integer is refused."""
     env = os.environ.get("GROUPOIDAL_CAP")
     try:
         cap = int(env) if env else DEFAULT_CAP
@@ -44,16 +44,23 @@ def tuple_cap() -> int:
     return cap
 
 
-def power_exceeds_cap(base: int, exponent: int) -> bool:
-    """Whether base**exponent, for base >= 2, passes tuple_cap(): found by a
-    product that stops once it passes the cap, so the power is never built."""
-    limit = tuple_cap()
-    size = 1
-    for _ in range(exponent):
-        size *= base
-        if size > limit:
-            return True
-    return False
+class Budget:
+    """The work meter every size check charges: entries of work spent on
+    `what`, refused with DegreeTooLarge once they pass the cap, which is
+    read once, here.  A check charges before it builds, so work past the
+    cap is never allocated, and a sum or a power is charged term by term,
+    so it stops growing once it passes the cap."""
+
+    def __init__(self, what: str):
+        self.what = what
+        self.limit = tuple_cap()
+        self.used = 0
+
+    def charge(self, work: int) -> None:
+        self.used += work
+        if self.used > self.limit:
+            raise DegreeTooLarge(f"{self.what} need more than {self.limit} entries "
+                                 "of work (the cap)")
 
 
 @dataclass(frozen=True)
@@ -128,12 +135,15 @@ class FiniteGroupoid:
 
 def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
     """Check every groupoid axiom; report the first violation with witnesses.
-    The composable triples, whose associativity is checked, are counted
-    first, and DegreeTooLarge is raised if they pass the cap."""
+    A unit listed twice is refused: it would count as two units.  The
+    composable triples, whose associativity is checked, are counted first
+    and charged to a `Budget`."""
     n = G.n_arrows
-    for u in G.units:
+    for i, u in enumerate(G.units):  # sorted, so a repeat follows its first
         if not (0 <= u < n):
             return ValidationReport(False, "unit-range", (u,))
+        if i and G.units[i - 1] == u:
+            return ValidationReport(False, "unit-duplicate", (u,))
         if G.src[u] != u or G.rng[u] != u:
             return ValidationReport(False, "unit-endpoints", (u,))
     for g in range(n):
@@ -167,8 +177,8 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
     # pairs[u]: the composable pairs (h, k) with rng(h) = u, not built
     pairs = {u: sum(len(G.arrows_by_rng[G.src[h]]) for h in hs)
              for u, hs in G.arrows_by_rng.items()}
-    if sum(pairs[G.src[g]] for g in range(n)) > tuple_cap():
-        raise DegreeTooLarge(f"{n} arrows have more composable triples than the cap")
+    Budget(f"the composable triples of {n} arrows").charge(
+        sum(pairs[G.src[g]] for g in range(n)))
     for g in range(n):
         for h in G.arrows_by_rng[G.src[g]]:
             gh = G.comp[(g, h)]
@@ -195,32 +205,23 @@ def nerve(G: FiniteGroupoid, n: int) -> Nerve:
     strings (g_1, ..., g_n) with src(g_i) = rng(g_{i+1})."""
     if n < 0:
         raise ValueError("nerve degree must be >= 0")
-    limit = tuple_cap()
+    budget = Budget(f"the strings of nerve degree {n}")
     if n in G._nerves:
-        cached = G._nerves[n]
-        if len(cached) > limit:
-            raise DegreeTooLarge(f"nerve degree {n} exceeds cap {limit}")
-        return cached
+        budget.charge(len(G._nerves[n]))
+        return G._nerves[n]
     if n == 0:
+        budget.charge(G.n_units)
         tuples = tuple((u,) for u in G.units)
     elif n == 1:
+        budget.charge(G.n_arrows)
         tuples = tuple((g,) for g in range(G.n_arrows))
     else:
+        # the arrows h with rng(h) = src(last) extend a string on the right;
+        # they are counted before any string is built
         prev = nerve(G, n - 1).tuples
-        out = []
-        count = 0
-        for t in prev:
-            # arrows h with rng(h) = src(last) extend the string on the right
-            tail = G.arrows_by_rng[G.src[t[-1]]]
-            count += len(tail)
-            if count > limit:
-                raise DegreeTooLarge(
-                    f"nerve degree {n} exceeds cap {limit}")
-            for h in tail:
-                out.append(t + (h,))
-        tuples = tuple(out)
-    if len(tuples) > limit:
-        raise DegreeTooLarge(f"nerve degree {n} exceeds cap {limit}")
+        tails = [G.arrows_by_rng[G.src[t[-1]]] for t in prev]
+        budget.charge(sum(map(len, tails)))
+        tuples = tuple(t + (h,) for t, tail in zip(prev, tails) for h in tail)
     nv = Nerve(n, tuples, {t: i for i, t in enumerate(tuples)})
     G._nerves[n] = nv
     return nv
@@ -241,20 +242,16 @@ def require_nerve_work(G: FiniteGroupoid, top: int, ranks: Optional[Dict[int, in
     `copies` times.  No string is built, and the count stops once the total
     passes the cap.
     """
-    limit = tuple_cap()
+    budget = Budget(f"nerve degrees 0..{top}")
     ends = dict.fromkeys(G.units, 1)
-    total = 0
     for n in range(top + 1):
         if n:
             # h extends the strings ending at rng(h) to strings ending at src(h)
             ends = {u: sum(ends[G.rng[h]] for h in G.arrows_by_src[u]) for u in G.units}
-        total += copies * max((n + 1) ** 2,
-                              sum(k * ((n + 1) ** 2 + (ranks[u] if ranks else 0))
-                                  for u, k in ends.items()))
-        if total > limit:
-            raise DegreeTooLarge(
-                f"nerve degrees 0..{top} need more than {limit} entries of work (the cap)")
-    return total
+        budget.charge(copies * max((n + 1) ** 2,
+                                   sum(k * ((n + 1) ** 2 + (ranks[u] if ranks else 0))
+                                       for u, k in ends.items())))
+    return budget.used
 
 
 def require_module_work(G: FiniteGroupoid, ranks: Dict[int, int]) -> int:
@@ -266,10 +263,7 @@ def require_module_work(G: FiniteGroupoid, ranks: Dict[int, int]) -> int:
     H = i.source
     total = (sum(1 + ranks[G.rng[g]] ** 3 for g in range(G.n_arrows))
              + sum(len(H.arrows_by_src[x]) ** 2 * (1 + ranks[i(x)] ** 3) for x in H.units))
-    limit = tuple_cap()
-    if total > limit:
-        raise DegreeTooLarge(f"validating the module needs more than {limit} entries "
-                             "of work (the cap)")
+    Budget("the module's validation products").charge(total)
     return total
 
 

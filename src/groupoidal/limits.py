@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from math import gcd, prod
 from typing import List, Optional, Sequence
 
-from .groupoids import power_exceeds_cap, tuple_cap
-from .models import BratteliDiagram, DepthTooLarge, MalformedDiagram, OdometerSystem
+from .groupoids import Budget
+from .models import BratteliDiagram, MalformedDiagram, OdometerSystem
 from .zlinalg import (FgAbGroup, IntMatrix, image_basis, invariant_factors,
                       kernel_basis, rank)
 
@@ -98,13 +98,25 @@ class ColimitGroup:
             raise ValueError(f"vector length {len(vector)} at stage {stage}")
         return ColimitElement(stage, tuple(vector))
 
-    def push(self, elem: ColimitElement, to_stage: int) -> ColimitElement:
-        if to_stage < elem.stage:
-            raise ValueError("cannot push backwards")
-        v = list(elem.vector)
-        for n in range(elem.stage, to_stage):
-            v = self.tower.map_at(n).apply(v)
-        return ColimitElement(to_stage, tuple(v))
+    def pushes(self, elem: ColimitElement, start: int, stop: int, budget: Budget):
+        """(n, elem's vector at stage n) for n = start..stop, start >=
+        elem.stage, pushed one map at a time.  Each push is charged to
+        `budget` before it runs: the map's rows x cols products, each
+        counted in 64-bit words of the vector's and the map's largest
+        entries, so entries that grow cost more as they grow."""
+        v = elem.vector
+        for n in range(elem.stage, stop + 1):
+            if n >= start:
+                yield n, v
+            if n < stop:
+                m = self.tower.map_at(n)
+                budget.charge(m.rows * m.cols * _words(v) * _words(w for _, _, w in m.entries()))
+                v = tuple(m.apply(v))
+
+
+def _words(values) -> int:
+    """64-bit words of the largest of these integers, at least one."""
+    return 1 + max(map(abs, values), default=0).bit_length() // 64
 
 
 @dataclass(frozen=True)
@@ -127,8 +139,10 @@ def colimit_equal(C: ColimitGroup, a: ColimitElement, b: ColimitElement,
     start = max(a.stage, b.stage)
     injective_stationary = (C.tower.stationary
                             and rank(C.tower.map_at(0)) == C.tower.map_at(0).cols)
-    for s in range(start, stage_bound + 1):
-        if C.push(a, s).vector == C.push(b, s).vector:
+    budget = Budget("the stages an equal query scans")
+    for (s, u), (_, v) in zip(C.pushes(a, start, stage_bound, budget),
+                              C.pushes(b, start, stage_bound, budget)):
+        if u == v:
             return EqualityResult("equal", s)
         if injective_stationary:
             return EqualityResult("not_equal", s, exact=True)
@@ -182,8 +196,8 @@ def colimit_divisible(C: ColimitGroup, a: ColimitElement, q: int,
             return DivisibilityResult("witness", a.stage + j, (val // q,))
         else:
             return DivisibilityResult("no", None, None, exact=True)
-    for s in range(a.stage, stage_bound + 1):
-        v = C.push(a, s).vector
+    budget = Budget("the stages a divisible query scans")
+    for s, v in C.pushes(a, a.stage, stage_bound, budget):
         if all(x % q == 0 for x in v):
             return DivisibilityResult("witness", s, tuple(x // q for x in v))
     return DivisibilityResult("no_witness_up_to", stage_bound, None, exact=False)
@@ -363,9 +377,11 @@ def af_cohomology_tower(B: BratteliDiagram, N: int, D: int) -> AfCohomologyRepor
         raise MalformedDiagram("need at least two edges")
     if N < 1 or D < 1:
         raise ValueError("need N >= 1 and D >= 1")
-    if power_exceeds_cap(p, D + N):
-        raise DepthTooLarge(f"p^(D+N) for p = {p}, depth D = {D} and levels N = {N} "
-                            f"exceeds cap {tuple_cap()}")
+    # p^(D+N) is charged as p^k grows, so it is never built past the cap
+    budget = Budget(f"the p^(D+N) cylinders for p = {p}, depth D = {D} and levels N = {N}")
+    budget.charge(1)
+    for _ in range(D + N):
+        budget.charge(budget.used * (p - 1))  # brings the total to p times itself
     # stationary threads: iota(f) = sigma^*(f) in depth D+1
     A = OdometerSystem(p, D).refinement(D) - _shift_pullback(p, D)
     fixed_rank = A.cols - rank(A)

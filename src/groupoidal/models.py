@@ -10,8 +10,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, List, Optional, Sequence
 
-from .groupoids import (DegreeTooLarge, FiniteGroupoid, GModule, GroupoidError,
-                        GroupoidFunctor, power_exceeds_cap, tuple_cap)
+from .groupoids import Budget, FiniteGroupoid, GModule, GroupoidError, GroupoidFunctor
 from .zlinalg import IntMatrix, LinearSystem
 
 
@@ -31,10 +30,6 @@ class MalformedDiagram(GroupoidError):
     pass
 
 
-class DepthTooLarge(GroupoidError):
-    pass
-
-
 def space_groupoid(k: int) -> FiniteGroupoid:
     """k points with trivial multiplication; arrow i is the unit at point i."""
     if k < 1:
@@ -48,15 +43,13 @@ def group_groupoid(cayley: Sequence[Sequence[int]]) -> FiniteGroupoid:
     """One-unit groupoid from a k x k Cayley table; arrow i is element i.
 
     The identity element may sit anywhere in the table; it becomes the
-    single unit.  The k^3 associativity checks are charged against the cap
+    single unit.  The k^3 associativity checks are charged to a `Budget`
     first.
     """
     k = len(cayley)
     if k < 1 or any(len(row) != k for row in cayley):
         raise NotAGroup("table is not square")
-    if power_exceeds_cap(k, 3):
-        raise DegreeTooLarge(f"a {k}-element table needs {k}^3 associativity checks, "
-                             "more than the cap")
+    Budget(f"the associativity checks of a {k}-element table").charge(k ** 3)
     table = [[int(v) for v in row] for row in cayley]
     for row in table:
         for v in row:
@@ -91,40 +84,33 @@ def cyclic_table(k: int) -> List[List[int]]:
     return [[(a + b) % k for b in range(k)] for a in range(k)]
 
 
-def require_pair_cap(fiber_sizes: Iterable[int]) -> None:
-    """Raise GroupoidError when the pair groupoid on fibers of these sizes
-    has more than tuple_cap() composable pairs (k^3 per fiber of size k).
-    The sum stops once it passes the cap, and the message names the fibers,
-    not the sum, which can have too many digits to print."""
-    limit = tuple_cap()
-    composable = 0
-    for x, k in enumerate(fiber_sizes):
-        composable += k ** 3
-        if composable > limit:
-            raise GroupoidError(f"pair fibers 0..{x} have more than {limit} composable pairs "
-                                "(the cap)")
-
-
-def pair_groupoid_from_map(psi: Sequence[int]) -> FiniteGroupoid:
+def pair_groupoid_from_map(psi: Iterable[int]) -> FiniteGroupoid:
     """Equivalence-relation groupoid of a surjection psi: Y -> X.
 
-    psi is given by its list of values on Y = {0..len-1}; X is the set of
+    psi is given by its values on Y = {0..len-1}, in order; X is the set of
     values, which must be exactly {0..max}.  Arrows are the pairs (y1, y2)
     with psi(y1) = psi(y2), ordered lexicographically; (y1,y2)(y2,y3) =
-    (y1,y3).  Unit at y is the pair (y, y).  The sum over the fibers of
-    k_x^3 composable pairs is checked against tuple_cap() before anything
-    is built (`require_pair_cap`).
+    (y1,y3).  Unit at y is the pair (y, y).  The values are read one at a
+    time, and a point joining a fiber of k points is charged the
+    (k + 1)^3 - k^3 composable pairs it adds, so the fibers' k_x^3 pairs
+    are charged to a `Budget` before anything is built, and psi given as
+    an iterator is never listed past the cap.
     """
-    yy = len(psi)
+    budget = Budget("the composable pairs of the pair fibers")
+    points, by_value = [], {}
+    for y, x in enumerate(psi):
+        fiber = by_value.setdefault(x, [])
+        k = len(fiber)
+        budget.charge(3 * k * k + 3 * k + 1)
+        fiber.append(y)
+        points.append(x)
+    psi, yy = points, len(points)
     if yy == 0:
         raise NotSurjective("empty domain")
-    values = sorted(set(psi))
+    values = sorted(by_value)
     if values != list(range(len(values))):
         raise NotSurjective(f"values {values} are not an initial segment")
-    fibers = [[] for _ in values]
-    for y, x in enumerate(psi):
-        fibers[x].append(y)
-    require_pair_cap(map(len, fibers))
+    fibers = [by_value[x] for x in values]
     pairs = [(y1, y2) for y1 in range(yy) for y2 in fibers[psi[y1]]]
     index = {p: i for i, p in enumerate(pairs)}
     units = [index[(y, y)] for y in range(yy)]
@@ -148,7 +134,7 @@ def action_groupoid(cayley: Sequence[Sequence[int]],
     perms[g] is the permutation of X given by element g of the Cayley
     table.  Arrow id is g*|X| + x for the arrow (g, x): src = x,
     rng = g.x, and (g1, g2.x)(g2, x) = (g1 g2, x).  Units are (e, x).  The
-    k^2 |X| checks of the action law are charged against the cap first.
+    k^2 |X| checks of the action law are charged to a `Budget` first.
     """
     group = group_groupoid(cayley)
     k = len(cayley)
@@ -157,9 +143,7 @@ def action_groupoid(cayley: Sequence[Sequence[int]],
     npts = len(perms[0]) if perms else 0
     if npts == 0:
         raise NotAnAction("empty set")
-    if k * k * npts > tuple_cap():
-        raise DegreeTooLarge(f"{k} elements on {npts} points need {k}^2 * {npts} action "
-                             "checks, more than the cap")
+    Budget(f"the action checks of {k} elements on {npts} points").charge(k * k * npts)
     for p in perms:
         if sorted(p) != list(range(npts)):
             raise NotAnAction(f"{p} is not a permutation")
@@ -310,8 +294,7 @@ def bratteli_stationary(multiplicity, levels: int) -> BratteliDiagram:
             else IntMatrix.from_rows(multiplicity)
         if m.rows != m.cols:
             raise MalformedDiagram("stationary matrix must be square")
-    if (levels + 1) * m.rows > tuple_cap():
-        raise DepthTooLarge(f"{levels + 1} vertex levels x {m.rows} vertices exceeds cap")
+    Budget(f"{levels + 1} vertex levels of {m.rows} vertices").charge((levels + 1) * m.rows)
     counts = [m.rows] * (levels + 1)
     return BratteliDiagram(counts, [m] * levels, stationary=True)
 
@@ -335,22 +318,20 @@ def odometer_system(p: int, depth: int) -> "OdometerSystem":
     index + 1 mod p^d.  Refinement appends one digit: cylinder i at depth
     d refines to {i + a p^d : a < p} at depth d+1.
 
-    Every depth's id - P gets factored, so the cap counts the points of
-    all depths, p + p^2 + ... + p^depth, at ODOMETER_POINT_WORK each.  The
-    sum stops once it passes the cap, so p^depth is never built.
+    Every depth's id - P gets factored, so the points of all depths,
+    p + p^2 + ... + p^depth, are charged at ODOMETER_POINT_WORK each.  The
+    charge stops once it passes the cap, so p^depth is never built.
     """
     if p < 2:
         raise ValueError("base must be >= 2")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    limit = tuple_cap()
-    points, size = 0, 1
+    # terse, so the error line stays under 300 characters with 100-digit flags
+    budget = Budget(f"odometer depths 1..{depth}, p = {p}")
+    size = 1
     for _ in range(depth):
         size *= p
-        points += size
-        if points * ODOMETER_POINT_WORK > limit:
-            raise DepthTooLarge(f"the odometer for p = {p} to depth {depth} has more than "
-                                f"{limit // ODOMETER_POINT_WORK} points (the cap)")
+        budget.charge(size * ODOMETER_POINT_WORK)
     return OdometerSystem(p, depth)
 
 

@@ -33,32 +33,16 @@ Hom_H(A_*, M) cohomology.  Z/n has one cell in every degree, S3 1, 2, 3,
 5, 9, 17, ..., D4 1, 2, 3, 5, 8, 12, ... and A4 1, 2, 5, 10, 21, 42, ...,
 where the normalized bar complex has (|H| - 1)^n cells.  Every degree is
 charged (n + 1)^2 entries of work up front, and every face the flow
-visits its length plus the size of its flow, against
-`groupoids.tuple_cap()` as the work is spent.
+visits its length plus the size of its flow, to a `groupoids.Budget` as
+the work is spent.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from .groupoids import DegreeTooLarge, FiniteGroupoid, GModule, GroupoidError, tuple_cap
+from .groupoids import Budget, FiniteGroupoid, GModule, GroupoidError
 from .zlinalg import ChainComplex, IntMatrix
-
-
-class Budget:
-    """Entries of work spent on resolution degrees 0..top, refused once
-    they pass the cap."""
-
-    def __init__(self, top: int):
-        self.top = top
-        self.limit = tuple_cap()
-        self.used = 0
-
-    def charge(self, work: int) -> None:
-        self.used += work
-        if self.used > self.limit:
-            raise DegreeTooLarge(f"resolution degrees 0..{self.top} need more than "
-                                 f"{self.limit} entries of work (the cap)")
 
 
 class _Shortlex:
@@ -271,18 +255,20 @@ class GroupResolution:
         return self._differentials[n]
 
 
-def _resolutions(H: FiniteGroupoid, budget: Budget) -> List[GroupResolution]:
-    """One resolution per unit of H, a disjoint union of groups; each degree
-    up to the budget's top is charged (n + 1)^2 before any work."""
-    for n in range(budget.top + 1):
+def _resolutions(H: FiniteGroupoid, top: int) -> Tuple[List[GroupResolution], Budget]:
+    """One resolution per unit of H, a disjoint union of groups, and the
+    budget they charge; each degree up to top is charged (n + 1)^2 before
+    any work."""
+    budget = Budget(f"resolution degrees 0..{top}")
+    for n in range(top + 1):
         budget.charge((n + 1) ** 2)
-    return [GroupResolution(H, x, budget) for x in H.units]
+    return [GroupResolution(H, x, budget) for x in H.units], budget
 
 
 def isotropy_chains(H: FiniteGroupoid, n_max: int) -> ChainComplex:
     """A_* (x)_H Z in degrees 0..n_max + 1: each Z[H] entry is replaced by
     the sum of its coefficients, the groups laid side by side."""
-    res = _resolutions(H, Budget(n_max + 1))
+    res, _ = _resolutions(H, n_max + 1)
     ds = [IntMatrix.zeros(0, len(res))]
     for n in range(1, n_max + 2):
         entries, rows, cols = [], 0, 0
@@ -299,8 +285,7 @@ def isotropy_cochains(H: FiniteGroupoid, M: GModule, n_max: int) -> ChainComplex
     """Hom_H(A_*, M) in degrees 0..n_max, M a module over H: one block of
     the fiber per critical cell, and delta_n has at (c, c') the block
     sum_h a_{c',h} M(h), where d_M c = sum a_{c',h} h c'."""
-    budget = Budget(n_max + 1)
-    res = _resolutions(H, budget)
+    res, budget = _resolutions(H, n_max + 1)
     ds = []
     for n in range(n_max + 1):
         entries, rows, cols = [], 0, 0

@@ -22,17 +22,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from .cohomology import cochain_complex, hom_space, pullback_module, relabel_matrix
-from .groupoids import (FiniteGroupoid, GModule, GroupoidError,
-                        GroupoidFunctor, isotropy_inclusion, require_nerve_work,
-                        tuple_cap)
+from .groupoids import (Budget, FiniteGroupoid, GModule, GroupoidError,
+                        GroupoidFunctor, isotropy_inclusion, require_nerve_work)
 from .homology import chain_pushforward, nerve_complex
 from .models import constant_module
 from .zlinalg import (ChainComplex, FgAbGroup, IntMatrix, LinearSystem,
                       induced_on_homology, kernel_group, quotient_group)
-
-
-class WindowTooLarge(GroupoidError):
-    pass
 
 
 class GuardTooSmall(GroupoidError):
@@ -127,10 +122,9 @@ class SkewWindow:
 
 def _window(G: FiniteGroupoid, c: ZCocycle, lo: int, hi: int) -> SkewWindow:
     if hi < lo:
-        raise WindowTooLarge("empty level range")
+        raise GroupoidError("empty level range")
     n_levels = hi - lo + 1
-    if n_levels * G.n_arrows > tuple_cap():
-        raise WindowTooLarge(f"{n_levels} levels x {G.n_arrows} arrows exceeds cap")
+    Budget(f"{n_levels} window levels of {G.n_arrows} arrows").charge(n_levels * G.n_arrows)
     labels = []
     for k in range(lo, hi + 1):
         for g in range(G.n_arrows):
@@ -170,7 +164,7 @@ def skew_window(G: FiniteGroupoid, c: ZCocycle, K: int) -> SkewWindow:
     if not rep.ok:
         raise GroupoidError(rep.message())
     if K < 0:
-        raise WindowTooLarge("negative radius")
+        raise GroupoidError("negative radius")
     return _window(G, c, -K, K)
 
 

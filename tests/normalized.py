@@ -14,8 +14,7 @@ strings.
 import functools
 
 from groupoidal.cohomology import BlockSpace, cochain_complex
-from groupoidal.groupoids import (DegreeTooLarge, Nerve, homology_face, nerve,
-                                  tuple_cap)
+from groupoidal.groupoids import Budget, Nerve, homology_face, nerve
 from groupoidal.zlinalg import ChainComplex, IntMatrix
 
 
@@ -37,18 +36,15 @@ def require_normalized_work(G, top: int, ranks=None) -> int:
     counts it on the full nerve: (n + 1)^2 per nondegenerate n-string, plus
     the rank at the range of its first arrow, and each degree at least
     (n + 1)^2, even with no string.  Raises DegreeTooLarge past the cap."""
-    limit = tuple_cap()
+    budget = Budget(f"normalized degrees 0..{top}")
     arrows = {u: tuple(h for h in hs if not G.is_unit(h)) for u, hs in G.arrows_by_src.items()}
     ends = dict.fromkeys(G.units, 1)
-    total = 0
     for n in range(top + 1):
         if n:
             ends = {u: sum(ends[G.rng[h]] for h in arrows[u]) for u in G.units}
-        total += max((n + 1) ** 2, sum(k * ((n + 1) ** 2 + (ranks[u] if ranks else 0))
-                                       for u, k in ends.items()))
-        if total > limit:
-            raise DegreeTooLarge(f"normalized degrees 0..{top} pass the cap {limit}")
-    return total
+        budget.charge(max((n + 1) ** 2, sum(k * ((n + 1) ** 2 + (ranks[u] if ranks else 0))
+                                            for u, k in ends.items())))
+    return budget.used
 
 
 def normalized_boundary(G, n: int) -> IntMatrix:
@@ -71,18 +67,13 @@ def normalized_complex(G, n_max: int) -> ChainComplex:
 def normalized_cochain_space(G, M, n: int) -> BlockSpace:
     """`cochain_space` on the nondegenerate strings."""
     keys = list(normalized_nerve(G, n).tuples)
-    return BlockSpace(keys, [M.rank_at(G.rng[t[0]]) for t in keys], lambda t: t, lambda t: t)
+    return BlockSpace(keys, [M.rank_at(G.rng[t[0]]) for t in keys])
 
 
 def normalized_hom_space(G, M, n: int) -> BlockSpace:
     """`hom_space` on the nondegenerate strings."""
-    def key_of(t):
-        return t if n == 0 else (G.rng[t[0]],) + t
-
-    def string_of(k):
-        return k if n == 0 else k[1:]
-    keys = sorted(map(key_of, normalized_nerve(G, n).tuples))
-    return BlockSpace(keys, [M.rank_at(k[0]) for k in keys], key_of, string_of)
+    keys = sorted(normalized_nerve(G, n).tuples, key=lambda t: (G.rng[t[0]],) + t)
+    return BlockSpace(keys, [M.rank_at(G.rng[t[0]]) for t in keys])
 
 
 def normalized_cochain_groups(G, M, n_max: int, space) -> list:

@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -13,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupoidal import cli
-from groupoidal.groupoids import FiniteGroupoid
+from groupoidal import cli, models
+from groupoidal.groupoids import FiniteGroupoid, require_nerve_work
 from groupoidal.models import BratteliDiagram, cyclic_table
 
 
@@ -363,6 +364,9 @@ _QUERIES = ["dimension-group", "MODEL", "--queries", "AUX"]
     (_MODULE, _Z2, {"fibers": {"0": -1}}),
     (_COCYCLE, _Z2, {"values": {"9": 3}}),
     (_COCYCLE, _Z2, {"values": {}, "potential": {"0": 1}}),
+    # a unit listed twice would count as two: H_0 = Z^2 for a point
+    (["homology", "MODEL"], {"kind": "explicit", "arrows": 1, "src": [0], "rng": [0],
+                             "inv": [0], "units": [0, 0], "compose": [[0, 0, 0]]}, None),
 ], ids=["max-degree", "cohomology-max-degree", "coefficients", "odometer-p",
         "odometer-depth", "count", "af-levels", "dimension-levels", "pair-fibers",
         "unit-range", "src-not-unit", "module-fiber-type", "module-action-entry",
@@ -376,7 +380,8 @@ _QUERIES = ["dimension-group", "MODEL", "--queries", "AUX"]
         "module-fiber-string", "query-stage-float", "query-q-string", "query-vector-float",
         "pair-fibers-bool", "cocycle-value-float", "coefficients-digits",
         "odometer-model-kind", "module-action-key", "module-fiber-key",
-        "module-field", "module-fiber-negative", "cocycle-value-key", "cocycle-field"])
+        "module-field", "module-fiber-negative", "cocycle-value-key", "cocycle-field",
+        "unit-duplicate"])
 def test_known_bad_inputs_exit_2_with_one_error_line(argv, model, aux, tmp_path, capsys,
                                                      request):
     files = {"MODEL": tmp_path / "model.json", "AUX": tmp_path / "aux.json"}
@@ -396,7 +401,8 @@ _NAMED = {"module-action-key": "action has an unknown key '5'",
           "module-field": "the module has an unknown key 'actions'",
           "module-fiber-negative": "fibers[0] must be a non-negative integer",
           "cocycle-value-key": "values has an unknown key '9'",
-          "cocycle-field": "the cocycle has an unknown key 'potential'"}
+          "cocycle-field": "the cocycle has an unknown key 'potential'",
+          "unit-duplicate": "violated unit-duplicate at (0,)"}
 
 
 @pytest.mark.parametrize("text", [b'{"kind": "pair", "fibers": [' + b"9" * 5000 + b"]}",
@@ -447,11 +453,19 @@ def test_unreadable_model_file_exits_2_with_one_error_line(text, tmp_path, capsy
                              "rng": [0] * 130, "inv": [-g % 130 for g in range(130)],
                              "units": [0], "compose": [[a, b, (a + b) % 130] for a in range(130)
                                                        for b in range(130)]}, None, {}),
+    # a query's bound is a number of stages to scan: on a map that is not
+    # injective each stage is pushed and charged, its entries growing
+    *[(_QUERIES, {"kind": "bratteli", "stationary": True, "matrices": [[[m, m], [m, m]]]},
+       [query], {}) for m in (1, 1000) for query in (
+          {"op": "equal", "a": {"stage": 0, "vector": [1, 0]},
+           "b": {"stage": 0, "vector": [2, 0]}, "bound": 10 ** 8},
+          {"op": "divisible", "stage": 0, "vector": [1, 0], "q": 7, "bound": 10 ** 8})],
 ], ids=["module-rank-huge", "skew-window-huge", "skew-window-large", "cap-malformed",
         "af-depth-huge", "af-levels-huge", "odometer-depth-huge", "pair-fiber-digits",
         "dimension-levels-large", "dimension-levels-huge", "verify-theta-count-huge",
         "odometer-points-over-depths", "group-table-large", "action-table-large",
-        "explicit-triples-large"])
+        "explicit-triples-large", "query-equal-bound-huge", "query-divisible-bound-huge",
+        "query-equal-bound-huge-entries", "query-divisible-bound-huge-entries"])
 def test_oversize_inputs_exit_2_before_building(argv, model, aux, env, tmp_path):
     files = {"MODEL": tmp_path / "model.json", "AUX": tmp_path / "aux.json"}
     for slot, payload in (("MODEL", model), ("AUX", aux)):
@@ -467,6 +481,41 @@ def test_oversize_inputs_exit_2_before_building(argv, model, aux, env, tmp_path)
     assert res.stdout == ""
     assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
     assert len(res.stderr) <= 301, res.stderr[:300]
+
+
+def _exit_code_at_cap(cap, argv, capsys, monkeypatch):
+    """The exit code of argv with the cap at `cap`; a refusal must be one
+    DegreeTooLarge line."""
+    monkeypatch.setenv("GROUPOIDAL_CAP", str(cap))
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    if code == cli.USAGE_ERROR:
+        assert err.startswith("error: DegreeTooLarge: ") and err.count("\n") == 1, err
+    return code
+
+
+def test_dimension_group_stages_are_refused_one_entry_past_the_cap(tmp_path, capsys,
+                                                                    monkeypatch):
+    # three stages of a rank-2 stationary tower, each a rank and a 2 x 2 map
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps({"kind": "bratteli", "stationary": True,
+                                "matrices": [[[1, 1], [1, 0]]], "levels": 2}), encoding="utf-8")
+    argv = ["dimension-group", str(path), "--levels", "2"]
+    assert _exit_code_at_cap(3 * (1 + 4), argv, capsys, monkeypatch) == 0
+    assert _exit_code_at_cap(3 * (1 + 4) - 1, argv, capsys, monkeypatch) == cli.USAGE_ERROR
+
+
+def test_verify_theta_count_is_refused_one_entry_past_the_cap(capsys, monkeypatch):
+    # the instances' nerve work, summed; each alone is far inside the cap
+    rng = random.Random(1)
+    work = []
+    for _ in range(3):
+        G = models.random_groupoid(rng)
+        work.append(require_nerve_work(G, 2, models.random_module(G, rng).fiber_rank))
+    assert 2 * max(work) < sum(work)
+    argv = ["verify-theta", "--seed", "1", "--count", "3", "--max-degree", "1"]
+    assert _exit_code_at_cap(sum(work), argv, capsys, monkeypatch) == 0
+    assert _exit_code_at_cap(sum(work) - 1, argv, capsys, monkeypatch) == cli.USAGE_ERROR
 
 
 def test_a_100_element_group_table_still_parses(tmp_path):

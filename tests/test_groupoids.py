@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from groupoidal.groupoids import (DegreeTooLarge, FiniteGroupoid, GModule,
                                   bar_boundary_matrix_b, boundary_matrix_d,
-                                  coinvariants_collapse, nerve, require_nerve_work,
-                                  validate_groupoid, validate_module)
+                                  coinvariants_collapse, nerve, require_module_work,
+                                  require_nerve_work, validate_groupoid, validate_module)
 from groupoidal.models import (action_groupoid, constant_module, cyclic_table,
                                disjoint_union, full_pair_groupoid,
                                group_groupoid, random_groupoid, random_module,
@@ -140,6 +140,28 @@ def test_normalized_nerve_work_charges_degrees_with_no_strings():
     assert len(normalized_nerve(G, 1)) == 0
     with pytest.raises(DegreeTooLarge):
         require_normalized_work(G, 10 ** 5)
+
+
+def test_module_work_is_refused_one_entry_past_the_cap(monkeypatch):
+    # Z/3 at fiber rank 2 and the pair groupoid on two points at rank 1:
+    # 1 + rank^3 per arrow, 3 * 9 + 4 * 2, and per composable pair of the
+    # isotropy groups, 9 * 9 for Z/3 and 1 * 2 for a point's trivial group
+    G = disjoint_union(group_groupoid(cyclic_table(3)), full_pair_groupoid(2))
+    ranks = {0: 2, 3: 1, 6: 1}
+    assert sorted(ranks) == list(G.units)
+    monkeypatch.setenv("GROUPOIDAL_CAP", "118")
+    assert require_module_work(G, ranks) == 118
+    monkeypatch.setenv("GROUPOIDAL_CAP", "117")
+    with pytest.raises(DegreeTooLarge):
+        require_module_work(G, ranks)
+
+
+def test_validate_groupoid_refuses_a_repeated_unit():
+    # listed twice, the unit of a point would count as two units
+    point = {"src": [0], "rng": [0], "comp": {(0, 0): 0}, "inv": [0]}
+    assert validate_groupoid(FiniteGroupoid(**point, units=[0])).ok
+    rep = validate_groupoid(FiniteGroupoid(**point, units=[0, 0]))
+    assert (rep.ok, rep.axiom, rep.witness) == (False, "unit-duplicate", (0,))
 
 
 def test_nerve_work_refuses_a_huge_degree_at_once():

@@ -80,6 +80,24 @@ def test_colimit_divisible_bounded_for_general_towers():
     assert res.kind == "no_witness_up_to" and not res.exact
 
 
+@pytest.mark.parametrize("query", ["equal", "divisible"])
+def test_a_query_scan_is_charged_as_its_entries_grow(query, monkeypatch):
+    # the same 200 stages of a map that is not injective: entries of a few
+    # words at multiplicity 1, of up to 200 words at multiplicity 2^64
+    from groupoidal.groupoids import DegreeTooLarge
+
+    def scan(m):
+        C = ColimitGroup(Tower.stationary_tower("direct", IntMatrix.from_rows([[m, m], [m, m]])))
+        a = C.element(0, [1, 0])
+        if query == "equal":
+            return colimit_equal(C, a, C.element(0, [2, 0]), 200).kind
+        return colimit_divisible(C, a, 7, 200).kind
+    monkeypatch.setenv("GROUPOIDAL_CAP", "10000")
+    assert scan(1) == {"equal": "not_equal_up_to", "divisible": "no_witness_up_to"}[query]
+    with pytest.raises(DegreeTooLarge):
+        scan(2 ** 64)
+
+
 def test_dimension_group_uhf2():
     B = bratteli_stationary(2, 4)
     C = dimension_group(B)
@@ -281,9 +299,19 @@ def test_af_cohomology_rejects_general_diagrams():
         af_cohomology_tower(B, 2, 2)
 
 
+def test_af_cohomology_charges_p_to_the_depth_plus_levels(monkeypatch):
+    from groupoidal.groupoids import DegreeTooLarge
+    B = bratteli_stationary(2, 3)
+    monkeypatch.setenv("GROUPOIDAL_CAP", str(2 ** 5))
+    assert af_cohomology_tower(B, 2, 3).h0_constants_only
+    monkeypatch.setenv("GROUPOIDAL_CAP", str(2 ** 5 - 1))
+    with pytest.raises(DegreeTooLarge):
+        af_cohomology_tower(B, 2, 3)
+
+
 def test_af_cohomology_depth_cap(monkeypatch):
-    from groupoidal.models import DepthTooLarge
+    from groupoidal.groupoids import DegreeTooLarge
     B = bratteli_stationary(2, 3)
     monkeypatch.setenv("GROUPOIDAL_CAP", "10")
-    with pytest.raises(DepthTooLarge):
+    with pytest.raises(DegreeTooLarge):
         af_cohomology_tower(B, 3, 4)

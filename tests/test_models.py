@@ -219,10 +219,38 @@ def test_random_groupoid_size_and_validity():
 
 
 def test_odometer_depth_cap(monkeypatch):
-    from groupoidal.models import DepthTooLarge
     monkeypatch.setenv("GROUPOIDAL_CAP", "100")
-    with pytest.raises(DepthTooLarge):
+    with pytest.raises(DegreeTooLarge):
         odometer_system(2, 10)
+
+
+# -- each size check admits its input at the cap and refuses it one below ------
+
+
+def _refused_one_below(monkeypatch, work, build):
+    """build() passes with the cap at `work` and raises DegreeTooLarge with
+    the cap at work - 1."""
+    monkeypatch.setenv("GROUPOIDAL_CAP", str(work))
+    build()
+    monkeypatch.setenv("GROUPOIDAL_CAP", str(work - 1))
+    with pytest.raises(DegreeTooLarge):
+        build()
+
+
+def test_pair_fibers_charge_k_cubed_each(monkeypatch):
+    # fibers of 2 and 3 points, read out of order: 2^3 + 3^3 composable pairs
+    _refused_one_below(monkeypatch, 8 + 27, lambda: pair_groupoid_from_map([1, 0, 1, 0, 1]))
+
+
+@pytest.mark.parametrize("multiplicity, vertices", [(2, 1), ([[1, 1], [1, 0]], 2)],
+                         ids=["uhf2", "golden"])
+def test_stationary_diagram_charges_its_vertex_levels(multiplicity, vertices, monkeypatch):
+    _refused_one_below(monkeypatch, 4 * vertices, lambda: bratteli_stationary(multiplicity, 3))
+
+
+def test_odometer_charges_the_points_of_every_depth(monkeypatch):
+    # 3 + 9 points at 50 entries each
+    _refused_one_below(monkeypatch, (3 + 9) * 50, lambda: odometer_system(3, 2))
 
 
 # -- checks over all triples are charged against the cap first ------------------

@@ -79,7 +79,7 @@ def _extension(full, norm):
     """Full cochains <- normalized cochains, by zero on degenerate strings."""
     return IntMatrix.from_entries(
         full.total, norm.total,
-        ((full.offset[full.key_of(norm.string_of(k))] + i, norm.offset[k] + i, 1)
+        ((full.offset[k] + i, norm.offset[k] + i, 1)
          for k, r in zip(norm.keys, norm.ranks) for i in range(r)))
 
 

@@ -17,14 +17,14 @@ import sys
 import pytest
 
 from groupoidal.cohomology import cocycle_cohomology, hom_side_cohomology, pullback_module
-from groupoidal.groupoids import (DegreeTooLarge, FiniteGroupoid, GModule, GroupoidError,
-                                  isotropy_inclusion)
+from groupoidal.groupoids import (Budget, DegreeTooLarge, FiniteGroupoid, GModule,
+                                  GroupoidError, isotropy_inclusion)
 from groupoidal.homology import homology_groups
 from groupoidal.models import (action_groupoid, constant_module, cyclic_table,
                                disjoint_union, full_pair_groupoid, group_groupoid,
                                permutation_module, random_groupoid, random_module,
                                space_groupoid)
-from groupoidal.resolution import Budget, GroupResolution
+from groupoidal.resolution import GroupResolution
 from groupoidal.zlinalg import IntMatrix, LinearSystem
 
 from isotropy_models import _unimodular, random_orbit_groupoid
@@ -79,7 +79,7 @@ GROUPS = {**{f"z{k}": (cyclic_table(k), 5 if k <= 3 else 3) for k in range(2, 9)
 
 def _resolution(name, top=6):
     G = group_groupoid(GROUPS[name][0])
-    return GroupResolution(G, G.units[0], Budget(top))
+    return GroupResolution(G, G.units[0], Budget(f"resolution degrees 0..{top}"))
 
 
 def _bar_cells(r, n):
@@ -303,7 +303,7 @@ def test_random_groups_with_modules_equal_the_normalized_reference(seed):
 
 
 def _z3():
-    return GroupResolution(group_groupoid(cyclic_table(3)), 0, Budget(3))
+    return GroupResolution(group_groupoid(cyclic_table(3)), 0, Budget("resolution degrees 0..3"))
 
 
 def test_a_matched_coefficient_other_than_one_is_refused(monkeypatch):
@@ -344,7 +344,7 @@ def test_the_flow_runs_on_an_explicit_stack():
 
 def test_work_is_charged_as_it_runs(monkeypatch):
     G = group_groupoid(S3)
-    budget = Budget(6)
+    budget = Budget("resolution degrees 0..6")
     r = GroupResolution(G, G.units[0], budget)
     before = budget.used
     r.differential(6)
@@ -352,11 +352,11 @@ def test_work_is_charged_as_it_runs(monkeypatch):
     assert spent > before
     # a cap one entry short refuses the same work, part way through the flow
     monkeypatch.setenv("GROUPOIDAL_CAP", str(spent - 1))
-    short = Budget(6)
+    short = Budget("resolution degrees 0..6")
     with pytest.raises(DegreeTooLarge, match="resolution degrees 0..6"):
         GroupResolution(G, G.units[0], short).differential(6)
     monkeypatch.setenv("GROUPOIDAL_CAP", str(spent))
-    GroupResolution(G, G.units[0], Budget(6)).differential(6)
+    GroupResolution(G, G.units[0], Budget("resolution degrees 0..6")).differential(6)
 
 
 def test_every_degree_costs_its_floor_even_with_no_cells(monkeypatch):

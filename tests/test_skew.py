@@ -6,7 +6,7 @@ from groupoidal.groupoids import (DegreeTooLarge, nerve, require_nerve_work,
 from groupoidal.homology import z_action_homology
 from groupoidal.models import (cyclic_table, full_pair_groupoid,
                                group_groupoid)
-from groupoidal.skew import (GuardTooSmall, WindowTooLarge, ZCocycle,
+from groupoidal.skew import (GuardTooSmall, ZCocycle,
                              cocycle_potential, les_verify, skew_window,
                              validate_cocycle)
 from groupoidal.zlinalg import FgAbGroup
@@ -130,10 +130,20 @@ def test_cohomology_les_builds_each_hom_space_once(monkeypatch):
     assert len(calls) == 12
 
 
+def test_window_charges_its_levels_times_the_arrows(monkeypatch):
+    # radius 2: five levels of the 9 arrows of the pair groupoid on 3 points
+    p3 = full_pair_groupoid(3)
+    monkeypatch.setenv("GROUPOIDAL_CAP", str(5 * 9))
+    assert skew_window(p3, ZCocycle.zero(p3), 2).groupoid.n_arrows == 5 * 9
+    monkeypatch.setenv("GROUPOIDAL_CAP", str(5 * 9 - 1))
+    with pytest.raises(DegreeTooLarge):
+        skew_window(p3, ZCocycle.zero(p3), 2)
+
+
 def test_window_cap(monkeypatch):
     p3 = full_pair_groupoid(3)
     monkeypatch.setenv("GROUPOIDAL_CAP", "100")
-    with pytest.raises(WindowTooLarge):
+    with pytest.raises(DegreeTooLarge):
         skew_window(p3, ZCocycle.zero(p3), 50)
 
 
