@@ -203,11 +203,12 @@ def _known_keys(doc: dict, keys, what: str, path: str) -> None:
             raise ParseError(f"{path}: {what} has an unknown key {key[:40]!r}")
 
 
-def parse_module(path: str, G: FiniteGroupoid, top: Optional[int] = None) -> GModule:
+def parse_module(path: str, G: FiniteGroupoid) -> GModule:
     """Parse a module file over G.  Before any action is built, the work of
-    its fiber ranks is checked: with `top`, on G's nerve degrees 0..top,
-    which the caller builds; without, the work of validating it through
-    the isotropy groups.  A key that names no unit or arrow is refused."""
+    validating it through the isotropy groups (`require_module_work`, the
+    products `validate_module` runs) is charged; every command that reads
+    a module charges its own nerve work before building on it.  A key that
+    names no unit or arrow is refused."""
     doc = _load_json(path)
     fibers_doc = _object(doc, "fibers", path)
     _known_keys(doc, ("fibers", "action"), "the module", path)
@@ -220,10 +221,7 @@ def parse_module(path: str, G: FiniteGroupoid, top: Optional[int] = None) -> GMo
         fibers[u] = _int(fibers_doc[key], f"fibers[{key}]", path)
         if fibers[u] < 0:
             raise ParseError(f"{path}: fibers[{key}] must be a non-negative integer")
-    if top is None:
-        require_module_work(G, fibers)
-    else:
-        require_nerve_work(G, top, fibers)
+    require_module_work(G, fibers)
     action_doc = _object(doc, "action", path) if "action" in doc else {}
     _known_keys(action_doc, {str(g) for g in range(G.n_arrows)}, "action", path)
     action = {}
@@ -327,8 +325,7 @@ def cmd_verify_theta(args) -> int:
     instances = []
     if args.input:
         G = _require_groupoid(parse_input(args.input), args.input)
-        M = (parse_module(args.module, G, args.max_degree + 1) if args.module
-             else models.constant_module(G, 1))
+        M = parse_module(args.module, G) if args.module else models.constant_module(G, 1)
         instances.append((args.input, G, M))
     else:
         rng = random.Random(args.seed)
@@ -364,7 +361,7 @@ def cmd_skew_les(args) -> int:
         c = skew.ZCocycle.zero(G)
     else:
         c = parse_cocycle(args.cocycle, G)
-    M = parse_module(args.module, G, args.max_degree + 1) if args.module else None
+    M = parse_module(args.module, G) if args.module else None
     report = skew.les_verify(G, c, args.window, args.guard, args.max_degree,
                              mode=args.mode, M=M)
     payload = {
@@ -607,7 +604,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except (ParseError, ValidationError, GroupoidError, LinAlgError,
             lim.StageBoundExceeded) as e:
-        sys.stderr.write(f"error: {type(e).__name__}: {e}\n")
+        # an integer of more than 20 digits is named by its digit count, so
+        # the line's length does not follow the flag values or the cap
+        message = re.sub(r"\d{21,}", lambda m: f"<{len(m[0])} digits>", str(e))
+        sys.stderr.write(f"error: {type(e).__name__}: {message}\n")
         return USAGE_ERROR
 
 

@@ -8,17 +8,17 @@ first entry is a unit).  The comparison maps between them are assembled
 as explicit matrices and checked to be mutually inverse chain maps,
 exhibiting the isomorphism between the two models on any finite instance.
 
-`cocycle_cohomology` and `hom_side_cohomology` work on the isotropy
-groups H of one unit per orbit, with the module pulled back to them (a
-Morita equivalence, `groupoids.isotropy_inclusion`).  Both models compute
-the same groups, so both read them on Hom_H(A_*, M) for the Morse
-resolution A_* of each group (`resolution`): one block of the fiber per
-critical cell, 1, 2, 3, 5, 9, ... for S3 in degrees 0, 1, 2, ..., where
-the cochains of G have a block per composable string.  No nerve of G or H
-is built.  The comparison check, the skew LES and the induced maps stay
-on the full cochains, because the statements they check are about those
-complexes; the comparison factors only the cocycle complex and checks its
-groups against the Hom model's on the isotropy resolutions.
+`cocycle_cohomology` works on the isotropy groups H of one unit per
+orbit, with the module pulled back to them (a Morita equivalence,
+`groupoids.isotropy_inclusion`).  Both models compute the same groups, so
+`hom_side_cohomology` is another name for it, and it reads them on
+Hom_H(A_*, M) for the Morse resolution A_* of each group (`resolution`):
+one block of the fiber per critical cell, 1, 2, 3, 5, 9, ... for S3 in
+degrees 0, 1, 2, ..., where the cochains of G have a block per composable
+string.  No nerve of G or H is built.  The comparison check, the skew LES
+and the induced maps stay on the full cochains, because the statements
+they check are about those complexes; the comparison factors only the
+cocycle complex and checks its groups against the isotropy route's.
 """
 
 from __future__ import annotations
@@ -122,20 +122,18 @@ def theta_matrix(G: FiniteGroupoid, M: GModule, n: int) -> IntMatrix:
     """Evaluation of an equivariant hom at the unit-first representative of
     each n-string: a basis relabeling from the Hom model to the cocycle
     model (the representative's leading unit acts trivially)."""
-    return _theta(cochain_space(G, M, n), hom_space(G, M, n))
-
-
-def _theta(cochains: BlockSpace, homs: BlockSpace) -> IntMatrix:
-    return relabel_matrix(cochains, homs, lambda t: t)
+    return _relabel(cochain_space(G, M, n), hom_space(G, M, n))
 
 
 def rho_matrix(G: FiniteGroupoid, M: GModule, n: int) -> IntMatrix:
     """Inverse relabeling, reading a cochain as values on representatives."""
-    return _rho(hom_space(G, M, n), cochain_space(G, M, n))
+    return _relabel(hom_space(G, M, n), cochain_space(G, M, n))
 
 
-def _rho(homs: BlockSpace, cochains: BlockSpace) -> IntMatrix:
-    return relabel_matrix(homs, cochains, lambda t: t)
+def _relabel(cod: BlockSpace, dom: BlockSpace) -> IntMatrix:
+    """theta from the Hom model to the cocycle model, or rho back: both
+    models have a block per string, so each is the identity on strings."""
+    return relabel_matrix(cod, dom, lambda t: t)
 
 
 def cochain_complex(G: FiniteGroupoid, M: GModule, spaces: List[BlockSpace],
@@ -148,24 +146,18 @@ def cochain_complex(G: FiniteGroupoid, M: GModule, spaces: List[BlockSpace],
 
 
 def cocycle_cohomology(G: FiniteGroupoid, M: GModule, n_max: int) -> List[FgAbGroup]:
-    """H^0 .. H^{n_max} of the cocycle complex."""
-    return _isotropy_cohomology(G, M, n_max)
-
-
-def hom_side_cohomology(G: FiniteGroupoid, M: GModule, n_max: int) -> List[FgAbGroup]:
-    """H^0 .. H^{n_max} of the equivariant Hom complex."""
-    return _isotropy_cohomology(G, M, n_max)
-
-
-def _isotropy_cohomology(G: FiniteGroupoid, M: GModule, n_max: int) -> List[FgAbGroup]:
-    """The groups of either model, read on Hom_H(A_*, M) for the isotropy
-    groups H of G, with M pulled back to H along the inclusion, which is a
-    Morita equivalence."""
+    """H^0 .. H^{n_max} of either model, read on Hom_H(A_*, M) for the
+    isotropy groups H of G, with M pulled back to H along the inclusion,
+    which is a Morita equivalence."""
     i, _ = isotropy_inclusion(G)
     H = i.source
     if H is not G:
         M = pullback_module(i, M)
     return isotropy_cochains(H, M, n_max).groups()
+
+
+# the Hom model has the cocycle model's groups (`theta_rho_check`)
+hom_side_cohomology = cocycle_cohomology
 
 
 @dataclass
@@ -200,8 +192,8 @@ def theta_rho_check(G: FiniteGroupoid, M: GModule, n_max: int) -> ThetaRhoReport
     # each space is built once, for degrees 0 .. n_max + 1
     cs = [cochain_space(G, M, n) for n in range(n_max + 2)]
     hs = [hom_space(G, M, n) for n in range(n_max + 2)]
-    thetas = [_theta(c, h) for c, h in zip(cs, hs)]
-    rhos = [_rho(h, c) for c, h in zip(cs, hs)]
+    thetas = [_relabel(c, h) for c, h in zip(cs, hs)]
+    rhos = [_relabel(h, c) for c, h in zip(cs, hs)]
     full = {}
     for model, spaces in (("cocycle", cs), ("Hom", hs)):
         try:
@@ -221,7 +213,7 @@ def theta_rho_check(G: FiniteGroupoid, M: GModule, n_max: int) -> ThetaRhoReport
                 and cc.d_out(n) * thetas[n] != thetas[n + 1] * hc.d_out(n)):
             failures.append((n, "delta_c o theta != theta o delta"))
     cg = [] if cc is None else cc.groups()
-    hg = _isotropy_cohomology(G, M, n_max)
+    hg = cocycle_cohomology(G, M, n_max)
     for n, (a, b) in enumerate(zip(cg, hg)):
         if a != b:
             failures.append((n, f"cohomology mismatch {a} vs {b}"))

@@ -86,22 +86,24 @@ class ColimitElement:
 
 class ColimitGroup:
     """Colimit of a direct tower; elements are (stage, vector) pairs
-    identified along pushforward."""
+    identified along pushforward.  Every query on it charges its scan to
+    one budget, so the queries of one command share the cap."""
 
     def __init__(self, tower: Tower):
         if tower.direction != "direct":
             raise ValueError("colimits are taken over direct towers")
         self.tower = tower
+        self.budget = Budget("the stages the queries scan")
 
     def element(self, stage: int, vector: Sequence[int]) -> ColimitElement:
         if len(vector) != self.tower.rank_at(stage):
             raise ValueError(f"vector length {len(vector)} at stage {stage}")
         return ColimitElement(stage, tuple(vector))
 
-    def pushes(self, elem: ColimitElement, start: int, stop: int, budget: Budget):
+    def pushes(self, elem: ColimitElement, start: int, stop: int):
         """(n, elem's vector at stage n) for n = start..stop, start >=
-        elem.stage, pushed one map at a time.  Each push is charged to
-        `budget` before it runs: the map's rows x cols products, each
+        elem.stage, pushed one map at a time.  Each push is charged to the
+        group's budget before it runs: the map's rows x cols products, each
         counted in 64-bit words of the vector's and the map's largest
         entries, so entries that grow cost more as they grow."""
         v = elem.vector
@@ -110,7 +112,8 @@ class ColimitGroup:
                 yield n, v
             if n < stop:
                 m = self.tower.map_at(n)
-                budget.charge(m.rows * m.cols * _words(v) * _words(w for _, _, w in m.entries()))
+                self.budget.charge(m.rows * m.cols * _words(v)
+                                   * _words(w for _, _, w in m.entries()))
                 v = tuple(m.apply(v))
 
 
@@ -139,9 +142,8 @@ def colimit_equal(C: ColimitGroup, a: ColimitElement, b: ColimitElement,
     start = max(a.stage, b.stage)
     injective_stationary = (C.tower.stationary
                             and rank(C.tower.map_at(0)) == C.tower.map_at(0).cols)
-    budget = Budget("the stages an equal query scans")
-    for (s, u), (_, v) in zip(C.pushes(a, start, stage_bound, budget),
-                              C.pushes(b, start, stage_bound, budget)):
+    for (s, u), (_, v) in zip(C.pushes(a, start, stage_bound),
+                              C.pushes(b, start, stage_bound)):
         if u == v:
             return EqualityResult("equal", s)
         if injective_stationary:
@@ -196,8 +198,7 @@ def colimit_divisible(C: ColimitGroup, a: ColimitElement, q: int,
             return DivisibilityResult("witness", a.stage + j, (val // q,))
         else:
             return DivisibilityResult("no", None, None, exact=True)
-    budget = Budget("the stages a divisible query scans")
-    for s, v in C.pushes(a, a.stage, stage_bound, budget):
+    for s, v in C.pushes(a, a.stage, stage_bound):
         if all(x % q == 0 for x in v):
             return DivisibilityResult("witness", s, tuple(x // q for x in v))
     return DivisibilityResult("no_witness_up_to", stage_bound, None, exact=False)

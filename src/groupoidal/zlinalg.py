@@ -807,16 +807,6 @@ class LinearSystem:
         return None if x is None else x.col(0)
 
 
-def solve_in_image(A: IntMatrix, v: Sequence[int]) -> Optional[list]:
-    """Some x with A*x = v, or None when v is not in the image lattice."""
-    return LinearSystem(A).solve(v)
-
-
-def image_contains(A: IntMatrix, B: IntMatrix) -> bool:
-    """Whether every column of B lies in the image lattice of A."""
-    return B.cols == 0 or LinearSystem(A).solve_columns(B) is not None
-
-
 # -- finitely generated abelian groups -------------------------------------
 
 
@@ -1068,11 +1058,6 @@ class ChainHomologyPresentation:
         return len(self.orders)
 
 
-def homology_presentation(d_out: IntMatrix, d_in: IntMatrix) -> ChainHomologyPresentation:
-    """Presentation of ker(d_out)/im(d_in), checked as a one-pair complex."""
-    return ChainComplex([d_out, d_in], -1).presentation(0)
-
-
 def induced_on_homology(chain_map: IntMatrix,
                         source: ChainHomologyPresentation,
                         target: ChainHomologyPresentation) -> IntMatrix:
@@ -1109,26 +1094,29 @@ def quotient_group(target: ChainHomologyPresentation, map_matrix: IntMatrix) -> 
 
 def kernel_group(map_matrix: IntMatrix, source_orders: Sequence[int],
                  target_orders: Sequence[int]) -> FgAbGroup:
-    """Kernel of a homomorphism between presented abelian groups.
+    """Kernel of a homomorphism f: A -> B between presented abelian groups.
 
     The map is given in canonical coordinates (order 0 means a free
-    generator).  The preimage of the target relation lattice is computed
-    as the projection of an integer kernel, then presented modulo the
-    source relations.
+    generator).  The presentations 0 -> Z^s' -> Z^ks -> A and
+    0 -> Z^t' -> Z^kt -> B, s' and t' the nonzero orders, are free
+    resolutions, f lifts to a chain map between them, and ker f is H_1 of
+    its mapping cone (Weibel 1.5): d_1 is the map followed by the nonzero
+    target orders, and d_2 stacks -diag(s') over the lift map * s_j / t_i.
+    So two rank-only factorizations give the group.  A map that does not
+    lift sends a source relation outside the target relations, is not
+    well defined on the quotient, and raises LinAlgError.
     """
     ks, kt = len(source_orders), len(target_orders)
     if map_matrix.shape != (kt, ks):
         raise DimensionMismatch("kernel: coordinate mismatch")
-    pre = kernel_basis(_with_order_columns(map_matrix, target_orders, -1))
-    # reduce the projected generators to a lattice basis
-    basis = image_basis(IntMatrix._of_row_dicts(ks, pre.cols, pre._row_dicts[:ks]))
-    r = basis.cols
-    if r == 0:
-        return FgAbGroup.trivial()
-    # source relations expressed in the kernel-lattice basis
-    rel = LinearSystem(basis).solve_columns(
-        _with_order_columns(IntMatrix.zeros(ks, 0), source_orders, 1))
-    if rel is None:
-        raise LinAlgError("induced map is not well defined on the quotient")
-    facs = invariant_factors(rel)
-    return FgAbGroup.from_invariant_factors(facs, free_rank=r - len(facs))
+    lift_row = {i: ks + r for r, i in enumerate(i for i, t in enumerate(target_orders) if t)}
+    lift_col = {j: c for c, j in enumerate(j for j, s in enumerate(source_orders) if s)}
+    entries = [(j, c, -source_orders[j]) for j, c in lift_col.items()]
+    for i, j, v in map_matrix.entries():
+        if j in lift_col:
+            image, t = v * source_orders[j], target_orders[i]
+            if not t or image % t:
+                raise LinAlgError("induced map is not well defined on the quotient")
+            entries.append((lift_row[i], lift_col[j], image // t))
+    return homology_at(_with_order_columns(map_matrix, target_orders, 1),
+                       IntMatrix.from_entries(ks + len(lift_row), len(lift_col), entries))

@@ -5,13 +5,16 @@ Fraction-based Gaussian elimination over Q and from elimination mod p,
 the group (co)homology complexes are rebuilt from scratch with plain
 itertools tuple enumeration, and a module is checked on every composable
 pair of its groupoid.  `full_scan_pivot` only reads an engine's
-state, to check the pivot the engine picks.
+state, to check the pivot the engine picks.  `lattice_kernel_group` is
+the exception: a second route to kernel groups, by lattices on the
+engine's transform read-outs, against which the mapping cone is checked.
 """
 
 from fractions import Fraction
 from itertools import product
 
-from groupoidal.zlinalg import IntMatrix
+from groupoidal.zlinalg import (FgAbGroup, IntMatrix, LinAlgError, LinearSystem,
+                                image_basis, invariant_factors, kernel_basis)
 
 
 def rational_rank(rows):
@@ -332,3 +335,27 @@ def validate_module_on_all_pairs(G, M):
         if M.action[g] * M.action[G.inv[g]] != IntMatrix.identity(M.fiber_rank[G.rng[g]]):
             return False, "action-inverse", (g,)
     return True, None, None
+
+
+def _with_orders(M, orders, sign):
+    """M followed by one column sign * d * e_i for each nonzero d = orders[i]."""
+    extra = [[sign * d if k == i else 0 for k in range(M.rows)]
+             for i, d in enumerate(orders) if d]
+    return IntMatrix.from_columns(M.column_list() + extra, M.rows)
+
+
+def lattice_kernel_group(map_matrix, source_orders, target_orders):
+    """Kernel of a map between presented groups by lattices: the preimage
+    of the target relations is the projection of an integer kernel,
+    reduced to a basis, and the source relations are solved in that basis.
+    A map with a zero preimage lattice gives the trivial group unchecked."""
+    ks = len(source_orders)
+    pre = kernel_basis(_with_orders(map_matrix, target_orders, -1))
+    basis = image_basis(IntMatrix.from_columns([c[:ks] for c in pre.column_list()], ks))
+    if basis.cols == 0:
+        return FgAbGroup.trivial()
+    rel = LinearSystem(basis).solve_columns(_with_orders(IntMatrix.zeros(ks, 0), source_orders, 1))
+    if rel is None:
+        raise LinAlgError("induced map is not well defined on the quotient")
+    facs = invariant_factors(rel)
+    return FgAbGroup.from_invariant_factors(facs, free_rank=basis.cols - len(facs))

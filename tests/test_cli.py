@@ -74,10 +74,10 @@ def test_parse_malformed_compose_triple(files):
 
 def test_parse_module_validation(files):
     G = cli.parse_input(files["z2"])
-    M = cli.parse_module(files["sign"], G, 3)
+    M = cli.parse_module(files["sign"], G)
     assert M.act(1).data == [[-1]]
     with pytest.raises(cli.ValidationError):
-        cli.parse_module(files["badmod"], G, 3)
+        cli.parse_module(files["badmod"], G)
 
 
 def test_homology_command(files, capsys):
@@ -217,8 +217,10 @@ def test_malformed_cap_exits_2_with_one_error_line(value, argv, files, capsys, m
     captured = capsys.readouterr()
     assert code == cli.USAGE_ERROR
     assert captured.out == ""
+    # an integer of more than 20 digits is named by its digit count
+    shown = value if len(value) <= 20 else f"<{len(value)} digits>"
     assert captured.err == ("error: GroupoidError: GROUPOIDAL_CAP must be a positive "
-                            f"integer, got {value!r}\n")
+                            f"integer, got {shown!r}\n")
 
 
 def _run_subprocess(argv, hash_seed):
@@ -291,6 +293,31 @@ _TWO_STAGES = {"kind": "bratteli", "matrices": [[[2]]], "vertex_counts": [1, 1]}
 _MODULE = ["cohomology", "MODEL", "--module", "AUX"]
 _COCYCLE = ["skew-les", "MODEL", "--cocycle", "AUX", "--window", "4", "--guard", "1"]
 _QUERIES = ["dimension-group", "MODEL", "--queries", "AUX"]
+
+
+def _dense_involution(n=120, steps=600, seed=20):
+    """U P U^-1 for P a product of n/2 disjoint transpositions and U a
+    product of `steps` random elementary matrices I + c e_i e_j^T, c = +-1:
+    each conjugation adds c times row j to row i, then subtracts c times
+    column i from column j.  At these defaults 90% of the entries are
+    nonzero, of absolute value up to 134, and the JSON file is 55 KB."""
+    rng = random.Random(seed)
+    a = [[0] * n for _ in range(n)]
+    points = list(range(n))
+    rng.shuffle(points)
+    for x, y in zip(points[::2], points[1::2]):
+        a[x][y] = a[y][x] = 1
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        a[i] = [u + c * v for u, v in zip(a[i], a[j])]
+        for row in a:
+            row[j] -= c * row[i]
+    return a
+
+
+# a rank-120 module on Z/2 whose validation products pass the default cap
+_DENSE_MODULE = {"fibers": {"0": 120}, "action": {"1": _dense_involution()}}
 
 
 @pytest.mark.parametrize("argv, model, aux", [
@@ -424,6 +451,11 @@ def test_unreadable_model_file_exits_2_with_one_error_line(text, tmp_path, capsy
 # exhausting memory
 @pytest.mark.parametrize("argv, model, aux, env", [
     (_MODULE, _Z2, {"fibers": {"0": 10 ** 6}}, {}),
+    # every command that reads a module charges its validation products,
+    # however few strings it builds on it
+    (["verify-theta", "MODEL", "--module", "AUX", "--max-degree", "0"], _Z2, _DENSE_MODULE, {}),
+    (["skew-les", "MODEL", "--window", "4", "--guard", "1", "--mode", "cohomology",
+      "--module", "AUX"], _Z2, _DENSE_MODULE, {}),
     (["skew-les", "MODEL", "--window", "1000000", "--guard", "3"],
      {"kind": "pair", "fibers": [1]}, None, {}),
     (["skew-les", "MODEL", "--window", "300000", "--guard", "3"],
@@ -460,7 +492,8 @@ def test_unreadable_model_file_exits_2_with_one_error_line(text, tmp_path, capsy
           {"op": "equal", "a": {"stage": 0, "vector": [1, 0]},
            "b": {"stage": 0, "vector": [2, 0]}, "bound": 10 ** 8},
           {"op": "divisible", "stage": 0, "vector": [1, 0], "q": 7, "bound": 10 ** 8})],
-], ids=["module-rank-huge", "skew-window-huge", "skew-window-large", "cap-malformed",
+], ids=["module-rank-huge", "dense-module-verify-theta", "dense-module-skew-les",
+        "skew-window-huge", "skew-window-large", "cap-malformed",
         "af-depth-huge", "af-levels-huge", "odometer-depth-huge", "pair-fiber-digits",
         "dimension-levels-large", "dimension-levels-huge", "verify-theta-count-huge",
         "odometer-points-over-depths", "group-table-large", "action-table-large",
@@ -481,6 +514,43 @@ def test_oversize_inputs_exit_2_before_building(argv, model, aux, env, tmp_path)
     assert res.stdout == ""
     assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
     assert len(res.stderr) <= 301, res.stderr[:300]
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+def test_the_queries_of_one_command_share_one_budget(copies, tmp_path, capsys, monkeypatch):
+    # one equal query scanning 5000 stages of [[1, 1], [1, 1]] charges
+    # 1,582,840 entries of work, inside the default cap; two pass it together
+    monkeypatch.delenv("GROUPOIDAL_CAP", raising=False)
+    model, queries = tmp_path / "model.json", tmp_path / "queries.json"
+    model.write_text(json.dumps({"kind": "bratteli", "stationary": True,
+                                 "matrices": [[[1, 1], [1, 1]]]}), encoding="utf-8")
+    queries.write_text(json.dumps([{"op": "equal", "a": {"stage": 0, "vector": [1, 0]},
+                                    "b": {"stage": 0, "vector": [2, 0]}, "bound": 5000}]
+                                  * copies), encoding="utf-8")
+    code = cli.main(["dimension-group", str(model), "--queries", str(queries),
+                     "--format", "json"])
+    captured = capsys.readouterr()
+    if copies == 1:
+        assert code == 0
+        assert json.loads(captured.out)["queries"] == [
+            {"op": "equal", "kind": "not_equal_up_to", "stage": 5000, "exact": False}]
+    else:
+        assert code == cli.USAGE_ERROR and captured.out == ""
+        assert captured.err.startswith("error: DegreeTooLarge: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cap", [None, "1000000000", str(10 ** 100)],
+                         ids=["default-cap", "cap-1e9", "cap-1e100"])
+def test_the_error_line_does_not_grow_with_the_flags_or_the_cap(cap, capsys, monkeypatch):
+    if cap is None:
+        monkeypatch.delenv("GROUPOIDAL_CAP", raising=False)
+    else:
+        monkeypatch.setenv("GROUPOIDAL_CAP", cap)
+    big = str(10 ** 100)
+    assert cli.main(["odometer", "--p", big, "--max-depth", big]) == cli.USAGE_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: DegreeTooLarge: ") and err.count("\n") == 1
+    assert len(err) <= 300, err
 
 
 def _exit_code_at_cap(cap, argv, capsys, monkeypatch):

@@ -1,22 +1,27 @@
 import random
 from itertools import chain
-from math import prod
+from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from groupoidal import zlinalg
 from groupoidal.zlinalg import (BadModulus, ChainComplex, CompositionNonzero,
                                 DimensionMismatch, FgAbGroup, IntMatrix,
                                 LinearSystem, coefficients_via_uct,
-                                homology_at, homology_presentation,
-                                image_basis, image_contains,
+                                homology_at, image_basis,
                                 LinAlgError, induced_on_homology,
-                                invariant_factors, kernel_basis, rank, snf,
-                                solve_in_image)
+                                invariant_factors, kernel_basis, kernel_group,
+                                rank, snf)
 
-from oracles import det, modp_rank, orders_normal_form, rational_rank
+from oracles import (det, lattice_kernel_group, modp_rank, orders_normal_form,
+                     rational_rank)
+
+
+def _contains(A, B):
+    """Whether every column of B lies in the image lattice of A."""
+    return LinearSystem(A).solve_columns(B) is not None
 
 
 def test_snf_identity():
@@ -103,11 +108,11 @@ def test_uct_examples():
 
 
 def test_solve_examples():
-    assert solve_in_image(IntMatrix.identity(3), [5, -2, 7]) == [5, -2, 7]
-    assert solve_in_image(IntMatrix.from_rows([[2]]), [1]) is None
-    assert solve_in_image(IntMatrix.from_rows([[2]]), [4]) == [2]
+    assert LinearSystem(IntMatrix.identity(3)).solve([5, -2, 7]) == [5, -2, 7]
+    assert LinearSystem(IntMatrix.from_rows([[2]])).solve([1]) is None
+    assert LinearSystem(IntMatrix.from_rows([[2]])).solve([4]) == [2]
     with pytest.raises(DimensionMismatch):
-        solve_in_image(IntMatrix.from_rows([[2]]), [1, 2])
+        LinearSystem(IntMatrix.from_rows([[2]])).solve([1, 2])
 
 
 def test_solve_random_consistency():
@@ -118,7 +123,7 @@ def test_solve_random_consistency():
                              for _ in range(m)])
         x = [rng.randint(-3, 3) for _ in range(n)]
         v = A.apply(x)
-        got = solve_in_image(A, v)
+        got = LinearSystem(A).solve(v)
         assert got is not None
         assert A.apply(got) == v
 
@@ -153,9 +158,9 @@ def test_image_basis_is_snf_readout():
         us = (d.U * d.S).column_list()[:d.rank]
         B = image_basis(A)
         assert B == IntMatrix.from_columns(us, m)
-        assert image_contains(A, B) and image_contains(B, A)
+        assert _contains(A, B) and _contains(B, A)
         C = IntMatrix(m, 2, [[rng.randint(-2, 2) for _ in range(2)] for _ in range(m)])
-        assert image_contains(A, C) == all(solve_in_image(A, c) is not None
+        assert _contains(A, C) == all(LinearSystem(A).solve(c) is not None
                                            for c in C.column_list())
 
 
@@ -269,7 +274,7 @@ def test_presentation_matches_fast_path():
     for _ in range(40):
         m = rng.randint(1, 5)
         d_out, d_in = _random_composable_pair(rng, m)
-        pres = homology_presentation(d_out, d_in)
+        pres = ChainComplex([d_out, d_in], -1).presentation(0)
         assert pres.group == homology_at(d_out, d_in)
         # generators are cycles and their coordinates are unit vectors
         for j, gen in enumerate(pres.generators):
@@ -286,7 +291,7 @@ def test_presentation_matches_fast_path():
 def test_induced_identity_map():
     d_out = IntMatrix.zeros(1, 2)
     d_in = IntMatrix.from_rows([[1, -1], [0, 2]])
-    pres = homology_presentation(d_out, d_in)
+    pres = ChainComplex([d_out, d_in], -1).presentation(0)
     m = induced_on_homology(IntMatrix.identity(2), pres, pres)
     assert m == IntMatrix.identity(pres.n_generators)
 
@@ -365,7 +370,7 @@ def test_solve_columns_is_columnwise_solve(seed):
 def test_coords_of_is_columnwise_coords(seed):
     rng = random.Random(seed)
     d_out, d_in = _random_composable_pair(rng, rng.randint(1, 5))
-    pres = homology_presentation(d_out, d_in)
+    pres = ChainComplex([d_out, d_in], -1).presentation(0)
     k, cols = pres.n_generators, rng.randint(0, 4)
     # cycles with known classes: C on the generators plus boundaries
     C = _random_matrix(rng, k, cols, -5, 5)
@@ -636,3 +641,48 @@ def test_solve_columns_through_the_log_is_exact(A):
         assert X is not None and A * X == B
     else:
         assert X is None
+
+
+# orders of canonical generators, 0 for a free one
+_GENERATOR_ORDERS = st.lists(st.sampled_from([0, 0, 2, 3, 4, 6, 8, 9, 12]), max_size=4)
+
+
+def _well_defined_map(rng, source_orders, target_orders):
+    """A map in canonical coordinates sending each source relation s_j e_j
+    into the target relations: entry (i, j) is any integer when s_j = 0,
+    zero when s_j != 0 = t_i, else a multiple of t_i / gcd(t_i, s_j)."""
+    return IntMatrix(len(target_orders), len(source_orders), [
+        [rng.randint(-9, 9) * (1 if not s else t // gcd(t, s)) for s in source_orders]
+        for t in target_orders])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(source=_GENERATOR_ORDERS, target=_GENERATOR_ORDERS, seed=st.integers(0, 2 ** 32 - 1))
+def test_kernel_group_agrees_with_the_lattice_route(source, target, seed):
+    M = _well_defined_map(random.Random(seed), source, target)
+    assert kernel_group(M, source, target) == lattice_kernel_group(M, source, target)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(source=_GENERATOR_ORDERS, target=_GENERATOR_ORDERS, seed=st.integers(0, 2 ** 32 - 1))
+def test_kernel_group_refuses_a_map_that_does_not_lift(source, target, seed):
+    # adding 1 at (i, j) moves s_j e_j by s_j e_i, outside the target
+    # relations unless t_i divides s_j
+    rng = random.Random(seed)
+    M = _well_defined_map(rng, source, target)
+    off = [(i, j) for i, t in enumerate(target) for j, s in enumerate(source)
+           if s and (not t or s % t)]
+    assume(off)
+    i, j = rng.choice(off)
+    M = M + IntMatrix.from_entries(M.rows, M.cols, [(i, j, 1)])
+    with pytest.raises(LinAlgError):
+        kernel_group(M, source, target)
+
+
+def test_kernel_group_refuses_an_ill_defined_map_with_a_zero_preimage():
+    # Z/2 -> Z^2 sends the relation 2 e_0 to (-6, -2) != 0; the preimage of
+    # the target relations is 0, and the lattice route returns 0 unchecked
+    M = IntMatrix.from_rows([[-3], [-1]])
+    assert lattice_kernel_group(M, [2], [0, 0]) == FgAbGroup.trivial()
+    with pytest.raises(LinAlgError):
+        kernel_group(M, [2], [0, 0])
