@@ -4,9 +4,9 @@ Two cochain models are built side by side: the cocycle complex, whose
 degree-n cochains assign to each composable n-string a value in the
 fiber at the range of its first arrow, and the equivariant Hom complex
 on the bar resolution, realized on orbit representatives (strings whose
-first entry is a unit).  The comparison maps between them are assembled
-as explicit matrices and checked to be mutually inverse chain maps,
-exhibiting the isomorphism between the two models on any finite instance.
+first entry is a unit).  The comparison maps between them are coordinate
+maps, checked to be mutually inverse chain maps, exhibiting the
+isomorphism between the two models on any finite instance.
 
 `cocycle_cohomology` works on the isotropy groups H of one unit per
 orbit, with the module pulled back to them (a Morita equivalence,
@@ -24,30 +24,27 @@ cocycle complex and checks its groups against the isotropy route's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List
+from itertools import accumulate
+from typing import Callable, List, Optional
 
-from .groupoids import (FiniteGroupoid, GModule, GroupoidFunctor,
-                        homology_face, isotropy_inclusion, nerve,
-                        require_nerve_work, require_valid_functor)
+from .groupoids import (FiniteGroupoid, GModule, GroupoidFunctor, face_table,
+                        isotropy_inclusion, nerve, require_nerve_work,
+                        require_valid_functor)
 from .resolution import isotropy_cochains
-from .zlinalg import (ChainComplex, ChainHomologyPresentation, FgAbGroup, IntMatrix,
-                      LinAlgError, induced_on_homology, rank)
+from .zlinalg import (ChainComplex, ChainHomologyPresentation, DimensionMismatch, FgAbGroup,
+                      IntMatrix, LinAlgError, induced_on_homology, rank)
 
 
 class BlockSpace:
     """Free fibers laid end to end in one coordinate space: one block per
     n-string of `keys`, in that order, holding the value at that string,
-    of rank ranks[i] for the i-th; `offset` maps a string to its block."""
+    of rank ranks[i] for the i-th; `offset` and `rank` map a string to its
+    block's first coordinate and rank."""
 
     def __init__(self, keys: List[tuple], ranks: List[int]):
-        self.keys = keys
-        self.ranks = ranks
-        self.offset = {}
-        total = 0
-        for k, r in zip(keys, ranks):
-            self.offset[k] = total
-            total += r
-        self.total = total
+        self.keys, self.ranks, self.rank = keys, ranks, dict(zip(keys, ranks))
+        self.offset = dict(zip(keys, accumulate(ranks, initial=0)))
+        self.total = sum(ranks)
 
 
 def cochain_space(G: FiniteGroupoid, M: GModule, n: int) -> BlockSpace:
@@ -65,13 +62,21 @@ def hom_space(G: FiniteGroupoid, M: GModule, n: int) -> BlockSpace:
     return BlockSpace(keys, [M.rank_at(G.rng[t[0]]) for t in keys])
 
 
-def relabel_matrix(cod: BlockSpace, dom: BlockSpace, key_map: Callable) -> IntMatrix:
-    """Identity blocks from dom's block key_map(k) to cod's block k, for
-    every string k of cod: one single-entry row per coordinate."""
-    offset = dom.offset
-    return IntMatrix.from_row_dicts(dom.total, [
-        {col + a: 1} for k, r in zip(cod.keys, cod.ranks)
-        for col in [offset[key_map(k)]] for a in range(r)])
+def relabel_coords(cod: BlockSpace, dom: BlockSpace,
+                   key_map: Optional[Callable] = None) -> List[int]:
+    """For each coordinate of cod, the coordinate of dom it copies: block k
+    copies dom's block key_map(k) (or k), which must be of the same rank."""
+    keys = cod.keys if key_map is None else list(map(key_map, cod.keys))
+    if list(map(dom.rank.__getitem__, keys)) != list(cod.ranks):
+        raise DimensionMismatch("a block of cod copies a block of dom of another rank")
+    return [o + a for o, r in zip(map(dom.offset.__getitem__, keys), cod.ranks) for a in range(r)]
+
+
+def relabel_matrix(cod: BlockSpace, dom: BlockSpace,
+                   key_map: Optional[Callable] = None) -> IntMatrix:
+    """The selection matrix of `relabel_coords`: identity blocks from dom's
+    block key_map(k) (or k) to cod's block k, for every string k of cod."""
+    return IntMatrix.identity(dom.total).rows_at(relabel_coords(cod, dom, key_map))
 
 
 def cocycle_coboundary_matrix(G: FiniteGroupoid, M: GModule, n: int) -> IntMatrix:
@@ -79,7 +84,7 @@ def cocycle_coboundary_matrix(G: FiniteGroupoid, M: GModule, n: int) -> IntMatri
 
     Row block at an (n+1)-string t = (g_0,...,g_n): the action of g_0
     applied to the value at face 0 of t, then (-1)^i times the value at
-    face i for i = 1..n+1 (`homology_face`).  So degree 0 sends a section
+    face i for i = 1..n+1 (`face_table`).  So degree 0 sends a section
     m to g_0.m(s(g_0)) - m(r(g_0)).
     """
     return _coboundary(G, M, n, cochain_space(G, M, n), cochain_space(G, M, n + 1))
@@ -96,22 +101,24 @@ def _coboundary(G: FiniteGroupoid, M: GModule, n: int,
                 dom: BlockSpace, cod: BlockSpace) -> IntMatrix:
     """delta_n between two spaces of one model, one row block per string
     of cod: the action block at face 0, then +-1 on the diagonal at faces
-    1..n+1, each face found through `dom.offset`.  A face with no block in
-    dom is skipped, so a space may leave out strings on which its cochains
-    vanish."""
-    offset, acts, rows = dom.offset, {}, []  # acts: each arrow's action entries, read once
-    for t, r in zip(cod.keys, cod.ranks):  # t = (g_0, ..., g_n)
+    1..n+1, each face read off `face_table` and found in `dom.offset`.  A
+    face with no block in dom is skipped, so a space may leave out strings
+    on which its cochains vanish."""
+    at, faces = nerve(G, n + 1).index, face_table(G, n + 1)
+    cols = [dom.offset.get(s) for s in nerve(G, n).tuples]  # per n-string, or None
+    signed = [(i, -1 if i % 2 else 1) for i in range(1, n + 2)]
+    acts, rows = {}, []  # acts: each arrow's action entries, read once
+    for t, r, f in zip(cod.keys, cod.ranks, [faces[at[t]] for t in cod.keys]):
         block = [{} for _ in range(r)]
-        col = offset.get(homology_face(G, t, 0))
+        col = cols[f[0]]
         if col is not None:
             if t[0] not in acts:
                 acts[t[0]] = tuple(M.act(t[0]).entries())
             for a, j, v in acts[t[0]]:
                 block[a][col + j] = v
-        for i in range(1, n + 2):
-            col = offset.get(homology_face(G, t, i))
+        for i, sign in signed:
+            col = cols[f[i]]
             if col is not None:
-                sign = -1 if i % 2 else 1
                 for a, row in enumerate(block, col):  # row a - col, column a
                     row[a] = row.get(a, 0) + sign
         rows.extend(block)
@@ -122,18 +129,12 @@ def theta_matrix(G: FiniteGroupoid, M: GModule, n: int) -> IntMatrix:
     """Evaluation of an equivariant hom at the unit-first representative of
     each n-string: a basis relabeling from the Hom model to the cocycle
     model (the representative's leading unit acts trivially)."""
-    return _relabel(cochain_space(G, M, n), hom_space(G, M, n))
+    return relabel_matrix(cochain_space(G, M, n), hom_space(G, M, n))
 
 
 def rho_matrix(G: FiniteGroupoid, M: GModule, n: int) -> IntMatrix:
     """Inverse relabeling, reading a cochain as values on representatives."""
-    return _relabel(hom_space(G, M, n), cochain_space(G, M, n))
-
-
-def _relabel(cod: BlockSpace, dom: BlockSpace) -> IntMatrix:
-    """theta from the Hom model to the cocycle model, or rho back: both
-    models have a block per string, so each is the identity on strings."""
-    return relabel_matrix(cod, dom, lambda t: t)
+    return relabel_matrix(hom_space(G, M, n), cochain_space(G, M, n))
 
 
 def cochain_complex(G: FiniteGroupoid, M: GModule, spaces: List[BlockSpace],
@@ -186,14 +187,17 @@ def theta_rho_check(G: FiniteGroupoid, M: GModule, n_max: int) -> ThetaRhoReport
     isomorphism, so the full Hom complex has the same groups, and only the
     cocycle complex is factored.  A complex that fails d o d is reported at
     the degree where it fails; the checks that need it are skipped, and
-    without the cocycle complex `cocycle_groups` is empty."""
+    without the cocycle complex `cocycle_groups` is empty.  theta and rho
+    are coordinate maps (`relabel_coords`), so a product of them is their
+    composite, delta_c theta a column sum and theta delta a row pick."""
     require_nerve_work(G, n_max + 1, M.fiber_rank)
     failures = []
     # each space is built once, for degrees 0 .. n_max + 1
     cs = [cochain_space(G, M, n) for n in range(n_max + 2)]
     hs = [hom_space(G, M, n) for n in range(n_max + 2)]
-    thetas = [_relabel(c, h) for c, h in zip(cs, hs)]
-    rhos = [_relabel(h, c) for c, h in zip(cs, hs)]
+    # theta_n maps the Hom model (columns) to the cocycle model (rows)
+    thetas = [relabel_coords(c, h) for c, h in zip(cs, hs)]
+    rhos = [relabel_coords(h, c) for c, h in zip(cs, hs)]
     full = {}
     for model, spaces in (("cocycle", cs), ("Hom", hs)):
         try:
@@ -203,14 +207,14 @@ def theta_rho_check(G: FiniteGroupoid, M: GModule, n_max: int) -> ThetaRhoReport
                 raise
             failures.append((e.degree, f"d o d != 0 in the {model} complex"))
     cc, hc = full.get("cocycle"), full.get("Hom")
-    for n in range(n_max + 2):
-        # theta_n maps the Hom model (columns) to the cocycle model (rows)
-        if rhos[n] * thetas[n] != IntMatrix.identity(thetas[n].cols):
+    for n, (theta, rho, c, h) in enumerate(zip(thetas, rhos, cs, hs)):
+        if [theta[i] for i in rho] != list(range(h.total)):
             failures.append((n, "rho*theta != id"))
-        if thetas[n] * rhos[n] != IntMatrix.identity(thetas[n].rows):
+        if [rho[i] for i in theta] != list(range(c.total)):
             failures.append((n, "theta*rho != id"))
         if (n <= n_max and cc is not None and hc is not None
-                and cc.d_out(n) * thetas[n] != thetas[n + 1] * hc.d_out(n)):
+                and cc.d_out(n).sum_columns(theta, h.total)
+                != hc.d_out(n).rows_at(thetas[n + 1])):
             failures.append((n, "delta_c o theta != theta o delta"))
     cg = [] if cc is None else cc.groups()
     hg = cocycle_cohomology(G, M, n_max)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .zlinalg import IntMatrix, invariant_factors
@@ -102,6 +103,7 @@ class FiniteGroupoid:
         self.arrows_by_rng = {u: tuple(v) for u, v in by_rng.items()}
         self.arrows_by_src = {u: tuple(v) for u, v in by_src.items()}
         self._nerves: Dict[int, "Nerve"] = {}
+        self._faces: Dict[int, tuple] = {}
 
     @property
     def n_units(self) -> int:
@@ -267,21 +269,33 @@ def require_module_work(G: FiniteGroupoid, ranks: Dict[int, int]) -> int:
     return total
 
 
-def homology_face(G: FiniteGroupoid, t: tuple, i: int) -> tuple:
-    """Face i of a composable n-string t, 0 <= i <= n, in every degree n >= 1.
-
-    Face 0 drops the first arrow, face n the last, and face i composes
-    g_{i-1} g_i.  A 0-string is a unit, so the faces of (g,) are (src g,)
-    and (rng g,).
-    """
-    n = len(t)
-    if n == 1:
-        return ((G.src, G.rng)[i][t[0]],)
-    if i == 0:
-        return t[1:]
-    if i == n:
-        return t[:-1]
-    return t[:i - 1] + (G.comp[(t[i - 1], t[i])],) + t[i + 1:]
+def face_table(G: FiniteGroupoid, n: int) -> tuple:
+    """For each string of nerve(G, n), in order, the indices in
+    nerve(G, n - 1) of its faces 0..n, cached next to the nerve.  Face 0
+    drops the first arrow, face n the last, and face i composes g_{i-1} g_i;
+    the faces of an arrow g are its units (src g,) and (rng g,).  Face n of
+    s + (h,) is s, and face i < n is face i of s extended by h (by g h for
+    i = n - 1, g the last arrow of s), found by index arithmetic."""
+    if n < 1:
+        raise ValueError("face degree must be >= 1")
+    if n not in G._faces:
+        below = nerve(G, n - 1).tuples
+        nerve(G, n)  # charges the n-strings before their faces are built
+        if n == 1:
+            pos = G._unit_pos
+            faces = ((pos[G.src[g]], pos[G.rng[g]]) for g in range(G.n_arrows))
+        else:  # the q-th (n-2)-string extended by h is at first[q] + slot[h]:
+            # (h,) is at h, and above degree 1 each string's extensions are listed together
+            first, slot = [0] * G.n_units, range(G.n_arrows)
+            if n > 2:
+                first = list(accumulate((len(G.arrows_by_rng[G.src[q[-1]]])
+                                         for q in nerve(G, n - 2).tuples), initial=0))
+                slot = {h: k for hs in G.arrows_by_rng.values() for k, h in enumerate(hs)}
+            faces = ((*[first[q] + slot[h] for q in f[:-1]], first[f[-1]] + slot[G.comp[g, h]], p)
+                     for p, (g, f) in enumerate(zip((s[-1] for s in below), face_table(G, n - 1)))
+                     for h in G.arrows_by_rng[G.src[g]])
+        G._faces[n] = tuple(faces)
+    return G._faces[n]
 
 
 def boundary_matrix_d(G: FiniteGroupoid, n: int) -> IntMatrix:
@@ -290,13 +304,9 @@ def boundary_matrix_d(G: FiniteGroupoid, n: int) -> IntMatrix:
     along the source minus pushforward along the range."""
     if n < 1:
         raise ValueError("boundary degree must be >= 1")
-    nv_to = nerve(G, n - 1)
-    nv_from = nerve(G, n)
-    index = nv_to.index
-    return IntMatrix.from_entries(
-        len(nv_to), len(nv_from),
-        ((index[homology_face(G, t, i)], j, -1 if i % 2 else 1)
-         for j, t in enumerate(nv_from.tuples) for i in range(n + 1)))
+    faces = face_table(G, n)
+    return IntMatrix.from_entries(len(nerve(G, n - 1)), len(faces), (
+        (f[i], j, -1 if i % 2 else 1) for j, f in enumerate(faces) for i in range(n + 1)))
 
 
 def bar_boundary_matrix_b(G: FiniteGroupoid, n: int) -> IntMatrix:
@@ -311,13 +321,9 @@ def bar_boundary_matrix_b(G: FiniteGroupoid, n: int) -> IntMatrix:
     """
     if n < 0:
         raise ValueError("bar degree must be >= 0")
-    nv_from = nerve(G, n + 1)
-    nv_to = nerve(G, n)
-    index = nv_to.index
-    return IntMatrix.from_entries(
-        len(nv_to), len(nv_from),
-        ((index[homology_face(G, t, i)], j, 1 if i % 2 else -1)
-         for j, t in enumerate(nv_from.tuples) for i in range(1, n + 2)))
+    faces = face_table(G, n + 1)
+    return IntMatrix.from_entries(len(nerve(G, n)), len(faces), (
+        (f[i], j, 1 if i % 2 else -1) for j, f in enumerate(faces) for i in range(1, n + 2)))
 
 
 def coinvariants_collapse(G: FiniteGroupoid, n: int) -> IntMatrix:
@@ -329,12 +335,9 @@ def coinvariants_collapse(G: FiniteGroupoid, n: int) -> IntMatrix:
     """
     if n < 0:
         raise ValueError("collapse degree must be >= 0")
-    nv_from = nerve(G, n + 1)
-    nv_to = nerve(G, n)
-    index = nv_to.index
-    return IntMatrix.from_entries(
-        len(nv_to), len(nv_from),
-        ((index[homology_face(G, t, 0)], j, 1) for j, t in enumerate(nv_from.tuples)))
+    faces = face_table(G, n + 1)
+    return IntMatrix.from_entries(len(nerve(G, n)), len(faces),
+                                  ((f[0], j, 1) for j, f in enumerate(faces)))
 
 
 class GModule:

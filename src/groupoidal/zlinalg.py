@@ -263,6 +263,24 @@ class IntMatrix:
             out.append(acc if all(acc.values()) else {j: v for j, v in acc.items() if v})
         return IntMatrix._of_row_dicts(self.rows, other.cols, out)
 
+    def sum_columns(self, to: Sequence[int], cols: int) -> "IntMatrix":
+        """self * T for the len(to) x cols matrix T with rows e_{to[k]}:
+        column k is added into column to[k], in time linear in the nonzeros."""
+        if len(to) != self.cols or min(to, default=0) < 0 or max(to, default=-1) >= cols:
+            raise DimensionMismatch(f"sum {self.cols} columns through a map into {cols}")
+        rows = [{to[k]: v for k, v in row.items()} for row in self._row_dicts]
+        if sum(map(len, rows)) < sum(map(len, self._row_dicts)):  # two columns met: add them
+            return IntMatrix.from_entries(self.rows, cols,
+                                          ((i, to[k], v) for i, k, v in self.entries()))
+        return IntMatrix._of_row_dicts(self.rows, cols, rows)
+
+    def rows_at(self, at: Sequence[int]) -> "IntMatrix":
+        """S * self for the len(at) x rows matrix S with rows e_{at[i]}: row
+        i is row at[i] of self (shared, as no matrix is modified)."""
+        if min(at, default=0) < 0 or max(at, default=-1) >= self.rows:
+            raise DimensionMismatch(f"pick rows outside 0..{self.rows - 1}")
+        return IntMatrix._of_row_dicts(len(at), self.cols, [self._row_dicts[i] for i in at])
+
     def apply(self, vec: Sequence[int]) -> list:
         if len(vec) != self.cols:
             raise DimensionMismatch(f"apply {self.shape} to vector of length {len(vec)}")

@@ -14,8 +14,10 @@ strings.
 import functools
 
 from groupoidal.cohomology import BlockSpace, cochain_complex
-from groupoidal.groupoids import Budget, Nerve, homology_face, nerve
+from groupoidal.groupoids import Budget, Nerve, nerve
 from groupoidal.zlinalg import ChainComplex, IntMatrix
+
+from oracles import homology_face
 
 
 @functools.lru_cache(maxsize=None)

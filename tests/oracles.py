@@ -8,6 +8,10 @@ pair of its groupoid.  `full_scan_pivot` only reads an engine's
 state, to check the pivot the engine picks.  `lattice_kernel_group` is
 the exception: a second route to kernel groups, by lattices on the
 engine's transform read-outs, against which the mapping cone is checked.
+`theta_rho_by_products` states the comparison identities of
+`theta_rho_check` as plain matrix products of selection matrices, and
+`homology_face` computes a face as a string, against which the index
+arithmetic of `groupoids.face_table` is checked.
 """
 
 from fractions import Fraction
@@ -359,3 +363,40 @@ def lattice_kernel_group(map_matrix, source_orders, target_orders):
         raise LinAlgError("induced map is not well defined on the quotient")
     facs = invariant_factors(rel)
     return FgAbGroup.from_invariant_factors(facs, free_rank=basis.cols - len(facs))
+
+
+def selection_matrix(coords, cols):
+    """The len(coords) x cols matrix whose row i holds one 1, in column
+    coords[i]."""
+    return IntMatrix.from_entries(len(coords), cols, ((i, j, 1) for i, j in enumerate(coords)))
+
+
+def theta_rho_by_products(thetas, rhos, cocycle_ds, hom_ds):
+    """The failures of rho*theta = id and theta*rho = id in every degree of
+    `thetas` and `rhos` (matrices), and of delta_c o theta = theta o delta
+    in the degrees of the deltas, by matrix products, in the order
+    `theta_rho_check` reports them."""
+    failures = []
+    for n, (theta, rho) in enumerate(zip(thetas, rhos)):
+        if rho * theta != IntMatrix.identity(theta.cols):
+            failures.append((n, "rho*theta != id"))
+        if theta * rho != IntMatrix.identity(theta.rows):
+            failures.append((n, "theta*rho != id"))
+        if n < len(cocycle_ds) and cocycle_ds[n] * theta != thetas[n + 1] * hom_ds[n]:
+            failures.append((n, "delta_c o theta != theta o delta"))
+    return failures
+
+
+def homology_face(G, t, i):
+    """Face i of a composable n-string t, 0 <= i <= n, in every degree n >= 1:
+    face 0 drops the first arrow, face n the last, and face i composes
+    g_{i-1} g_i.  A 0-string is a unit, so the faces of (g,) are (src g,)
+    and (rng g,)."""
+    n = len(t)
+    if n == 1:
+        return ((G.src, G.rng)[i][t[0]],)
+    if i == 0:
+        return t[1:]
+    if i == n:
+        return t[:-1]
+    return t[:i - 1] + (G.comp[(t[i - 1], t[i])],) + t[i + 1:]

@@ -16,11 +16,13 @@ from groupoidal.models import (action_groupoid, constant_functor,
                                inclusion_functor_left, permutation_module,
                                random_groupoid, random_module, sign_module,
                                space_groupoid)
-from groupoidal.zlinalg import FgAbGroup, IntMatrix, invariant_factors, kernel_basis
+from groupoidal.zlinalg import (ChainComplex, DimensionMismatch, FgAbGroup, IntMatrix,
+                                kernel_basis)
 
 from isotropy_models import random_orbit_groupoid
 from oracles import (betti_over_field_cochain, complex_betti, group_cochain_deltas,
-                     modp_rank, orbit_count, rational_rank)
+                     modp_rank, orbit_count, rational_rank, selection_matrix,
+                     theta_rho_by_products)
 
 Z = FgAbGroup.free(1)
 ZERO = FgAbGroup.trivial()
@@ -353,30 +355,65 @@ def test_theta_rho_check_names_the_degree_of_a_wrong_hom_delta(degree, monkeypat
 
 @pytest.mark.parametrize("n_max", [0, 1, 2])
 def test_theta_rho_check_names_a_non_invertible_theta_one_degree_up(n_max, monkeypatch):
-    # theta' = theta (I + x y^T) with y^T delta_h = 0 still satisfies
-    # delta_c theta = theta' delta_h in degree n_max, but det(I + x y^T) =
-    # 1 + y_k >= 2, so theta' is not invertible over Z in degree n_max + 1
+    # theta in degree n_max + 1 sends its last coordinate where it sends its
+    # first, so it is not a bijection; the check must report exactly what
+    # the products of the same selection matrices report
     G, M = _orbit_instance()
-    d = hom_coboundary_matrix(G, M, n_max)
-    y = kernel_basis(d.transpose()).column_list()[0]
-    if max(y) <= 0:
-        y = [-v for v in y]
-    k = y.index(max(y))
-    P = IntMatrix.identity(d.rows) + IntMatrix.from_entries(
-        d.rows, d.rows, [(k, j, v) for j, v in enumerate(y) if v])
-    assert invariant_factors(P) != [1] * d.rows
-    thetas = []  # built in degrees 0 .. n_max + 1
+    cocycle_ds = [cocycle_coboundary_matrix(G, M, n) for n in range(n_max + 1)]
+    hom_ds = [hom_coboundary_matrix(G, M, n) for n in range(n_max + 1)]
+    maps = {"theta": [], "rho": []}  # (coordinate map, columns) per degree
     homs = _spaces_built_by(monkeypatch)
 
-    def skewed(cod, dom, _build=cohomology._relabel):
-        if id(dom) not in homs:  # rho, out of the cocycle model
-            return _build(cod, dom)
-        thetas.append(_build(cod, dom))
-        return thetas[-1] * P if len(thetas) == n_max + 2 else thetas[-1]
-    monkeypatch.setattr(cohomology, "_relabel", skewed)
+    def skewed(cod, dom, key_map=None, _build=cohomology.relabel_coords):
+        coords = _build(cod, dom, key_map)
+        built = maps["theta" if id(dom) in homs else "rho"]
+        if built is maps["theta"] and len(built) == n_max + 1:
+            coords = coords[:-1] + coords[:1]
+        built.append((coords, dom.total))
+        return coords
+    monkeypatch.setattr(cohomology, "relabel_coords", skewed)
     rep = theta_rho_check(G, M, n_max)
-    assert len(thetas) == n_max + 2
-    assert rep.failures == [(n_max + 1, "rho*theta != id"), (n_max + 1, "theta*rho != id")]
+    assert [len(maps[k]) for k in maps] == [n_max + 2, n_max + 2]
+    thetas, rhos = ([selection_matrix(*m) for m in maps[k]] for k in ("theta", "rho"))
+    assert rep.failures == theta_rho_by_products(thetas, rhos, cocycle_ds, hom_ds)
+    assert {(n_max + 1, "rho*theta != id"), (n_max + 1, "theta*rho != id")} <= set(rep.failures)
+    assert all(n >= n_max for n, _ in rep.failures)
+
+
+def test_relabelling_refuses_a_block_of_another_rank():
+    # block (0,) of cod has rank 2 where the block it copies has rank 1:
+    # copying it would read the first coordinate of dom's next block
+    cod = cohomology.BlockSpace([(0,), (1,)], [2, 1])
+    dom = cohomology.BlockSpace([(0,), (1,)], [1, 2])
+    swap = lambda k: (1 - k[0],)  # noqa: E731
+    for build in (cohomology.relabel_coords, cohomology.relabel_matrix):
+        with pytest.raises(DimensionMismatch):
+            build(cod, dom)
+        with pytest.raises(DimensionMismatch):
+            build(cod, cod, swap)
+    assert cohomology.relabel_coords(cod, dom, swap) == [1, 2, 0]
+    assert cohomology.relabel_matrix(cod, dom, swap) == selection_matrix([1, 2, 0], 3)
+
+
+def test_theta_rho_check_multiplies_only_adjacent_differentials(monkeypatch):
+    # theta and rho are coordinate maps, so the only products left are the
+    # d o d checks of the complexes the check builds: both full models
+    # (three deltas and the zero map into C^0 each) and the isotropy route
+    G, M = _orbit_instance()
+    products, pairs = [], []
+
+    def counting_mul(a, b, _mul=IntMatrix.__mul__):
+        products.append((a.shape, b.shape))
+        return _mul(a, b)
+
+    def counting_init(self, ds, step, _init=ChainComplex.__init__):
+        _init(self, ds, step)
+        pairs.append(self.top + 1)  # the adjacent pairs of its differentials
+    monkeypatch.setattr(IntMatrix, "__mul__", counting_mul)
+    monkeypatch.setattr(ChainComplex, "__init__", counting_init)
+    assert theta_rho_check(G, M, 2).ok
+    assert pairs[:2] == [3, 3] and len(pairs) == 3
+    assert len(products) == sum(pairs)
 
 
 def test_theta_rho_check_compares_with_the_isotropy_route(monkeypatch):

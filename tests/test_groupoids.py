@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from groupoidal.groupoids import (DegreeTooLarge, FiniteGroupoid, GModule,
                                   bar_boundary_matrix_b, boundary_matrix_d,
-                                  coinvariants_collapse, nerve, require_module_work,
-                                  require_nerve_work, validate_groupoid, validate_module)
+                                  coinvariants_collapse, face_table, nerve,
+                                  require_module_work, require_nerve_work,
+                                  validate_groupoid, validate_module)
 from groupoidal.models import (action_groupoid, constant_module, cyclic_table,
                                disjoint_union, full_pair_groupoid,
                                group_groupoid, random_groupoid, random_module,
@@ -16,7 +17,7 @@ from groupoidal.zlinalg import (IntMatrix, homology_at, invariant_factors,
                                 rank)
 
 from normalized import normalized_nerve, require_normalized_work
-from oracles import det
+from oracles import det, homology_face
 
 
 def zoo():
@@ -320,3 +321,17 @@ def test_validate_random_modules():
         G = random_groupoid(rng)
         M = random_module(G, rng)
         assert validate_module(G, M).ok
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_face_table_indexes_the_faces_of_every_string(seed):
+    G = random_groupoid(random.Random(seed))
+    for n in range(1, 5):
+        below, faces = nerve(G, n - 1).index, face_table(G, n)
+        assert len(faces) == len(nerve(G, n))
+        for t, f in zip(nerve(G, n).tuples, faces):
+            assert f == tuple(below[homology_face(G, t, i)] for i in range(n + 1))
+        assert face_table(G, n) is faces  # cached next to the nerve
+    with pytest.raises(ValueError):
+        face_table(G, 0)

@@ -16,7 +16,7 @@ import pytest
 
 from groupoidal.cohomology import (cochain_complex, cochain_space, cocycle_cohomology,
                                    hom_side_cohomology, hom_space)
-from groupoidal.groupoids import boundary_matrix_d, homology_face, nerve
+from groupoidal.groupoids import boundary_matrix_d, nerve
 from groupoidal.homology import homology_groups, nerve_complex
 from groupoidal.models import (action_groupoid, constant_module, cyclic_table,
                                disjoint_union, full_pair_groupoid, group_groupoid,
@@ -28,7 +28,7 @@ from isotropy_models import random_orbit_groupoid
 from normalized import (normalized_boundary, normalized_cochain_groups,
                         normalized_cochain_space, normalized_complex, normalized_hom_space,
                         normalized_nerve)
-from oracles import modp_rank
+from oracles import homology_face, modp_rank
 
 TOP = 3  # chain and cochain degrees 0..TOP
 

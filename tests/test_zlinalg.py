@@ -16,7 +16,7 @@ from groupoidal.zlinalg import (BadModulus, ChainComplex, CompositionNonzero,
                                 rank, snf)
 
 from oracles import (det, lattice_kernel_group, modp_rank, orders_normal_form,
-                     rational_rank)
+                     rational_rank, selection_matrix)
 
 
 def _contains(A, B):
@@ -95,6 +95,34 @@ def test_homology_guards():
         homology_at(IntMatrix.zeros(1, 2), IntMatrix.zeros(3, 1))
     with pytest.raises(CompositionNonzero):
         homology_at(IntMatrix.identity(2), IntMatrix.identity(2))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_column_sums_and_row_picks_are_products_with_selection_matrices(seed):
+    # random sparse A and random maps, not injective or not onto as they fall
+    rng = random.Random(seed)
+    rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+    A = IntMatrix.from_entries(rows, cols, [
+        (rng.randrange(rows), rng.randrange(cols), rng.randint(-3, 3))
+        for _ in range(rng.randint(0, rows * cols))])
+    width = rng.randint(1 if cols else 0, 6)
+    to = [rng.randrange(width) for _ in range(cols)]
+    at = [rng.randrange(rows) for _ in range(rng.randint(0, 6))] if rows else []
+    assert A.sum_columns(to, width) == A * selection_matrix(to, width)
+    assert A.rows_at(at) == selection_matrix(at, rows) * A
+
+
+def test_column_sums_and_row_picks_refuse_a_map_out_of_range():
+    A = IntMatrix.from_rows([[1, 2], [3, 4]])
+    for to, width in (([0], 2), ([0, 2], 2), ([0, -1], 2), ([0, 0, 0], 1)):
+        with pytest.raises(DimensionMismatch):
+            A.sum_columns(to, width)
+    for at in ([2], [-1], [0, 5]):
+        with pytest.raises(DimensionMismatch):
+            A.rows_at(at)
+    assert A.sum_columns([0, 0], 1) == IntMatrix.from_rows([[3], [7]])
+    assert A.rows_at([1, 1]) == IntMatrix.from_rows([[3, 4], [3, 4]])
 
 
 def test_uct_examples():
