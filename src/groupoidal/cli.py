@@ -55,6 +55,8 @@ def _load_json(path: str) -> dict:
         raise ParseError(f"{path}: line {e.lineno}: {e.msg}")
     except ValueError as e:  # not UTF-8, or an integer of too many digits to convert
         raise ParseError(f"{path}: {e}")
+    except RecursionError:
+        raise ParseError(f"{path}: nested too deeply")
 
 
 def _field(doc: dict, name: str, path: str):
@@ -165,7 +167,10 @@ def _parse_explicit(doc: dict, path: str) -> FiniteGroupoid:
         if not (isinstance(t, list) and len(t) == 3
                 and all(_is_int(v) and 0 <= v < n for v in t)):
             raise ParseError(f"{path}: malformed compose triple {t}")
-        comp[(t[0], t[1])] = t[2]
+        gh = comp.setdefault((t[0], t[1]), t[2])
+        if gh != t[2]:
+            raise ParseError(f"{path}: compose lists the pair ({t[0]}, {t[1]}) "
+                             f"twice, as {gh} and {t[2]}")
     G = FiniteGroupoid(src, rng, comp, inv, units)
     rep = validate_groupoid(G)
     if not rep.ok:

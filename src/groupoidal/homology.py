@@ -7,7 +7,8 @@ Moerdijk), on A_* (x)_H Z for the Morse resolution A_* of each group
 (`resolution`): S3 has 1, 2, 3, 5, 9, 17, ... cells in degrees 0, 1, 2,
 ..., where G's nerve has 6^n strings and the normalized bar complex 5^n,
 and Z/n has one cell in every degree.  No nerve of G or H is built, so
-at the default cap S3 and D4 answer to degree 8, A4 to 6 and Z/5 to 12.
+at the default cap S3 answers to degree 8, A4 to 6 and Z/5 to 12; D4 to
+6, 7 or 9, as the labelling of its Cayley table picks its generators.
 Induced maps of groupoid homomorphisms are computed on explicit
 presentations of the full complexes, as is the skew LES, because the
 statements they check are about the full nerve bases.

@@ -10,21 +10,22 @@ overflow.  IntMatrix is sparse, one {column: value} dict per row with no
 stored zeros, and this module alone knows that format: builders elsewhere
 emit (row, column, value) entries, or rows of {column: value} through
 `IntMatrix.from_row_dicts`.  The elimination engine starts from a
-copy of the row dicts and keeps U, V and V^-1 in the same form, which is
-what makes the large-but-very-sparse boundary matrices cheap.  U^-1 is
-never formed: the engine logs its row operations and replays them where
-U^-1 is applied (see _Smith).
+copy of the row dicts, which is what makes the large-but-very-sparse
+boundary matrices cheap.  It tracks no transform: it logs its row
+operations and its column operations, in order, and U, U^-1, V and V^-1
+are replays of the two logs, run only where they are read, on identity
+vectors or on the matrix they multiply (see _Smith).
 
 Read-out works on whole matrices.  A LinearSystem solves A*X = B for all
-columns of B at once (the row-operation log replayed on a copy of B, a
+columns of B at once (the row log replayed on a copy of B, a
 divisibility check, one product with V^-1), and a
 ChainHomologyPresentation turns every column of M into canonical homology
-coordinates at once (one product with V, a cycle check, one product with
-the rows of the relation transform's U^-1 that it reads out of the log).
-The one-vector `solve` and `coords` are their one-column cases.  A
-ChainComplex holds one engine per differential for its presentations,
-tracking the union of the transforms they read off it, so each
-differential is factored once however many degrees read it.
+coordinates at once (V * M, the column log replayed on a copy of M, a
+cycle check, one product with the rows of the relation transform's U^-1
+that it reads out of the row log).  The one-vector `solve` and `coords`
+are their one-column cases.  A ChainComplex holds one engine per
+differential for its presentations, so each differential is factored
+once however many degrees read it.
 
 Pivot rule: step t of the elimination takes the nonzero of the active block
 (rows and columns >= t) with the least key (|v|, Markowitz cost, row,
@@ -146,13 +147,12 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
-        rows = len(data)
-        if rows == 0:
-            if cols is None:
-                cols = 0
-            return cls(0, cols)
-        width = len(data[0])
-        return cls(rows, width, data)
+        """Matrix with rows data, each of length cols; without cols, of the
+        length of the first row, or 0 when there is none.  A row of another
+        length raises DimensionMismatch."""
+        if cols is None:
+            cols = len(data[0]) if data else 0
+        return cls(len(data), cols, data)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -306,24 +306,26 @@ def _round_div(a: int, b: int) -> int:
     return q
 
 
-def _sparse_add(target: dict, source: dict, q: int):
-    """target += q * source, for sparse vectors that hold no zeros."""
-    for k, v in source.items():
-        new = target.get(k, 0) + q * v
-        if new:
-            target[k] = new
-        else:
-            target.pop(k, None)
-
-
-def _replay(ops: Iterable[tuple], vecs: list) -> list:
-    """Apply logged row operations, in order, to the sparse vectors vecs in
+def _replay(ops: Iterable[tuple], vecs: list, flip: int = 0) -> list:
+    """Apply logged operations, in order, to the sparse vectors vecs in
     place: (i, j, q) adds q * vecs[j] to vecs[i], (i, j) swaps them and
-    (i,) negates vecs[i]."""
+    (i,) negates vecs[i].  With flip = +-1 an add (i, j, q) is read
+    transposed, as adding flip * q * vecs[i] to vecs[j]; a swap and a
+    negation are their own transposes."""
     for op in ops:
         if len(op) == 3:
-            i, j, q = op
-            _sparse_add(vecs[i], vecs[j], q)
+            if flip:
+                j, i, q = op
+                q *= flip
+            else:
+                i, j, q = op
+            target = vecs[i]
+            for k, v in vecs[j].items():
+                new = target.get(k, 0) + q * v
+                if new:
+                    target[k] = new
+                else:
+                    target.pop(k, None)
         elif len(op) == 2:
             i, j = op
             vecs[i], vecs[j] = vecs[j], vecs[i]
@@ -336,16 +338,21 @@ def _replay(ops: Iterable[tuple], vecs: list) -> list:
 class _Smith:
     """Sparse Smith normal form engine.
 
-    Maintains A = U * S * V while S is reduced in place.  Of the factors
-    named in `need` ("U", "Uinv", "V", "Vinv"), U, V and Vinv are tracked
-    as matrices, U and Vinv column-major and V row-major, so kernels read
-    straight out of the sparse dictionaries.  Uinv is never built: with
-    "Uinv" the engine logs each row operation on S in order (add q * row j
-    to row i, swap two rows, negate a row), and Uinv is their product,
-    replayed on whatever it is applied to (`uinv_times`, `uinv_rows`).  A
-    tracked Uinv fills towards a dense triangle on matrices such as
-    id - P for a long cycle, while its applications stay sparse (the
-    product form of the inverse, Dantzig and Orchard-Hays 1954).
+    Reduces S = A in place to U^-1 * A * V^-1, its Smith normal form, and
+    logs every operation it applies on the way, in order: `row_ops` holds
+    (i, j, q) for "add q * row j to row i", (i, j) for a row swap and (i,)
+    for a negation, and `col_ops` holds (j, k, q) for "add q * col k to
+    col j" and (j, k) for a column swap.  No transform is tracked during
+    the elimination: for the row operations E and the column operations
+    F, U^-1 = E_last * ... * E_first and V^-1 = F_first * ... * F_last,
+    and every transform is a replay of one log (`_replay`), run when read:
+    U^-1 on whatever it is applied to (`uinv_times`, `uinv_rows`), V on
+    the matrix it multiplies (`v_times`), and the columns of U and V^-1 on
+    identity vectors, once per engine and shared with every reader, which
+    must not modify them (`u_cols`, `vinv_cols`).  A U^-1 tracked as a
+    matrix fills towards a dense triangle on matrices such as id - P for a
+    long cycle, while its applications stay sparse (the product form of
+    the inverse, Dantzig and Orchard-Hays 1954).
 
     Pivot rule: step t takes the least key (|v|, (len(row) - 1) *
     (len(col) - 1), i, j) over the nonzeros v = S[i][j] with i, j >= t.
@@ -366,25 +373,23 @@ class _Smith:
     the diagonal alone is canonical.
     """
 
-    def __init__(self, A: IntMatrix, need: Iterable[str] = ()):
+    def __init__(self, A: IntMatrix):
         self.m, self.n = A.rows, A.cols
         self.rows = [dict(row) for row in A._row_dicts]
         self.colidx = [set() for _ in range(self.n)]
         for i, row in enumerate(self.rows):
             for j in row:
                 self.colidx[j].add(i)
-        need = set(need)
-        self.U_cols = [{i: 1} for i in range(self.m)] if "U" in need else None
-        self.row_ops = [] if "Uinv" in need else None
-        self.V_rows = [{j: 1} for j in range(self.n)] if "V" in need else None
-        self.Vinv_cols = [{j: 1} for j in range(self.n)] if "Vinv" in need else None
+        self.row_ops = []
+        self.col_ops = []
+        self._u_cols = self._vinv_cols = None  # built on first read
         self.rank = 0
         self._best = [None] * self.n
         self._heap = []
         self._dirty = set(range(self.n))
         self._reduce()
 
-    # -- elementary operations; each keeps A = U S V true ------------------
+    # -- elementary operations on S, each logged ---------------------------
 
     def _row_add(self, i: int, j: int, q: int):
         # S: row_i += q * row_j
@@ -399,10 +404,7 @@ class _Smith:
             else:
                 ri.pop(col, None)
                 self.colidx[col].discard(i)
-        if self.U_cols is not None:  # U: col_j -= q * col_i
-            _sparse_add(self.U_cols[j], self.U_cols[i], -q)
-        if self.row_ops is not None:
-            self.row_ops.append((i, j, q))
+        self.row_ops.append((i, j, q))
 
     def _row_swap(self, i: int, j: int):
         if i == j:
@@ -420,17 +422,11 @@ class _Smith:
                     s.discard(j)
                     s.add(i)
         self.rows[i], self.rows[j] = self.rows[j], self.rows[i]
-        if self.U_cols is not None:
-            self.U_cols[i], self.U_cols[j] = self.U_cols[j], self.U_cols[i]
-        if self.row_ops is not None:
-            self.row_ops.append((i, j))
+        self.row_ops.append((i, j))
 
     def _row_neg(self, i: int):
         self.rows[i] = {k: -v for k, v in self.rows[i].items()}
-        if self.U_cols is not None:
-            self.U_cols[i] = {k: -v for k, v in self.U_cols[i].items()}
-        if self.row_ops is not None:
-            self.row_ops.append((i,))
+        self.row_ops.append((i,))
 
     def _col_add(self, j: int, k: int, q: int):
         # S: col_j += q * col_k
@@ -449,10 +445,7 @@ class _Smith:
                 del ri[j]
                 colj.discard(i)
                 dirty.update(ri)
-        if self.V_rows is not None:  # V: row_k -= q * row_j
-            _sparse_add(self.V_rows[k], self.V_rows[j], -q)
-        if self.Vinv_cols is not None:  # Vinv: col_j += q * col_k
-            _sparse_add(self.Vinv_cols[j], self.Vinv_cols[k], q)
+        self.col_ops.append((j, k, q))
 
     def _col_swap(self, j: int, k: int):
         if j == k:
@@ -466,10 +459,7 @@ class _Smith:
             if vj is not None:
                 ri[k] = vj
         self.colidx[j], self.colidx[k] = self.colidx[k], self.colidx[j]
-        if self.V_rows is not None:
-            self.V_rows[j], self.V_rows[k] = self.V_rows[k], self.V_rows[j]
-        if self.Vinv_cols is not None:
-            self.Vinv_cols[j], self.Vinv_cols[k] = self.Vinv_cols[k], self.Vinv_cols[j]
+        self.col_ops.append((j, k))
 
     # -- reduction ---------------------------------------------------------
 
@@ -600,48 +590,44 @@ class _Smith:
     def diagonal(self) -> list:
         return [self.rows[i][i] for i in range(self.rank)]
 
-    # the transform read-outs share the engine's dicts, which hold no zeros
-    # and are not modified once the reduction is done
+    def u_cols(self) -> list:
+        """The columns of U = E_first^-1 * ... * E_last^-1: the row log
+        replayed on identity columns, each add transposed and negated."""
+        if self._u_cols is None:
+            self._u_cols = _replay(self.row_ops, [{i: 1} for i in range(self.m)], -1)
+        return self._u_cols
 
-    def s_matrix(self) -> IntMatrix:
-        return IntMatrix.from_entries(self.m, self.n,
-                                      ((i, i, d) for i, d in enumerate(self.diagonal())))
+    def vinv_cols(self) -> list:
+        """The columns of V^-1: the column log replayed on identity columns."""
+        if self._vinv_cols is None:
+            self._vinv_cols = _replay(self.col_ops, [{j: 1} for j in range(self.n)])
+        return self._vinv_cols
 
-    def u_matrix(self) -> IntMatrix:
-        return IntMatrix._of_col_dicts(self.m, self.U_cols)
+    def v_times(self, M: IntMatrix) -> IntMatrix:
+        """V * M = F_last^-1 * ... * F_first^-1 * M: the column log replayed,
+        each add transposed and negated, on a copy of the rows of M."""
+        rows = _replay(self.col_ops, [dict(row) for row in M._row_dicts], -1)
+        return IntMatrix._of_row_dicts(self.n, M.cols, rows)
 
     def uinv_times(self, B: IntMatrix) -> IntMatrix:
-        """U^-1 * B: the logged row operations replayed, in order, on a copy
-        of the rows of B."""
+        """U^-1 * B: the row log replayed, in order, on a copy of the rows
+        of B."""
         rows = _replay(self.row_ops, [dict(row) for row in B._row_dicts])
         return IntMatrix._of_row_dicts(self.m, B.cols, rows)
 
     def uinv_rows(self, which: Sequence[int]) -> IntMatrix:
-        """The rows `which` of U^-1.  They are e^T * E_last * ... * E_first
-        for the logged operations E, so the transposed operations are
-        replayed, last first, on the columns of those rows; the cost follows
-        their fill, not m^2."""
+        """The rows `which` of U^-1.  They are e^T * E_last * ... * E_first,
+        so the row log is replayed transposed, last first, on the columns
+        of those rows; the cost follows their fill, not m^2."""
         cols = [{} for _ in range(self.m)]
         for r, i in enumerate(which):
             cols[i][r] = 1
-        # R * (I + q e_i e_j^T) adds q * column i of R to its column j
-        _replay((op if len(op) < 3 else (op[1], op[0], op[2]) for op in reversed(self.row_ops)),
-                cols)
-        return IntMatrix._of_col_dicts(len(which), cols)
-
-    def uinv_matrix(self) -> IntMatrix:
-        return self.uinv_times(IntMatrix.identity(self.m))
-
-    def v_matrix(self) -> IntMatrix:
-        return IntMatrix._of_row_dicts(self.n, self.n, self.V_rows)
-
-    def vinv_matrix(self) -> IntMatrix:
-        return IntMatrix._of_col_dicts(self.n, self.Vinv_cols)
+        return IntMatrix._of_col_dicts(len(which), _replay(reversed(self.row_ops), cols, 1))
 
     def kernel_matrix(self) -> IntMatrix:
-        """The columns rank.. of Vinv, each with its first nonzero made positive."""
+        """The columns rank.. of V^-1, each with its first nonzero made positive."""
         return IntMatrix._of_col_dicts(
-            self.n, [_normalize_column_sign(col) for col in self.Vinv_cols[self.rank:]])
+            self.n, [_normalize_column_sign(col) for col in self.vinv_cols()[self.rank:]])
 
 
 @dataclass(frozen=True)
@@ -664,9 +650,13 @@ class SnfDecomposition:
 
 def snf(A: IntMatrix) -> SnfDecomposition:
     """Smith normal form A = U*S*V; S nonnegative diagonal, d_i | d_{i+1}."""
-    eng = _Smith(A, need=("U", "Uinv", "V", "Vinv"))
-    return SnfDecomposition(eng.u_matrix(), eng.s_matrix(), eng.v_matrix(),
-                            eng.uinv_matrix(), eng.vinv_matrix())
+    eng = _Smith(A)
+    m, n = A.shape
+    return SnfDecomposition(
+        IntMatrix._of_col_dicts(m, eng.u_cols()),
+        IntMatrix.from_entries(m, n, ((i, i, d) for i, d in enumerate(eng.diagonal()))),
+        eng.v_times(IntMatrix.identity(n)), eng.uinv_times(IntMatrix.identity(m)),
+        IntMatrix._of_col_dicts(n, eng.vinv_cols()))
 
 
 def _has_unit(row: dict) -> bool:
@@ -756,36 +746,34 @@ def _normalize_column_sign(col: dict) -> dict:
 
 def kernel_basis(A: IntMatrix) -> IntMatrix:
     """Basis of the saturated integer kernel lattice, as matrix columns."""
-    return _Smith(A, need=("Vinv",)).kernel_matrix()
+    return _Smith(A).kernel_matrix()
 
 
 def image_basis(A: IntMatrix) -> IntMatrix:
     """Basis of the image lattice of A (not saturated), as matrix columns.
 
     With A = U*S*V the image is spanned by the columns U[:, j] * d_j for
-    j < rank, read straight off the factorization.  The pivot order does
-    not depend on which transforms are tracked, so these are the first
-    rank columns of snf(A).U * snf(A).S.
+    j < rank, read off the factorization: these are the first rank
+    columns of snf(A).U * snf(A).S.
     """
-    eng = _Smith(A, need=("U",))
+    eng = _Smith(A)
     return IntMatrix._of_col_dicts(
-        eng.m, [{i: d * v for i, v in eng.U_cols[j].items()}
-                for j, d in enumerate(eng.diagonal())])
+        eng.m, [{i: d * v for i, v in col.items()}
+                for col, d in zip(eng.u_cols(), eng.diagonal())])
 
 
 class LinearSystem:
     """Factorization of A reusable for many exact solves of A*X = B.
 
-    It keeps V^-1 and the log of the engine's row operations, which each
-    solve replays on its right-hand sides in place of a product with U^-1.
-    The pivot order does not depend on which transforms are tracked, so
-    `kernel()` equals kernel_basis(A) and `diagonal()` equals
-    invariant_factors(A).
+    It keeps the engine, whose row-operation log each solve replays on its
+    right-hand sides in place of a product with U^-1, and the first rank
+    columns of V^-1.  `kernel()` equals kernel_basis(A) and `diagonal()`
+    equals invariant_factors(A).
     """
 
     def __init__(self, A: IntMatrix):
-        eng = self._eng = _Smith(A, need=("Uinv", "Vinv"))
-        self._vinv_head = IntMatrix._of_col_dicts(eng.n, eng.Vinv_cols[:eng.rank])
+        eng = self._eng = _Smith(A)
+        self._vinv_head = IntMatrix._of_col_dicts(eng.n, eng.vinv_cols()[:eng.rank])
 
     @property
     def rank(self) -> int:
@@ -806,6 +794,8 @@ class LinearSystem:
         in row i < rank; then X = V^-1[:, :rank] * (W / d).
         """
         eng = self._eng
+        if B.rows != eng.m:
+            raise DimensionMismatch(f"solve {eng.m}-row A * X = B for a {B.rows}-row B")
         w_rows = eng.uinv_times(B)._row_dicts
         if any(w_rows[eng.rank:]):
             return None
@@ -921,14 +911,13 @@ class ChainComplex:
     nonzero composite raises CompositionNonzero naming its degree.
 
     `presentation` reads each differential off one shared engine, built on
-    first use: V and V^-1 are tracked where the differential leaves a
-    degree 0 .. top, and U and U^-1 where the differential above it is
-    zero, since then V = I and the differential itself is the relation
-    matrix of the degree above.  The pivot order, and with it U, V and the
-    row-operation log, does not depend on which transforms are tracked, so
-    every presentation equals the one from engines of its own.  An engine
-    is dropped once every presentation that reads it has been built, so a
-    repeated call factors again.
+    first use: V and V^-1 where the differential leaves a degree 0 .. top,
+    and U and U^-1 where the differential above it is zero, since then
+    V = I and the differential itself is the relation matrix of the degree
+    above.  Each transform is a replay of the engine's row or column log,
+    so every presentation equals the one from engines of its own.  The
+    complex drops an engine once every presentation that reads it has been
+    built, so a repeated call factors again.
     """
 
     def __init__(self, ds: Sequence[IntMatrix], step: int):
@@ -964,9 +953,7 @@ class ChainComplex:
 
     def _engine(self, j: int) -> _Smith:
         if j not in self._engines:
-            readers = self._readers(j)
-            self._engines[j] = _Smith(self._ds[j], (("V", "Vinv") if j in readers else ())
-                                      + (("U", "Uinv") if j - 1 in readers else ()))
+            self._engines[j] = _Smith(self._ds[j])
         return self._engines[j]
 
     def presentation(self, n: int) -> "ChainHomologyPresentation":
@@ -1018,26 +1005,28 @@ class ChainHomologyPresentation:
     vectors and induced maps of chain maps can be computed exactly.  The
     pair must be composable with d_out * d_in = 0; build it through
     ChainComplex.presentation, which has checked that and hands it the
-    complex's engines: `engine(0)`, d_out's, tracks V and V^-1, and
-    `engine(1)`, d_in's, tracks U and U^-1 when d_out is zero.  Only a
+    complex's engines: V and V^-1 are read off `engine(0)`, d_out's, and
+    U and U^-1 off `engine(1)`, d_in's, when d_out is zero.  Only a
     nonzero d_out needs a relation matrix V[rank:] * d_in factored here.
+    The presentation keeps d_out's column log, not its engine, and replays
+    it for V * M.
     """
 
     def __init__(self, d_out: IntMatrix, d_in: IntMatrix, engine: Callable[[int], _Smith]):
         self.ambient = d_out.cols
         eng_out = engine(0)
         r = self._out_rank = eng_out.rank
+        self._v_log = eng_out.col_ops  # y = V x, this log replayed; kernel coords are y[rank:]
         k = self.ambient - r
-        self._v = eng_out.v_matrix()  # y = V x; kernel coords are y[rank:]
-        self.cycle_basis = IntMatrix._of_col_dicts(self.ambient, eng_out.Vinv_cols[r:])
+        self.cycle_basis = IntMatrix._of_col_dicts(self.ambient, eng_out.vinv_cols()[r:])
         # relation matrix: kernel coordinates of the boundary columns, rows
         # rank.. of V * d_in.  Rows < rank vanish, so the columns of d_in are
         # cycles: d_out * d_in = U * S * (V * d_in) = 0, and the first rank
         # rows of S are d_i times unit rows.  A zero d_out leaves V = I and
         # the relation matrix d_in itself, whose engine the complex holds.
         if r:
-            rel = IntMatrix._of_row_dicts(k, self.ambient, eng_out.V_rows[r:]) * d_in
-            eng_rel = _Smith(rel, need=("U", "Uinv"))
+            rel = IntMatrix._of_row_dicts(k, d_in.cols, eng_out.v_times(d_in)._row_dicts[r:])
+            eng_rel = _Smith(rel)
         else:
             eng_rel = engine(1)
         diag = eng_rel.diagonal()
@@ -1050,12 +1039,14 @@ class ChainHomologyPresentation:
         self.group = FgAbGroup.from_invariant_factors(diag, free_rank=k - len(diag))
         # generator lifts: ambient cycles realizing each canonical generator
         self.generators = (self.cycle_basis * IntMatrix._of_col_dicts(
-            k, [eng_rel.U_cols[i] for i in canon])).column_list()
+            k, [eng_rel.u_cols()[i] for i in canon])).column_list()
 
     def coords_of(self, M: IntMatrix) -> IntMatrix:
         """Canonical coordinates of the homology classes of the columns of
         M, which must be ambient cycles, as the columns of the result."""
-        y_rows = (self._v * M)._row_dicts
+        if M.rows != self.ambient:
+            raise DimensionMismatch(f"coordinates of {M.rows}-vectors in Z^{self.ambient}")
+        y_rows = _replay(self._v_log, [dict(row) for row in M._row_dicts], -1)  # V * M
         r = self._out_rank
         if any(y_rows[:r]):
             raise LinAlgError("vector is not a cycle")

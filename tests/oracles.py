@@ -5,7 +5,10 @@ Fraction-based Gaussian elimination over Q and from elimination mod p,
 the group (co)homology complexes are rebuilt from scratch with plain
 itertools tuple enumeration, and a module is checked on every composable
 pair of its groupoid.  `full_scan_pivot` only reads an engine's
-state, to check the pivot the engine picks.  `lattice_kernel_group` is
+state, to check the pivot the engine picks, `recording_engine` only
+records which transform read-outs run on each engine, and
+`engine_factors` assembles U, S, V and their inverses from an engine's
+read-outs, for the tests of those read-outs.  `lattice_kernel_group` is
 the exception: a second route to kernel groups, by lattices on the
 engine's transform read-outs, against which the mapping cone is checked.
 `theta_rho_by_products` states the comparison identities of
@@ -17,6 +20,7 @@ arithmetic of `groupoids.face_table` is checked.
 from fractions import Fraction
 from itertools import product
 
+from groupoidal import zlinalg
 from groupoidal.zlinalg import (FgAbGroup, IntMatrix, LinAlgError, LinearSystem,
                                 image_basis, invariant_factors, kernel_basis)
 
@@ -309,6 +313,43 @@ def full_scan_pivot(eng, t):
                 best_key = key
                 best = (i, j)
     return best
+
+
+# the engine's transform read-outs; every read of U, U^-1, V or V^-1 runs one
+TRANSFORM_READOUTS = ("u_cols", "vinv_cols", "v_times", "uinv_times", "uinv_rows")
+
+
+def engine_factors(eng):
+    """The factorization A = U * S * V of a `_Smith` engine, as an
+    `SnfDecomposition`, each factor built from the engine's read-outs."""
+    def from_cols(rows, cols):
+        return IntMatrix.from_entries(rows, len(cols), ((i, j, v) for j, col in enumerate(cols)
+                                                        for i, v in col.items()))
+    m, n = eng.m, eng.n
+    return zlinalg.SnfDecomposition(
+        from_cols(m, eng.u_cols()),
+        IntMatrix.from_entries(m, n, ((i, i, d) for i, d in enumerate(eng.diagonal()))),
+        eng.v_times(IntMatrix.identity(n)), eng.uinv_times(IntMatrix.identity(m)),
+        from_cols(n, eng.vinv_cols()))
+
+
+def recording_engine(built):
+    """A subclass of the elimination engine that appends each engine it
+    builds to `built` and adds, to the engine's set `reads`, the name of
+    every transform read-out run on it."""
+
+    class Recording(zlinalg._Smith):
+        def __init__(self, A):
+            self.reads = set()
+            built.append(self)
+            super().__init__(A)
+
+    for name in TRANSFORM_READOUTS:
+        def read(self, *args, _name=name, _read=getattr(zlinalg._Smith, name)):
+            self.reads.add(_name)
+            return _read(self, *args)
+        setattr(Recording, name, read)
+    return Recording
 
 
 def validate_module_on_all_pairs(G, M):

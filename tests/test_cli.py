@@ -394,6 +394,11 @@ _DENSE_MODULE = {"fibers": {"0": 120}, "action": {"1": _dense_involution()}}
     # a unit listed twice would count as two: H_0 = Z^2 for a point
     (["homology", "MODEL"], {"kind": "explicit", "arrows": 1, "src": [0], "rng": [0],
                              "inv": [0], "units": [0, 0], "compose": [[0, 0, 0]]}, None),
+    # a pair composed twice, with different results: neither may win silently
+    (["homology", "MODEL"], {"kind": "explicit", "arrows": 2, "src": [0, 0], "rng": [0, 0],
+                             "inv": [0, 1], "units": [0],
+                             "compose": [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1],
+                                         [1, 1, 0]]}, None),
 ], ids=["max-degree", "cohomology-max-degree", "coefficients", "odometer-p",
         "odometer-depth", "count", "af-levels", "dimension-levels", "pair-fibers",
         "unit-range", "src-not-unit", "module-fiber-type", "module-action-entry",
@@ -408,7 +413,7 @@ _DENSE_MODULE = {"fibers": {"0": 120}, "action": {"1": _dense_involution()}}
         "pair-fibers-bool", "cocycle-value-float", "coefficients-digits",
         "odometer-model-kind", "module-action-key", "module-fiber-key",
         "module-field", "module-fiber-negative", "cocycle-value-key", "cocycle-field",
-        "unit-duplicate"])
+        "unit-duplicate", "compose-duplicate"])
 def test_known_bad_inputs_exit_2_with_one_error_line(argv, model, aux, tmp_path, capsys,
                                                      request):
     files = {"MODEL": tmp_path / "model.json", "AUX": tmp_path / "aux.json"}
@@ -429,7 +434,8 @@ _NAMED = {"module-action-key": "action has an unknown key '5'",
           "module-fiber-negative": "fibers[0] must be a non-negative integer",
           "cocycle-value-key": "values has an unknown key '9'",
           "cocycle-field": "the cocycle has an unknown key 'potential'",
-          "unit-duplicate": "violated unit-duplicate at (0,)"}
+          "unit-duplicate": "violated unit-duplicate at (0,)",
+          "compose-duplicate": "compose lists the pair (1, 1) twice, as 1 and 0"}
 
 
 @pytest.mark.parametrize("text", [b'{"kind": "pair", "fibers": [' + b"9" * 5000 + b"]}",
@@ -444,6 +450,21 @@ def test_unreadable_model_file_exits_2_with_one_error_line(text, tmp_path, capsy
     assert code == cli.USAGE_ERROR
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, slot", [(["homology", "MODEL"], "MODEL"),
+                                        (_MODULE, "AUX"), (_COCYCLE, "AUX"), (_QUERIES, "AUX")],
+                         ids=["model", "module", "cocycle", "queries"])
+def test_deeply_nested_file_exits_2_with_one_error_line(argv, slot, tmp_path, capsys):
+    # the JSON decoder recurses once per level and would end in a RecursionError
+    files = {"MODEL": tmp_path / "model.json", "AUX": tmp_path / "aux.json"}
+    files["MODEL"].write_text(json.dumps(_UHF2 if "--queries" in argv else _Z2), encoding="utf-8")
+    files[slot].write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    code = cli.main([str(files[a]) if a in files else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == cli.USAGE_ERROR
+    assert captured.out == ""
+    assert captured.err == f"error: ParseError: {files[slot]}: nested too deeply\n"
 
 
 # each would allocate gigabytes if built; the child's address space is

@@ -181,20 +181,16 @@ def test_odometer_connecting_maps(p, depth):
 
 
 def test_odometer_factors_each_id_minus_p_once():
-    # H_0 reads id - P as its relation matrix (d_0 is zero) and H_1 as its
-    # d_out: one engine of the depth's complex serves both
+    # H_0 reads id - P as its relation matrix (d_0 is zero), U and U^-1,
+    # and H_1 as its d_out, V and V^-1: one engine of the depth's complex
+    # serves both
     from groupoidal import zlinalg
-    factored = []
-
-    class Recording(zlinalg._Smith):
-        def __init__(self, A, need=()):
-            if not A.is_zero():
-                factored.append((A.shape, frozenset(need)))
-            super().__init__(A, need)
-
-    with mock.patch.object(zlinalg, "_Smith", Recording):
+    from oracles import recording_engine
+    built = []
+    with mock.patch.object(zlinalg, "_Smith", recording_engine(built)):
         odometer_homology(2, 13)
-    assert factored == [((2 ** d, 2 ** d), frozenset({"U", "Uinv", "V", "Vinv"}))
+    factored = [(eng.m, eng.n, eng.reads) for eng in built if any(eng.rows)]
+    assert factored == [(2 ** d, 2 ** d, {"u_cols", "uinv_rows", "v_times", "vinv_cols"})
                         for d in range(1, 14)]
 
 
@@ -233,9 +229,9 @@ def test_s3_to_degree_4_factors_only_small_remainders():
     shapes = []
 
     class Recording(zlinalg._Smith):
-        def __init__(self, A, need=()):
+        def __init__(self, A):
             shapes.append(A.shape)
-            super().__init__(A, need)
+            super().__init__(A)
 
     s3 = group_groupoid(S3_TABLE)
     with mock.patch.object(zlinalg, "_Smith", Recording):

@@ -16,7 +16,7 @@ from groupoidal.models import (MalformedDiagram, bratteli_stationary,
 from groupoidal.zlinalg import (FgAbGroup, IntMatrix, LinearSystem, image_basis,
                                 invariant_factors, rank)
 
-from oracles import lattice_index
+from oracles import lattice_index, recording_engine
 
 
 def doubling():
@@ -256,20 +256,13 @@ def test_stage_chains_match_the_solve_route_index(seed):
 
 
 def _transform_factorizations(argv, monkeypatch, capsys):
-    """Engines built by one CLI run that track a transform factor."""
-    needs = []
-
-    class Recording(zlinalg._Smith):
-        def __init__(self, A, need=()):
-            need = tuple(need)
-            needs.append(need)
-            super().__init__(A, need)
-
-    monkeypatch.setattr(zlinalg, "_Smith", Recording)
+    """Engines built by one CLI run on which a transform read-out runs."""
+    built = []
+    monkeypatch.setattr(zlinalg, "_Smith", recording_engine(built))
     monkeypatch.chdir(os.path.join(os.path.dirname(__file__), "golden"))
     assert cli.main(argv) == 0
     capsys.readouterr()
-    return sum(1 for need in needs if need)
+    return sum(1 for eng in built if eng.reads)
 
 
 @pytest.mark.parametrize("argv, want", [

@@ -16,7 +16,7 @@ from groupoidal.groupoids import boundary_matrix_d
 from groupoidal.models import cyclic_table, group_groupoid, pair_groupoid_from_map
 from groupoidal.zlinalg import IntMatrix, LinearSystem, kernel_basis
 
-from oracles import full_scan_pivot
+from oracles import engine_factors, full_scan_pivot
 
 
 class _CheckedSmith(zlinalg._Smith):
@@ -30,11 +30,14 @@ class _CheckedSmith(zlinalg._Smith):
 
 def _sparse_usv(eng):
     """Nonzeros of U*S*V, summed over the rank-one terms d_i * U[:, i] * V[i, :]."""
+    u_cols, v_rows = eng.u_cols(), [{} for _ in range(eng.n)]
+    for i, j, v in engine_factors(eng).V.entries():
+        v_rows[i][j] = v
     out = {}
     for i in range(eng.rank):
         d = eng.rows[i][i]
-        for r, u in eng.U_cols[i].items():
-            for c, v in eng.V_rows[i].items():
+        for r, u in u_cols[i].items():
+            for c, v in v_rows[i].items():
                 out[(r, c)] = out.get((r, c), 0) + u * d * v
     return {k: v for k, v in out.items() if v}
 
@@ -44,8 +47,7 @@ def _nonzeros(A):
 
 
 def _check_factorizations(A):
-    _CheckedSmith(A)
-    eng = _CheckedSmith(A, need=("U", "Uinv", "V", "Vinv"))
+    eng = _CheckedSmith(A)
     assert _sparse_usv(eng) == _nonzeros(A)
     return eng
 
@@ -65,7 +67,8 @@ def sparse_matrices(draw):
 @given(sparse_matrices(), st.lists(st.integers(-3, 3), min_size=30, max_size=30))
 def test_pivots_match_full_scan_on_random_sparse_matrices(A, x):
     eng = _check_factorizations(A)
-    assert eng.u_matrix() * eng.s_matrix() * eng.v_matrix() == A
+    f = engine_factors(eng)
+    assert f.U * f.S * f.V == A
     with mock.patch.object(zlinalg, "_Smith", _CheckedSmith):
         K = kernel_basis(A)
         assert (A * K).is_zero() and K.cols == A.cols - eng.rank

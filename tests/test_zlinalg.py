@@ -15,7 +15,7 @@ from groupoidal.zlinalg import (BadModulus, ChainComplex, CompositionNonzero,
                                 invariant_factors, kernel_basis, kernel_group,
                                 rank, snf)
 
-from oracles import (det, lattice_kernel_group, modp_rank, orders_normal_form,
+from oracles import (det, engine_factors, lattice_kernel_group, modp_rank, orders_normal_form,
                      rational_rank, selection_matrix)
 
 
@@ -198,6 +198,16 @@ def test_from_columns_checks_lengths():
         IntMatrix.from_columns([[1, 2], [3]], 2)
 
 
+def test_from_rows_checks_the_given_width():
+    assert IntMatrix.from_rows([], 4).shape == (0, 4)
+    assert IntMatrix.from_rows([[1, 2]], 2).shape == (1, 2)
+    assert IntMatrix.from_rows([[1, 2]]).shape == (1, 2)
+    with pytest.raises(DimensionMismatch):
+        IntMatrix.from_rows([[1, 2]], 5)
+    with pytest.raises(DimensionMismatch):
+        IntMatrix.from_rows([[1, 2], [3]])
+
+
 def test_from_entries_sums_repeats_and_keeps_no_zeros():
     A = IntMatrix.from_entries(2, 3, [(0, 1, 2), (1, 0, 1), (0, 1, -2), (1, 2, 4), (1, 0, 2)])
     assert A.data == [[0, 0, 0], [3, 0, 4]]
@@ -357,6 +367,15 @@ def test_linear_system_reuse():
     assert sys.solve([4, 9]) == [2, 3]
     assert sys.solve([1, 0]) is None
     assert sys.solve([0, 0]) == [0, 0]
+
+
+def test_solve_columns_refuses_a_right_hand_side_of_another_height():
+    # the row log indexes rows of B: a taller B read as unsolvable, a
+    # shorter one raised IndexError
+    sys = LinearSystem(IntMatrix.from_rows([[2, 0], [0, 3]]))
+    for B in (IntMatrix.from_rows([[2], [3], [5]]), IntMatrix.from_rows([[2]])):
+        with pytest.raises(DimensionMismatch):
+            sys.solve_columns(B)
 
 
 def _random_matrix(rng, m, n, lo=-3, hi=3):
@@ -540,10 +559,10 @@ def test_presentations_share_one_engine_per_differential(seed, step, zero_at):
             dim = d_out.cols - modp_rank(d_out.data, p) - modp_rank(d_in.data, p)
             tor = rational_rank(d_out.data) - modp_rank(d_out.data, p)
             assert dim == h.free_rank + sum(1 for t in h.torsion if t % p == 0) + tor
-        # the call order, a second call, and engines that track only what
-        # one presentation reads all give the same read-out
-        own = zlinalg.ChainHomologyPresentation(d_out, d_in, lambda k: zlinalg._Smith(
-            (d_out, d_in)[k], (("V", "Vinv"), ("U", "Uinv"))[k]))
+        # the call order, a second call, and engines of the presentation's
+        # own all give the same read-out
+        own = zlinalg.ChainHomologyPresentation(d_out, d_in,
+                                                lambda k: zlinalg._Smith((d_out, d_in)[k]))
         want = _read_out(pres)
         assert _read_out(backward[n]) == want
         assert _read_out(cx.presentation(n)) == want
@@ -629,8 +648,8 @@ LOG_CASES = [pytest.param(A, id=name) for name, A in _log_cases()]
 
 @pytest.mark.parametrize("A", LOG_CASES)
 def test_log_rows_equal_the_log_replayed_on_the_identity(A):
-    eng = zlinalg._Smith(A, need=("Uinv",))
-    full = eng.uinv_matrix().data
+    eng = zlinalg._Smith(A)
+    full = eng.uinv_times(IntMatrix.identity(A.rows)).data
     rng = random.Random(A.rows * 31 + A.cols)
     picks = [list(range(A.rows)), list(range(A.rows))[::-1],
              rng.sample(range(A.rows), rng.randint(0, A.rows))]
@@ -640,15 +659,47 @@ def test_log_rows_equal_the_log_replayed_on_the_identity(A):
 
 @pytest.mark.parametrize("A", LOG_CASES)
 def test_log_inverts_u_and_carries_a_to_the_smith_form(A):
-    eng = zlinalg._Smith(A, need=("U", "Uinv", "V", "Vinv"))
-    u_inv = eng.uinv_matrix()
-    assert u_inv * eng.u_matrix() == IntMatrix.identity(A.rows)
-    assert eng.u_matrix() * u_inv == IntMatrix.identity(A.rows)
-    assert u_inv * A * eng.vinv_matrix() == eng.s_matrix()
+    f = engine_factors(zlinalg._Smith(A))
+    assert f.U_inv * f.U == IntMatrix.identity(A.rows)
+    assert f.U * f.U_inv == IntMatrix.identity(A.rows)
+    assert f.U_inv * A * f.V_inv == f.S
     d = snf(A)
-    assert d.U_inv == u_inv and d.U_inv * d.U == IntMatrix.identity(A.rows)
-    # the tracked transforms pick the same pivots with or without the log
-    assert zlinalg._Smith(A, need=("U",)).u_matrix() == eng.u_matrix()
+    assert d.U_inv == f.U_inv and d.U_inv * d.U == IntMatrix.identity(A.rows)
+    # an engine on which only U is read gives the same U
+    assert engine_factors(zlinalg._Smith(A)).U == f.U
+
+
+# every read-out of the engine; the ones that take an argument get it
+# from the case
+_READOUTS = ("U cols", "Vinv cols", "diagonal", "kernel", "Uinv rows", "Uinv * B", "V * M")
+
+
+def _readout(eng, name, which, B, M):
+    return {"U cols": eng.u_cols, "Vinv cols": eng.vinv_cols, "diagonal": eng.diagonal,
+            "kernel": eng.kernel_matrix, "Uinv rows": lambda: eng.uinv_rows(which),
+            "Uinv * B": lambda: eng.uinv_times(B), "V * M": lambda: eng.v_times(M)}[name]()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), order=st.permutations(_READOUTS))
+def test_read_outs_in_any_order_equal_a_fresh_engines(seed, order):
+    rng = random.Random(seed)
+    m, n = rng.randint(0, 7), rng.randint(0, 7)
+    A = rng.choice([_random_matrix(rng, m, n), _prepass_matrix("sparse", rng),
+                    _torsion_form(rng, m + 1, n + 1)])
+    which = rng.sample(range(A.rows), rng.randint(0, A.rows))
+    B, M = _random_matrix(rng, A.rows, 3), _random_matrix(rng, A.cols, 3)
+    eng = zlinalg._Smith(A)
+    for name in order + order:
+        assert (_readout(eng, name, which, B, M)
+                == _readout(zlinalg._Smith(A), name, which, B, M)), name
+    f = engine_factors(eng)
+    assert f.U * f.U_inv == IntMatrix.identity(A.rows)
+    assert f.V_inv * f.V == IntMatrix.identity(A.cols)
+    assert f.U_inv * A * f.V_inv == f.S
+    assert f.U * f.S * f.V == A
+    assert eng.uinv_times(B) == f.U_inv * B and eng.v_times(M) == f.V * M
+    assert eng.uinv_rows(which) == f.U_inv.rows_at(which)
 
 
 @pytest.mark.parametrize("A", LOG_CASES)
