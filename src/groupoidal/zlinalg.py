@@ -27,20 +27,16 @@ are their one-column cases.  A ChainComplex holds one engine per
 differential for its presentations, so each differential is factored
 once however many degrees read it.
 
-Pivot rule: step t of the elimination takes the nonzero of the active block
-(rows and columns >= t) with the least key (|v|, Markowitz cost, row,
-column), the Markowitz cost being (row length - 1) * (column length - 1).
-The engine finds it with a lazily updated heap of per-column best keys
-instead of rescanning every nonzero.  The order is kept exact, not just
-good, for the transform read-outs (snf, kernel_basis, image_basis,
-LinearSystem, ChainHomologyPresentation): U, V, kernel bases, homology
-generators and divisibility witnesses are part of the program's output,
-and all of them follow the pivot order.  `rank` and `invariant_factors`
-need no transform, and the Smith diagonal is canonical, so they first
-strip the +-1 pivots in any order a cheap sparsity rule picks (unit-pivot
-pre-elimination, as in Dumas-Saunders-Villard 2001) and run the
-exact-order engine only on the small remainder.  Their result does not
-depend on the order.
+Pivot rule, in two phases (see _Smith).  The engine first eliminates
+every +-1 pivot in a sparsity order (unit-pivot pre-elimination, as in
+Dumas-Saunders-Villard 2001), then takes the least (|v|, Markowitz cost,
+row, column) at each step of the remainder.  Both orders are fixed rules,
+not just good ones, because the transform read-outs (snf, kernel_basis,
+image_basis, LinearSystem, ChainHomologyPresentation) follow them: U, V,
+kernel bases, homology generators and divisibility witnesses are part of
+the program's output.  `rank` and `invariant_factors` need no transform
+and read the canonical Smith diagonal, so they run the unit phase without
+logs (`_strip_unit_pivots`) and the engine on the compacted remainder.
 
 So callers keep one rule.  A number or a yes/no that `rank` and
 `invariant_factors` determine (a rank or nullity, injectivity, the index
@@ -354,23 +350,28 @@ class _Smith:
     long cycle, while its applications stay sparse (the product form of
     the inverse, Dantzig and Orchard-Hays 1954).
 
-    Pivot rule: step t takes the least key (|v|, (len(row) - 1) *
-    (len(col) - 1), i, j) over the nonzeros v = S[i][j] with i, j >= t.
-    `_best[j]` caches the least key of column j and `_heap` holds every
-    cached key, plus stale ones that are dropped when they surface.
-    Invariant: `_best[j]` is exact for every column >= t not in `_dirty`.
-    A column's key depends on its entries, its length and the lengths and
-    indices of its rows, so each elementary operation marks the columns
-    whose keys it can change: a row add the columns of the target row
-    before the add and of the source row, a row swap the columns of both
-    rows, a column add the target column and every column of each row
-    whose length changed, a column swap both columns.  The pivots are
-    exactly those of a full scan (`tests/oracles.py` keeps one), because
-    the transforms, kernel bases, generators and witness vectors read out
-    of the engine are part of the output and depend on the order.  `rank`
-    and `invariant_factors` hand it only what is left once the unit pivots
-    are stripped, in no particular order (`_strip_unit_pivots`), since
-    the diagonal alone is canonical.
+    Pivot rule, in two phases.  The unit phase, `_eliminate_units` run
+    with the two logs, eliminates every +-1 pivot in its sparsity order
+    and leaves each pivot alone in its row and column; logged swaps move
+    them to the front, so unit pivot t sits at (t, t).  A matrix with no
+    +-1 entry skips the phase.  The exact phase then starts at t = the
+    number of unit pivots, with only the live columns dirty, and step t
+    takes the least key (|v|, (len(row) - 1) * (len(col) - 1), i, j) over
+    the nonzeros v = S[i][j] with i, j >= t.  `_best[j]` caches the least
+    key of column j and `_heap` holds every cached key, plus stale ones
+    that are dropped when they surface.  Invariant: `_best[j]` is exact
+    for every column >= t not in `_dirty`.  A column's key depends on its
+    entries, its length and the lengths and indices of its rows, so each
+    elementary operation marks the columns whose keys it can change: a row
+    add the columns of the target row before the add and of the source
+    row, a row swap the columns of both rows, a column add the target
+    column and every column of each row whose length changed, a column
+    swap both columns.  The pivots of both phases are exactly those of a
+    full scan (`tests/oracles.py` keeps one for each), because the
+    transforms, kernel bases, generators and witness vectors read out of
+    the engine are part of the output and depend on the order.  `rank` and
+    `invariant_factors` hand it only the compacted remainder of the unit
+    phase (`_strip_unit_pivots`), since the diagonal alone is canonical.
     """
 
     def __init__(self, A: IntMatrix):
@@ -386,7 +387,7 @@ class _Smith:
         self.rank = 0
         self._best = [None] * self.n
         self._heap = []
-        self._dirty = set(range(self.n))
+        self._dirty = set()
         self._reduce()
 
     # -- elementary operations on S, each logged ---------------------------
@@ -534,8 +535,23 @@ class _Smith:
             if len(self.colidx[t]) == 1 and len(self.rows[t]) == 1:
                 return
 
+    def _units_to_front(self, units: list):
+        # logged swaps move unit pivot t to (t, t); at[i] is the row (column)
+        # that sits at i and pos[x] where row (column) x sits
+        for swap, size, k in ((self._row_swap, self.m, 0), (self._col_swap, self.n, 1)):
+            at, pos = list(range(size)), list(range(size))
+            for t, pivot in enumerate(units):
+                x = pivot[k]
+                i, y = pos[x], at[t]
+                swap(i, t)
+                at[t], at[i], pos[x], pos[y] = x, y, t, i
+
     def _reduce(self):
-        t = 0
+        units = _eliminate_units(self.rows, self.colidx, self.row_ops, self.col_ops)
+        if units:
+            self._units_to_front(units)
+        t = len(units)
+        self._dirty = {j for j in range(t, self.n) if self.colidx[j]}
         bound = min(self.m, self.n)
         while t < bound:
             found = self._select_pivot(t)
@@ -664,38 +680,39 @@ def _has_unit(row: dict) -> bool:
     return 1 in values or -1 in values
 
 
-def _strip_unit_pivots(A: IntMatrix) -> tuple:
-    """(ones, R): A is equivalent to diag(1^ones, R).
+def _eliminate_units(rows: list, colidx: list, row_ops: Optional[list] = None,
+                     col_ops: Optional[list] = None) -> list:
+    """Eliminate the +-1 pivots of a sparse matrix in place and return them,
+    in order, as (row, column) pairs.
 
-    Repeatedly takes a +-1 entry, from the shortest live row that holds
-    one, in that row's shortest column (ties to the lower index), clears
-    its column by exact row subtraction and drops the pivot row and
-    column, which leaves the Schur complement.  R is what is left once no
-    live row holds a unit, with its zero rows and columns removed.
+    rows holds one {column: value} dict per row and colidx[j] the rows with
+    a nonzero in column j.  Each step takes a +-1 entry from the shortest
+    live row that holds one, in that row's shortest column (ties to the
+    lower index both times), and clears its column by exact row
+    subtraction, which leaves the Schur complement in the other live rows.
+    The pivot row is then left holding the unit alone and is no longer
+    live: with logs, the row adds go to row_ops as (i, p, q) and the column
+    adds that clear the pivot row, which touch no other row, to col_ops as
+    (c, j, q), as `_Smith` logs them; without logs its other entries are
+    just dropped, which leaves the same live rows.
     """
-    rows = [dict(row) for row in A._row_dicts]
-    colidx = [set() for _ in range(A.cols)]
-    for i, row in enumerate(rows):
-        for j in row:
-            colidx[j].add(i)
     # (row length, row) for every row holding a unit, plus stale entries
     heap = [(len(row), i) for i, row in enumerate(rows) if _has_unit(row)]
     heapq.heapify(heap)
-    ones = 0
+    pivots, done = [], set()
     while heap:
         length, p = heapq.heappop(heap)
         prow = rows[p]
-        if prow is None or len(prow) != length:
+        if len(prow) != length or p in done:
             continue
         units = [j for j, v in prow.items() if v == 1 or v == -1]
         if not units:
             continue
         j = min(units, key=lambda c: (len(colidx[c]), c))
-        rows[p] = None
         for c in prow:
             colidx[c].discard(p)
         unit = prow.pop(j)
-        targets, colidx[j] = colidx[j], set()
+        targets, colidx[j] = colidx[j], {p}
         for i in targets:
             row = rows[i]
             q = row.pop(j) * unit  # a unit is its own inverse
@@ -710,18 +727,40 @@ def _strip_unit_pivots(A: IntMatrix) -> tuple:
                 else:
                     del row[c]
                     colidx[c].discard(i)
+            if row_ops is not None:
+                row_ops.append((i, p, -q))
             if _has_unit(row):
                 heapq.heappush(heap, (len(row), i))
-        ones += 1
+        if col_ops is not None:
+            col_ops.extend((c, j, -v * unit) for c, v in prow.items())
+        rows[p] = {j: unit}
+        done.add(p)
+        pivots.append((p, j))
+    return pivots
+
+
+def _strip_unit_pivots(A: IntMatrix) -> tuple:
+    """(ones, R): A is equivalent to diag(1^ones, R), where R is what
+    `_eliminate_units` leaves, run without logs, with its zero rows and
+    columns removed."""
+    rows = [dict(row) for row in A._row_dicts]
+    colidx = [set() for _ in range(A.cols)]
+    for i, row in enumerate(rows):
+        for j in row:
+            colidx[j].add(i)
+    units = _eliminate_units(rows, colidx)
+    for p, _ in units:
+        rows[p] = None
     live = [row for row in rows if row]
     cols = {c: k for k, c in enumerate(sorted(set().union(*live)))}
-    return ones, IntMatrix._of_row_dicts(
+    return len(units), IntMatrix._of_row_dicts(
         len(live), len(cols), [{cols[c]: v for c, v in row.items()} for row in live])
 
 
 def rank(A: IntMatrix) -> int:
-    """Rank of A: the unit pivots stripped first, then the exact-order
-    engine on the remainder.  The rank does not depend on pivot order."""
+    """Rank of A: the unit phase run without logs, then the engine on the
+    compacted remainder, which holds no +-1 entry, so the engine runs only
+    its exact phase.  The rank does not depend on pivot order."""
     ones, rest = _strip_unit_pivots(A)
     return ones + _Smith(rest).rank
 
@@ -729,9 +768,10 @@ def rank(A: IntMatrix) -> int:
 def invariant_factors(A: IntMatrix) -> list:
     """Nonzero diagonal of the Smith form, in divisibility order.
 
-    The Smith form is canonical, so the unit pivots are stripped first, by
-    a cheap sparsity rule, and only the remainder goes through the
-    exact-order engine; each stripped pivot is one factor 1.
+    The Smith form is canonical, so no transform is logged: the unit phase
+    runs without logs, each of its pivots is one factor 1, and the
+    compacted remainder, which holds no +-1 entry, goes through the
+    engine's exact phase alone.
     """
     ones, rest = _strip_unit_pivots(A)
     return [1] * ones + _Smith(rest).diagonal()
@@ -907,8 +947,9 @@ class ChainComplex:
     ker(ds[n])/im(ds[n+1]) for n = 0 .. len(ds) - 2; the caller supplies
     d_0.  With step +1 (cochains) ds[n] is delta_n: C^n -> C^{n+1}, and
     degree n is ker(ds[n])/im(ds[n-1]) for n = 0 .. len(ds) - 1, with a
-    zero map into C^0.  Shapes and d*d = 0 are checked once, here; a
-    nonzero composite raises CompositionNonzero naming its degree.
+    zero map into C^0.  An empty list has no degrees either way.  Shapes
+    and d*d = 0 are checked once, here; a nonzero composite raises
+    CompositionNonzero naming its degree.
 
     `presentation` reads each differential off one shared engine, built on
     first use: V and V^-1 where the differential leaves a degree 0 .. top,
@@ -925,7 +966,7 @@ class ChainComplex:
             raise ValueError(f"step must be -1 or +1, got {step}")
         self.step = step
         # read downwards either way: degree n is ker(_ds[i])/im(_ds[i+1])
-        if step < 0:
+        if step < 0 or not ds:
             self._ds = list(ds)
         else:
             self._ds = list(ds[::-1]) + [IntMatrix.zeros(ds[0].cols, 0)]

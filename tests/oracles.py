@@ -4,8 +4,9 @@ Nothing here calls the package's normal-form engine: ranks come from
 Fraction-based Gaussian elimination over Q and from elimination mod p,
 the group (co)homology complexes are rebuilt from scratch with plain
 itertools tuple enumeration, and a module is checked on every composable
-pair of its groupoid.  `full_scan_pivot` only reads an engine's
-state, to check the pivot the engine picks, `recording_engine` only
+pair of its groupoid.  `full_scan_unit_pivots` and `full_scan_pivot`
+are the engine's two pivot rules by plain scans, to check the pivots the
+engine picks (they read its state, or a copy of it), `recording_engine` only
 records which transform read-outs run on each engine, and
 `engine_factors` assembles U, S, V and their inverses from an engine's
 read-outs, for the tests of those read-outs.  `lattice_kernel_group` is
@@ -289,13 +290,48 @@ def orbit_count(G):
     return len({find(u) for u in G.units})
 
 
+def full_scan_unit_pivots(rows):
+    """The unit phase of the elimination engine by a scan of every row.
+
+    rows holds one {column: value} dict per row and is not modified.
+    Returns the (row, column) pivots, in order, of repeatedly taking the
+    shortest live row that holds a +-1 entry, ties to the lower index, and
+    in it the +-1 entry whose column has the fewest nonzeros in the live
+    rows, ties to the lower column; the pivot row is subtracted from the
+    other rows to clear its column, and is then no longer live.
+    """
+    rows = [dict(row) for row in rows]
+    live = list(range(len(rows)))
+    pivots = []
+    while True:
+        unit_rows = [i for i in live if any(v in (1, -1) for v in rows[i].values())]
+        if not unit_rows:
+            return pivots
+        p = min(unit_rows, key=lambda i: (len(rows[i]), i))
+        prow = rows[p]
+        j = min((c for c, v in prow.items() if v in (1, -1)),
+                key=lambda c: (sum(c in rows[i] for i in live), c))
+        live.remove(p)
+        for i in live:
+            q = rows[i].get(j, 0) * prow[j]
+            for c, v in prow.items():
+                new = rows[i].get(c, 0) - q * v
+                if new:
+                    rows[i][c] = new
+                else:
+                    rows[i].pop(c, None)
+        pivots.append((p, j))
+
+
 def full_scan_pivot(eng, t):
-    """The elimination engine's pivot rule by a scan of every nonzero.
+    """The elimination engine's exact-order rule by a scan of every nonzero.
 
     Returns the (row, column) minimising (|v|, (len(row) - 1) * (len(col) - 1),
     row, column) over the active block rows, columns >= t of a `_Smith`
-    engine, or None when that block is zero.  This is the engine's original
-    selector, kept as the reference its incremental queue must agree with.
+    engine, or None when that block is zero.  The engine applies this rule
+    once the unit pivots are at the front, so from t = their number on.
+    This is the engine's original selector, kept as the reference its
+    incremental queue must agree with.
     """
     best = None
     best_key = None

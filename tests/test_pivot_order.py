@@ -1,11 +1,15 @@
-"""The elimination engine picks exactly the pivots of the full-scan rule.
+"""The elimination engine picks exactly the pivots of the full-scan rules.
 
 Transforms, kernel bases, generators and witness vectors all depend on the
-pivot order, so the engine's incremental pivot queue is checked against
-`oracles.full_scan_pivot` at every step, on random sparse matrices and on
-the boundary matrices of real nerves.
+pivot order, so both phases of the engine are checked against a full
+scan, on random sparse matrices and on the boundary matrices of real
+nerves: every pivot of the unit phase against
+`oracles.full_scan_unit_pivots`, and every step of the exact phase, the
+incremental pivot queue, against `oracles.full_scan_pivot`.
 """
 
+from functools import lru_cache
+from itertools import zip_longest
 from unittest import mock
 
 from hypothesis import given, settings
@@ -14,13 +18,40 @@ from hypothesis import strategies as st
 from groupoidal import zlinalg
 from groupoidal.groupoids import boundary_matrix_d
 from groupoidal.models import cyclic_table, group_groupoid, pair_groupoid_from_map
-from groupoidal.zlinalg import IntMatrix, LinearSystem, kernel_basis
+from groupoidal.zlinalg import IntMatrix, LinearSystem, invariant_factors, kernel_basis
 
-from oracles import engine_factors, full_scan_pivot
+from oracles import engine_factors, full_scan_pivot, full_scan_unit_pivots
 
 
-class _CheckedSmith(zlinalg._Smith):
-    """The engine with every pivot choice compared against the oracle."""
+class _CountingSmith(zlinalg._Smith):
+    """The engine, keeping the pivots of its unit phase and counting those
+    of its exact phase."""
+
+    def _reduce(self):
+        self.unit_pivots, self.exact_pivots = None, 0
+        eliminate = zlinalg._eliminate_units
+
+        def kept(*args):
+            self.unit_pivots = eliminate(*args)
+            return self.unit_pivots
+
+        with mock.patch.object(zlinalg, "_eliminate_units", kept):
+            super()._reduce()
+
+    def _select_pivot(self, t):
+        found = super()._select_pivot(t)
+        self.exact_pivots += found is not None
+        return found
+
+
+class _CheckedSmith(_CountingSmith):
+    """The engine with every pivot choice compared against the oracles."""
+
+    def _reduce(self):
+        want = full_scan_unit_pivots(self.rows)
+        super()._reduce()
+        for step, (got, pivot) in enumerate(zip_longest(self.unit_pivots, want)):
+            assert got == pivot, f"unit step {step}"
 
     def _select_pivot(self, t):
         got = super()._select_pivot(t)
@@ -77,9 +108,30 @@ def test_pivots_match_full_scan_on_random_sparse_matrices(A, x):
         assert y is not None and A.apply(y) == v
 
 
-def test_pivots_match_full_scan_on_nerve_boundaries():
+@lru_cache(maxsize=None)
+def _nerve_boundaries():
     from test_models import S3_TABLE
-    for G in (group_groupoid(cyclic_table(5)), group_groupoid(S3_TABLE),
-              pair_groupoid_from_map([0, 0, 0, 0])):
-        for n in range(1, 5):  # d_1 .. d_4: homology to degree 3
-            _check_factorizations(boundary_matrix_d(G, n))
+    # d_1 .. d_4: homology to degree 3
+    return [boundary_matrix_d(G, n)
+            for G in (group_groupoid(cyclic_table(5)), group_groupoid(S3_TABLE),
+                      pair_groupoid_from_map([0, 0, 0, 0]))
+            for n in range(1, 5)]
+
+
+def test_pivots_match_full_scan_on_nerve_boundaries():
+    for A in _nerve_boundaries():
+        _check_factorizations(A)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.one_of(sparse_matrices(),
+                 st.integers(0, 11).map(lambda k: _nerve_boundaries()[k])))
+def test_the_exact_phase_factors_what_the_unit_phase_leaves(A):
+    # the unit phase leaves the remainder that `_strip_unit_pivots`
+    # compacts, so the exact phase takes as many pivots as its rank, and
+    # the diagonal is the canonical one of the rank-only path
+    eng = _CountingSmith(A)
+    ones, rest = zlinalg._strip_unit_pivots(A)
+    assert len(eng.unit_pivots) == ones
+    assert eng.exact_pivots == zlinalg._Smith(rest).rank
+    assert eng.diagonal() == invariant_factors(A)

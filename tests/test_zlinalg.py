@@ -519,6 +519,17 @@ def test_chain_complex_checks_every_pair_at_construction(seed, step):
             assert str(info.value) == f"d_out * d_in != 0 at degree {n}"
 
 
+
+@pytest.mark.parametrize("step", [-1, 1])
+def test_an_empty_complex_has_no_degrees(step):
+    # chains and cochains alike: no differential, so no group and no
+    # presentation
+    cx = ChainComplex([], step)
+    assert cx.groups() == []
+    with pytest.raises(IndexError, match="degree 0 outside"):
+        cx.presentation(0)
+
+
 def _read_out(pres):
     """Everything a presentation reports, with the classes of its cycle
     basis and generators in its coordinates."""
