@@ -37,6 +37,8 @@ kernel bases, homology generators and divisibility witnesses are part of
 the program's output.  `rank` and `invariant_factors` need no transform
 and read the canonical Smith diagonal, so they run the unit phase without
 logs (`_strip_unit_pivots`) and the engine on the compacted remainder.
+`ChainComplex.groups` runs both on each differential without the cells
+that the unit pivots of the one below it paired (see there).
 
 So callers keep one rule.  A number or a yes/no that `rank` and
 `invariant_factors` determine (a rank or nullity, injectivity, the index
@@ -696,7 +698,8 @@ def _eliminate_units(rows: list, colidx: list, row_ops: Optional[list] = None,
     (c, j, q), as `_Smith` logs them; without logs its other entries are
     just dropped, which leaves the same live rows.
     """
-    # (row length, row) for every row holding a unit, plus stale entries
+    # (row length, row) for every live row holding a unit, plus stale entries;
+    # a target row is pushed again only if its length changed or it held no unit
     heap = [(len(row), i) for i, row in enumerate(rows) if _has_unit(row)]
     heapq.heapify(heap)
     pivots, done = [], set()
@@ -715,6 +718,7 @@ def _eliminate_units(rows: list, colidx: list, row_ops: Optional[list] = None,
         targets, colidx[j] = colidx[j], {p}
         for i in targets:
             row = rows[i]
+            length, had = len(row), _has_unit(row)
             q = row.pop(j) * unit  # a unit is its own inverse
             for c, v in prow.items():
                 sub = q * v
@@ -729,7 +733,7 @@ def _eliminate_units(rows: list, colidx: list, row_ops: Optional[list] = None,
                     colidx[c].discard(i)
             if row_ops is not None:
                 row_ops.append((i, p, -q))
-            if _has_unit(row):
+            if (len(row) != length or not had) and _has_unit(row):
                 heapq.heappush(heap, (len(row), i))
         if col_ops is not None:
             col_ops.extend((c, j, -v * unit) for c, v in prow.items())
@@ -740,9 +744,10 @@ def _eliminate_units(rows: list, colidx: list, row_ops: Optional[list] = None,
 
 
 def _strip_unit_pivots(A: IntMatrix) -> tuple:
-    """(ones, R): A is equivalent to diag(1^ones, R), where R is what
-    `_eliminate_units` leaves, run without logs, with its zero rows and
-    columns removed."""
+    """(pivots, R): A is equivalent to diag(1, ..., 1, R), with one 1 for
+    each of the pivots, in order, that `_eliminate_units` takes on A
+    without logs, and R what it leaves, with its zero rows and columns
+    removed."""
     rows = [dict(row) for row in A._row_dicts]
     colidx = [set() for _ in range(A.cols)]
     for i, row in enumerate(rows):
@@ -753,16 +758,17 @@ def _strip_unit_pivots(A: IntMatrix) -> tuple:
         rows[p] = None
     live = [row for row in rows if row]
     cols = {c: k for k, c in enumerate(sorted(set().union(*live)))}
-    return len(units), IntMatrix._of_row_dicts(
+    return units, IntMatrix._of_row_dicts(
         len(live), len(cols), [{cols[c]: v for c, v in row.items()} for row in live])
 
 
 def rank(A: IntMatrix) -> int:
     """Rank of A: the unit phase run without logs, then the engine on the
     compacted remainder, which holds no +-1 entry, so the engine runs only
-    its exact phase.  The rank does not depend on pivot order."""
-    ones, rest = _strip_unit_pivots(A)
-    return ones + _Smith(rest).rank
+    its exact phase.  The rank does not depend on pivot order.
+    `ChainComplex.groups` runs the two phases itself."""
+    units, rest = _strip_unit_pivots(A)
+    return len(units) + (_Smith(rest).rank if rest.rows else 0)
 
 
 def invariant_factors(A: IntMatrix) -> list:
@@ -771,10 +777,10 @@ def invariant_factors(A: IntMatrix) -> list:
     The Smith form is canonical, so no transform is logged: the unit phase
     runs without logs, each of its pivots is one factor 1, and the
     compacted remainder, which holds no +-1 entry, goes through the
-    engine's exact phase alone.
+    engine's exact phase alone, as in `ChainComplex.groups`.
     """
-    ones, rest = _strip_unit_pivots(A)
-    return [1] * ones + _Smith(rest).diagonal()
+    units, rest = _strip_unit_pivots(A)
+    return [1] * len(units) + (_Smith(rest).diagonal() if rest.rows else [])
 
 
 def _normalize_column_sign(col: dict) -> dict:
@@ -1013,14 +1019,33 @@ class ChainComplex:
         The kernel lattice of d_out is saturated in the ambient Z^m, so the
         torsion of ker(d_out)/im(d_in) equals the torsion of Z^m/im(d_in);
         only the rank of d_out and the Smith diagonal of d_in are needed.
-        Each differential is factored once, and its rank is the number of
-        its invariant factors.
+        Each differential is factored once, lowest degree first.  A unit
+        pivot pairs a cell that a differential shares with the next one;
+        eliminating it zeroes that cell's line of the next one by unimodular
+        moves (d*d = 0; Kaczynski-Mrozek-Slusarek 1998), so the next unit
+        phase, on the orientation with fewer nonzero rows, skips those lines
+        (the clearing of Chen-Kerber 2011) and reads the same factors.
         """
-        ds = self._ds
-        facs = [invariant_factors(d) for d in ds]
-        out = [FgAbGroup.from_invariant_factors(f_in, free_rank=d_in.rows - len(f_out) - len(f_in))
-               for f_out, f_in, d_in in zip(facs, facs[1:], ds[1:])]
-        return out if self.step < 0 else out[::-1]
+        chains = self.step < 0
+        ds = self._ds if chains else self._ds[::-1]  # lowest degree first
+        facs, paired = [], set()
+        for d in ds:
+            if d.is_zero():
+                facs.append([])
+                paired = set()
+                continue
+            # rows meet the differential below, columns the next (cochains transposed)
+            A = d if chains else d.transpose()
+            rows = [{} if i in paired else row for i, row in enumerate(A._row_dicts)]
+            flip = len(set().union(*rows)) < sum(map(bool, rows))
+            A = IntMatrix._of_row_dicts(A.rows, A.cols, rows)
+            units, rest = _strip_unit_pivots(A.transpose() if flip else A)
+            facs.append([1] * len(units) + (_Smith(rest).diagonal() if rest.rows else []))
+            paired = {pivot[not flip] for pivot in units}
+        # d_in maps into degree n and its rows are the cells of degree n
+        pairs = zip(facs, facs[1:], ds[1:]) if chains else zip(facs[1:], facs, ds)
+        return [FgAbGroup.from_invariant_factors(f_in, free_rank=d_in.rows - len(f_out) - len(f_in))
+                for f_out, f_in, d_in in pairs]
 
 
 def homology_at(d_out: IntMatrix, d_in: IntMatrix) -> FgAbGroup:

@@ -31,6 +31,7 @@ CASES = {
                             "--module", "inputs/explicit-module.json", "--max-degree", "2"],
     "cohomology-pair2-1": ["cohomology", "inputs/pair2-1.json", "--max-degree", "2"],
     "verify-theta-random": ["verify-theta", "--seed", "42", "--count", "3"],
+    "verify-theta-s3": ["verify-theta", "inputs/s3.json", "--max-degree", "4"],
     "verify-theta-explicit": ["verify-theta", "inputs/explicit.json",
                               "--module", "inputs/explicit-module.json"],
     "skew-les-homology": ["skew-les", "inputs/pair3.json", "--cocycle",

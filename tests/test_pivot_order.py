@@ -127,11 +127,30 @@ def test_pivots_match_full_scan_on_nerve_boundaries():
 @given(st.one_of(sparse_matrices(),
                  st.integers(0, 11).map(lambda k: _nerve_boundaries()[k])))
 def test_the_exact_phase_factors_what_the_unit_phase_leaves(A):
-    # the unit phase leaves the remainder that `_strip_unit_pivots`
+    # on the same orientation, the unit phase takes the pivots of the
+    # rank-only path and leaves the remainder that `_strip_unit_pivots`
     # compacts, so the exact phase takes as many pivots as its rank, and
     # the diagonal is the canonical one of the rank-only path
     eng = _CountingSmith(A)
-    ones, rest = zlinalg._strip_unit_pivots(A)
-    assert len(eng.unit_pivots) == ones
+    units, rest = zlinalg._strip_unit_pivots(A)
+    assert eng.unit_pivots == units
     assert eng.exact_pivots == zlinalg._Smith(rest).rank
     assert eng.diagonal() == invariant_factors(A)
+
+
+def test_the_unit_phase_pushes_a_row_only_when_its_entry_changed():
+    # row 0 is the first pivot, in column 0.  Clearing it moves rows 1
+    # and 2 from column 0 to column 1 at the same length, each still
+    # holding a unit, so their heap entries stay exact and neither is
+    # pushed.  Row 1 pivots in column 2; that shortens row 2 to two
+    # entries (one push), and row 3 keeps no unit (no push).  Row 2 then
+    # pivots in column 3 and row 3 is left as the remainder [[3]].
+    A = IntMatrix.from_rows([[1, 2, 0, 0],
+                             [1, 0, 1, 1],
+                             [1, 0, 2, 1],
+                             [0, 1, 1, 1]])
+    with mock.patch.object(zlinalg.heapq, "heappush", wraps=zlinalg.heapq.heappush) as push:
+        units, rest = zlinalg._strip_unit_pivots(A)
+    assert units == full_scan_unit_pivots(A._row_dicts) == [(0, 0), (1, 2), (2, 3)]
+    assert rest == IntMatrix.from_rows([[3]])
+    assert push.call_count == 1
