@@ -327,6 +327,8 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_verify_theta(args) -> int:
+    if args.module and not args.input:
+        raise ParseError("--module needs an input model; random instances draw their own")
     instances = []
     if args.input:
         G = _require_groupoid(parse_input(args.input), args.input)
@@ -361,6 +363,8 @@ def cmd_verify_theta(args) -> int:
 
 
 def cmd_skew_les(args) -> int:
+    if args.module and args.mode == "homology":
+        raise ParseError("--module is read only with --mode cohomology")
     G = _require_groupoid(parse_input(args.input), args.input)
     if args.cocycle in (None, "zero"):
         c = skew.ZCocycle.zero(G)

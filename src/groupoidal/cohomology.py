@@ -141,7 +141,9 @@ def cochain_complex(G: FiniteGroupoid, M: GModule, spaces: List[BlockSpace],
                     first: int = 0) -> ChainComplex:
     """The complex of delta_first, delta_first+1, ... between consecutive
     `spaces` (of degrees first, first + 1, ..., all of one model), so each
-    space is built once and shared by the deltas into and out of it."""
+    space is built once and shared by the deltas into and out of it.  Its
+    degree k is cochain degree first + k, but with first > 0 its lowest
+    degree is ker(delta_first), not H^first: no delta maps into it."""
     return ChainComplex([_coboundary(G, M, n, dom, cod) for n, (dom, cod)
                          in enumerate(zip(spaces, spaces[1:]), first)], 1)
 
@@ -257,10 +259,11 @@ class InducedCohomologyMap:
 
 
 def _cocycle_presentation(G: FiniteGroupoid, M: GModule, n: int) -> ChainHomologyPresentation:
-    """H^n of the cocycle complex, from delta_{n-1} and delta_n alone."""
+    """H^n of the cocycle complex, from delta_{n-1} and delta_n alone; the
+    complex's lowest degree, ker(delta_{n-1}) for n > 0, is dropped."""
     first = max(n - 1, 0)
     spaces = [cochain_space(G, M, k) for k in range(first, n + 2)]
-    return cochain_complex(G, M, spaces, first).presentation(n - first)
+    return cochain_complex(G, M, spaces, first).presentations()[n - first]
 
 
 def induced_cohomology_map(phi: GroupoidFunctor, M: GModule, n: int) -> InducedCohomologyMap:

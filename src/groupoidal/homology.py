@@ -94,7 +94,7 @@ class InducedMap:
 
 
 def homology_presentation_of(G: FiniteGroupoid, n: int) -> ChainHomologyPresentation:
-    return nerve_complex(G, n, n_min=n).presentation(0)
+    return nerve_complex(G, n, n_min=n).presentations()[0]
 
 
 def induced_homology_map(phi: GroupoidFunctor, n: int) -> InducedMap:
@@ -164,8 +164,9 @@ def odometer_homology(p: int, depth_max: int) -> OdometerReport:
     multiplication by p; the assembled direct tower is the dimension
     group colimit (Z, x p).  The kernels carry identity connecting maps,
     so the stabilized degree-1 group is Z.  Each depth's id - P is
-    factored once: its complex's engine serves both presentations, as d_in
-    of degree 0 (whose d_out is zero) and d_out of degree 1.
+    factored once: one `presentations` pass over its complex reads that
+    engine in both degrees, as the relation matrix of degree 0 (whose
+    d_out is zero) and as d_out of degree 1.
     """
     system = odometer_system(p, depth_max)
     pres = []  # (H_0, H_1) presentations by depth
@@ -174,7 +175,7 @@ def odometer_homology(p: int, depth_max: int) -> OdometerReport:
         n = p ** d
         delta = IntMatrix.identity(n) - permutation_pushforward(system.permutation(d))
         cx = ChainComplex([IntMatrix.zeros(0, n), delta, IntMatrix.zeros(n, 0)], -1)
-        pres.append((cx.presentation(0), cx.presentation(1)))
+        pres.append(tuple(cx.presentations()))
         conn = (None, None)
         if d > 1:
             refine = system.refinement(d - 1)

@@ -220,8 +220,9 @@ def _verify_ses(sub: ChainComplex, mid: ChainComplex, quot: ChainComplex,
     """Verify 0 -> sub --f--> mid --g--> quot -> 0 in degrees 0..n_max.
 
     The three complexes have the same `step` (-1 for chains, +1 for
-    cochains).  f and g are the chain maps by degree; the squares at
-    degree n are checked when f and g are also given in degree n + step.
+    cochains) and degrees 0..n_max.  f and g are the chain maps by degree;
+    the squares at degree n are checked when f and g are also given in
+    degree n + step.
     Returns the degree checks, the presentations of sub, mid and quot,
     the zig-zag connecting maps H_n(quot) -> H_{n+step}(sub) (lift
     through g, apply the differential, pull back through f) and whether
@@ -245,8 +246,7 @@ def _verify_ses(sub: ChainComplex, mid: ChainComplex, quot: ChainComplex,
             sys_f[n].solve_columns(sys_g[n].kernel()) is not None,  # ker g in im f
             sys_g[n].rank == g[n].rows and all(d == 1 for d in sys_g[n].diagonal()),
             commutes))
-    pres = tuple([cx.presentation(n) for n in range(n_max + 1)]
-                 for cx in (sub, mid, quot))
+    pres = tuple(cx.presentations() for cx in (sub, mid, quot))
     pres_sub, _, pres_quot = pres
     connecting = []
     connecting_ok = True

@@ -23,9 +23,9 @@ ChainHomologyPresentation turns every column of M into canonical homology
 coordinates at once (V * M, the column log replayed on a copy of M, a
 cycle check, one product with the rows of the relation transform's U^-1
 that it reads out of the row log).  The one-vector `solve` and `coords`
-are their one-column cases.  A ChainComplex holds one engine per
-differential for its presentations, so each differential is factored
-once however many degrees read it.
+are their one-column cases.  `ChainComplex.presentations` builds every
+degree's presentation in one pass and keeps no engine, factoring each
+differential once however many degrees read it.
 
 Pivot rule, in two phases (see _Smith).  The engine first eliminates
 every +-1 pivot in a sparsity order (unit-pivot pre-elimination, as in
@@ -54,7 +54,7 @@ import heapq
 from dataclasses import dataclass
 from itertools import chain
 from math import gcd
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 class LinAlgError(Exception):
@@ -957,14 +957,12 @@ class ChainComplex:
     and d*d = 0 are checked once, here; a nonzero composite raises
     CompositionNonzero naming its degree.
 
-    `presentation` reads each differential off one shared engine, built on
-    first use: V and V^-1 where the differential leaves a degree 0 .. top,
-    and U and U^-1 where the differential above it is zero, since then
-    V = I and the differential itself is the relation matrix of the degree
-    above.  Each transform is a replay of the engine's row or column log,
-    so every presentation equals the one from engines of its own.  The
-    complex drops an engine once every presentation that reads it has been
-    built, so a repeated call factors again.
+    The complex keeps no engine.  `presentations` factors each differential
+    at most once per call: V and V^-1 are read where it leaves a degree
+    0 .. top, and U and U^-1 where the differential above it is zero, since
+    then V = I and it is the relation matrix of the degree above.  Each
+    transform is a replay of an engine's row or column log, so every
+    presentation equals the one from engines of its own.
     """
 
     def __init__(self, ds: Sequence[IntMatrix], step: int):
@@ -981,8 +979,6 @@ class ChainComplex:
             # the product raises DimensionMismatch on a shape mismatch
             if not (d_out * d_in).is_zero():
                 raise CompositionNonzero(i if step < 0 else self.top - i)
-        self._engines = {}  # position in _ds -> its engine, while a reader is unbuilt
-        self._built = set()  # positions whose presentation has been built
 
     def _at(self, n: int) -> int:
         if not 0 <= n <= self.top:
@@ -993,25 +989,18 @@ class ChainComplex:
         """The differential leaving degree n."""
         return self._ds[self._at(n)]
 
-    def _readers(self, j: int) -> set:
-        # the positions whose presentation reads _ds[j]'s engine: j for V and
-        # V^-1, and j - 1 for U and U^-1 when _ds[j - 1] is zero
-        return {i for i in (j, j - 1) if 0 <= i <= self.top and (i == j or self._ds[i].is_zero())}
-
-    def _engine(self, j: int) -> _Smith:
-        if j not in self._engines:
-            self._engines[j] = _Smith(self._ds[j])
-        return self._engines[j]
-
-    def presentation(self, n: int) -> "ChainHomologyPresentation":
-        i = self._at(n)
-        pres = ChainHomologyPresentation(self._ds[i], self._ds[i + 1],
-                                         lambda k: self._engine(i + k))
-        self._built.add(i)
-        for j in (i, i + 1):  # drop an engine once all its readers are built
-            if self._readers(j) <= self._built:
-                self._engines.pop(j, None)
-        return pres
+    def presentations(self) -> list:
+        """The presentations of degrees 0 .. top, in one pass over the
+        differentials.  Each d_out is factored once; a zero d_out's d_in
+        too, which is both that degree's relation matrix and the next
+        position's d_out.  Each engine is released before the next is built."""
+        pres, carried = [], None
+        for d_out, d_in in zip(self._ds, self._ds[1:]):
+            eng_out = _Smith(d_out) if carried is None else carried
+            carried = _Smith(d_in) if d_out.is_zero() else None
+            pres.append(ChainHomologyPresentation(d_out, d_in, eng_out, carried))
+            del eng_out
+        return pres if self.step < 0 else pres[::-1]
 
     def groups(self) -> list:
         """The groups of degrees 0 .. top.
@@ -1070,17 +1059,16 @@ class ChainHomologyPresentation:
     transforms of the relation matrix, so homology classes of ambient
     vectors and induced maps of chain maps can be computed exactly.  The
     pair must be composable with d_out * d_in = 0; build it through
-    ChainComplex.presentation, which has checked that and hands it the
-    complex's engines: V and V^-1 are read off `engine(0)`, d_out's, and
-    U and U^-1 off `engine(1)`, d_in's, when d_out is zero.  Only a
-    nonzero d_out needs a relation matrix V[rank:] * d_in factored here.
-    The presentation keeps d_out's column log, not its engine, and replays
-    it for V * M.
+    ChainComplex.presentations, which has checked that and hands it the
+    engines of d_out, for V and V^-1, and of d_in when d_out is zero, for
+    U and U^-1 (`eng_in` is None otherwise).  Only a nonzero d_out needs a
+    relation matrix V[rank:] * d_in factored here.  The presentation keeps
+    d_out's column log, not its engine, and replays it for V * M.
     """
 
-    def __init__(self, d_out: IntMatrix, d_in: IntMatrix, engine: Callable[[int], _Smith]):
+    def __init__(self, d_out: IntMatrix, d_in: IntMatrix, eng_out: _Smith,
+                 eng_in: Optional[_Smith]):
         self.ambient = d_out.cols
-        eng_out = engine(0)
         r = self._out_rank = eng_out.rank
         self._v_log = eng_out.col_ops  # y = V x, this log replayed; kernel coords are y[rank:]
         k = self.ambient - r
@@ -1089,12 +1077,12 @@ class ChainHomologyPresentation:
         # rank.. of V * d_in.  Rows < rank vanish, so the columns of d_in are
         # cycles: d_out * d_in = U * S * (V * d_in) = 0, and the first rank
         # rows of S are d_i times unit rows.  A zero d_out leaves V = I and
-        # the relation matrix d_in itself, whose engine the complex holds.
+        # the relation matrix d_in itself, factored by `eng_in`.
         if r:
             rel = IntMatrix._of_row_dicts(k, d_in.cols, eng_out.v_times(d_in)._row_dicts[r:])
             eng_rel = _Smith(rel)
         else:
-            eng_rel = engine(1)
+            eng_rel = eng_in
         diag = eng_rel.diagonal()
         # free generators first, then the torsion ones
         canon = list(range(len(diag), k)) + [i for i, d in enumerate(diag) if d >= 2]

@@ -399,6 +399,12 @@ _DENSE_MODULE = {"fibers": {"0": 120}, "action": {"1": _dense_involution()}}
                              "inv": [0, 1], "units": [0],
                              "compose": [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1],
                                          [1, 1, 0]]}, None),
+    # a module that the command would not read is refused, not ignored:
+    # random instances draw their own modules, and skew-les reads one only
+    # with --mode cohomology
+    (["verify-theta", "--module", "no-such-module.json"], None, None),
+    (["skew-les", "MODEL", "--window", "2", "--guard", "1", "--module", "AUX"], _Z2,
+     {"fibers": {"0": 1}}),
 ], ids=["max-degree", "cohomology-max-degree", "coefficients", "odometer-p",
         "odometer-depth", "count", "af-levels", "dimension-levels", "pair-fibers",
         "unit-range", "src-not-unit", "module-fiber-type", "module-action-entry",
@@ -413,7 +419,8 @@ _DENSE_MODULE = {"fibers": {"0": 120}, "action": {"1": _dense_involution()}}
         "pair-fibers-bool", "cocycle-value-float", "coefficients-digits",
         "odometer-model-kind", "module-action-key", "module-fiber-key",
         "module-field", "module-fiber-negative", "cocycle-value-key", "cocycle-field",
-        "unit-duplicate", "compose-duplicate"])
+        "unit-duplicate", "compose-duplicate", "verify-theta-module-without-input",
+        "skew-les-homology-module"])
 def test_known_bad_inputs_exit_2_with_one_error_line(argv, model, aux, tmp_path, capsys,
                                                      request):
     files = {"MODEL": tmp_path / "model.json", "AUX": tmp_path / "aux.json"}
@@ -435,7 +442,9 @@ _NAMED = {"module-action-key": "action has an unknown key '5'",
           "cocycle-value-key": "values has an unknown key '9'",
           "cocycle-field": "the cocycle has an unknown key 'potential'",
           "unit-duplicate": "violated unit-duplicate at (0,)",
-          "compose-duplicate": "compose lists the pair (1, 1) twice, as 1 and 0"}
+          "compose-duplicate": "compose lists the pair (1, 1) twice, as 1 and 0",
+          "verify-theta-module-without-input": "--module needs an input model",
+          "skew-les-homology-module": "--module is read only with --mode cohomology"}
 
 
 @pytest.mark.parametrize("text", [b'{"kind": "pair", "fibers": [' + b"9" * 5000 + b"]}",

@@ -1,6 +1,8 @@
 import random
+import weakref
 from itertools import chain
 from math import gcd, prod
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -312,7 +314,7 @@ def test_presentation_matches_fast_path():
     for _ in range(40):
         m = rng.randint(1, 5)
         d_out, d_in = _random_composable_pair(rng, m)
-        pres = ChainComplex([d_out, d_in], -1).presentation(0)
+        (pres,) = ChainComplex([d_out, d_in], -1).presentations()
         assert pres.group == homology_at(d_out, d_in)
         # generators are cycles and their coordinates are unit vectors
         for j, gen in enumerate(pres.generators):
@@ -329,7 +331,7 @@ def test_presentation_matches_fast_path():
 def test_induced_identity_map():
     d_out = IntMatrix.zeros(1, 2)
     d_in = IntMatrix.from_rows([[1, -1], [0, 2]])
-    pres = ChainComplex([d_out, d_in], -1).presentation(0)
+    (pres,) = ChainComplex([d_out, d_in], -1).presentations()
     m = induced_on_homology(IntMatrix.identity(2), pres, pres)
     assert m == IntMatrix.identity(pres.n_generators)
 
@@ -417,7 +419,7 @@ def test_solve_columns_is_columnwise_solve(seed):
 def test_coords_of_is_columnwise_coords(seed):
     rng = random.Random(seed)
     d_out, d_in = _random_composable_pair(rng, rng.randint(1, 5))
-    pres = ChainComplex([d_out, d_in], -1).presentation(0)
+    (pres,) = ChainComplex([d_out, d_in], -1).presentations()
     k, cols = pres.n_generators, rng.randint(0, 4)
     # cycles with known classes: C on the generators plus boundaries
     C = _random_matrix(rng, k, cols, -5, 5)
@@ -461,13 +463,14 @@ def test_chain_complex_groups_presentations_and_uct(seed, step):
     if step > 0:
         chain_ds.append(IntMatrix.zeros(chain_ds[-1].cols, 0))
     groups = cx.groups()
+    presentations = cx.presentations()
     assert len(groups) == len(chain_ds) - 1
     for n, h in enumerate(groups):
         # degree n is ker(chain_ds[i]) / im(chain_ds[i + 1])
         i = n if step < 0 else len(groups) - 1 - n
         d_out, d_in = chain_ds[i], chain_ds[i + 1]
         assert cx.d_out(n) == d_out
-        assert cx.presentation(n).group == h
+        assert presentations[n].group == h
         for p in (2, 3, 5):
             # H_n(C (x) F_p) = H_n (x) F_p + Tor(H_below, F_p), where the
             # p-torsion of H_below is that of coker(d_out): the number of
@@ -522,12 +525,13 @@ def test_chain_complex_checks_every_pair_at_construction(seed, step):
 
 @pytest.mark.parametrize("step", [-1, 1])
 def test_an_empty_complex_has_no_degrees(step):
-    # chains and cochains alike: no differential, so no group and no
-    # presentation
+    # chains and cochains alike: no differential, so no group, no
+    # presentation and no degree 0
     cx = ChainComplex([], step)
     assert cx.groups() == []
+    assert cx.presentations() == []
     with pytest.raises(IndexError, match="degree 0 outside"):
-        cx.presentation(0)
+        cx.d_out(0)
 
 
 def _read_out(pres):
@@ -538,25 +542,47 @@ def _read_out(pres):
             pres.coords_of(pres.cycle_basis), pres.coords_of(gens))
 
 
+def _chain_list_with_zeros(seed, zero_at):
+    """A random chain list of 2 to 5 differentials, with ds[k] replaced by
+    a zero matrix of its shape wherever zero_at[k] holds."""
+    rng = random.Random(seed)
+    return [IntMatrix.zeros(d.rows, d.cols) if zero else d
+            for d, zero in zip(_random_chain_list(rng, rng.randint(2, 5)), zero_at)]
+
+
+def _recording_pass(cx, record):
+    """Run cx.presentations() with an engine that calls record(j, A, engine)
+    before it factors A, j the position of A in cx._ds, or None for a
+    matrix that is not one of the complex's differentials."""
+    ds = cx._ds
+
+    class Recording(zlinalg._Smith):
+        def __init__(self, A):
+            record(next((j for j, d in enumerate(ds) if d is A), None), A, self)
+            super().__init__(A)
+
+    with mock.patch.object(zlinalg, "_Smith", Recording):
+        return cx.presentations()
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 32 - 1), step=st.sampled_from([-1, 1]),
        zero_at=st.lists(st.booleans(), min_size=5, max_size=5))
 def test_presentations_share_one_engine_per_differential(seed, step, zero_at):
     # zero differentials at either end and in the middle: each one makes
     # the differential above it a relation matrix read off the shared engine
-    rng = random.Random(seed)
-    chain_ds = [IntMatrix.zeros(d.rows, d.cols) if zero else d
-                for d, zero in zip(_random_chain_list(rng, rng.randint(2, 5)), zero_at)]
+    chain_ds = _chain_list_with_zeros(seed, zero_at)
     ds = chain_ds if step < 0 else chain_ds[::-1]
     if step > 0:
         chain_ds.append(IntMatrix.zeros(chain_ds[-1].cols, 0))
     cx = ChainComplex(ds, step)
     top = len(chain_ds) - 2
     groups = cx.groups()
-    forward = [cx.presentation(n) for n in range(top + 1)]
-    backward = ChainComplex(ds, step)
-    backward = [backward.presentation(n) for n in range(top, -1, -1)][::-1]
-    for n, (pres, h) in enumerate(zip(forward, groups)):
+    first = cx.presentations()
+    fresh = ChainComplex(ds, step).presentations()
+    second = cx.presentations()
+    assert len(first) == len(fresh) == len(second) == top + 1
+    for n, (pres, h) in enumerate(zip(first, groups)):
         i = n if step < 0 else top - n
         d_out, d_in = chain_ds[i], chain_ds[i + 1]
         assert pres.group == h
@@ -570,14 +596,53 @@ def test_presentations_share_one_engine_per_differential(seed, step, zero_at):
             dim = d_out.cols - modp_rank(d_out.data, p) - modp_rank(d_in.data, p)
             tor = rational_rank(d_out.data) - modp_rank(d_out.data, p)
             assert dim == h.free_rank + sum(1 for t in h.torsion if t % p == 0) + tor
-        # the call order, a second call, and engines of the presentation's
+        # a fresh complex, a second pass, and engines of the presentation's
         # own all give the same read-out
-        own = zlinalg.ChainHomologyPresentation(d_out, d_in,
-                                                lambda k: zlinalg._Smith((d_out, d_in)[k]))
+        own = zlinalg.ChainHomologyPresentation(d_out, d_in, zlinalg._Smith(d_out),
+                                                zlinalg._Smith(d_in))
         want = _read_out(pres)
-        assert _read_out(backward[n]) == want
-        assert _read_out(cx.presentation(n)) == want
+        assert _read_out(fresh[n]) == want
+        assert _read_out(second[n]) == want
         assert _read_out(own) == want
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), step=st.sampled_from([-1, 1]),
+       zero_at=st.lists(st.booleans(), min_size=5, max_size=5))
+def test_one_pass_factors_each_differential_at_most_once(seed, step, zero_at):
+    chain_ds = _chain_list_with_zeros(seed, zero_at)
+    cx = ChainComplex(chain_ds if step < 0 else chain_ds[::-1], step)
+    built = []
+    _recording_pass(cx, lambda j, A, _: built.append((j,) + A.shape))
+    factored = [j for j, _, _ in built if j is not None]
+    assert len(factored) == len(set(factored))
+    # every other engine factors the relation matrix of a nonzero d_out:
+    # the kernel coordinates (d_out.cols - rank rows) of d_in's columns
+    ds = cx._ds
+    assert (sorted((m, n) for j, m, n in built if j is None)
+            == sorted((d_out.cols - rank(d_out), d_in.cols)
+                      for d_out, d_in in zip(ds, ds[1:]) if not d_out.is_zero()))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), step=st.sampled_from([-1, 1]),
+       zero_at=st.lists(st.booleans(), min_size=5, max_size=5))
+def test_one_pass_keeps_no_engine_alive_while_it_factors_the_next(seed, step, zero_at):
+    # a differential is handed over as the next d_out when the one before
+    # it in the pass is zero, whose engine then stays alive beside it; every
+    # other differential the pass factors starts with no engine of the
+    # complex alive
+    chain_ds = _chain_list_with_zeros(seed, zero_at)
+    cx = ChainComplex(chain_ds if step < 0 else chain_ds[::-1], step)
+    ds, refs, alive = cx._ds, [], []
+
+    def record(j, _, eng):
+        if j is not None and not (j and ds[j - 1].is_zero()):
+            alive.append([k for k, ref in enumerate(refs) if ref() is not None])
+        refs.append(weakref.ref(eng))
+
+    _recording_pass(cx, record)
+    assert alive and all(a == [] for a in alive)
 
 
 def _unimodular(rng, k):
