@@ -259,11 +259,12 @@ class InducedCohomologyMap:
 
 
 def _cocycle_presentation(G: FiniteGroupoid, M: GModule, n: int) -> ChainHomologyPresentation:
-    """H^n of the cocycle complex, from delta_{n-1} and delta_n alone; the
-    complex's lowest degree, ker(delta_{n-1}) for n > 0, is dropped."""
-    first = max(n - 1, 0)
-    spaces = [cochain_space(G, M, k) for k in range(first, n + 2)]
-    return cochain_complex(G, M, spaces, first).presentations()[n - first]
+    """H^n of the cocycle complex, the one degree of the two-term complex
+    of delta_n and delta_{n-1} (a zero map into C^0 when n = 0)."""
+    spaces = [cochain_space(G, M, k) for k in range(max(n - 1, 0), n + 2)]
+    d_in = (_coboundary(G, M, n - 1, *spaces[:2]) if n
+            else IntMatrix.zeros(spaces[0].total, 0))
+    return ChainComplex([_coboundary(G, M, n, *spaces[-2:]), d_in], -1).presentations()[0]
 
 
 def induced_cohomology_map(phi: GroupoidFunctor, M: GModule, n: int) -> InducedCohomologyMap:

@@ -5,20 +5,22 @@ divisibility of classes, decided exactly for stationary towers and
 otherwise answered up to a stage bound, never silently.  Inverse towers
 carry truncated limit / derived-limit reports: image chains with
 Mittag-Leffler stabilization certificates or strictly-decreasing
-evidence, and thread lattices within the truncation.  The derived limit
-is never presented as a group, only as a certificate or as evidence.
+evidence, and the rank of the thread lattice within the truncation, all
+read off `rank` and `invariant_factors`, so no basis is built.  The
+derived limit is never presented as a group, only as a certificate or as
+evidence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import gcd, prod
 from typing import List, Optional, Sequence
 
 from .groupoids import Budget
 from .models import BratteliDiagram, MalformedDiagram, OdometerSystem
-from .zlinalg import (FgAbGroup, IntMatrix, image_basis, invariant_factors,
-                      kernel_basis, rank)
+from .zlinalg import FgAbGroup, IntMatrix, invariant_factors, rank
 
 
 class StageBoundExceeded(Exception):
@@ -260,17 +262,56 @@ class Lim1Report:
     chains: List[StageChain]
     ml_certificate: bool
     nonml_stages: List[int]
-    thread_basis: IntMatrix  # columns = threads, stacked stage coordinates
-    stage_offsets: List[int]
-    lim_stage0_basis: IntMatrix
+    thread_rank: int  # rank of the lattice of truncated threads
 
-    def thread_rank(self) -> int:
-        return self.thread_basis.cols
+
+def _image_chain(T: Tower, n: int, N: int) -> StageChain:
+    """The image chain I_{n,m} = im(A_n ... A_{m-1}), m = n+1 .. N, of
+    stage n, read off the invariant factors of the composites."""
+    composite = None
+    factors = []
+    for m in range(n + 1, N + 1):
+        step = T.map_at(m - 1)
+        composite = step if composite is None else composite * step
+        factors.append(invariant_factors(composite))
+    ranks = [len(f) for f in factors]
+    # the images are nested, im(C * S) in im(C); at equal rank both have
+    # the same saturation L, and [L : im A] is the product of A's
+    # invariant factors, so the step's index is the ratio of products
+    indices: List[Optional[int]] = [None]
+    indices += [prod(cur) // prod(prev) if len(cur) == len(prev) else None
+                for prev, cur in zip(factors, factors[1:])]
+    # images[start] equals every later image exactly when each later
+    # step has index 1
+    start = len(factors) - 1
+    while start > 0 and indices[start] == 1:
+        start -= 1
+    stabilized = n + 1 + start
+    # the trailing image alone stabilizes vacuously; demand at least
+    # one observed repeat before certifying
+    if start == len(factors) - 1 and len(factors) >= 2:
+        stabilized = None
+    return StageChain(n, ranks, indices, stabilized)
+
+
+def _thread_rank(T: Tower, N: int) -> int:
+    """Rank of the truncated threads, the kernel of the block matrix
+    (x_n - A_n x_{n+1})_{n<N}: its number of columns minus its rank."""
+    offsets = list(accumulate((T.rank_at(n) for n in range(N + 1)), initial=0))
+    # stage n's rows start at offsets[n], the column offset of x_n
+    entries = []
+    for n in range(N):
+        row0 = offsets[n]
+        entries.extend((row0 + i, row0 + i, 1) for i in range(T.rank_at(n)))
+        entries.extend((row0 + i, offsets[n + 1] + j, -v)
+                       for i, j, v in T.map_at(n).entries())
+    return offsets[-1] - rank(IntMatrix.from_entries(offsets[N], offsets[-1], entries))
 
 
 def limit_and_lim1(T: Tower, N: int) -> Lim1Report:
     """Image chains to depth N with stabilization certificates, plus the
-    lattice of truncated threads.
+    rank of the lattice of truncated threads, all read off `rank` and
+    `invariant_factors`.
 
     A Mittag-Leffler certificate means every stage's image chain became
     stationary within the truncation; it is evidence about the truncated
@@ -284,53 +325,10 @@ def limit_and_lim1(T: Tower, N: int) -> Lim1Report:
         raise ValueError("need at least two stages")
     if not T.stationary and N > len(T.ranks) - 1:
         raise ValueError("tower too short for requested depth")
-    chains: List[StageChain] = []
-    nonml = []
-    for n_stage in range(N):
-        composite = None
-        factors = []
-        for m in range(n_stage + 1, N + 1):
-            step = T.map_at(m - 1)
-            composite = step if composite is None else composite * step
-            factors.append(invariant_factors(composite))
-        ranks = [len(f) for f in factors]
-        # the images are nested, im(C * S) in im(C); at equal rank both have
-        # the same saturation L, and [L : im A] is the product of A's
-        # invariant factors, so the step's index is the ratio of products
-        indices: List[Optional[int]] = [None]
-        indices += [prod(cur) // prod(prev) if len(cur) == len(prev) else None
-                    for prev, cur in zip(factors, factors[1:])]
-        # images[start] equals every later image exactly when each later
-        # step has index 1
-        start = len(factors) - 1
-        while start > 0 and indices[start] == 1:
-            start -= 1
-        stabilized = n_stage + 1 + start
-        # the trailing image alone stabilizes vacuously; demand at least
-        # one observed repeat before certifying
-        if start == len(factors) - 1 and len(factors) >= 2:
-            stabilized = None
-        if stabilized is None:
-            nonml.append(n_stage)
-        chains.append(StageChain(n_stage, ranks, indices, stabilized))
-    # threads: block kernel of (x_n - A_n x_{n+1})_n
-    offsets = [0]
-    for n_stage in range(N + 1):
-        offsets.append(offsets[-1] + T.rank_at(n_stage))
-    # stage n's rows start at offsets[n], the column offset of x_n
-    entries = []
-    for n_stage in range(N):
-        row0 = offsets[n_stage]
-        entries.extend((row0 + i, row0 + i, 1) for i in range(T.rank_at(n_stage)))
-        entries.extend((row0 + i, offsets[n_stage + 1] + j, -v)
-                       for i, j, v in T.map_at(n_stage).entries())
-    threads = kernel_basis(IntMatrix.from_entries(offsets[N], offsets[-1], entries))
-    rank0 = T.rank_at(0)
-    lim0 = image_basis(IntMatrix.from_columns(
-        [col[:rank0] for col in threads.column_list()], rank0))
+    chains = [_image_chain(T, n, N) for n in range(N)]
+    nonml = [c.stage for c in chains if c.stabilized_at is None]
     return Lim1Report(N, chains, ml_certificate=not nonml, nonml_stages=nonml,
-                      thread_basis=threads, stage_offsets=offsets,
-                      lim_stage0_basis=lim0)
+                      thread_rank=_thread_rank(T, N))
 
 
 # -- AF cohomology tower (stationary full shifts) ------------------------------
@@ -394,13 +392,10 @@ def af_cohomology_tower(B: BratteliDiagram, N: int, D: int) -> AfCohomologyRepor
     maps = [_shift_pullback(p, D + N - n - 1) for n in range(N)]
     tower = Tower("inverse", ranks, maps)
     if N >= 2:
-        report = limit_and_lim1(tower, N)
-        image_ranks = report.chains[0].ranks
-        nonml = 0 in report.nonml_stages
-        truncated_rank = report.thread_rank()
+        chain = _image_chain(tower, 0, N)
+        image_ranks, nonml = chain.ranks, chain.stabilized_at is None
     else:
         image_ranks = [rank(maps[0])]
         nonml = image_ranks[0] < ranks[0]
-        truncated_rank = ranks[1]
     return AfCohomologyReport(p, N, D, fixed_rank, constants_only,
-                              truncated_rank, image_ranks, nonml)
+                              _thread_rank(tower, N), image_ranks, nonml)

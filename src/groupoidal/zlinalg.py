@@ -32,9 +32,9 @@ every +-1 pivot in a sparsity order (unit-pivot pre-elimination, as in
 Dumas-Saunders-Villard 2001), then takes the least (|v|, Markowitz cost,
 row, column) at each step of the remainder.  Both orders are fixed rules,
 not just good ones, because the transform read-outs (snf, kernel_basis,
-image_basis, LinearSystem, ChainHomologyPresentation) follow them: U, V,
-kernel bases, homology generators and divisibility witnesses are part of
-the program's output.  `rank` and `invariant_factors` need no transform
+LinearSystem, ChainHomologyPresentation) follow them: U, V, kernel
+bases, homology generators and divisibility witnesses are part of the
+program's output.  `rank` and `invariant_factors` need no transform
 and read the canonical Smith diagonal, so they run the unit phase without
 logs (`_strip_unit_pivots`) and the engine on the compacted remainder.
 `ChainComplex.groups` runs both on each differential without the cells
@@ -793,19 +793,6 @@ def _normalize_column_sign(col: dict) -> dict:
 def kernel_basis(A: IntMatrix) -> IntMatrix:
     """Basis of the saturated integer kernel lattice, as matrix columns."""
     return _Smith(A).kernel_matrix()
-
-
-def image_basis(A: IntMatrix) -> IntMatrix:
-    """Basis of the image lattice of A (not saturated), as matrix columns.
-
-    With A = U*S*V the image is spanned by the columns U[:, j] * d_j for
-    j < rank, read off the factorization: these are the first rank
-    columns of snf(A).U * snf(A).S.
-    """
-    eng = _Smith(A)
-    return IntMatrix._of_col_dicts(
-        eng.m, [{i: d * v for i, v in col.items()}
-                for col, d in zip(eng.u_cols(), eng.diagonal())])
 
 
 class LinearSystem:

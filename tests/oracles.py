@@ -9,9 +9,12 @@ are the engine's two pivot rules by plain scans, to check the pivots the
 engine picks (they read its state, or a copy of it), `recording_engine` only
 records which transform read-outs run on each engine, and
 `engine_factors` assembles U, S, V and their inverses from an engine's
-read-outs, for the tests of those read-outs.  `lattice_kernel_group` is
-the exception: a second route to kernel groups, by lattices on the
-engine's transform read-outs, against which the mapping cone is checked.
+read-outs, for the tests of those read-outs.  The exceptions run the
+engine's transform read-outs: `image_basis` reads a basis of the image
+lattice off U and the Smith diagonal, `lattice_kernel_group` is a second
+route to kernel groups, by lattices, against which the mapping cone is
+checked, and `truncated_threads` builds the bases of a tower's truncated
+threads whose ranks `limits.limit_and_lim1` reads off `rank` alone.
 `theta_rho_by_products` states the comparison identities of
 `theta_rho_check` as plain matrix products of selection matrices, and
 `homology_face` computes a face as a string, against which the index
@@ -23,7 +26,7 @@ from itertools import product
 
 from groupoidal import zlinalg
 from groupoidal.zlinalg import (FgAbGroup, IntMatrix, LinAlgError, LinearSystem,
-                                image_basis, invariant_factors, kernel_basis)
+                                invariant_factors, kernel_basis)
 
 
 def rational_rank(rows):
@@ -418,6 +421,19 @@ def validate_module_on_all_pairs(G, M):
     return True, None, None
 
 
+def image_basis(A):
+    """Basis of the image lattice of A (not saturated), as matrix columns.
+
+    With A = U*S*V the image is spanned by the columns U[:, j] * d_j for
+    j < rank, read off the factorization: these are the first rank
+    columns of snf(A).U * snf(A).S.
+    """
+    eng = zlinalg._Smith(A)
+    return IntMatrix._of_col_dicts(
+        eng.m, [{i: d * v for i, v in col.items()}
+                for col, d in zip(eng.u_cols(), eng.diagonal())])
+
+
 def _with_orders(M, orders, sign):
     """M followed by one column sign * d * e_i for each nonzero d = orders[i]."""
     extra = [[sign * d if k == i else 0 for k in range(M.rows)]
@@ -440,6 +456,28 @@ def lattice_kernel_group(map_matrix, source_orders, target_orders):
         raise LinAlgError("induced map is not well defined on the quotient")
     facs = invariant_factors(rel)
     return FgAbGroup.from_invariant_factors(facs, free_rank=basis.cols - len(facs))
+
+
+def truncated_threads(T, N):
+    """The truncated threads of the inverse tower T to depth N, the kernel
+    of the block matrix (x_n - A_n x_{n+1})_{n<N}, as a kernel basis whose
+    columns stack the stage coordinates, and an image basis of their
+    stage-0 coordinates."""
+    offsets = [0]
+    for n_stage in range(N + 1):
+        offsets.append(offsets[-1] + T.rank_at(n_stage))
+    # stage n's rows start at offsets[n], the column offset of x_n
+    entries = []
+    for n_stage in range(N):
+        row0 = offsets[n_stage]
+        entries.extend((row0 + i, row0 + i, 1) for i in range(T.rank_at(n_stage)))
+        entries.extend((row0 + i, offsets[n_stage + 1] + j, -v)
+                       for i, j, v in T.map_at(n_stage).entries())
+    threads = kernel_basis(IntMatrix.from_entries(offsets[N], offsets[-1], entries))
+    rank0 = T.rank_at(0)
+    lim0 = image_basis(IntMatrix.from_columns(
+        [col[:rank0] for col in threads.column_list()], rank0))
+    return threads, lim0
 
 
 def selection_matrix(coords, cols):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from groupoidal import cohomology
+from groupoidal import cohomology, zlinalg
 from groupoidal.cohomology import (cochain_pullback_matrix,
                                    cocycle_coboundary_matrix,
                                    cocycle_cohomology, hom_coboundary_matrix,
@@ -21,8 +21,8 @@ from groupoidal.zlinalg import (ChainComplex, DimensionMismatch, FgAbGroup, IntM
 
 from isotropy_models import random_orbit_groupoid
 from oracles import (betti_over_field_cochain, complex_betti, group_cochain_deltas,
-                     modp_rank, orbit_count, rational_rank, selection_matrix,
-                     theta_rho_by_products)
+                     modp_rank, orbit_count, rational_rank, recording_engine,
+                     selection_matrix, theta_rho_by_products)
 
 Z = FgAbGroup.free(1)
 ZERO = FgAbGroup.trivial()
@@ -213,6 +213,19 @@ def test_induced_cohomology_identity():
     for n in (0, 1, 2):
         ind = induced_cohomology_map(GroupoidFunctor.identity(z2), M, n)
         assert ind.matrix == IntMatrix.identity(ind.source.n_generators)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_induced_cohomology_factors_only_degree_n(n, monkeypatch):
+    # each side factors delta_n and the relation matrix of its image, and
+    # nothing of the degree below
+    from test_models import S3_TABLE
+    s3 = group_groupoid(S3_TABLE)
+    built = []
+    monkeypatch.setattr(zlinalg, "_Smith", recording_engine(built))
+    ind = induced_cohomology_map(GroupoidFunctor.identity(s3), constant_module(s3, 2), n)
+    assert len(built) == 4
+    assert ind.matrix == IntMatrix.identity(ind.source.n_generators)
 
 
 def test_surjective_functor_pullback_injective():

@@ -1,5 +1,9 @@
+import json
 import os
 import random
+import resource
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -13,10 +17,10 @@ from groupoidal.limits import (ColimitGroup, StageBoundExceeded, Tower,
                                dimension_group, limit_and_lim1)
 from groupoidal.models import (MalformedDiagram, bratteli_stationary,
                                pair_groupoid_from_map)
-from groupoidal.zlinalg import (FgAbGroup, IntMatrix, LinearSystem, image_basis,
-                                invariant_factors, rank)
+from groupoidal.zlinalg import (FgAbGroup, IntMatrix, LinearSystem, invariant_factors,
+                                rank)
 
-from oracles import lattice_index, recording_engine
+from oracles import image_basis, lattice_index, recording_engine, truncated_threads
 
 
 def doubling():
@@ -150,8 +154,8 @@ def test_limit_constant_tower():
     T = Tower.stationary_tower("inverse", IntMatrix.identity(1))
     rep = limit_and_lim1(T, 4)
     assert rep.ml_certificate
-    assert rep.thread_rank() == 1
-    assert rep.lim_stage0_basis == IntMatrix.from_rows([[1]])
+    assert rep.thread_rank == 1
+    assert truncated_threads(T, 4)[1] == IntMatrix.from_rows([[1]])
 
 
 def test_limit_doubling_tower_nonml():
@@ -165,7 +169,7 @@ def test_limit_doubling_tower_nonml():
     assert chain.indices[1:] == [2, 2, 2, 2]
     assert chain.stabilized_at is None
     # truncated threads force divisibility by 2^N at stage zero
-    assert rep.lim_stage0_basis == IntMatrix.from_rows([[32]])
+    assert truncated_threads(T, 5)[1] == IntMatrix.from_rows([[32]])
 
 
 def test_limit_eventually_zero():
@@ -174,7 +178,7 @@ def test_limit_eventually_zero():
                IntMatrix.zeros(1, 1)])
     rep = limit_and_lim1(T, 3)
     assert rep.ml_certificate
-    assert rep.lim_stage0_basis.cols == 0
+    assert truncated_threads(T, 3)[1].cols == 0
 
 
 def test_limit_surjections_always_ml():
@@ -214,7 +218,9 @@ def test_stabilized_at_matches_pairwise_lattice_equality(seed):
     mats = [IntMatrix(ranks[n], ranks[n + 1],
                       [[rng.choice([-1, 0, 0, 1, 1, 2]) for _ in range(ranks[n + 1])]
                        for _ in range(ranks[n])]) for n in range(N)]
-    rep = limit_and_lim1(Tower("inverse", ranks, mats), N)
+    T = Tower("inverse", ranks, mats)
+    rep = limit_and_lim1(T, N)
+    assert rep.thread_rank == truncated_threads(T, N)[0].cols
     for n_stage, got in enumerate(rep.chains):
         composites = [mats[n_stage]]
         for m in range(n_stage + 1, N):
@@ -266,14 +272,33 @@ def _transform_factorizations(argv, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv, want", [
-    # the thread basis and the stage-0 basis; every rank and index is
-    # read off invariant factors
-    (["af-cohomology", "inputs/uhf2.json", "--levels", "4", "--depth", "5"], 2),
+    # every rank and index is read off invariant factors, and the thread
+    # rank off the rank of the thread matrix
+    (["af-cohomology", "inputs/uhf2.json", "--levels", "4", "--depth", "5"], 0),
     (["af-cohomology", "inputs/uhf2.json", "--levels", "1", "--depth", "5"], 0),
     (["dimension-group", "inputs/uhf6.json", "--queries", "inputs/uhf6-queries.json"], 0),
 ], ids=["af-levels-4", "af-levels-1", "dimension-group-uhf6"])
 def test_numbers_do_not_run_the_transform_engine(argv, want, monkeypatch, capsys):
     assert _transform_factorizations(argv, monkeypatch, capsys) == want
+
+
+@pytest.mark.parametrize("N,D", [(2, 14), (3, 13)])
+def test_af_cohomology_of_2_to_the_16_cylinders_fits_in_1_gib(N, D):
+    # the 2^16 depth-16 cylinders give a thread matrix of 114,688 x 131,072;
+    # a dense kernel basis of it, 114,688 x 16,384 cells, does not fit in
+    # 1 GiB, so the thread rank must be read off a rank
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+    uhf2 = os.path.join(os.path.dirname(__file__), "golden", "inputs", "uhf2.json")
+    res = subprocess.run([sys.executable, "-m", "groupoidal.cli", "af-cohomology", uhf2,
+                          "--levels", str(N), "--depth", str(D), "--format", "json"],
+                         capture_output=True, text=True, timeout=10, preexec_fn=limit)
+    assert res.returncode == 0, res.stderr[-300:]
+    assert json.loads(res.stdout) == {
+        "command": "af-cohomology", "p": 2, "stages": N, "depth": D,
+        "h0": {"lattice_rank": 1, "constants_only": True, "truncated_thread_rank": 2 ** D},
+        "h1": {"image_ranks": [2 ** (D + N - m) for m in range(1, N + 1)],
+               "nonml_evidence": True}}
 
 
 @pytest.mark.parametrize("p,N,D", [(2, 3, 4), (3, 2, 3)])

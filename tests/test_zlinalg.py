@@ -12,13 +12,13 @@ from groupoidal import zlinalg
 from groupoidal.zlinalg import (BadModulus, ChainComplex, CompositionNonzero,
                                 DimensionMismatch, FgAbGroup, IntMatrix,
                                 LinearSystem, coefficients_via_uct,
-                                homology_at, image_basis,
+                                homology_at,
                                 LinAlgError, induced_on_homology,
                                 invariant_factors, kernel_basis, kernel_group,
                                 rank, snf)
 
-from oracles import (det, engine_factors, lattice_kernel_group, modp_rank, orders_normal_form,
-                     rational_rank, selection_matrix)
+from oracles import (det, engine_factors, image_basis, lattice_kernel_group, modp_rank,
+                     orders_normal_form, rational_rank, selection_matrix)
 
 
 def _contains(A, B):
