@@ -137,15 +137,13 @@ def rho_matrix(G: FiniteGroupoid, M: GModule, n: int) -> IntMatrix:
     return relabel_matrix(hom_space(G, M, n), cochain_space(G, M, n))
 
 
-def cochain_complex(G: FiniteGroupoid, M: GModule, spaces: List[BlockSpace],
-                    first: int = 0) -> ChainComplex:
-    """The complex of delta_first, delta_first+1, ... between consecutive
-    `spaces` (of degrees first, first + 1, ..., all of one model), so each
-    space is built once and shared by the deltas into and out of it.  Its
-    degree k is cochain degree first + k, but with first > 0 its lowest
-    degree is ker(delta_first), not H^first: no delta maps into it."""
+def cochain_complex(G: FiniteGroupoid, M: GModule,
+                    spaces: List[BlockSpace]) -> ChainComplex:
+    """The complex of delta_0, delta_1, ... between consecutive `spaces`
+    (of degrees 0, 1, ..., all of one model), so each space is built once
+    and shared by the deltas into and out of it."""
     return ChainComplex([_coboundary(G, M, n, dom, cod) for n, (dom, cod)
-                         in enumerate(zip(spaces, spaces[1:]), first)], 1)
+                         in enumerate(zip(spaces, spaces[1:]))], 1)
 
 
 def cocycle_cohomology(G: FiniteGroupoid, M: GModule, n_max: int) -> List[FgAbGroup]:

@@ -5,16 +5,15 @@ divisibility of classes, decided exactly for stationary towers and
 otherwise answered up to a stage bound, never silently.  Inverse towers
 carry truncated limit / derived-limit reports: image chains with
 Mittag-Leffler stabilization certificates or strictly-decreasing
-evidence, and the rank of the thread lattice within the truncation, all
-read off `rank` and `invariant_factors`, so no basis is built.  The
-derived limit is never presented as a group, only as a certificate or as
-evidence.
+evidence, read off `invariant_factors` so no basis is built, and the
+rank of the thread lattice within the truncation, which is the rank of
+the last stage.  The derived limit is never presented as a group, only
+as a certificate or as evidence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from math import gcd, prod
 from typing import List, Optional, Sequence
 
@@ -262,7 +261,9 @@ class Lim1Report:
     chains: List[StageChain]
     ml_certificate: bool
     nonml_stages: List[int]
-    thread_rank: int  # rank of the lattice of truncated threads
+    # rank of the lattice of truncated threads (x_n = A_n x_{n+1}, n < N):
+    # each thread is fixed by its free last coordinate x_N, so it is rank_N
+    thread_rank: int
 
 
 def _image_chain(T: Tower, n: int, N: int) -> StageChain:
@@ -294,24 +295,11 @@ def _image_chain(T: Tower, n: int, N: int) -> StageChain:
     return StageChain(n, ranks, indices, stabilized)
 
 
-def _thread_rank(T: Tower, N: int) -> int:
-    """Rank of the truncated threads, the kernel of the block matrix
-    (x_n - A_n x_{n+1})_{n<N}: its number of columns minus its rank."""
-    offsets = list(accumulate((T.rank_at(n) for n in range(N + 1)), initial=0))
-    # stage n's rows start at offsets[n], the column offset of x_n
-    entries = []
-    for n in range(N):
-        row0 = offsets[n]
-        entries.extend((row0 + i, row0 + i, 1) for i in range(T.rank_at(n)))
-        entries.extend((row0 + i, offsets[n + 1] + j, -v)
-                       for i, j, v in T.map_at(n).entries())
-    return offsets[-1] - rank(IntMatrix.from_entries(offsets[N], offsets[-1], entries))
-
-
 def limit_and_lim1(T: Tower, N: int) -> Lim1Report:
-    """Image chains to depth N with stabilization certificates, plus the
-    rank of the lattice of truncated threads, all read off `rank` and
-    `invariant_factors`.
+    """Image chains to depth N with stabilization certificates, read off
+    `invariant_factors`, plus the rank of the lattice of truncated
+    threads, the rank of stage N, since a thread is fixed by its last
+    coordinate.
 
     A Mittag-Leffler certificate means every stage's image chain became
     stationary within the truncation; it is evidence about the truncated
@@ -328,7 +316,7 @@ def limit_and_lim1(T: Tower, N: int) -> Lim1Report:
     chains = [_image_chain(T, n, N) for n in range(N)]
     nonml = [c.stage for c in chains if c.stabilized_at is None]
     return Lim1Report(N, chains, ml_certificate=not nonml, nonml_stages=nonml,
-                      thread_rank=_thread_rank(T, N))
+                      thread_rank=T.rank_at(N))
 
 
 # -- AF cohomology tower (stationary full shifts) ------------------------------
@@ -398,4 +386,4 @@ def af_cohomology_tower(B: BratteliDiagram, N: int, D: int) -> AfCohomologyRepor
         image_ranks = [rank(maps[0])]
         nonml = image_ranks[0] < ranks[0]
     return AfCohomologyReport(p, N, D, fixed_rank, constants_only,
-                              _thread_rank(tower, N), image_ranks, nonml)
+                              tower.rank_at(N), image_ranks, nonml)

@@ -203,10 +203,10 @@ class LesReport:
     degreewise_groups: List[FgAbGroup]
     degree0_group: FgAbGroup
     degree0_matches_base: bool
-    # true for every cocycle: on a finite groupoid c is the coboundary of
-    # `potential`, the zero cocycle of the zero potential included
+    # always true: les_verify refuses a cocycle that does not validate, and
+    # on a finite groupoid every cocycle is the coboundary of its
+    # `cocycle_potential`, the zero cocycle of zero
     cocycle_is_coboundary: bool
-    potential: Dict[int, int]
     note: str
 
     @property
@@ -303,7 +303,6 @@ def les_verify(G: FiniteGroupoid, c: ZCocycle, K: int, guard: int, n_max: int,
     incl = inner.inclusion_into(outer)
     shift = inner.shift_into(outer)
     proj = outer.projection()
-    potential = cocycle_potential(G, c)
     note = ("the cocycle is a coboundary (every integer cocycle on a finite "
             "groupoid is); windowed checks do not model essentially "
             "nontrivial cocycles" if any(c.values) else
@@ -342,4 +341,4 @@ def les_verify(G: FiniteGroupoid, c: ZCocycle, K: int, guard: int, n_max: int,
     return LesReport(mode, K, guard, interior, n_max, checks, base_groups,
                      [p.group for p in pres_in], connecting, connecting_ok,
                      book, book[0], book[0] == base_groups[0],
-                     True, potential, note)
+                     True, note)

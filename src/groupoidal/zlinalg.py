@@ -1123,9 +1123,9 @@ def induced_on_homology(chain_map: IntMatrix,
         chain_map * IntMatrix.from_columns(source.generators, source.ambient))
 
 
-def _with_order_columns(M: IntMatrix, orders: Sequence[int], sign: int) -> IntMatrix:
-    """M followed by one column sign * d * e_i for each nonzero d = orders[i]."""
-    extra = [(i, sign * d) for i, d in enumerate(orders) if d]
+def _with_order_columns(M: IntMatrix, orders: Sequence[int]) -> IntMatrix:
+    """M followed by one column d * e_i for each nonzero d = orders[i]."""
+    extra = [(i, d) for i, d in enumerate(orders) if d]
     return IntMatrix.from_entries(
         M.rows, M.cols + len(extra),
         chain(M.entries(), ((i, M.cols + c, v) for c, (i, v) in enumerate(extra))))
@@ -1138,7 +1138,7 @@ def quotient_group(target: ChainHomologyPresentation, map_matrix: IntMatrix) -> 
     """
     if map_matrix.rows != target.n_generators:
         raise DimensionMismatch("quotient: coordinate mismatch")
-    facs = invariant_factors(_with_order_columns(map_matrix, target.orders, 1))
+    facs = invariant_factors(_with_order_columns(map_matrix, target.orders))
     return FgAbGroup.from_invariant_factors(facs, free_rank=map_matrix.rows - len(facs))
 
 
@@ -1168,5 +1168,5 @@ def kernel_group(map_matrix: IntMatrix, source_orders: Sequence[int],
             if not t or image % t:
                 raise LinAlgError("induced map is not well defined on the quotient")
             entries.append((lift_row[i], lift_col[j], image // t))
-    return homology_at(_with_order_columns(map_matrix, target_orders, 1),
+    return homology_at(_with_order_columns(map_matrix, target_orders),
                        IntMatrix.from_entries(ks + len(lift_row), len(lift_col), entries))

@@ -357,8 +357,8 @@ def test_theta_rho_check_names_the_degree_of_a_wrong_hom_delta(degree, monkeypat
             d = self.complex.d_out(n)
             return _negate_one_entry(d) if n == degree else d
 
-    def building(G, M, spaces, first=0, _build=cohomology.cochain_complex):
-        complex_ = _build(G, M, spaces, first)
+    def building(G, M, spaces, _build=cohomology.cochain_complex):
+        complex_ = _build(G, M, spaces)
         return Flipped(complex_) if id(spaces[0]) in homs else complex_
     monkeypatch.setattr(cohomology, "cochain_complex", building)
     rep = theta_rho_check(G, M, 2)

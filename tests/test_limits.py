@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupoidal import cli, zlinalg
+from groupoidal import cli, limits, zlinalg
 from groupoidal.homology import homology_groups
 from groupoidal.limits import (ColimitGroup, StageBoundExceeded, Tower,
                                af_cohomology_tower, af_homology,
@@ -273,7 +273,7 @@ def _transform_factorizations(argv, monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv, want", [
     # every rank and index is read off invariant factors, and the thread
-    # rank off the rank of the thread matrix
+    # rank is the last stage's rank
     (["af-cohomology", "inputs/uhf2.json", "--levels", "4", "--depth", "5"], 0),
     (["af-cohomology", "inputs/uhf2.json", "--levels", "1", "--depth", "5"], 0),
     (["dimension-group", "inputs/uhf6.json", "--queries", "inputs/uhf6-queries.json"], 0),
@@ -282,23 +282,83 @@ def test_numbers_do_not_run_the_transform_engine(argv, want, monkeypatch, capsys
     assert _transform_factorizations(argv, monkeypatch, capsys) == want
 
 
-@pytest.mark.parametrize("N,D", [(2, 14), (3, 13)])
-def test_af_cohomology_of_2_to_the_16_cylinders_fits_in_1_gib(N, D):
-    # the 2^16 depth-16 cylinders give a thread matrix of 114,688 x 131,072;
-    # a dense kernel basis of it, 114,688 x 16,384 cells, does not fit in
-    # 1 GiB, so the thread rank must be read off a rank
+_UHF2 = os.path.join(os.path.dirname(__file__), "golden", "inputs", "uhf2.json")
+
+
+def _af_cohomology_in_1_gib(N, D, timeout):
+    """Run uhf2 `af-cohomology` in a child with 1 GiB of address space and
+    check that it exits 0 with the closed form of the report."""
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
-    uhf2 = os.path.join(os.path.dirname(__file__), "golden", "inputs", "uhf2.json")
-    res = subprocess.run([sys.executable, "-m", "groupoidal.cli", "af-cohomology", uhf2,
+    res = subprocess.run([sys.executable, "-m", "groupoidal.cli", "af-cohomology", _UHF2,
                           "--levels", str(N), "--depth", str(D), "--format", "json"],
-                         capture_output=True, text=True, timeout=10, preexec_fn=limit)
+                         capture_output=True, text=True, timeout=timeout, preexec_fn=limit)
     assert res.returncode == 0, res.stderr[-300:]
     assert json.loads(res.stdout) == {
         "command": "af-cohomology", "p": 2, "stages": N, "depth": D,
         "h0": {"lattice_rank": 1, "constants_only": True, "truncated_thread_rank": 2 ** D},
         "h1": {"image_ranks": [2 ** (D + N - m) for m in range(1, N + 1)],
                "nonml_evidence": True}}
+
+
+@pytest.mark.parametrize("N,D", [(2, 14), (3, 13)])
+def test_af_cohomology_of_2_to_the_16_cylinders_fits_in_1_gib(N, D):
+    # at 2/14 a dense kernel basis of the 98,304 x 114,688 thread matrix
+    # has 114,688 x 16,384 cells and does not fit in 1 GiB, so the thread
+    # rank must not be read off a basis
+    _af_cohomology_in_1_gib(N, D, timeout=10)
+
+
+@pytest.mark.grid
+def test_af_cohomology_of_2_to_the_19_cylinders_fits_in_1_gib():
+    # eliminating the 786,432 x 917,504 thread matrix runs out of 1 GiB,
+    # so the thread rank must be the last stage's, 2^17, read off no matrix
+    _af_cohomology_in_1_gib(2, 17, timeout=60)
+
+
+def test_af_cohomology_eliminates_only_what_it_prints(monkeypatch):
+    # one rank, of the fixed-lattice matrix, and one invariant_factors per
+    # stage-0 composite; the thread rank needs no elimination
+    calls = {"rank": 0, "invariant_factors": 0}
+
+    def counting(name):
+        real = getattr(limits, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+    for name in calls:
+        monkeypatch.setattr(limits, name, counting(name))
+    rep = af_cohomology_tower(cli.parse_input(_UHF2), 4, 5)
+    assert calls == {"rank": 1, "invariant_factors": 4}
+    assert rep.h0_truncated_thread_rank == 2 ** 5
+
+
+def _matrices(rows, cols):
+    row = st.lists(st.integers(-3, 3), min_size=cols, max_size=cols)
+    return st.lists(row, min_size=rows, max_size=rows).map(
+        lambda data: IntMatrix(rows, cols, data))
+
+
+@st.composite
+def inverse_towers(draw):
+    """(T, N): an inverse tower of ranks 0-4 and entries in -3..3 to depth
+    N in 2..4, or a stationary one."""
+    N = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 4))
+        return Tower.stationary_tower("inverse", draw(_matrices(k, k))), N
+    ranks = draw(st.lists(st.integers(0, 4), min_size=N + 1, max_size=N + 1))
+    mats = [draw(_matrices(ranks[n], ranks[n + 1])) for n in range(N)]
+    return Tower("inverse", ranks, mats), N
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tower=inverse_towers())
+def test_thread_rank_is_the_kernel_basis_column_count(tower):
+    T, N = tower
+    assert limit_and_lim1(T, N).thread_rank == truncated_threads(T, N)[0].cols
 
 
 @pytest.mark.parametrize("p,N,D", [(2, 3, 4), (3, 2, 3)])
