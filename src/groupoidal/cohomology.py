@@ -23,13 +23,13 @@ cocycle complex and checks its groups against the isotropy route's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, List, Optional
 
 from .groupoids import (FiniteGroupoid, GModule, GroupoidFunctor, face_table,
                         isotropy_inclusion, nerve, require_nerve_work,
                         require_valid_functor)
+from .records import Record
 from .resolution import isotropy_cochains
 from .zlinalg import (ChainComplex, ChainHomologyPresentation, DimensionMismatch, FgAbGroup,
                       IntMatrix, LinAlgError, induced_on_homology, rank)
@@ -161,17 +161,20 @@ def cocycle_cohomology(G: FiniteGroupoid, M: GModule, n_max: int) -> List[FgAbGr
 hom_side_cohomology = cocycle_cohomology
 
 
-@dataclass
-class ThetaRhoReport:
+class ThetaRhoReport(Record):
     """Exact matrix verification that the two cochain models agree:
     `cocycle_groups` are the full cocycle complex's, `hom_groups` the Hom
     model's on the isotropy resolutions (`hom_side_cohomology`)."""
 
-    n_max: int
-    ok: bool
-    failures: List[tuple]
-    cocycle_groups: List[FgAbGroup]
-    hom_groups: List[FgAbGroup]
+    __slots__ = ("n_max", "ok", "failures", "cocycle_groups", "hom_groups")
+
+    def __init__(self, n_max: int, ok: bool, failures: List[tuple],
+                 cocycle_groups: List[FgAbGroup], hom_groups: List[FgAbGroup]):
+        self.n_max = n_max
+        self.ok = ok
+        self.failures = failures
+        self.cocycle_groups = cocycle_groups
+        self.hom_groups = hom_groups
 
     def message(self) -> str:
         if self.ok:
@@ -244,13 +247,16 @@ def cochain_pullback_matrix(phi: GroupoidFunctor, M: GModule, n: int) -> IntMatr
     return relabel_matrix(cod, cochain_space(phi.target, M, n), phi.map_tuple)
 
 
-@dataclass
-class InducedCohomologyMap:
-    degree: int
-    chain_matrix: IntMatrix  # source cochains <- target cochains
-    source: ChainHomologyPresentation  # cohomology of the target groupoid
-    target: ChainHomologyPresentation  # cohomology of the source groupoid
-    matrix: IntMatrix
+class InducedCohomologyMap(Record):
+    __slots__ = ("degree", "chain_matrix", "source", "target", "matrix")
+
+    def __init__(self, degree: int, chain_matrix: IntMatrix, source: ChainHomologyPresentation,
+                 target: ChainHomologyPresentation, matrix: IntMatrix):
+        self.degree = degree
+        self.chain_matrix = chain_matrix  # source cochains <- target cochains
+        self.source = source  # cohomology of the target groupoid
+        self.target = target  # cohomology of the source groupoid
+        self.matrix = matrix
 
     def is_injective_at_chain_level(self) -> bool:
         return rank(self.chain_matrix) == self.chain_matrix.cols

@@ -11,10 +11,10 @@ bit for bit.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .records import FrozenRecord
 from .zlinalg import IntMatrix, invariant_factors
 
 DEFAULT_CAP = 2_000_000
@@ -64,11 +64,13 @@ class Budget:
                                  "of work (the cap)")
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    axiom: Optional[str] = None
-    witness: Optional[tuple] = None
+class ValidationReport(FrozenRecord):
+    __slots__ = ("ok", "axiom", "witness")
+
+    def __init__(self, ok: bool, axiom: Optional[str] = None, witness: Optional[tuple] = None):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "axiom", axiom)
+        object.__setattr__(self, "witness", witness)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -190,13 +192,20 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
     return ValidationReport(True)
 
 
-@dataclass(frozen=True)
-class Nerve:
+class Nerve(FrozenRecord):
     """Complete enumeration of the composable n-strings, in lex order."""
 
-    degree: int
-    tuples: tuple
-    index: dict = field(repr=False)
+    __slots__ = ("degree", "tuples", "index")
+    repr_hidden = ("index",)
+
+    def __init__(self, degree: int, tuples: tuple, index: dict):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "tuples", tuples)
+        object.__setattr__(self, "index", index)
+
+    def __hash__(self) -> int:
+        # `index` is a dict, and it is read off `tuples`
+        return hash((self.degree, self.tuples))
 
     def __len__(self) -> int:
         return len(self.tuples)

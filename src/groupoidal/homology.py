@@ -21,7 +21,6 @@ p^d-cycles on depth-d cylinders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from .groupoids import (FiniteGroupoid, GroupoidError, GroupoidFunctor,
@@ -29,6 +28,7 @@ from .groupoids import (FiniteGroupoid, GroupoidError, GroupoidFunctor,
                         require_nerve_work, require_valid_functor)
 from .limits import ColimitGroup, Tower
 from .models import odometer_system
+from .records import Record
 from .resolution import isotropy_chains
 from .zlinalg import (ChainComplex, ChainHomologyPresentation, FgAbGroup, IntMatrix,
                       coefficients_via_uct, induced_on_homology)
@@ -74,15 +74,18 @@ def chain_pushforward(phi: GroupoidFunctor, n: int) -> IntMatrix:
                                    for j, t in enumerate(nv1.tuples)))
 
 
-@dataclass
-class InducedMap:
+class InducedMap(Record):
     """Chain-level matrix plus the induced map on homology presentations."""
 
-    degree: int
-    chain_matrix: IntMatrix
-    source: ChainHomologyPresentation
-    target: ChainHomologyPresentation
-    matrix: IntMatrix  # target canonical coords x source generators
+    __slots__ = ("degree", "chain_matrix", "source", "target", "matrix")
+
+    def __init__(self, degree: int, chain_matrix: IntMatrix, source: ChainHomologyPresentation,
+                 target: ChainHomologyPresentation, matrix: IntMatrix):
+        self.degree = degree
+        self.chain_matrix = chain_matrix
+        self.source = source
+        self.target = target
+        self.matrix = matrix  # target canonical coords x source generators
 
     @property
     def source_group(self) -> FgAbGroup:
@@ -115,15 +118,17 @@ def permutation_pushforward(perm: Sequence[int]) -> IntMatrix:
     return IntMatrix.from_entries(k, k, ((px, x, 1) for x, px in enumerate(perm)))
 
 
-@dataclass
-class ZActionHomology:
+class ZActionHomology(Record):
     """Homology and cohomology of the two-term complex id - P of a
     Z-action generated by a permutation; higher degrees all vanish."""
 
-    h0: FgAbGroup
-    h1: FgAbGroup
-    h0_dual: FgAbGroup
-    h1_dual: FgAbGroup
+    __slots__ = ("h0", "h1", "h0_dual", "h1_dual")
+
+    def __init__(self, h0: FgAbGroup, h1: FgAbGroup, h0_dual: FgAbGroup, h1_dual: FgAbGroup):
+        self.h0 = h0
+        self.h1 = h1
+        self.h0_dual = h0_dual
+        self.h1_dual = h1_dual
 
 
 def z_action_homology(perm: Sequence[int]) -> ZActionHomology:
@@ -139,21 +144,27 @@ def z_action_homology(perm: Sequence[int]) -> ZActionHomology:
 # -- odometers ----------------------------------------------------------------
 
 
-@dataclass
-class OdometerDepth:
-    depth: int
-    h0: FgAbGroup
-    h1: FgAbGroup
-    h0_connecting: Optional[IntMatrix]  # from previous depth, None at first
-    h1_connecting: Optional[IntMatrix]
+class OdometerDepth(Record):
+    __slots__ = ("depth", "h0", "h1", "h0_connecting", "h1_connecting")
+
+    def __init__(self, depth: int, h0: FgAbGroup, h1: FgAbGroup,
+                 h0_connecting: Optional[IntMatrix], h1_connecting: Optional[IntMatrix]):
+        self.depth = depth
+        self.h0 = h0
+        self.h1 = h1
+        self.h0_connecting = h0_connecting  # from previous depth, None at first
+        self.h1_connecting = h1_connecting
 
 
-@dataclass
-class OdometerReport:
-    p: int
-    per_depth: List[OdometerDepth]
-    h0_colimit: ColimitGroup
-    stabilized_h1: FgAbGroup
+class OdometerReport(Record):
+    __slots__ = ("p", "per_depth", "h0_colimit", "stabilized_h1")
+
+    def __init__(self, p: int, per_depth: List[OdometerDepth], h0_colimit: ColimitGroup,
+                 stabilized_h1: FgAbGroup):
+        self.p = p
+        self.per_depth = per_depth
+        self.h0_colimit = h0_colimit
+        self.stabilized_h1 = stabilized_h1
 
 
 def odometer_homology(p: int, depth_max: int) -> OdometerReport:

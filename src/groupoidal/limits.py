@@ -13,12 +13,12 @@ as a certificate or as evidence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, prod
 from typing import List, Optional, Sequence
 
 from .groupoids import Budget
 from .models import BratteliDiagram, MalformedDiagram, OdometerSystem
+from .records import FrozenRecord, Record
 from .zlinalg import FgAbGroup, IntMatrix, invariant_factors, rank
 
 
@@ -76,13 +76,12 @@ class Tower:
         return None if self.stationary else len(self.ranks)
 
 
-@dataclass(frozen=True)
-class ColimitElement:
-    stage: int
-    vector: tuple
+class ColimitElement(FrozenRecord):
+    __slots__ = ("stage", "vector")
 
-    def __post_init__(self):
-        object.__setattr__(self, "vector", tuple(int(v) for v in self.vector))
+    def __init__(self, stage: int, vector: tuple):
+        object.__setattr__(self, "stage", stage)
+        object.__setattr__(self, "vector", tuple(int(v) for v in vector))
 
 
 class ColimitGroup:
@@ -123,11 +122,13 @@ def _words(values) -> int:
     return 1 + max(map(abs, values), default=0).bit_length() // 64
 
 
-@dataclass(frozen=True)
-class EqualityResult:
-    kind: str  # "equal" | "not_equal" | "not_equal_up_to"
-    stage: Optional[int] = None
-    exact: bool = True
+class EqualityResult(FrozenRecord):
+    __slots__ = ("kind", "stage", "exact")
+
+    def __init__(self, kind: str, stage: Optional[int] = None, exact: bool = True):
+        object.__setattr__(self, "kind", kind)  # "equal" | "not_equal" | "not_equal_up_to"
+        object.__setattr__(self, "stage", stage)
+        object.__setattr__(self, "exact", exact)
 
 
 def colimit_equal(C: ColimitGroup, a: ColimitElement, b: ColimitElement,
@@ -152,12 +153,15 @@ def colimit_equal(C: ColimitGroup, a: ColimitElement, b: ColimitElement,
     return EqualityResult("not_equal_up_to", stage_bound, exact=False)
 
 
-@dataclass(frozen=True)
-class DivisibilityResult:
-    kind: str  # "witness" | "no" | "no_witness_up_to"
-    stage: Optional[int] = None
-    vector: Optional[tuple] = None
-    exact: bool = True
+class DivisibilityResult(FrozenRecord):
+    __slots__ = ("kind", "stage", "vector", "exact")
+
+    def __init__(self, kind: str, stage: Optional[int] = None, vector: Optional[tuple] = None,
+                 exact: bool = True):
+        object.__setattr__(self, "kind", kind)  # "witness" | "no" | "no_witness_up_to"
+        object.__setattr__(self, "stage", stage)
+        object.__setattr__(self, "vector", vector)
+        object.__setattr__(self, "exact", exact)
 
 
 def _coprime_part(q: int, p: int) -> int:
@@ -226,11 +230,13 @@ def dimension_group(B: BratteliDiagram, levels: Optional[int] = None) -> Colimit
                               list(B.matrices[:n_levels - 1])))
 
 
-@dataclass
-class AfHomology:
-    degree: int
-    group: Optional[FgAbGroup]
-    colimit: Optional[ColimitGroup]
+class AfHomology(Record):
+    __slots__ = ("degree", "group", "colimit")
+
+    def __init__(self, degree: int, group: Optional[FgAbGroup], colimit: Optional[ColimitGroup]):
+        self.degree = degree
+        self.group = group
+        self.colimit = colimit
 
 
 def af_homology(B: BratteliDiagram, n: int) -> AfHomology:
@@ -245,25 +251,31 @@ def af_homology(B: BratteliDiagram, n: int) -> AfHomology:
 # -- truncated inverse limits and lim^1 ---------------------------------------
 
 
-@dataclass
-class StageChain:
+class StageChain(Record):
     """Image chain at one stage of an inverse tower."""
 
-    stage: int
-    ranks: List[int]
-    indices: List[Optional[int]]  # index of each step inside the previous
-    stabilized_at: Optional[int]  # smallest m with I_{n,m} = ... = I_{n,N}
+    __slots__ = ("stage", "ranks", "indices", "stabilized_at")
+
+    def __init__(self, stage: int, ranks: List[int], indices: List[Optional[int]],
+                 stabilized_at: Optional[int]):
+        self.stage = stage
+        self.ranks = ranks
+        self.indices = indices  # index of each step inside the previous
+        self.stabilized_at = stabilized_at  # smallest m with I_{n,m} = ... = I_{n,N}
 
 
-@dataclass
-class Lim1Report:
-    depth: int
-    chains: List[StageChain]
-    ml_certificate: bool
-    nonml_stages: List[int]
-    # rank of the lattice of truncated threads (x_n = A_n x_{n+1}, n < N):
-    # each thread is fixed by its free last coordinate x_N, so it is rank_N
-    thread_rank: int
+class Lim1Report(Record):
+    __slots__ = ("depth", "chains", "ml_certificate", "nonml_stages", "thread_rank")
+
+    def __init__(self, depth: int, chains: List[StageChain], ml_certificate: bool,
+                 nonml_stages: List[int], thread_rank: int):
+        self.depth = depth
+        self.chains = chains
+        self.ml_certificate = ml_certificate
+        self.nonml_stages = nonml_stages
+        # rank of the lattice of truncated threads (x_n = A_n x_{n+1}, n < N):
+        # each thread is fixed by its free last coordinate x_N, so it is rank_N
+        self.thread_rank = thread_rank
 
 
 def _image_chain(T: Tower, n: int, N: int) -> StageChain:
@@ -322,16 +334,21 @@ def limit_and_lim1(T: Tower, N: int) -> Lim1Report:
 # -- AF cohomology tower (stationary full shifts) ------------------------------
 
 
-@dataclass
-class AfCohomologyReport:
-    p: int
-    stages: int
-    depth: int
-    h0_lattice_rank: int
-    h0_constants_only: bool
-    h0_truncated_thread_rank: int
-    h1_image_ranks: List[int]
-    h1_nonml_evidence: bool
+class AfCohomologyReport(Record):
+    __slots__ = ("p", "stages", "depth", "h0_lattice_rank", "h0_constants_only",
+                 "h0_truncated_thread_rank", "h1_image_ranks", "h1_nonml_evidence")
+
+    def __init__(self, p: int, stages: int, depth: int, h0_lattice_rank: int,
+                 h0_constants_only: bool, h0_truncated_thread_rank: int,
+                 h1_image_ranks: List[int], h1_nonml_evidence: bool):
+        self.p = p
+        self.stages = stages
+        self.depth = depth
+        self.h0_lattice_rank = h0_lattice_rank
+        self.h0_constants_only = h0_constants_only
+        self.h0_truncated_thread_rank = h0_truncated_thread_rank
+        self.h1_image_ranks = h1_image_ranks
+        self.h1_nonml_evidence = h1_nonml_evidence
 
 
 def _shift_pullback(p: int, depth: int) -> IntMatrix:
@@ -383,7 +400,9 @@ def af_cohomology_tower(B: BratteliDiagram, N: int, D: int) -> AfCohomologyRepor
         chain = _image_chain(tower, 0, N)
         image_ranks, nonml = chain.ranks, chain.stabilized_at is None
     else:
-        image_ranks = [rank(maps[0])]
+        # the shift pullback's column c has its p ones in rows c*p .. c*p+p-1,
+        # which no other column touches, so its rank is its column count
+        image_ranks = [maps[0].cols]
         nonml = image_ranks[0] < ranks[0]
     return AfCohomologyReport(p, N, D, fixed_rank, constants_only,
                               tower.rank_at(N), image_ranks, nonml)

@@ -18,7 +18,6 @@ rank accounting) is then reported from the verified sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from .cohomology import cochain_complex, hom_space, pullback_module, relabel_matrix
@@ -26,6 +25,7 @@ from .groupoids import (Budget, FiniteGroupoid, GModule, GroupoidError,
                         GroupoidFunctor, isotropy_inclusion, require_nerve_work)
 from .homology import chain_pushforward, nerve_complex
 from .models import constant_module
+from .records import FrozenRecord, Record
 from .zlinalg import (ChainComplex, FgAbGroup, IntMatrix, LinearSystem,
                       induced_on_homology, kernel_group, quotient_group)
 
@@ -34,11 +34,13 @@ class GuardTooSmall(GroupoidError):
     pass
 
 
-@dataclass(frozen=True)
-class ZCocycle:
+class ZCocycle(FrozenRecord):
     """Arrow-indexed integer values, additive along composition."""
 
-    values: tuple
+    __slots__ = ("values",)
+
+    def __init__(self, values: tuple):
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def from_values(cls, values) -> "ZCocycle":
@@ -88,8 +90,7 @@ def cocycle_potential(G: FiniteGroupoid, c: ZCocycle) -> Dict[int, int]:
     return f
 
 
-@dataclass
-class SkewWindow:
+class SkewWindow(Record):
     """Finite truncation of the skew product to levels lo..hi.
 
     Arrow (g, k) keeps the base range at level k and moves the source to
@@ -98,14 +99,19 @@ class SkewWindow:
     (g, k) to (g, k+1) where both stay inside the window.
     """
 
-    base: FiniteGroupoid
-    cocycle: ZCocycle
-    lo: int
-    hi: int
-    groupoid: FiniteGroupoid
-    labels: tuple  # arrow id -> (base arrow, level)
-    index: dict = field(repr=False)  # (base arrow, level) -> arrow id
-    shift: dict = field(repr=False)  # partial arrow map, level + 1
+    __slots__ = ("base", "cocycle", "lo", "hi", "groupoid", "labels", "index", "shift")
+    repr_hidden = ("index", "shift")
+
+    def __init__(self, base: FiniteGroupoid, cocycle: ZCocycle, lo: int, hi: int,
+                 groupoid: FiniteGroupoid, labels: tuple, index: dict, shift: dict):
+        self.base = base
+        self.cocycle = cocycle
+        self.lo = lo
+        self.hi = hi
+        self.groupoid = groupoid
+        self.labels = labels  # arrow id -> (base arrow, level)
+        self.index = index  # (base arrow, level) -> arrow id
+        self.shift = shift  # partial arrow map, level + 1
 
     def projection(self) -> GroupoidFunctor:
         return GroupoidFunctor(self.groupoid, self.base,
@@ -171,14 +177,18 @@ def skew_window(G: FiniteGroupoid, c: ZCocycle, K: int) -> SkewWindow:
 # -- long exact sequence verification -----------------------------------------
 
 
-@dataclass
-class DegreeChecks:
-    degree: int
-    composite_zero: bool
-    exact_at_sub: bool
-    exact_at_mid: bool
-    exact_at_quot: bool
-    commutes: bool
+class DegreeChecks(Record):
+    __slots__ = ("degree", "composite_zero", "exact_at_sub", "exact_at_mid", "exact_at_quot",
+                 "commutes")
+
+    def __init__(self, degree: int, composite_zero: bool, exact_at_sub: bool,
+                 exact_at_mid: bool, exact_at_quot: bool, commutes: bool):
+        self.degree = degree
+        self.composite_zero = composite_zero
+        self.exact_at_sub = exact_at_sub
+        self.exact_at_mid = exact_at_mid
+        self.exact_at_quot = exact_at_quot
+        self.commutes = commutes
 
     @property
     def ok(self) -> bool:
@@ -186,28 +196,37 @@ class DegreeChecks:
                 and self.exact_at_mid and self.exact_at_quot and self.commutes)
 
 
-@dataclass
-class LesReport:
-    mode: str
-    window: int
-    guard: int
-    interior: int
-    n_max: int
-    checks: List[DegreeChecks]
-    base_groups: List[FgAbGroup]
-    inner_groups: List[FgAbGroup]
-    connecting: List[IntMatrix]
-    connecting_ok: bool
-    # degreewise rank bookkeeping of id - shift on the window groups:
-    # cokernels in homology mode, kernels in cohomology mode
-    degreewise_groups: List[FgAbGroup]
-    degree0_group: FgAbGroup
-    degree0_matches_base: bool
-    # always true: les_verify refuses a cocycle that does not validate, and
-    # on a finite groupoid every cocycle is the coboundary of its
-    # `cocycle_potential`, the zero cocycle of zero
-    cocycle_is_coboundary: bool
-    note: str
+class LesReport(Record):
+    __slots__ = ("mode", "window", "guard", "interior", "n_max", "checks", "base_groups",
+                 "inner_groups", "connecting", "connecting_ok", "degreewise_groups",
+                 "degree0_group", "degree0_matches_base", "cocycle_is_coboundary", "note")
+
+    def __init__(self, mode: str, window: int, guard: int, interior: int, n_max: int,
+                 checks: List[DegreeChecks], base_groups: List[FgAbGroup],
+                 inner_groups: List[FgAbGroup], connecting: List[IntMatrix],
+                 connecting_ok: bool, degreewise_groups: List[FgAbGroup],
+                 degree0_group: FgAbGroup, degree0_matches_base: bool,
+                 cocycle_is_coboundary: bool, note: str):
+        self.mode = mode
+        self.window = window
+        self.guard = guard
+        self.interior = interior
+        self.n_max = n_max
+        self.checks = checks
+        self.base_groups = base_groups
+        self.inner_groups = inner_groups
+        self.connecting = connecting
+        self.connecting_ok = connecting_ok
+        # degreewise rank bookkeeping of id - shift on the window groups:
+        # cokernels in homology mode, kernels in cohomology mode
+        self.degreewise_groups = degreewise_groups
+        self.degree0_group = degree0_group
+        self.degree0_matches_base = degree0_matches_base
+        # always true: les_verify refuses a cocycle that does not validate, and
+        # on a finite groupoid every cocycle is the coboundary of its
+        # `cocycle_potential`, the zero cocycle of zero
+        self.cocycle_is_coboundary = cocycle_is_coboundary
+        self.note = note
 
     @property
     def ok(self) -> bool:

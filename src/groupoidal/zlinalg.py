@@ -51,10 +51,11 @@ read-out, as the skew LES's exactness checks share the lifts' systems.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from itertools import chain
 from math import gcd
 from typing import Iterable, Optional, Sequence
+
+from .records import FrozenRecord
 
 
 class LinAlgError(Exception):
@@ -648,15 +649,18 @@ class _Smith:
             self.n, [_normalize_column_sign(col) for col in self.vinv_cols()[self.rank:]])
 
 
-@dataclass(frozen=True)
-class SnfDecomposition:
+class SnfDecomposition(FrozenRecord):
     """A = U * S * V with U, V unimodular and S in Smith normal form."""
 
-    U: IntMatrix
-    S: IntMatrix
-    V: IntMatrix
-    U_inv: IntMatrix
-    V_inv: IntMatrix
+    __slots__ = ("U", "S", "V", "U_inv", "V_inv")
+
+    def __init__(self, U: IntMatrix, S: IntMatrix, V: IntMatrix, U_inv: IntMatrix,
+                 V_inv: IntMatrix):
+        object.__setattr__(self, "U", U)
+        object.__setattr__(self, "S", S)
+        object.__setattr__(self, "V", V)
+        object.__setattr__(self, "U_inv", U_inv)
+        object.__setattr__(self, "V_inv", V_inv)
 
     @property
     def rank(self) -> int:
@@ -851,28 +855,28 @@ class LinearSystem:
 # -- finitely generated abelian groups -------------------------------------
 
 
-@dataclass(frozen=True)
-class FgAbGroup:
+class FgAbGroup(FrozenRecord):
     """Isomorphism type of a finitely generated abelian group.
 
     `torsion` is the invariant-factor chain t_1 | t_2 | ... with each
     t_i >= 2, so equality of groups is equality of fields.
     """
 
-    free_rank: int = 0
-    torsion: tuple = ()
+    __slots__ = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int = 0, torsion: tuple = ()):
+        if free_rank < 0:
             raise ValueError("negative free rank")
-        object.__setattr__(self, "torsion", tuple(int(t) for t in self.torsion))
+        torsion = tuple(int(t) for t in torsion)
         prev = 1
-        for t in self.torsion:
+        for t in torsion:
             if t < 2:
                 raise ValueError("invariant factors must be >= 2")
             if t % prev:
-                raise ValueError(f"invariant factors {self.torsion} violate divisibility")
+                raise ValueError(f"invariant factors {torsion} violate divisibility")
             prev = t
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
 
     @classmethod
     def trivial(cls) -> "FgAbGroup":

@@ -223,6 +223,18 @@ def test_malformed_cap_exits_2_with_one_error_line(value, argv, files, capsys, m
                             f"integer, got {shown!r}\n")
 
 
+def test_start_up_imports_no_dataclasses():
+    # the records of src/ write their constructors out, so importing the
+    # command line and building its parser generates no methods at import
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = ("import sys; from groupoidal import cli; cli.build_parser(); "
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=30, env={**os.environ, "PYTHONPATH": src})
+    assert res.returncode == 0, res.stderr[-300:]
+    assert res.stdout == "[]\n"
+
+
 def _run_subprocess(argv, hash_seed):
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hash_seed

@@ -310,10 +310,25 @@ def test_af_cohomology_of_2_to_the_16_cylinders_fits_in_1_gib(N, D):
 
 
 @pytest.mark.grid
-def test_af_cohomology_of_2_to_the_19_cylinders_fits_in_1_gib():
-    # eliminating the 786,432 x 917,504 thread matrix runs out of 1 GiB,
-    # so the thread rank must be the last stage's, 2^17, read off no matrix
-    _af_cohomology_in_1_gib(2, 17, timeout=60)
+@pytest.mark.parametrize("N,D", [(2, 17), (1, 19)])
+def test_af_cohomology_of_2_to_the_19_cylinders_fits_in_1_gib(N, D):
+    # eliminating the 786,432 x 917,504 thread matrix at 2/17, or the
+    # 2^20 x 2^19 shift pullback at 1/19, runs out of 1 GiB, so the thread
+    # rank must be the last stage's and the one image rank of a one-level
+    # tower the pullback's column count, both read off no matrix
+    _af_cohomology_in_1_gib(N, D, timeout=60)
+
+
+@pytest.mark.parametrize("p, depth", [(p, d) for p in range(2, 6) for d in range(4)
+                                      if p ** d <= 125])
+def test_shift_pullback_has_full_column_rank(p, depth):
+    # column c holds its p ones in rows c*p .. c*p+p-1, and no other
+    # column touches them, so af_cohomology_tower reads its rank off its
+    # column count at one level
+    A = limits._shift_pullback(p, depth)
+    assert A.shape == (p ** (depth + 1), p ** depth)
+    assert sorted(A.entries()) == [(c * p + a, c, 1) for c in range(p ** depth) for a in range(p)]
+    assert rank(A) == p ** depth
 
 
 def test_af_cohomology_eliminates_only_what_it_prints(monkeypatch):
@@ -333,6 +348,17 @@ def test_af_cohomology_eliminates_only_what_it_prints(monkeypatch):
     rep = af_cohomology_tower(cli.parse_input(_UHF2), 4, 5)
     assert calls == {"rank": 1, "invariant_factors": 4}
     assert rep.h0_truncated_thread_rank == 2 ** 5
+
+
+def test_af_cohomology_at_one_level_ranks_only_the_fixed_lattice(monkeypatch):
+    # the one image rank of a one-level tower is the shift pullback's
+    # column count, so the fixed-lattice matrix is all that is eliminated
+    ranked = []
+    real = limits.rank
+    monkeypatch.setattr(limits, "rank", lambda A: ranked.append(A.shape) or real(A))
+    rep = af_cohomology_tower(cli.parse_input(_UHF2), 1, 5)
+    assert ranked == [(2 ** 6, 2 ** 5)]
+    assert rep.h1_image_ranks == [2 ** 5] and rep.h0_truncated_thread_rank == 2 ** 5
 
 
 def _matrices(rows, cols):
