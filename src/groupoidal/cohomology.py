@@ -32,7 +32,7 @@ from .groupoids import (FiniteGroupoid, GModule, GroupoidFunctor, face_table,
 from .records import Record
 from .resolution import isotropy_cochains
 from .zlinalg import (ChainComplex, ChainHomologyPresentation, DimensionMismatch, FgAbGroup,
-                      IntMatrix, LinAlgError, induced_on_homology, rank)
+                      InducedMap, IntMatrix, LinAlgError, induced_on_homology)
 
 
 class BlockSpace:
@@ -168,14 +168,6 @@ class ThetaRhoReport(Record):
 
     __slots__ = ("n_max", "ok", "failures", "cocycle_groups", "hom_groups")
 
-    def __init__(self, n_max: int, ok: bool, failures: List[tuple],
-                 cocycle_groups: List[FgAbGroup], hom_groups: List[FgAbGroup]):
-        self.n_max = n_max
-        self.ok = ok
-        self.failures = failures
-        self.cocycle_groups = cocycle_groups
-        self.hom_groups = hom_groups
-
     def message(self) -> str:
         if self.ok:
             return f"all comparison identities hold up to degree {self.n_max}"
@@ -247,21 +239,6 @@ def cochain_pullback_matrix(phi: GroupoidFunctor, M: GModule, n: int) -> IntMatr
     return relabel_matrix(cod, cochain_space(phi.target, M, n), phi.map_tuple)
 
 
-class InducedCohomologyMap(Record):
-    __slots__ = ("degree", "chain_matrix", "source", "target", "matrix")
-
-    def __init__(self, degree: int, chain_matrix: IntMatrix, source: ChainHomologyPresentation,
-                 target: ChainHomologyPresentation, matrix: IntMatrix):
-        self.degree = degree
-        self.chain_matrix = chain_matrix  # source cochains <- target cochains
-        self.source = source  # cohomology of the target groupoid
-        self.target = target  # cohomology of the source groupoid
-        self.matrix = matrix
-
-    def is_injective_at_chain_level(self) -> bool:
-        return rank(self.chain_matrix) == self.chain_matrix.cols
-
-
 def _cocycle_presentation(G: FiniteGroupoid, M: GModule, n: int) -> ChainHomologyPresentation:
     """H^n of the cocycle complex, the one degree of the two-term complex
     of delta_n and delta_{n-1} (a zero map into C^0 when n = 0)."""
@@ -271,11 +248,12 @@ def _cocycle_presentation(G: FiniteGroupoid, M: GModule, n: int) -> ChainHomolog
     return ChainComplex([_coboundary(G, M, n, *spaces[-2:]), d_in], -1).presentations()[0]
 
 
-def induced_cohomology_map(phi: GroupoidFunctor, M: GModule, n: int) -> InducedCohomologyMap:
-    """Contravariant induced map on degree-n cohomology presentations."""
+def induced_cohomology_map(phi: GroupoidFunctor, M: GModule, n: int) -> InducedMap:
+    """Contravariant induced map on degree-n cohomology presentations: its
+    `source` is the target groupoid's cohomology, its `target` the source
+    groupoid's, and its chain matrix maps target cochains to source cochains."""
     require_valid_functor(phi)
     chain = cochain_pullback_matrix(phi, M, n)
     src = _cocycle_presentation(phi.target, M, n)
     dst = _cocycle_presentation(phi.source, pullback_module(phi, M), n)
-    return InducedCohomologyMap(n, chain, src, dst,
-                                induced_on_homology(chain, src, dst))
+    return InducedMap(n, chain, src, dst, induced_on_homology(chain, src, dst))

@@ -66,11 +66,7 @@ class Budget:
 
 class ValidationReport(FrozenRecord):
     __slots__ = ("ok", "axiom", "witness")
-
-    def __init__(self, ok: bool, axiom: Optional[str] = None, witness: Optional[tuple] = None):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "axiom", axiom)
-        object.__setattr__(self, "witness", witness)
+    defaults = {"axiom": None, "witness": None}
 
     def __bool__(self) -> bool:
         return self.ok
@@ -197,11 +193,6 @@ class Nerve(FrozenRecord):
 
     __slots__ = ("degree", "tuples", "index")
     repr_hidden = ("index",)
-
-    def __init__(self, degree: int, tuples: tuple, index: dict):
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "tuples", tuples)
-        object.__setattr__(self, "index", index)
 
     def __hash__(self) -> int:
         # `index` is a dict, and it is read off `tuples`

@@ -30,8 +30,8 @@ from .limits import ColimitGroup, Tower
 from .models import odometer_system
 from .records import Record
 from .resolution import isotropy_chains
-from .zlinalg import (ChainComplex, ChainHomologyPresentation, FgAbGroup, IntMatrix,
-                      coefficients_via_uct, induced_on_homology)
+from .zlinalg import (ChainComplex, ChainHomologyPresentation, FgAbGroup, InducedMap,
+                      IntMatrix, coefficients_via_uct, induced_on_homology)
 
 
 class NotAPermutation(GroupoidError):
@@ -74,33 +74,12 @@ def chain_pushforward(phi: GroupoidFunctor, n: int) -> IntMatrix:
                                    for j, t in enumerate(nv1.tuples)))
 
 
-class InducedMap(Record):
-    """Chain-level matrix plus the induced map on homology presentations."""
-
-    __slots__ = ("degree", "chain_matrix", "source", "target", "matrix")
-
-    def __init__(self, degree: int, chain_matrix: IntMatrix, source: ChainHomologyPresentation,
-                 target: ChainHomologyPresentation, matrix: IntMatrix):
-        self.degree = degree
-        self.chain_matrix = chain_matrix
-        self.source = source
-        self.target = target
-        self.matrix = matrix  # target canonical coords x source generators
-
-    @property
-    def source_group(self) -> FgAbGroup:
-        return self.source.group
-
-    @property
-    def target_group(self) -> FgAbGroup:
-        return self.target.group
-
-
 def homology_presentation_of(G: FiniteGroupoid, n: int) -> ChainHomologyPresentation:
     return nerve_complex(G, n, n_min=n).presentations()[0]
 
 
 def induced_homology_map(phi: GroupoidFunctor, n: int) -> InducedMap:
+    """Covariant induced map on degree-n homology presentations."""
     require_valid_functor(phi)
     chain = chain_pushforward(phi, n)
     src = homology_presentation_of(phi.source, n)
@@ -124,12 +103,6 @@ class ZActionHomology(Record):
 
     __slots__ = ("h0", "h1", "h0_dual", "h1_dual")
 
-    def __init__(self, h0: FgAbGroup, h1: FgAbGroup, h0_dual: FgAbGroup, h1_dual: FgAbGroup):
-        self.h0 = h0
-        self.h1 = h1
-        self.h0_dual = h0_dual
-        self.h1_dual = h1_dual
-
 
 def z_action_homology(perm: Sequence[int]) -> ZActionHomology:
     k = len(perm)
@@ -145,26 +118,14 @@ def z_action_homology(perm: Sequence[int]) -> ZActionHomology:
 
 
 class OdometerDepth(Record):
-    __slots__ = ("depth", "h0", "h1", "h0_connecting", "h1_connecting")
+    """The groups at one depth; the connecting maps are from the previous
+    depth, None at the first."""
 
-    def __init__(self, depth: int, h0: FgAbGroup, h1: FgAbGroup,
-                 h0_connecting: Optional[IntMatrix], h1_connecting: Optional[IntMatrix]):
-        self.depth = depth
-        self.h0 = h0
-        self.h1 = h1
-        self.h0_connecting = h0_connecting  # from previous depth, None at first
-        self.h1_connecting = h1_connecting
+    __slots__ = ("depth", "h0", "h1", "h0_connecting", "h1_connecting")
 
 
 class OdometerReport(Record):
     __slots__ = ("p", "per_depth", "h0_colimit", "stabilized_h1")
-
-    def __init__(self, p: int, per_depth: List[OdometerDepth], h0_colimit: ColimitGroup,
-                 stabilized_h1: FgAbGroup):
-        self.p = p
-        self.per_depth = per_depth
-        self.h0_colimit = h0_colimit
-        self.stabilized_h1 = stabilized_h1
 
 
 def odometer_homology(p: int, depth_max: int) -> OdometerReport:

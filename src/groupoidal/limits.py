@@ -96,6 +96,8 @@ class ColimitGroup:
         self.budget = Budget("the stages the queries scan")
 
     def element(self, stage: int, vector: Sequence[int]) -> ColimitElement:
+        if stage < 0:
+            raise StageBoundExceeded(f"stage {stage} is below 0")
         if len(vector) != self.tower.rank_at(stage):
             raise ValueError(f"vector length {len(vector)} at stage {stage}")
         return ColimitElement(stage, tuple(vector))
@@ -123,12 +125,10 @@ def _words(values) -> int:
 
 
 class EqualityResult(FrozenRecord):
-    __slots__ = ("kind", "stage", "exact")
+    """`kind` is "equal", "not_equal" or "not_equal_up_to"."""
 
-    def __init__(self, kind: str, stage: Optional[int] = None, exact: bool = True):
-        object.__setattr__(self, "kind", kind)  # "equal" | "not_equal" | "not_equal_up_to"
-        object.__setattr__(self, "stage", stage)
-        object.__setattr__(self, "exact", exact)
+    __slots__ = ("kind", "stage", "exact")
+    defaults = {"stage": None, "exact": True}
 
 
 def colimit_equal(C: ColimitGroup, a: ColimitElement, b: ColimitElement,
@@ -154,14 +154,10 @@ def colimit_equal(C: ColimitGroup, a: ColimitElement, b: ColimitElement,
 
 
 class DivisibilityResult(FrozenRecord):
-    __slots__ = ("kind", "stage", "vector", "exact")
+    """`kind` is "witness", "no" or "no_witness_up_to"."""
 
-    def __init__(self, kind: str, stage: Optional[int] = None, vector: Optional[tuple] = None,
-                 exact: bool = True):
-        object.__setattr__(self, "kind", kind)  # "witness" | "no" | "no_witness_up_to"
-        object.__setattr__(self, "stage", stage)
-        object.__setattr__(self, "vector", vector)
-        object.__setattr__(self, "exact", exact)
+    __slots__ = ("kind", "stage", "vector", "exact")
+    defaults = {"stage": None, "vector": None, "exact": True}
 
 
 def _coprime_part(q: int, p: int) -> int:
@@ -233,11 +229,6 @@ def dimension_group(B: BratteliDiagram, levels: Optional[int] = None) -> Colimit
 class AfHomology(Record):
     __slots__ = ("degree", "group", "colimit")
 
-    def __init__(self, degree: int, group: Optional[FgAbGroup], colimit: Optional[ColimitGroup]):
-        self.degree = degree
-        self.group = group
-        self.colimit = colimit
-
 
 def af_homology(B: BratteliDiagram, n: int) -> AfHomology:
     """Degree 0 is the dimension group; every higher degree vanishes."""
@@ -252,30 +243,19 @@ def af_homology(B: BratteliDiagram, n: int) -> AfHomology:
 
 
 class StageChain(Record):
-    """Image chain at one stage of an inverse tower."""
+    """Image chain at one stage of an inverse tower: `indices` holds the
+    index of each step inside the previous, and `stabilized_at` the
+    smallest m with I_{n,m} = ... = I_{n,N}."""
 
     __slots__ = ("stage", "ranks", "indices", "stabilized_at")
 
-    def __init__(self, stage: int, ranks: List[int], indices: List[Optional[int]],
-                 stabilized_at: Optional[int]):
-        self.stage = stage
-        self.ranks = ranks
-        self.indices = indices  # index of each step inside the previous
-        self.stabilized_at = stabilized_at  # smallest m with I_{n,m} = ... = I_{n,N}
-
 
 class Lim1Report(Record):
-    __slots__ = ("depth", "chains", "ml_certificate", "nonml_stages", "thread_rank")
+    """`thread_rank` is the rank of the lattice of truncated threads
+    (x_n = A_n x_{n+1}, n < N): each thread is fixed by its free last
+    coordinate x_N, so it is rank_N."""
 
-    def __init__(self, depth: int, chains: List[StageChain], ml_certificate: bool,
-                 nonml_stages: List[int], thread_rank: int):
-        self.depth = depth
-        self.chains = chains
-        self.ml_certificate = ml_certificate
-        self.nonml_stages = nonml_stages
-        # rank of the lattice of truncated threads (x_n = A_n x_{n+1}, n < N):
-        # each thread is fixed by its free last coordinate x_N, so it is rank_N
-        self.thread_rank = thread_rank
+    __slots__ = ("depth", "chains", "ml_certificate", "nonml_stages", "thread_rank")
 
 
 def _image_chain(T: Tower, n: int, N: int) -> StageChain:
@@ -337,18 +317,6 @@ def limit_and_lim1(T: Tower, N: int) -> Lim1Report:
 class AfCohomologyReport(Record):
     __slots__ = ("p", "stages", "depth", "h0_lattice_rank", "h0_constants_only",
                  "h0_truncated_thread_rank", "h1_image_ranks", "h1_nonml_evidence")
-
-    def __init__(self, p: int, stages: int, depth: int, h0_lattice_rank: int,
-                 h0_constants_only: bool, h0_truncated_thread_rank: int,
-                 h1_image_ranks: List[int], h1_nonml_evidence: bool):
-        self.p = p
-        self.stages = stages
-        self.depth = depth
-        self.h0_lattice_rank = h0_lattice_rank
-        self.h0_constants_only = h0_constants_only
-        self.h0_truncated_thread_rank = h0_truncated_thread_rank
-        self.h1_image_ranks = h1_image_ranks
-        self.h1_nonml_evidence = h1_nonml_evidence
 
 
 def _shift_pullback(p: int, depth: int) -> IntMatrix:

@@ -18,7 +18,7 @@ rank accounting) is then reported from the verified sequence.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from .cohomology import cochain_complex, hom_space, pullback_module, relabel_matrix
 from .groupoids import (Budget, FiniteGroupoid, GModule, GroupoidError,
@@ -26,8 +26,8 @@ from .groupoids import (Budget, FiniteGroupoid, GModule, GroupoidError,
 from .homology import chain_pushforward, nerve_complex
 from .models import constant_module
 from .records import FrozenRecord, Record
-from .zlinalg import (ChainComplex, FgAbGroup, IntMatrix, LinearSystem,
-                      induced_on_homology, kernel_group, quotient_group)
+from .zlinalg import (ChainComplex, IntMatrix, LinearSystem, induced_on_homology,
+                      kernel_group, quotient_group)
 
 
 class GuardTooSmall(GroupoidError):
@@ -38,9 +38,6 @@ class ZCocycle(FrozenRecord):
     """Arrow-indexed integer values, additive along composition."""
 
     __slots__ = ("values",)
-
-    def __init__(self, values: tuple):
-        object.__setattr__(self, "values", values)
 
     @classmethod
     def from_values(cls, values) -> "ZCocycle":
@@ -97,21 +94,13 @@ class SkewWindow(Record):
     level k + c(g); multiplication is (g,k)(h, k+c(g)) = (gh, k).  Arrow
     ids enumerate levels outermost, base arrows innermost.  The shift maps
     (g, k) to (g, k+1) where both stay inside the window.
+
+    `labels` maps an arrow id to its (base arrow, level), `index` maps
+    back, and `shift` is the partial arrow map to level + 1.
     """
 
     __slots__ = ("base", "cocycle", "lo", "hi", "groupoid", "labels", "index", "shift")
     repr_hidden = ("index", "shift")
-
-    def __init__(self, base: FiniteGroupoid, cocycle: ZCocycle, lo: int, hi: int,
-                 groupoid: FiniteGroupoid, labels: tuple, index: dict, shift: dict):
-        self.base = base
-        self.cocycle = cocycle
-        self.lo = lo
-        self.hi = hi
-        self.groupoid = groupoid
-        self.labels = labels  # arrow id -> (base arrow, level)
-        self.index = index  # (base arrow, level) -> arrow id
-        self.shift = shift  # partial arrow map, level + 1
 
     def projection(self) -> GroupoidFunctor:
         return GroupoidFunctor(self.groupoid, self.base,
@@ -181,15 +170,6 @@ class DegreeChecks(Record):
     __slots__ = ("degree", "composite_zero", "exact_at_sub", "exact_at_mid", "exact_at_quot",
                  "commutes")
 
-    def __init__(self, degree: int, composite_zero: bool, exact_at_sub: bool,
-                 exact_at_mid: bool, exact_at_quot: bool, commutes: bool):
-        self.degree = degree
-        self.composite_zero = composite_zero
-        self.exact_at_sub = exact_at_sub
-        self.exact_at_mid = exact_at_mid
-        self.exact_at_quot = exact_at_quot
-        self.commutes = commutes
-
     @property
     def ok(self) -> bool:
         return (self.composite_zero and self.exact_at_sub
@@ -197,36 +177,15 @@ class DegreeChecks(Record):
 
 
 class LesReport(Record):
+    """`degreewise_groups` are the degreewise rank bookkeeping of id - shift
+    on the window groups: cokernels in homology mode, kernels in cohomology
+    mode.  `cocycle_is_coboundary` is always true: les_verify refuses a
+    cocycle that does not validate, and on a finite groupoid every cocycle
+    is the coboundary of its `cocycle_potential`, the zero cocycle of zero."""
+
     __slots__ = ("mode", "window", "guard", "interior", "n_max", "checks", "base_groups",
                  "inner_groups", "connecting", "connecting_ok", "degreewise_groups",
                  "degree0_group", "degree0_matches_base", "cocycle_is_coboundary", "note")
-
-    def __init__(self, mode: str, window: int, guard: int, interior: int, n_max: int,
-                 checks: List[DegreeChecks], base_groups: List[FgAbGroup],
-                 inner_groups: List[FgAbGroup], connecting: List[IntMatrix],
-                 connecting_ok: bool, degreewise_groups: List[FgAbGroup],
-                 degree0_group: FgAbGroup, degree0_matches_base: bool,
-                 cocycle_is_coboundary: bool, note: str):
-        self.mode = mode
-        self.window = window
-        self.guard = guard
-        self.interior = interior
-        self.n_max = n_max
-        self.checks = checks
-        self.base_groups = base_groups
-        self.inner_groups = inner_groups
-        self.connecting = connecting
-        self.connecting_ok = connecting_ok
-        # degreewise rank bookkeeping of id - shift on the window groups:
-        # cokernels in homology mode, kernels in cohomology mode
-        self.degreewise_groups = degreewise_groups
-        self.degree0_group = degree0_group
-        self.degree0_matches_base = degree0_matches_base
-        # always true: les_verify refuses a cocycle that does not validate, and
-        # on a finite groupoid every cocycle is the coboundary of its
-        # `cocycle_potential`, the zero cocycle of zero
-        self.cocycle_is_coboundary = cocycle_is_coboundary
-        self.note = note
 
     @property
     def ok(self) -> bool:

@@ -55,7 +55,7 @@ from itertools import chain
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from .records import FrozenRecord
+from .records import FrozenRecord, Record
 
 
 class LinAlgError(Exception):
@@ -654,14 +654,6 @@ class SnfDecomposition(FrozenRecord):
 
     __slots__ = ("U", "S", "V", "U_inv", "V_inv")
 
-    def __init__(self, U: IntMatrix, S: IntMatrix, V: IntMatrix, U_inv: IntMatrix,
-                 V_inv: IntMatrix):
-        object.__setattr__(self, "U", U)
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "V", V)
-        object.__setattr__(self, "U_inv", U_inv)
-        object.__setattr__(self, "V_inv", V_inv)
-
     @property
     def rank(self) -> int:
         return len(self.diagonal())
@@ -1110,6 +1102,28 @@ class ChainHomologyPresentation:
     @property
     def n_generators(self) -> int:
         return len(self.orders)
+
+
+class InducedMap(Record):
+    """A chain map and the map it induces on homology presentations, in
+    degree `degree`: `chain_matrix` maps `source`'s ambient coordinates to
+    `target`'s, and `matrix` (target canonical coordinates x source
+    generators) is `induced_on_homology` of the three.  A contravariant
+    map on cochains is the same record, with `source` the cohomology the
+    map leaves."""
+
+    __slots__ = ("degree", "chain_matrix", "source", "target", "matrix")
+
+    @property
+    def source_group(self) -> FgAbGroup:
+        return self.source.group
+
+    @property
+    def target_group(self) -> FgAbGroup:
+        return self.target.group
+
+    def is_injective_at_chain_level(self) -> bool:
+        return rank(self.chain_matrix) == self.chain_matrix.cols
 
 
 def induced_on_homology(chain_map: IntMatrix,

@@ -224,8 +224,9 @@ def test_malformed_cap_exits_2_with_one_error_line(value, argv, files, capsys, m
 
 
 def test_start_up_imports_no_dataclasses():
-    # the records of src/ write their constructors out, so importing the
-    # command line and building its parser generates no methods at import
+    # the records of src/ declare their fields in __slots__ and share the one
+    # constructor of groupoidal.records, so importing the command line and
+    # building its parser generates no methods and imports neither module
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     code = ("import sys; from groupoidal import cli; cli.build_parser(); "
             "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
@@ -359,6 +360,10 @@ _DENSE_MODULE = {"fibers": {"0": 120}, "action": {"1": _dense_involution()}}
     (_QUERIES, _UHF2, [{"op": "divisible", "stage": 0, "vector": [1], "q": 0}]),
     (_QUERIES, _TWO_STAGES, [{"op": "divisible", "stage": 5, "vector": [1], "q": 2}]),
     (_QUERIES, _TWO_STAGES, [{"op": "divisible", "stage": -1, "vector": [1], "q": 2}]),
+    # a stationary tower has every stage from 0 on, and none below it
+    (_QUERIES, _UHF2, [{"op": "divisible", "stage": -3, "vector": [1], "q": 2}]),
+    (_QUERIES, _UHF2, [{"op": "equal", "a": {"stage": -4, "vector": [1]},
+                        "b": {"stage": 0, "vector": [1]}}]),
     (["dimension-group", "MODEL"], {"kind": "bratteli", "stationary": True, "p": "x"},
      None),
     (["dimension-group", "MODEL"], {**_TWO_STAGES, "vertex_counts": 3}, None),
@@ -422,6 +427,7 @@ _DENSE_MODULE = {"fibers": {"0": 120}, "action": {"1": _dense_involution()}}
         "unit-range", "src-not-unit", "module-fiber-type", "module-action-entry",
         "cocycle-list", "cocycle-value", "query-no-stage", "query-no-vector",
         "query-no-q", "query-stage-type", "query-q-zero", "query-stage-beyond", "query-stage-negative",
+        "query-stationary-stage-negative", "query-equal-stationary-stage-negative",
         "bratteli-p-type", "bratteli-counts-int", "bratteli-counts-strings",
         "stationary-no-matrix", "cayley-string", "perms-int", "levels-infinity",
         "levels-over-cap", "query-divisible-stage-over-bound", "pair-fibers-over-cap",
@@ -456,7 +462,9 @@ _NAMED = {"module-action-key": "action has an unknown key '5'",
           "unit-duplicate": "violated unit-duplicate at (0,)",
           "compose-duplicate": "compose lists the pair (1, 1) twice, as 1 and 0",
           "verify-theta-module-without-input": "--module needs an input model",
-          "skew-les-homology-module": "--module is read only with --mode cohomology"}
+          "skew-les-homology-module": "--module is read only with --mode cohomology",
+          "query-stationary-stage-negative": "StageBoundExceeded: stage -3 is below 0",
+          "query-equal-stationary-stage-negative": "StageBoundExceeded: stage -4 is below 0"}
 
 
 @pytest.mark.parametrize("text", [b'{"kind": "pair", "fibers": [' + b"9" * 5000 + b"]}",

@@ -1,12 +1,63 @@
-"""Value semantics of the record classes, which write their constructors
-out instead of having them generated (`groupoidal.records`)."""
+"""Value semantics of the record classes, which share one constructor
+over their `__slots__` instead of having methods generated
+(`groupoidal.records`)."""
+
+from inspect import signature
 
 import pytest
 
+import groupoidal
 from groupoidal.groupoids import Nerve, ValidationReport
 from groupoidal.limits import ColimitElement, DivisibilityResult, EqualityResult, Lim1Report
+from groupoidal.records import FrozenRecord, Record
 from groupoidal.skew import ZCocycle
 from groupoidal.zlinalg import FgAbGroup, IntMatrix, SnfDecomposition
+
+
+def _package_records(cls=Record):
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith(groupoidal.__name__ + "."):
+            yield sub
+        yield from _package_records(sub)
+
+
+RECORDS = sorted(set(_package_records()) - {FrozenRecord},
+                 key=lambda c: (c.__module__, c.__qualname__))
+# the records that check or normalise their fields, with valid field values
+OWN_CONSTRUCTOR = {FgAbGroup: (1, (2, 4)), ColimitElement: (2, (1, 3))}
+
+
+def test_only_the_checking_records_write_a_constructor():
+    assert len(RECORDS) >= 20
+    assert {c for c in RECORDS if c.__init__ is not Record.__init__} == set(OWN_CONSTRUCTOR)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=[c.__qualname__ for c in RECORDS])
+def test_every_record_takes_its_slots_as_arguments(cls):
+    names = cls.__slots__
+    values = OWN_CONSTRUCTOR.get(cls) or tuple(object() for _ in names)
+    by_name = dict(zip(names, values))
+    made = cls(*values)
+    assert made == cls(**by_name) == cls(*values[:1], **dict(list(by_name.items())[1:]))
+    assert tuple(getattr(made, name) for name in names) == values
+    if cls in OWN_CONSTRUCTOR:
+        defaults = {p.name: p.default for p in signature(cls).parameters.values()
+                    if p.default is not p.empty}
+    else:
+        defaults = cls.defaults
+    for name, default in defaults.items():
+        left_out = cls(**{n: v for n, v in by_name.items() if n != name})
+        assert getattr(left_out, name) == default
+    required = [n for n in names if n not in defaults]
+    if required:
+        with pytest.raises(TypeError, match=required[-1]):
+            cls(**{n: v for n, v in by_name.items() if n != required[-1]})
+    with pytest.raises(TypeError, match="unlisted"):
+        cls(*values, unlisted=1)
+    with pytest.raises(TypeError, match=names[0]):
+        cls(*values, **{names[0]: values[0]})
+    with pytest.raises(TypeError):
+        cls(*values, values[0])
 
 
 # each frozen class with a constructor call and the name of one field
