@@ -336,16 +336,22 @@ def cmd_verify_theta(args) -> int:
         instances.append((args.input, G, M))
     else:
         rng = random.Random(args.seed)
-        # the instances' work is summed and refused before any is checked
+        # the instances' work is summed and refused before any is checked:
+        # each costs at least (n + 1)^2 in every degree n <= max_degree + 1
+        # (`require_nerve_work`), a floor charged for all before any is drawn
+        top = args.max_degree + 2
+        floor = top * (top + 1) * (2 * top + 1) // 6
         budget = Budget(f"--count {args.count} instances")
+        budget.charge(args.count * floor)
         for i in range(args.count):
             G = models.random_groupoid(rng)
             M = models.random_module(G, rng)
-            budget.charge(require_nerve_work(G, args.max_degree + 1, M.fiber_rank))
+            budget.charge(require_nerve_work(G, args.max_degree + 1, M.fiber_rank) - floor)
             instances.append((f"random[{i}]", G, M))
     results = []
     all_ok = True
-    for name, G, M in instances:
+    for k, (name, G, M) in enumerate(instances):
+        instances[k] = None  # released once checked, with the caches it holds
         rep = coh.theta_rho_check(G, M, args.max_degree)
         all_ok = all_ok and rep.ok
         results.append({"instance": name, "arrows": G.n_arrows, "ok": rep.ok,

@@ -103,7 +103,7 @@ def _coboundary(G: FiniteGroupoid, M: GModule, n: int,
     of cod: the action block at face 0, then +-1 on the diagonal at faces
     1..n+1, each face read off `face_table` and found in `dom.offset`.  A
     face with no block in dom is skipped, so a space may leave out strings
-    on which its cochains vanish."""
+    on which its cochains vanish.  Faces that cancel leave no stored zero."""
     at, faces = nerve(G, n + 1).index, face_table(G, n + 1)
     cols = [dom.offset.get(s) for s in nerve(G, n).tuples]  # per n-string, or None
     signed = [(i, -1 if i % 2 else 1) for i in range(1, n + 2)]
@@ -120,7 +120,11 @@ def _coboundary(G: FiniteGroupoid, M: GModule, n: int,
             col = cols[f[i]]
             if col is not None:
                 for a, row in enumerate(block, col):  # row a - col, column a
-                    row[a] = row.get(a, 0) + sign
+                    new = row.get(a, 0) + sign
+                    if new:
+                        row[a] = new
+                    else:
+                        del row[a]
         rows.extend(block)
     return IntMatrix.from_row_dicts(dom.total, rows)
 

@@ -13,6 +13,7 @@ as a certificate or as evidence.
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import gcd, prod
 from typing import List, Optional, Sequence
 
@@ -95,6 +96,12 @@ class ColimitGroup:
         self.tower = tower
         self.budget = Budget("the stages the queries scan")
 
+    @cached_property
+    def injective_stationary(self) -> bool:
+        """Whether the tower is stationary with an injective map, which
+        makes a disagreement at one stage final; decided on first use."""
+        return self.tower.stationary and rank(self.tower.map_at(0)) == self.tower.rank_at(0)
+
     def element(self, stage: int, vector: Sequence[int]) -> ColimitElement:
         if stage < 0:
             raise StageBoundExceeded(f"stage {stage} is below 0")
@@ -142,13 +149,11 @@ def colimit_equal(C: ColimitGroup, a: ColimitElement, b: ColimitElement,
     if a.stage > stage_bound or b.stage > stage_bound:
         raise StageBoundExceeded(f"element stages exceed bound {stage_bound}")
     start = max(a.stage, b.stage)
-    injective_stationary = (C.tower.stationary
-                            and rank(C.tower.map_at(0)) == C.tower.map_at(0).cols)
     for (s, u), (_, v) in zip(C.pushes(a, start, stage_bound),
                               C.pushes(b, start, stage_bound)):
         if u == v:
             return EqualityResult("equal", s)
-        if injective_stationary:
+        if C.injective_stationary:
             return EqualityResult("not_equal", s, exact=True)
     return EqualityResult("not_equal_up_to", stage_bound, exact=False)
 

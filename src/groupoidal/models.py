@@ -8,6 +8,7 @@ every downstream matrix is reproducible bit for bit.
 from __future__ import annotations
 
 import random
+from itertools import product
 from typing import Iterable, List, Optional, Sequence
 
 from .groupoids import Budget, FiniteGroupoid, GModule, GroupoidError, GroupoidFunctor
@@ -51,30 +52,19 @@ def group_groupoid(cayley: Sequence[Sequence[int]]) -> FiniteGroupoid:
         raise NotAGroup("table is not square")
     Budget(f"the associativity checks of a {k}-element table").charge(k ** 3)
     table = [[int(v) for v in row] for row in cayley]
-    for row in table:
-        for v in row:
-            if not (0 <= v < k):
-                raise NotAGroup("entry out of range")
-    identity = None
-    for e in range(k):
-        if all(table[e][x] == x and table[x][e] == x for x in range(k)):
-            identity = e
-            break
+    if not all(0 <= v < k for row in table for v in row):
+        raise NotAGroup("entry out of range")
+    identity = next((e for e in range(k)
+                     if all(table[e][x] == x and table[x][e] == x for x in range(k))), None)
     if identity is None:
         raise NotAGroup("no identity element")
-    inv = [None] * k
-    for g in range(k):
-        for h in range(k):
-            if table[g][h] == identity and table[h][g] == identity:
-                inv[g] = h
-                break
-        if inv[g] is None:
-            raise NotAGroup(f"element {g} has no inverse")
-    for a in range(k):
-        for b in range(k):
-            for c in range(k):
-                if table[table[a][b]][c] != table[a][table[b][c]]:
-                    raise NotAGroup(f"associativity fails at {(a, b, c)}")
+    inv = [next((h for h in range(k) if table[g][h] == identity == table[h][g]), None)
+           for g in range(k)]
+    if None in inv:
+        raise NotAGroup(f"element {inv.index(None)} has no inverse")
+    for a, b, c in product(range(k), repeat=3):
+        if table[table[a][b]][c] != table[a][table[b][c]]:
+            raise NotAGroup(f"associativity fails at {(a, b, c)}")
     comp = {(g, h): table[g][h] for g in range(k) for h in range(k)}
     src = [identity] * k
     return FiniteGroupoid(src, src, comp, inv, [identity])
@@ -156,24 +146,13 @@ def action_groupoid(cayley: Sequence[Sequence[int]],
             for x in range(npts):
                 if perms[g1][perms[g2][x]] != perms[g12][x]:
                     raise NotAnAction(f"action fails at {(g1, g2, x)}")
-    n = k * npts
     aid = lambda g, x: g * npts + x
-    src = [0] * n
-    rng = [0] * n
-    inv = [0] * n
-    for g in range(k):
-        for x in range(npts):
-            i = aid(g, x)
-            src[i] = aid(e, x)
-            rng[i] = aid(e, perms[g][x])
-            ginv = next(h for h in range(k) if cayley[h][g] == e)
-            inv[i] = aid(ginv, perms[g][x])
-    comp = {}
-    for g1 in range(k):
-        for g2 in range(k):
-            g12 = cayley[g1][g2]
-            for x in range(npts):
-                comp[(aid(g1, perms[g2][x]), aid(g2, x))] = aid(g12, x)
+    ginv = [next(h for h in range(k) if cayley[h][g] == e) for g in range(k)]
+    src = [aid(e, x) for g in range(k) for x in range(npts)]
+    rng = [aid(e, perms[g][x]) for g in range(k) for x in range(npts)]
+    inv = [aid(ginv[g], perms[g][x]) for g in range(k) for x in range(npts)]
+    comp = {(aid(g1, perms[g2][x]), aid(g2, x)): aid(cayley[g1][g2], x)
+            for g1, g2 in product(range(k), repeat=2) for x in range(npts)}
     units = [aid(e, x) for x in range(npts)]
     return FiniteGroupoid(src, rng, comp, inv, units)
 
@@ -218,12 +197,9 @@ def sign_module(G: FiniteGroupoid) -> GModule:
     Only multiplicative when composing two non-units always lands on a
     unit (order-2 behaviour); raises ValueError otherwise.
     """
-    for (g, h), gh in G.comp.items():
-        sg = -1 if not G.is_unit(g) else 1
-        sh = -1 if not G.is_unit(h) else 1
-        sgh = -1 if not G.is_unit(gh) else 1
-        if sg * sh != sgh:
-            raise ValueError("sign character is not multiplicative here")
+    sign = [1 if G.is_unit(g) else -1 for g in range(G.n_arrows)]
+    if any(sign[g] * sign[h] != sign[gh] for (g, h), gh in G.comp.items()):
+        raise ValueError("sign character is not multiplicative here")
     return GModule(G, {u: 1 for u in G.units},
                    {g: IntMatrix.from_rows([[-1]]) if not G.is_unit(g)
                     else IntMatrix.identity(1) for g in range(G.n_arrows)})
@@ -303,10 +279,10 @@ def bratteli_stationary(multiplicity, levels: int) -> BratteliDiagram:
 
 
 # Work units per cylinder point of an odometer tower.  Factoring, presenting
-# and refining a depth costs about 45-50 us and 3 KiB per point (p from 2 to
-# 30000, one 2-vCPU x86 box), the time of about 16 units of nerve work;
-# counting 50 keeps the largest tower the default cap admits, about 40,000
-# points, near 2 s and 130 MiB.
+# and refining a depth costs about 10-12 us and 1.5-2.2 KiB per point
+# (whole process at p = 2, 34, 199 and 30000, one 2-vCPU x86 box); counting
+# 50 keeps the largest tower the default cap admits, about 40,000 points
+# (`odometer --p 199 --max-depth 2`), near 0.6 s and 105 MiB.
 ODOMETER_POINT_WORK = 50
 
 

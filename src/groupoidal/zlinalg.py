@@ -2,19 +2,22 @@
 
 Smith normal form with unimodular transforms, integer kernels, solving
 A*x = v over the integers, and the homology of a ChainComplex (a list of
-differentials, chains or cochains, checked for d*d = 0 once), reported
-as finitely generated abelian groups in invariant-factor normal form.
+differentials, chains or cochains, checked for d*d = 0 once, row by row
+up to the first nonzero row of the composite), reported as finitely
+generated abelian groups in invariant-factor normal form.
 
 Everything runs on Python ints, so intermediate entries may grow without
 overflow.  IntMatrix is sparse, one {column: value} dict per row with no
 stored zeros, and this module alone knows that format: builders elsewhere
 emit (row, column, value) entries, or rows of {column: value} through
-`IntMatrix.from_row_dicts`.  The elimination engine starts from a
-copy of the row dicts, which is what makes the large-but-very-sparse
-boundary matrices cheap.  It tracks no transform: it logs its row
-operations and its column operations, in order, and U, U^-1, V and V^-1
-are replays of the two logs, run only where they are read, on identity
-vectors or on the matrix they multiply (see _Smith).
+`IntMatrix.from_row_dicts`.  No operation modifies a built matrix, so
+rows are shared: where a row of the left factor is the unit e_k, that
+row of a product is row k of the right factor itself.  The elimination
+engine starts from a copy of the row dicts, which is what makes the
+large-but-very-sparse boundary matrices cheap.  It tracks no transform:
+it logs its row operations and its column operations, in order, and U,
+U^-1, V and V^-1 are replays of the two logs, run only where they are
+read, on identity vectors or on the matrix they multiply (see _Smith).
 
 Read-out works on whole matrices.  A LinearSystem solves A*X = B for all
 columns of B at once (the row log replayed on a copy of B, a
@@ -110,14 +113,20 @@ class IntMatrix:
     @classmethod
     def from_entries(cls, rows: int, cols: int, entries: Iterable[tuple]) -> "IntMatrix":
         """rows x cols matrix holding at (i, j) the sum of the v over the
-        triples (i, j, v) in entries."""
-        row_dicts = cls(rows, cols)._row_dicts  # refuses a negative shape
+        triples (i, j, v) in entries, in the order from_row_dicts keeps:
+        only the rows where a sum cancelled are filtered for zeros."""
+        out = cls(rows, cols)  # refuses a negative shape
+        row_dicts, cancelled = out._row_dicts, set()
         for i, j, v in entries:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise DimensionMismatch(f"entry ({i}, {j}) outside a {rows}x{cols} matrix")
             row = row_dicts[i]
-            row[j] = row.get(j, 0) + v
-        return cls.from_row_dicts(cols, row_dicts)
+            new = row[j] = row.get(j, 0) + v
+            if not new:
+                cancelled.add(i)
+        for i in cancelled:
+            row_dicts[i] = {j: v for j, v in row_dicts[i].items() if v}
+        return out
 
     @classmethod
     def from_row_dicts(cls, cols: int, rows: list) -> "IntMatrix":
@@ -164,15 +173,10 @@ class IntMatrix:
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence[int]], rows: int) -> "IntMatrix":
         """Matrix with columns cols, each of length `rows`."""
-        out = cls(rows, len(cols))
-        row_dicts = out._row_dicts
         for j, col in enumerate(cols):
             if len(col) != rows:
                 raise DimensionMismatch(f"column {j} has length {len(col)}, want {rows}")
-            for i, v in enumerate(col):
-                if v:
-                    row_dicts[i][j] = v
-        return out
+        return cls._of_col_dicts(rows, [{i: v for i, v in enumerate(col) if v} for col in cols])
 
     @property
     def shape(self) -> tuple:
@@ -255,6 +259,10 @@ class IntMatrix:
         b_rows = other._row_dicts
         out = []
         for a_row in self._row_dicts:
+            if len(a_row) == 1:  # a * row k of other, shared when a = 1; no zero to drop
+                (k, a), = a_row.items()
+                out.append(b_rows[k] if a == 1 else {j: a * b for j, b in b_rows[k].items()})
+                continue
             acc = {}
             for k, a in a_row.items():
                 for j, b in b_rows[k].items():
@@ -498,45 +506,28 @@ class _Smith:
         return None
 
     def _clean_pivot(self, t: int):
+        # clear column t with row operations, then row t with column
+        # operations, which cannot refill column t; a remainder is a strictly
+        # smaller pivot candidate, swapped onto (t, t) before starting over
         while True:
             pivot = self.rows[t][t]
-            # clear column t with row operations
-            dirty = False
-            for i in sorted(self.colidx[t]):
-                if i == t:
-                    continue
-                v = self.rows[i].get(t, 0)
-                if not v:
-                    continue
-                q = _round_div(v, pivot)
+            for i in sorted(self.colidx[t] - {t}):
+                q = _round_div(self.rows[i][t], pivot)
                 if q:
                     self._row_add(i, t, -q)
                 if self.rows[i].get(t, 0):
-                    # remainder is a strictly smaller pivot candidate
                     self._row_swap(i, t)
-                    dirty = True
                     break
-            if dirty:
-                continue
-            # clear row t with column operations (cannot refill column t)
-            pivot = self.rows[t][t]
-            for j in sorted(self.rows[t]):
-                if j == t:
-                    continue
-                v = self.rows[t].get(j, 0)
-                if not v:
-                    continue
-                q = _round_div(v, pivot)
-                if q:
-                    self._col_add(j, t, -q)
-                if self.rows[t].get(j, 0):
-                    self._col_swap(j, t)
-                    dirty = True
-                    break
-            if dirty:
-                continue
-            if len(self.colidx[t]) == 1 and len(self.rows[t]) == 1:
-                return
+            else:
+                for j in sorted(self.rows[t].keys() - {t}):
+                    q = _round_div(self.rows[t][j], pivot)
+                    if q:
+                        self._col_add(j, t, -q)
+                    if self.rows[t].get(j, 0):
+                        self._col_swap(j, t)
+                        break
+                else:
+                    return
 
     def _units_to_front(self, units: list):
         # logged swaps move unit pivot t to (t, t); at[i] is the row (column)
@@ -673,11 +664,6 @@ def snf(A: IntMatrix) -> SnfDecomposition:
         IntMatrix._of_col_dicts(n, eng.vinv_cols()))
 
 
-def _has_unit(row: dict) -> bool:
-    values = row.values()
-    return 1 in values or -1 in values
-
-
 def _eliminate_units(rows: list, colidx: list, row_ops: Optional[list] = None,
                      col_ops: Optional[list] = None) -> list:
     """Eliminate the +-1 pivots of a sparse matrix in place and return them,
@@ -696,7 +682,8 @@ def _eliminate_units(rows: list, colidx: list, row_ops: Optional[list] = None,
     """
     # (row length, row) for every live row holding a unit, plus stale entries;
     # a target row is pushed again only if its length changed or it held no unit
-    heap = [(len(row), i) for i, row in enumerate(rows) if _has_unit(row)]
+    heap = [(len(row), i) for i, row in enumerate(rows)
+            if 1 in row.values() or -1 in row.values()]
     heapq.heapify(heap)
     pivots, done = [], set()
     while heap:
@@ -704,19 +691,27 @@ def _eliminate_units(rows: list, colidx: list, row_ops: Optional[list] = None,
         prow = rows[p]
         if len(prow) != length or p in done:
             continue
-        units = [j for j, v in prow.items() if v == 1 or v == -1]
-        if not units:
+        # the unit whose column is shortest, ties to the lower column
+        j = None
+        for c, v in prow.items():
+            if v == 1 or v == -1:
+                k = len(colidx[c])
+                if j is None or k < least or k == least and c < j:
+                    j, least = c, k
+        if j is None:
             continue
-        j = min(units, key=lambda c: (len(colidx[c]), c))
-        for c in prow:
-            colidx[c].discard(p)
         unit = prow.pop(j)
+        rest = list(prow.items())
+        for c, _ in rest:
+            colidx[c].discard(p)
         targets, colidx[j] = colidx[j], {p}
+        targets.discard(p)
         for i in targets:
             row = rows[i]
-            length, had = len(row), _has_unit(row)
+            values = row.values()
+            length, had = len(row), 1 in values or -1 in values
             q = row.pop(j) * unit  # a unit is its own inverse
-            for c, v in prow.items():
+            for c, v in rest:
                 sub = q * v
                 old = row.get(c)
                 if old is None:
@@ -729,10 +724,10 @@ def _eliminate_units(rows: list, colidx: list, row_ops: Optional[list] = None,
                     colidx[c].discard(i)
             if row_ops is not None:
                 row_ops.append((i, p, -q))
-            if (len(row) != length or not had) and _has_unit(row):
+            if (len(row) != length or not had) and (1 in values or -1 in values):
                 heapq.heappush(heap, (len(row), i))
         if col_ops is not None:
-            col_ops.extend((c, j, -v * unit) for c, v in prow.items())
+            col_ops.extend((c, j, -v * unit) for c, v in rest)
         rows[p] = {j: unit}
         done.add(p)
         pivots.append((p, j))
@@ -929,6 +924,28 @@ class FgAbGroup(FrozenRecord):
         return " + ".join(parts) if parts else "0"
 
 
+def _composes_to_zero(d_out: IntMatrix, d_in: IntMatrix) -> bool:
+    """Whether d_out * d_in = 0, built one row at a time up to the first
+    nonzero row.  A row of d_out holding one entry, in column k, gives a
+    zero row exactly when row k of d_in is empty.  A shape mismatch raises
+    DimensionMismatch, as the product does."""
+    if d_out.cols != d_in.rows:
+        raise DimensionMismatch(f"mul {d_out.shape} by {d_in.shape}")
+    b_rows = d_in._row_dicts
+    for a_row in d_out._row_dicts:
+        if len(a_row) == 1:
+            if b_rows[next(iter(a_row))]:
+                return False
+        elif a_row:
+            acc = {}
+            for k, a in a_row.items():
+                for j, b in b_rows[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            if any(acc.values()):
+                return False
+    return True
+
+
 class ChainComplex:
     """A complex of free abelian groups given by its differentials.
 
@@ -959,8 +976,7 @@ class ChainComplex:
             self._ds = list(ds[::-1]) + [IntMatrix.zeros(ds[0].cols, 0)]
         self.top = len(self._ds) - 2  # degrees run 0 .. top
         for i, (d_out, d_in) in enumerate(zip(self._ds, self._ds[1:])):
-            # the product raises DimensionMismatch on a shape mismatch
-            if not (d_out * d_in).is_zero():
+            if not _composes_to_zero(d_out, d_in):
                 raise CompositionNonzero(i if step < 0 else self.top - i)
 
     def _at(self, n: int) -> int:

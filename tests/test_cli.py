@@ -638,6 +638,17 @@ def test_verify_theta_count_is_refused_one_entry_past_the_cap(capsys, monkeypatc
     assert _exit_code_at_cap(sum(work) - 1, argv, capsys, monkeypatch) == cli.USAGE_ERROR
 
 
+def test_verify_theta_refuses_a_huge_count_before_drawing_an_instance(capsys, monkeypatch):
+    # every instance costs at least (n + 1)^2 in each degree n <= 3, which
+    # is charged for all 10^8 of them before the first is drawn
+    drawn = []
+    monkeypatch.setattr(models, "random_groupoid", lambda rng: drawn.append(rng))
+    argv = ["verify-theta", "--seed", "1", "--count", str(10 ** 8)]
+    assert _exit_code_at_cap(10 ** 8 * (1 + 4 + 9 + 16) - 1, argv, capsys,
+                             monkeypatch) == cli.USAGE_ERROR
+    assert drawn == []
+
+
 def test_a_100_element_group_table_still_parses(tmp_path):
     # 100^3 associativity checks are inside the default cap
     path = tmp_path / "z100.json"

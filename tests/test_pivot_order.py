@@ -12,12 +12,15 @@ from functools import lru_cache
 from itertools import zip_longest
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupoidal import zlinalg
 from groupoidal.groupoids import boundary_matrix_d
-from groupoidal.models import cyclic_table, group_groupoid, pair_groupoid_from_map
+from groupoidal.limits import _shift_pullback
+from groupoidal.models import (OdometerSystem, cyclic_table, group_groupoid,
+                               pair_groupoid_from_map)
 from groupoidal.zlinalg import IntMatrix, LinearSystem, invariant_factors, kernel_basis
 
 from oracles import engine_factors, full_scan_pivot, full_scan_unit_pivots
@@ -121,6 +124,22 @@ def _nerve_boundaries():
 def test_pivots_match_full_scan_on_nerve_boundaries():
     for A in _nerve_boundaries():
         _check_factorizations(A)
+
+
+def _odometer_boundary(p, d):
+    """id - P for the add-one permutation of the p^d cylinders of depth d."""
+    n = p ** d
+    return IntMatrix.identity(n) - IntMatrix.from_entries(
+        n, n, ((j, i, 1) for i, j in enumerate(OdometerSystem(p, d).permutation(d))))
+
+
+@pytest.mark.parametrize("A", [_odometer_boundary(2, 9), _shift_pullback(3, 3)],
+                         ids=["cycle-512", "shift-pullback-81x27"])
+def test_pivots_match_full_scan_on_the_af_tower_matrices(A):
+    # the odometer's id - P, whose unit phase takes all but one pivot, and
+    # the AF tower's shift pullback, one 1 per row and p per column
+    eng = _check_factorizations(A)
+    assert eng.rank == A.cols - (A.rows == A.cols)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

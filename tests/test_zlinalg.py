@@ -452,6 +452,76 @@ def _dense_product_is_zero(a, b):
                for row in ra for j in range(b.cols))
 
 
+# -- the product and the d∘d kernel ---------------------------------------
+
+
+@st.composite
+def _composable_operands(draw):
+    """A composable pair a (m x k), b (k x n), any of m, k, n possibly 0,
+    whose rows are empty, a single +-1, a single other value or random;
+    half the time b is built from kernel vectors of a, so a * b = 0."""
+    m, k, n = (draw(st.integers(0, 6)) for _ in range(3))
+
+    def row(width):
+        kind = draw(st.sampled_from(["empty", "unit", "single", "random"])) if width else "empty"
+        out = [0] * width
+        if kind == "random":
+            out = [draw(st.integers(-2, 2)) for _ in range(width)]
+        elif kind != "empty":
+            out[draw(st.integers(0, width - 1))] = draw(
+                st.sampled_from([1, -1] if kind == "unit" else [2, -2, 3, -7]))
+        return out
+
+    a = IntMatrix(m, k, [row(k) for _ in range(m)])
+    if draw(st.booleans()):
+        K = kernel_basis(a)
+        return a, K * IntMatrix(K.cols, n, [row(n) for _ in range(K.cols)])
+    return a, IntMatrix(k, n, [row(n) for _ in range(k)])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_composable_operands())
+def test_product_and_dd_kernel_match_a_dense_reference(operands):
+    a, b = operands
+    ra, rb = a.data, b.data
+    want = [[sum(x * rb[k][j] for k, x in enumerate(row)) for j in range(b.cols)] for row in ra]
+    got = a * b
+    assert got.shape == (a.rows, b.cols) and got.data == want
+    assert all(v for _, _, v in got.entries())  # no stored zero
+    assert zlinalg._composes_to_zero(a, b) == (not any(map(any, want)))
+    with pytest.raises(DimensionMismatch):
+        zlinalg._composes_to_zero(a, IntMatrix.zeros(a.cols + 1, b.cols))
+
+
+def _snapshot(*mats):
+    return [(M.shape, list(M.entries())) for M in mats]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_operations_leave_their_operands_unchanged(seed):
+    # a product shares the rows of its right factor that a unit row of its
+    # left factor picks, and rows_at the rows it picks, so no operation may
+    # write into a built matrix, whether it is an operand or a product
+    rng = random.Random(seed)
+    m, k, n = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)
+    A = IntMatrix.from_entries(m, k, ((i, rng.randrange(k), rng.choice([1, 1, -1, 2]))
+                                      for i in range(m) if k and rng.random() < 0.8))
+    B, C, D = _random_matrix(rng, k, n), _random_matrix(rng, m, n), _random_matrix(rng, m, 3)
+    before = _snapshot(A, B, C, D)
+    AB = A * B
+    product = _snapshot(AB)
+    # every vector of Z^m is a cycle of the zero map out, with relations D
+    (pres,) = ChainComplex([IntMatrix.zeros(0, m), D], -1).presentations()
+    results = [AB + C, AB - C, C - AB, AB.transpose(), AB * AB.transpose(),
+               AB.transpose() * AB, AB.rows_at([rng.randrange(m) for _ in range(4)] if m else []),
+               AB.sum_columns([rng.randrange(2) for _ in range(n)], 2),
+               LinearSystem(D).solve_columns(AB), LinearSystem(AB).solve_columns(C),
+               pres.coords_of(AB)]
+    assert len(results) == 11
+    assert _snapshot(A, B, C, D) == before and _snapshot(AB) == product
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 32 - 1), step=st.sampled_from([-1, 1]))
 def test_chain_complex_groups_presentations_and_uct(seed, step):
