@@ -350,8 +350,7 @@ def cmd_verify_theta(args) -> int:
             instances.append((f"random[{i}]", G, M))
     results = []
     all_ok = True
-    for k, (name, G, M) in enumerate(instances):
-        instances[k] = None  # released once checked, with the caches it holds
+    for name, G, M in instances:
         rep = coh.theta_rho_check(G, M, args.max_degree)
         all_ok = all_ok and rep.ok
         results.append({"instance": name, "arrows": G.n_arrows, "ok": rep.ok,

@@ -103,7 +103,12 @@ def _coboundary(G: FiniteGroupoid, M: GModule, n: int,
     of cod: the action block at face 0, then +-1 on the diagonal at faces
     1..n+1, each face read off `face_table` and found in `dom.offset`.  A
     face with no block in dom is skipped, so a space may leave out strings
-    on which its cochains vanish.  Faces that cancel leave no stored zero."""
+    on which its cochains vanish.  A sum is dropped when it cancels, and a
+    row still keeps the order in which its columns first appeared: among
+    faces 1..n+1 those that coincide are consecutive (they differ by a run
+    of units), and face 0 coincides with one of them only if t starts with
+    a unit, whose block holds the one diagonal entry, or with face n+1
+    alone, so a dropped sum comes back only as the last entry of its row."""
     at, faces = nerve(G, n + 1).index, face_table(G, n + 1)
     cols = [dom.offset.get(s) for s in nerve(G, n).tuples]  # per n-string, or None
     signed = [(i, -1 if i % 2 else 1) for i in range(1, n + 2)]

@@ -102,7 +102,6 @@ class FiniteGroupoid:
         self.arrows_by_src = {u: tuple(v) for u, v in by_src.items()}
         self._nerves: Dict[int, "Nerve"] = {}
         self._faces: Dict[int, tuple] = {}
-        self._isotropy: Optional[tuple] = None  # (H or None, arrows, base)
 
     @property
     def n_units(self) -> int:
@@ -474,27 +473,21 @@ def isotropy_inclusion(G: FiniteGroupoid) -> Tuple[GroupoidFunctor, Dict[int, in
     onto H, and k is a natural transformation from i r to the identity, so
     H has G's homology and, with a module pulled back along i, its
     cohomology (Crainic-Moerdijk).  If every orbit is one unit, i = id_G.
-    H, its arrows in G and k are built once and cached next to the nerves,
-    without a reference back to G.
     """
-    if G._isotropy is None:
-        base: Dict[int, int] = {}
-        for x in G.units:
-            if x not in base:  # the least unit of a new orbit
-                base[x] = x
-                for g in G.arrows_by_src[x]:
-                    base.setdefault(G.rng[g], g)
-        bases = [x for x in G.units if base[x] == x]
-        if len(bases) == G.n_units:
-            G._isotropy = (None, range(G.n_arrows), base)
-        else:
-            arrows = [g for x in bases for g in G.arrows_by_src[x] if G.rng[g] == x]
-            pos = {g: j for j, g in enumerate(arrows)}
-            H = FiniteGroupoid([pos[G.src[g]] for g in arrows], [pos[G.rng[g]] for g in arrows],
-                               {(pos[g], pos[h]): pos[G.comp[g, h]]
-                                for g in arrows for h in G.arrows_by_rng[G.src[g]] if h in pos},
-                               [pos[G.inv[g]] for g in arrows],
-                               [pos[x] for x in bases])
-            G._isotropy = (H, arrows, base)
-    H, arrows, base = G._isotropy
-    return GroupoidFunctor(G if H is None else H, G, arrows), base
+    base: Dict[int, int] = {}
+    for x in G.units:
+        if x not in base:  # the least unit of a new orbit
+            base[x] = x
+            for g in G.arrows_by_src[x]:
+                base.setdefault(G.rng[g], g)
+    bases = [x for x in G.units if base[x] == x]
+    if len(bases) == G.n_units:
+        return GroupoidFunctor.identity(G), base
+    arrows = [g for x in bases for g in G.arrows_by_src[x] if G.rng[g] == x]
+    pos = {g: j for j, g in enumerate(arrows)}
+    H = FiniteGroupoid([pos[G.src[g]] for g in arrows], [pos[G.rng[g]] for g in arrows],
+                       {(pos[g], pos[h]): pos[G.comp[g, h]]
+                        for g in arrows for h in G.arrows_by_rng[G.src[g]] if h in pos},
+                       [pos[G.inv[g]] for g in arrows],
+                       [pos[x] for x in bases])
+    return GroupoidFunctor(H, G, arrows), base

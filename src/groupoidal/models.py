@@ -8,7 +8,6 @@ every downstream matrix is reproducible bit for bit.
 from __future__ import annotations
 
 import random
-from itertools import product
 from typing import Iterable, List, Optional, Sequence
 
 from .groupoids import Budget, FiniteGroupoid, GModule, GroupoidError, GroupoidFunctor
@@ -52,19 +51,30 @@ def group_groupoid(cayley: Sequence[Sequence[int]]) -> FiniteGroupoid:
         raise NotAGroup("table is not square")
     Budget(f"the associativity checks of a {k}-element table").charge(k ** 3)
     table = [[int(v) for v in row] for row in cayley]
-    if not all(0 <= v < k for row in table for v in row):
-        raise NotAGroup("entry out of range")
-    identity = next((e for e in range(k)
-                     if all(table[e][x] == x and table[x][e] == x for x in range(k))), None)
+    for row in table:
+        for v in row:
+            if not (0 <= v < k):
+                raise NotAGroup("entry out of range")
+    identity = None
+    for e in range(k):
+        if all(table[e][x] == x and table[x][e] == x for x in range(k)):
+            identity = e
+            break
     if identity is None:
         raise NotAGroup("no identity element")
-    inv = [next((h for h in range(k) if table[g][h] == identity == table[h][g]), None)
-           for g in range(k)]
-    if None in inv:
-        raise NotAGroup(f"element {inv.index(None)} has no inverse")
-    for a, b, c in product(range(k), repeat=3):
-        if table[table[a][b]][c] != table[a][table[b][c]]:
-            raise NotAGroup(f"associativity fails at {(a, b, c)}")
+    inv = [None] * k
+    for g in range(k):
+        for h in range(k):
+            if table[g][h] == identity and table[h][g] == identity:
+                inv[g] = h
+                break
+        if inv[g] is None:
+            raise NotAGroup(f"element {g} has no inverse")
+    for a in range(k):
+        for b in range(k):
+            for c in range(k):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    raise NotAGroup(f"associativity fails at {(a, b, c)}")
     comp = {(g, h): table[g][h] for g in range(k) for h in range(k)}
     src = [identity] * k
     return FiniteGroupoid(src, src, comp, inv, [identity])
@@ -146,13 +156,24 @@ def action_groupoid(cayley: Sequence[Sequence[int]],
             for x in range(npts):
                 if perms[g1][perms[g2][x]] != perms[g12][x]:
                     raise NotAnAction(f"action fails at {(g1, g2, x)}")
+    n = k * npts
     aid = lambda g, x: g * npts + x
-    ginv = [next(h for h in range(k) if cayley[h][g] == e) for g in range(k)]
-    src = [aid(e, x) for g in range(k) for x in range(npts)]
-    rng = [aid(e, perms[g][x]) for g in range(k) for x in range(npts)]
-    inv = [aid(ginv[g], perms[g][x]) for g in range(k) for x in range(npts)]
-    comp = {(aid(g1, perms[g2][x]), aid(g2, x)): aid(cayley[g1][g2], x)
-            for g1, g2 in product(range(k), repeat=2) for x in range(npts)}
+    src = [0] * n
+    rng = [0] * n
+    inv = [0] * n
+    for g in range(k):
+        for x in range(npts):
+            i = aid(g, x)
+            src[i] = aid(e, x)
+            rng[i] = aid(e, perms[g][x])
+            ginv = next(h for h in range(k) if cayley[h][g] == e)
+            inv[i] = aid(ginv, perms[g][x])
+    comp = {}
+    for g1 in range(k):
+        for g2 in range(k):
+            g12 = cayley[g1][g2]
+            for x in range(npts):
+                comp[(aid(g1, perms[g2][x]), aid(g2, x))] = aid(g12, x)
     units = [aid(e, x) for x in range(npts)]
     return FiniteGroupoid(src, rng, comp, inv, units)
 
@@ -197,9 +218,12 @@ def sign_module(G: FiniteGroupoid) -> GModule:
     Only multiplicative when composing two non-units always lands on a
     unit (order-2 behaviour); raises ValueError otherwise.
     """
-    sign = [1 if G.is_unit(g) else -1 for g in range(G.n_arrows)]
-    if any(sign[g] * sign[h] != sign[gh] for (g, h), gh in G.comp.items()):
-        raise ValueError("sign character is not multiplicative here")
+    for (g, h), gh in G.comp.items():
+        sg = -1 if not G.is_unit(g) else 1
+        sh = -1 if not G.is_unit(h) else 1
+        sgh = -1 if not G.is_unit(gh) else 1
+        if sg * sh != sgh:
+            raise ValueError("sign character is not multiplicative here")
     return GModule(G, {u: 1 for u in G.units},
                    {g: IntMatrix.from_rows([[-1]]) if not G.is_unit(g)
                     else IntMatrix.identity(1) for g in range(G.n_arrows)})

@@ -120,13 +120,23 @@ def _window(G: FiniteGroupoid, c: ZCocycle, lo: int, hi: int) -> SkewWindow:
         raise GroupoidError("empty level range")
     n_levels = hi - lo + 1
     Budget(f"{n_levels} window levels of {G.n_arrows} arrows").charge(n_levels * G.n_arrows)
-    labels = [(g, k) for k in range(lo, hi + 1) for g in range(G.n_arrows)
-              if lo <= k + c(g) <= hi]
+    labels = []
+    for k in range(lo, hi + 1):
+        for g in range(G.n_arrows):
+            if lo <= k + c(g) <= hi:
+                labels.append((g, k))
     index = {lab: i for i, lab in enumerate(labels)}
-    src = [index[(G.src[g], k + c(g))] for g, k in labels]
-    rng_ = [index[(G.rng[g], k)] for g, k in labels]
-    inv = [index[(G.inv[g], k + c(g))] for g, k in labels]
-    units = [i for i, (g, _) in enumerate(labels) if G.is_unit(g)]
+    n = len(labels)
+    src = [0] * n
+    rng_ = [0] * n
+    inv = [0] * n
+    units = []
+    for i, (g, k) in enumerate(labels):
+        src[i] = index[(G.src[g], k + c(g))]
+        rng_[i] = index[(G.rng[g], k)]
+        inv[i] = index[(G.inv[g], k + c(g))]
+        if G.is_unit(g):
+            units.append(i)
     comp = {}
     for b, (h, l) in enumerate(labels):
         for g in G.arrows_by_src[G.rng[h]]:
@@ -134,7 +144,11 @@ def _window(G: FiniteGroupoid, c: ZCocycle, lo: int, hi: int) -> SkewWindow:
             a = index.get((g, k))
             if a is not None:
                 comp[(a, b)] = index[(G.comp[(g, h)], k)]
-    shift = {i: index[(g, k + 1)] for i, (g, k) in enumerate(labels) if (g, k + 1) in index}
+    shift = {}
+    for i, (g, k) in enumerate(labels):
+        j = index.get((g, k + 1))
+        if j is not None:
+            shift[i] = j
     w = FiniteGroupoid(src, rng_, comp, inv, units)
     return SkewWindow(G, c, lo, hi, w, tuple(labels), index, shift)
 

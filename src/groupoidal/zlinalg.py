@@ -2,9 +2,8 @@
 
 Smith normal form with unimodular transforms, integer kernels, solving
 A*x = v over the integers, and the homology of a ChainComplex (a list of
-differentials, chains or cochains, checked for d*d = 0 once, row by row
-up to the first nonzero row of the composite), reported as finitely
-generated abelian groups in invariant-factor normal form.
+differentials, chains or cochains, checked for d*d = 0 once), reported
+as finitely generated abelian groups in invariant-factor normal form.
 
 Everything runs on Python ints, so intermediate entries may grow without
 overflow.  IntMatrix is sparse, one {column: value} dict per row with no
@@ -173,10 +172,15 @@ class IntMatrix:
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence[int]], rows: int) -> "IntMatrix":
         """Matrix with columns cols, each of length `rows`."""
+        out = cls(rows, len(cols))
+        row_dicts = out._row_dicts
         for j, col in enumerate(cols):
             if len(col) != rows:
                 raise DimensionMismatch(f"column {j} has length {len(col)}, want {rows}")
-        return cls._of_col_dicts(rows, [{i: v for i, v in enumerate(col) if v} for col in cols])
+            for i, v in enumerate(col):
+                if v:
+                    row_dicts[i][j] = v
+        return out
 
     @property
     def shape(self) -> tuple:
@@ -506,28 +510,45 @@ class _Smith:
         return None
 
     def _clean_pivot(self, t: int):
-        # clear column t with row operations, then row t with column
-        # operations, which cannot refill column t; a remainder is a strictly
-        # smaller pivot candidate, swapped onto (t, t) before starting over
         while True:
             pivot = self.rows[t][t]
-            for i in sorted(self.colidx[t] - {t}):
-                q = _round_div(self.rows[i][t], pivot)
+            # clear column t with row operations
+            dirty = False
+            for i in sorted(self.colidx[t]):
+                if i == t:
+                    continue
+                v = self.rows[i].get(t, 0)
+                if not v:
+                    continue
+                q = _round_div(v, pivot)
                 if q:
                     self._row_add(i, t, -q)
                 if self.rows[i].get(t, 0):
+                    # remainder is a strictly smaller pivot candidate
                     self._row_swap(i, t)
+                    dirty = True
                     break
-            else:
-                for j in sorted(self.rows[t].keys() - {t}):
-                    q = _round_div(self.rows[t][j], pivot)
-                    if q:
-                        self._col_add(j, t, -q)
-                    if self.rows[t].get(j, 0):
-                        self._col_swap(j, t)
-                        break
-                else:
-                    return
+            if dirty:
+                continue
+            # clear row t with column operations (cannot refill column t)
+            pivot = self.rows[t][t]
+            for j in sorted(self.rows[t]):
+                if j == t:
+                    continue
+                v = self.rows[t].get(j, 0)
+                if not v:
+                    continue
+                q = _round_div(v, pivot)
+                if q:
+                    self._col_add(j, t, -q)
+                if self.rows[t].get(j, 0):
+                    self._col_swap(j, t)
+                    dirty = True
+                    break
+            if dirty:
+                continue
+            if len(self.colidx[t]) == 1 and len(self.rows[t]) == 1:
+                return
 
     def _units_to_front(self, units: list):
         # logged swaps move unit pivot t to (t, t); at[i] is the row (column)
@@ -924,28 +945,6 @@ class FgAbGroup(FrozenRecord):
         return " + ".join(parts) if parts else "0"
 
 
-def _composes_to_zero(d_out: IntMatrix, d_in: IntMatrix) -> bool:
-    """Whether d_out * d_in = 0, built one row at a time up to the first
-    nonzero row.  A row of d_out holding one entry, in column k, gives a
-    zero row exactly when row k of d_in is empty.  A shape mismatch raises
-    DimensionMismatch, as the product does."""
-    if d_out.cols != d_in.rows:
-        raise DimensionMismatch(f"mul {d_out.shape} by {d_in.shape}")
-    b_rows = d_in._row_dicts
-    for a_row in d_out._row_dicts:
-        if len(a_row) == 1:
-            if b_rows[next(iter(a_row))]:
-                return False
-        elif a_row:
-            acc = {}
-            for k, a in a_row.items():
-                for j, b in b_rows[k].items():
-                    acc[j] = acc.get(j, 0) + a * b
-            if any(acc.values()):
-                return False
-    return True
-
-
 class ChainComplex:
     """A complex of free abelian groups given by its differentials.
 
@@ -976,7 +975,8 @@ class ChainComplex:
             self._ds = list(ds[::-1]) + [IntMatrix.zeros(ds[0].cols, 0)]
         self.top = len(self._ds) - 2  # degrees run 0 .. top
         for i, (d_out, d_in) in enumerate(zip(self._ds, self._ds[1:])):
-            if not _composes_to_zero(d_out, d_in):
+            # the product raises DimensionMismatch on a shape mismatch
+            if not (d_out * d_in).is_zero():
                 raise CompositionNonzero(i if step < 0 else self.top - i)
 
     def _at(self, n: int) -> int:
