@@ -609,20 +609,27 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        tuple_cap()  # a malformed cap is refused before any work
-        # integer options are range-checked before any model is built
-        for name, low in args.minimums.items():
-            value = getattr(args, name)
-            if value is not None and value < low:
-                raise ParseError(f"--{name.replace('_', '-')} must be >= {low}, got {value}")
-        return args.func(args)
-    except (ParseError, ValidationError, GroupoidError, LinAlgError,
-            lim.StageBoundExceeded) as e:
-        # an integer of more than 20 digits is named by its digit count, so
-        # the line's length does not follow the flag values or the cap
-        message = re.sub(r"\d{21,}", lambda m: f"<{len(m[0])} digits>", str(e))
-        sys.stderr.write(f"error: {type(e).__name__}: {message}\n")
-        return USAGE_ERROR
+        try:
+            tuple_cap()  # a malformed cap is refused before any work
+            # integer options are range-checked before any model is built
+            for name, low in args.minimums.items():
+                value = getattr(args, name)
+                if value is not None and value < low:
+                    raise ParseError(f"--{name.replace('_', '-')} must be >= {low}, got {value}")
+            return args.func(args)
+        except (ParseError, ValidationError, GroupoidError, LinAlgError,
+                lim.StageBoundExceeded) as e:
+            # an integer of more than 20 digits is named by its digit count, so
+            # the line's length does not follow the flag values or the cap
+            message = re.sub(r"\d{21,}", lambda m: f"<{len(m[0])} digits>", str(e))
+            sys.stderr.write(f"error: {type(e).__name__}: {message}\n")
+            return USAGE_ERROR
+    except MemoryError:
+        # matching one class allocates nothing; the line is written once
+        # this handler is left and the failed work is freed
+        pass
+    sys.stderr.write("error: MemoryError: out of memory\n")
+    return USAGE_ERROR
 
 
 if __name__ == "__main__":

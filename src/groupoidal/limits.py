@@ -8,14 +8,17 @@ Mittag-Leffler stabilization certificates or strictly-decreasing
 evidence, read off `invariant_factors` so no basis is built, and the
 rank of the thread lattice within the truncation, which is the rank of
 the last stage.  The derived limit is never presented as a group, only
-as a certificate or as evidence.
+as a certificate or as evidence.  The full-shift cohomology tower builds
+each stage-0 composite once, as one k-fold shift pullback.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import accumulate
 from math import gcd, prod
-from typing import List, Optional, Sequence
+from operator import mul
+from typing import Iterable, List, Optional, Sequence
 
 from .groupoids import Budget
 from .models import BratteliDiagram, MalformedDiagram, OdometerSystem
@@ -263,15 +266,10 @@ class Lim1Report(Record):
     __slots__ = ("depth", "chains", "ml_certificate", "nonml_stages", "thread_rank")
 
 
-def _image_chain(T: Tower, n: int, N: int) -> StageChain:
+def _image_chain(n: int, composites: Iterable[IntMatrix]) -> StageChain:
     """The image chain I_{n,m} = im(A_n ... A_{m-1}), m = n+1 .. N, of
-    stage n, read off the invariant factors of the composites."""
-    composite = None
-    factors = []
-    for m in range(n + 1, N + 1):
-        step = T.map_at(m - 1)
-        composite = step if composite is None else composite * step
-        factors.append(invariant_factors(composite))
+    stage n, read off the invariant factors of the composites, one at a time."""
+    factors = list(map(invariant_factors, composites))
     ranks = [len(f) for f in factors]
     # the images are nested, im(C * S) in im(C); at equal rank both have
     # the same saturation L, and [L : im A] is the product of A's
@@ -310,7 +308,8 @@ def limit_and_lim1(T: Tower, N: int) -> Lim1Report:
         raise ValueError("need at least two stages")
     if not T.stationary and N > len(T.ranks) - 1:
         raise ValueError("tower too short for requested depth")
-    chains = [_image_chain(T, n, N) for n in range(N)]
+    chains = [_image_chain(n, accumulate(map(T.map_at, range(n, N)), mul))
+              for n in range(N)]
     nonml = [c.stage for c in chains if c.stabilized_at is None]
     return Lim1Report(N, chains, ml_certificate=not nonml, nonml_stages=nonml,
                       thread_rank=T.rank_at(N))
@@ -324,11 +323,12 @@ class AfCohomologyReport(Record):
                  "h0_truncated_thread_rank", "h1_image_ranks", "h1_nonml_evidence")
 
 
-def _shift_pullback(p: int, depth: int) -> IntMatrix:
-    """Digit-shift pullback from depth-`depth` functions to depth+1:
-    (f o shift)(a_1 ... a_{depth+1}) = f(a_2 ... a_{depth+1})."""
-    n = p ** depth
-    return IntMatrix.from_entries(p * n, n, ((w, w // p, 1) for w in range(p * n)))
+def _shift_pullback(p: int, depth: int, k: int = 1) -> IntMatrix:
+    """k-fold digit-shift pullback from depth-`depth` functions to depth
+    depth+k: (f o shift^k)(a_1 ... a_{depth+k}) = f(a_{k+1} ... a_{depth+k}),
+    the product of the k one-fold pullbacks from depth+k-1 down to depth."""
+    n, q = p ** depth, p ** k
+    return IntMatrix.from_entries(q * n, n, ((w, w // q, 1) for w in range(q * n)))
 
 
 def af_cohomology_tower(B: BratteliDiagram, N: int, D: int) -> AfCohomologyReport:
@@ -343,9 +343,10 @@ def af_cohomology_tower(B: BratteliDiagram, N: int, D: int) -> AfCohomologyRepor
     Degree 0: the stationary-thread lattice {f : f = f o shift} inside
     depth-D functions; for the full shift this is a faithful model of the
     projective limit, and the certificate reports whether it is exactly
-    the constants.  Degree 1: image chains of the N-stage pullback tower,
-    which strictly decrease, so only non-Mittag-Leffler evidence is ever
-    reported, never a presentation.
+    the constants.  Degree 1: the image chain of stage 0 of the N-stage
+    pullback tower, each composite a k-fold shift pullback built when it
+    is factored; it strictly decreases, so only non-Mittag-Leffler
+    evidence is ever reported, never a presentation.
     """
     if not (B.stationary and B.vertex_counts[0] == 1):
         raise MalformedDiagram("cohomology tower needs a stationary one-vertex diagram")
@@ -365,17 +366,8 @@ def af_cohomology_tower(B: BratteliDiagram, N: int, D: int) -> AfCohomologyRepor
     # the kernel is saturated and (1, ..., 1) is primitive, so the kernel
     # is exactly the constants when it has rank 1 and holds (1, ..., 1)
     constants_only = fixed_rank == 1 and not any(A.apply([1] * A.cols))
-    # exact truncated tower: stage n holds depth D+N-n functions
-    ranks = [p ** (D + N - n) for n in range(N + 1)]
-    maps = [_shift_pullback(p, D + N - n - 1) for n in range(N)]
-    tower = Tower("inverse", ranks, maps)
-    if N >= 2:
-        chain = _image_chain(tower, 0, N)
-        image_ranks, nonml = chain.ranks, chain.stabilized_at is None
-    else:
-        # the shift pullback's column c has its p ones in rows c*p .. c*p+p-1,
-        # which no other column touches, so its rank is its column count
-        image_ranks = [maps[0].cols]
-        nonml = image_ranks[0] < ranks[0]
-    return AfCohomologyReport(p, N, D, fixed_rank, constants_only,
-                              tower.rank_at(N), image_ranks, nonml)
+    del A  # released before the first composite is built
+    chain = _image_chain(0, (_shift_pullback(p, D + N - k, k) for k in range(1, N + 1)))
+    # non-ML evidence is no observed repeat; at N = 1 the one image is only vacuously stable
+    return AfCohomologyReport(p, N, D, fixed_rank, constants_only, p ** D, chain.ranks,
+                              chain.stabilized_at in (None, N))

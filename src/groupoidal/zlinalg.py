@@ -1011,8 +1011,8 @@ class ChainComplex:
         pivot pairs a cell that a differential shares with the next one;
         eliminating it zeroes that cell's line of the next one by unimodular
         moves (d*d = 0; Kaczynski-Mrozek-Slusarek 1998), so the next unit
-        phase, on the orientation with fewer nonzero rows, skips those lines
-        (the clearing of Chen-Kerber 2011) and reads the same factors.
+        phase skips those lines (the clearing of Chen-Kerber 2011) and reads
+        the same factors.
         """
         chains = self.step < 0
         ds = self._ds if chains else self._ds[::-1]  # lowest degree first
@@ -1025,11 +1025,9 @@ class ChainComplex:
             # rows meet the differential below, columns the next (cochains transposed)
             A = d if chains else d.transpose()
             rows = [{} if i in paired else row for i, row in enumerate(A._row_dicts)]
-            flip = len(set().union(*rows)) < sum(map(bool, rows))
-            A = IntMatrix._of_row_dicts(A.rows, A.cols, rows)
-            units, rest = _strip_unit_pivots(A.transpose() if flip else A)
+            units, rest = _strip_unit_pivots(IntMatrix._of_row_dicts(A.rows, A.cols, rows))
             facs.append([1] * len(units) + (_Smith(rest).diagonal() if rest.rows else []))
-            paired = {pivot[not flip] for pivot in units}
+            paired = {j for _, j in units}
         # d_in maps into degree n and its rows are the cells of degree n
         pairs = zip(facs, facs[1:], ds[1:]) if chains else zip(facs[1:], facs, ds)
         return [FgAbGroup.from_invariant_factors(f_in, free_rank=d_in.rows - len(f_out) - len(f_in))

@@ -566,6 +566,26 @@ def test_oversize_inputs_exit_2_before_building(argv, model, aux, env, tmp_path)
     assert len(res.stderr) <= 301, res.stderr[:300]
 
 
+def test_running_out_of_memory_exits_2_with_one_line(tmp_path):
+    # uhf3 at one level and depth 12 is admitted by the default cap, but
+    # its 3^13-row matrices do not fit in 1 GiB: the MemoryError is one
+    # error line and exit 2, not a traceback and exit 1
+    path = tmp_path / "uhf3.json"
+    path.write_text(json.dumps({"kind": "bratteli", "stationary": True, "p": 3,
+                                "levels": 4}), encoding="utf-8")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+    env = {k: v for k, v in os.environ.items() if k != "GROUPOIDAL_CAP"}
+    res = subprocess.run([sys.executable, "-m", "groupoidal.cli", "af-cohomology", str(path),
+                          "--levels", "1", "--depth", "12"], capture_output=True, text=True,
+                         timeout=120, env=env, preexec_fn=limit)
+    assert res.returncode == cli.USAGE_ERROR, res.stderr[-300:]
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: MemoryError: ") and res.stderr.count("\n") == 1
+    assert "Traceback" not in res.stderr and "Exception ignored" not in res.stderr
+
+
 @pytest.mark.parametrize("copies", [1, 2])
 def test_the_queries_of_one_command_share_one_budget(copies, tmp_path, capsys, monkeypatch):
     # one equal query scanning 5000 stages of [[1, 1], [1, 1]] charges

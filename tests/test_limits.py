@@ -312,23 +312,59 @@ def test_af_cohomology_of_2_to_the_16_cylinders_fits_in_1_gib(N, D):
 @pytest.mark.grid
 @pytest.mark.parametrize("N,D", [(2, 17), (1, 19)])
 def test_af_cohomology_of_2_to_the_19_cylinders_fits_in_1_gib(N, D):
-    # eliminating the 786,432 x 917,504 thread matrix at 2/17, or the
-    # 2^20 x 2^19 shift pullback at 1/19, runs out of 1 GiB, so the thread
-    # rank must be the last stage's and the one image rank of a one-level
-    # tower the pullback's column count, both read off no matrix
+    # eliminating the 786,432 x 917,504 thread matrix at 2/17 runs out of
+    # 1 GiB, so the thread rank must be the last stage's, read off no
+    # matrix; at 1/19 the one image rank is factored from the 2^20 x 2^19
+    # shift pullback, once the fixed-lattice matrix is released
     _af_cohomology_in_1_gib(N, D, timeout=60)
+
+
+@pytest.mark.grid
+@pytest.mark.parametrize("N,D", [(2, 18), (10, 10)])
+def test_af_cohomology_of_2_to_the_20_cylinders_fits_in_1_gib(N, D):
+    # a stage-0 composite has 2^20 rows; holding the stage maps and their
+    # running products beside it runs out of 1 GiB, so each composite is
+    # built alone, as a k-fold shift pullback, and released once factored
+    _af_cohomology_in_1_gib(N, D, timeout=150)
 
 
 @pytest.mark.parametrize("p, depth", [(p, d) for p in range(2, 6) for d in range(4)
                                       if p ** d <= 125])
 def test_shift_pullback_has_full_column_rank(p, depth):
     # column c holds its p ones in rows c*p .. c*p+p-1, and no other
-    # column touches them, so af_cohomology_tower reads its rank off its
-    # column count at one level
+    # column touches them, so the rank is the column count, which is what
+    # the invariant factors af_cohomology_tower reads off must give
     A = limits._shift_pullback(p, depth)
     assert A.shape == (p ** (depth + 1), p ** depth)
     assert sorted(A.entries()) == [(c * p + a, c, 1) for c in range(p ** depth) for a in range(p)]
     assert rank(A) == p ** depth
+
+
+@pytest.mark.parametrize("p", range(2, 6))
+def test_k_fold_shift_pullback_is_the_product_of_one_fold_pullbacks(p):
+    # the composite of the tower's first k maps, which af_cohomology_tower
+    # builds directly instead of multiplying
+    for depth in range(3):
+        for k in range(1, 5):
+            if p ** (depth + k) > 625:
+                continue
+            product = limits._shift_pullback(p, depth + k - 1)
+            for d in range(depth + k - 2, depth - 1, -1):
+                product = product * limits._shift_pullback(p, d)
+            assert limits._shift_pullback(p, depth, k) == product
+
+
+@pytest.mark.parametrize("N", [2, 3, 5])
+def test_af_cohomology_multiplies_no_matrices(N, monkeypatch):
+    # each stage-0 composite is a k-fold shift pullback, built once; a
+    # tower of stage maps would take N - 1 products to reach them
+    products = []
+    real = IntMatrix.__mul__
+    monkeypatch.setattr(IntMatrix, "__mul__",
+                        lambda A, B: products.append((A.shape, B.shape)) or real(A, B))
+    rep = af_cohomology_tower(cli.parse_input(_UHF2), N, 3)
+    assert products == []
+    assert rep.h1_image_ranks == [2 ** (3 + N - m) for m in range(1, N + 1)]
 
 
 def test_af_cohomology_eliminates_only_what_it_prints(monkeypatch):
@@ -351,8 +387,9 @@ def test_af_cohomology_eliminates_only_what_it_prints(monkeypatch):
 
 
 def test_af_cohomology_at_one_level_ranks_only_the_fixed_lattice(monkeypatch):
-    # the one image rank of a one-level tower is the shift pullback's
-    # column count, so the fixed-lattice matrix is all that is eliminated
+    # the one image rank of a one-level tower is read off the shift
+    # pullback's invariant factors, so the fixed-lattice matrix is all
+    # that `rank` eliminates
     ranked = []
     real = limits.rank
     monkeypatch.setattr(limits, "rank", lambda A: ranked.append(A.shape) or real(A))
@@ -387,7 +424,7 @@ def test_thread_rank_is_the_kernel_basis_column_count(tower):
     assert limit_and_lim1(T, N).thread_rank == truncated_threads(T, N)[0].cols
 
 
-@pytest.mark.parametrize("p,N,D", [(2, 3, 4), (3, 2, 3)])
+@pytest.mark.parametrize("p,N,D", [(2, 3, 4), (3, 2, 3), (5, 1, 2)])
 def test_af_cohomology_tower(p, N, D):
     rep = af_cohomology_tower(bratteli_stationary(p, N), N, D)
     assert rep.h0_lattice_rank == 1
