@@ -108,10 +108,10 @@ def z_action_homology(perm: Sequence[int]) -> ZActionHomology:
     k = len(perm)
     push = permutation_pushforward(perm)
     delta = IntMatrix.identity(k) - push
-    # coker and ker of id - P_*, then ker and coker of id - P^*
+    # coker and ker of id - P_*; as id - P is square, ker (id - P)^* is free
+    # of the rank of its kernel, and coker (id - P)^* has its Smith diagonal
     h0, h1 = ChainComplex([IntMatrix.zeros(0, k), delta, IntMatrix.zeros(k, 0)], -1).groups()
-    h0_dual, h1_dual = ChainComplex([delta.transpose(), IntMatrix.zeros(0, k)], 1).groups()
-    return ZActionHomology(h0, h1, h0_dual, h1_dual)
+    return ZActionHomology(h0, h1, h1, h0)
 
 
 # -- odometers ----------------------------------------------------------------

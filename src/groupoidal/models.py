@@ -8,10 +8,10 @@ every downstream matrix is reproducible bit for bit.
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .groupoids import Budget, FiniteGroupoid, GModule, GroupoidError, GroupoidFunctor
-from .zlinalg import IntMatrix, LinearSystem
+from .zlinalg import IntMatrix
 
 
 class NotAGroup(GroupoidError):
@@ -31,53 +31,18 @@ class MalformedDiagram(GroupoidError):
 
 
 def space_groupoid(k: int) -> FiniteGroupoid:
-    """k points with trivial multiplication; arrow i is the unit at point i."""
+    """k points with trivial multiplication, the pair groupoid of the
+    identity map of k points; arrow i is the unit at point i."""
     if k < 1:
         raise ValueError("need at least one point")
-    ids = list(range(k))
-    comp = {(i, i): i for i in ids}
-    return FiniteGroupoid(ids, ids, comp, ids, ids)
+    return pair_groupoid_from_map(range(k))
 
 
 def group_groupoid(cayley: Sequence[Sequence[int]]) -> FiniteGroupoid:
-    """One-unit groupoid from a k x k Cayley table; arrow i is element i.
-
-    The identity element may sit anywhere in the table; it becomes the
-    single unit.  The k^3 associativity checks are charged to a `Budget`
-    first.
-    """
-    k = len(cayley)
-    if k < 1 or any(len(row) != k for row in cayley):
-        raise NotAGroup("table is not square")
-    Budget(f"the associativity checks of a {k}-element table").charge(k ** 3)
-    table = [[int(v) for v in row] for row in cayley]
-    for row in table:
-        for v in row:
-            if not (0 <= v < k):
-                raise NotAGroup("entry out of range")
-    identity = None
-    for e in range(k):
-        if all(table[e][x] == x and table[x][e] == x for x in range(k)):
-            identity = e
-            break
-    if identity is None:
-        raise NotAGroup("no identity element")
-    inv = [None] * k
-    for g in range(k):
-        for h in range(k):
-            if table[g][h] == identity and table[h][g] == identity:
-                inv[g] = h
-                break
-        if inv[g] is None:
-            raise NotAGroup(f"element {g} has no inverse")
-    for a in range(k):
-        for b in range(k):
-            for c in range(k):
-                if table[table[a][b]][c] != table[a][table[b][c]]:
-                    raise NotAGroup(f"associativity fails at {(a, b, c)}")
-    comp = {(g, h): table[g][h] for g in range(k) for h in range(k)}
-    src = [identity] * k
-    return FiniteGroupoid(src, src, comp, inv, [identity])
+    """One-unit groupoid from a k x k Cayley table, the action groupoid of
+    the group on one point; arrow i is element i, and the identity element,
+    wherever it sits in the table, is the single unit."""
+    return action_groupoid(cayley, [[0]] * len(cayley))
 
 
 def cyclic_table(k: int) -> List[List[int]]:
@@ -131,49 +96,60 @@ def action_groupoid(cayley: Sequence[Sequence[int]],
                     perms: Sequence[Sequence[int]]) -> FiniteGroupoid:
     """Transformation groupoid of a finite group action on a finite set.
 
-    perms[g] is the permutation of X given by element g of the Cayley
-    table.  Arrow id is g*|X| + x for the arrow (g, x): src = x,
-    rng = g.x, and (g1, g2.x)(g2, x) = (g1 g2, x).  Units are (e, x).  The
-    k^2 |X| checks of the action law are charged to a `Budget` first.
+    perms[g] is the permutation of X given by element g of the k x k
+    Cayley table, whose identity element may sit anywhere.  Arrow id is
+    g*|X| + x for the arrow (g, x): src = x, rng = g.x, and
+    (g1, g2.x)(g2, x) = (g1 g2, x).  Units are (e, x).  The table's k^3
+    associativity checks, then the k^2 |X| checks of the action law, are
+    each charged to a `Budget` before they run, and each arrow's inverse
+    is read off the table's inverses.
     """
-    group = group_groupoid(cayley)
     k = len(cayley)
+    if k < 1 or any(len(row) != k for row in cayley):
+        raise NotAGroup("table is not square")
+    Budget(f"the associativity checks of a {k}-element table").charge(k ** 3)
+    table = [[int(v) for v in row] for row in cayley]
+    for row in table:
+        for v in row:
+            if not (0 <= v < k):
+                raise NotAGroup("entry out of range")
+    e = next((e for e in range(k)
+              if all(table[e][x] == x and table[x][e] == x for x in range(k))), None)
+    if e is None:
+        raise NotAGroup("no identity element")
+    ginv = [None] * k
+    for g in range(k):
+        ginv[g] = next((h for h in range(k) if table[g][h] == e and table[h][g] == e), None)
+        if ginv[g] is None:
+            raise NotAGroup(f"element {g} has no inverse")
+    for a in range(k):
+        for b in range(k):
+            for c in range(k):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    raise NotAGroup(f"associativity fails at {(a, b, c)}")
     if len(perms) != k:
         raise NotAnAction("one permutation per group element required")
-    npts = len(perms[0]) if perms else 0
+    npts = len(perms[0])
     if npts == 0:
         raise NotAnAction("empty set")
     Budget(f"the action checks of {k} elements on {npts} points").charge(k * k * npts)
     for p in perms:
         if sorted(p) != list(range(npts)):
             raise NotAnAction(f"{p} is not a permutation")
-    e = group.units[0]
     if list(perms[e]) != list(range(npts)):
         raise NotAnAction("identity must act trivially")
     for g1 in range(k):
         for g2 in range(k):
-            g12 = cayley[g1][g2]
+            g12 = table[g1][g2]
             for x in range(npts):
                 if perms[g1][perms[g2][x]] != perms[g12][x]:
                     raise NotAnAction(f"action fails at {(g1, g2, x)}")
-    n = k * npts
     aid = lambda g, x: g * npts + x
-    src = [0] * n
-    rng = [0] * n
-    inv = [0] * n
-    for g in range(k):
-        for x in range(npts):
-            i = aid(g, x)
-            src[i] = aid(e, x)
-            rng[i] = aid(e, perms[g][x])
-            ginv = next(h for h in range(k) if cayley[h][g] == e)
-            inv[i] = aid(ginv, perms[g][x])
-    comp = {}
-    for g1 in range(k):
-        for g2 in range(k):
-            g12 = cayley[g1][g2]
-            for x in range(npts):
-                comp[(aid(g1, perms[g2][x]), aid(g2, x))] = aid(g12, x)
+    src = [aid(e, x) for g in range(k) for x in range(npts)]
+    rng = [aid(e, perms[g][x]) for g in range(k) for x in range(npts)]
+    inv = [aid(ginv[g], perms[g][x]) for g in range(k) for x in range(npts)]
+    comp = {(aid(g1, perms[g2][x]), aid(g2, x)): aid(table[g1][g2], x)
+            for g1 in range(k) for g2 in range(k) for x in range(npts)}
     units = [aid(e, x) for x in range(npts)]
     return FiniteGroupoid(src, rng, comp, inv, units)
 
@@ -359,24 +335,35 @@ class OdometerSystem:
 # -- randomized valid instances ----------------------------------------------
 
 
-def _random_unimodular(rng: random.Random, r: int, steps: int = 4) -> IntMatrix:
+def _random_unimodular(rng: random.Random, r: int,
+                       steps: int) -> Tuple[IntMatrix, IntMatrix]:
+    """A random unimodular r x r matrix, `steps` elementary row operations
+    applied to the identity, and its inverse, the inverse of each operation
+    applied to the columns of the identity in the same order."""
     m = [[int(a == b) for b in range(r)] for a in range(r)]
+    inv = [[int(a == b) for b in range(r)] for a in range(r)]
     for _ in range(steps):
         kind = rng.randrange(3)
         if r == 1:
             if kind == 0:
                 m[0][0] *= -1
+                inv[0][0] *= -1
             continue
         i, j = rng.sample(range(r), 2)
         if kind == 0:
             c = rng.choice([-1, 1])
             for k in range(r):
                 m[i][k] += c * m[j][k]
+                inv[k][j] -= c * inv[k][i]
         elif kind == 1:
             m[i], m[j] = m[j], m[i]
+            for row in inv:
+                row[i], row[j] = row[j], row[i]
         else:
             m[i] = [-v for v in m[i]]
-    return IntMatrix.from_rows(m)
+            for row in inv:
+                row[i] = -row[i]
+    return IntMatrix.from_rows(m), IntMatrix.from_rows(inv)
 
 
 def random_groupoid(rng: random.Random, max_arrows: int = 20) -> FiniteGroupoid:
@@ -420,19 +407,11 @@ def random_module(G: FiniteGroupoid, rng: random.Random, max_rank: int = 2) -> G
             ranks[u] = r
     conj = {u: _random_unimodular(rng, ranks[u], steps=rng.randint(2, 5))
             for u in G.units}
-    conj_solve = {u: _inverse_unimodular(conj[u]) for u in G.units}
     action = {}
     for g in range(G.n_arrows):
-        m = conj[G.rng[g]] * conj_solve[G.src[g]]
+        m = conj[G.rng[g]][0] * conj[G.src[g]][1]
         if use_sign and sign is not None and not G.is_unit(g):
             m = m.scaled(-1)
         action[g] = m
     return GModule(G, ranks, action)
 
-
-def _inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix."""
-    inv = LinearSystem(m).solve_columns(IntMatrix.identity(m.rows))
-    if inv is None:
-        raise ValueError("matrix is not unimodular")
-    return inv

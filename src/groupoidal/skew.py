@@ -95,12 +95,12 @@ class SkewWindow(Record):
     ids enumerate levels outermost, base arrows innermost.  The shift maps
     (g, k) to (g, k+1) where both stay inside the window.
 
-    `labels` maps an arrow id to its (base arrow, level), `index` maps
-    back, and `shift` is the partial arrow map to level + 1.
+    `labels` maps an arrow id to its (base arrow, level), and `index` maps
+    back.
     """
 
-    __slots__ = ("base", "cocycle", "lo", "hi", "groupoid", "labels", "index", "shift")
-    repr_hidden = ("index", "shift")
+    __slots__ = ("base", "cocycle", "lo", "hi", "groupoid", "labels", "index")
+    repr_hidden = ("index",)
 
     def projection(self) -> GroupoidFunctor:
         return GroupoidFunctor(self.groupoid, self.base,
@@ -144,13 +144,8 @@ def _window(G: FiniteGroupoid, c: ZCocycle, lo: int, hi: int) -> SkewWindow:
             a = index.get((g, k))
             if a is not None:
                 comp[(a, b)] = index[(G.comp[(g, h)], k)]
-    shift = {}
-    for i, (g, k) in enumerate(labels):
-        j = index.get((g, k + 1))
-        if j is not None:
-            shift[i] = j
     w = FiniteGroupoid(src, rng_, comp, inv, units)
-    return SkewWindow(G, c, lo, hi, w, tuple(labels), index, shift)
+    return SkewWindow(G, c, lo, hi, w, tuple(labels), index)
 
 
 def skew_window(G: FiniteGroupoid, c: ZCocycle, K: int) -> SkewWindow:

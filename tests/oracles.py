@@ -18,13 +18,16 @@ threads whose ranks `limits.limit_and_lim1` reads off `rank` alone.
 `theta_rho_by_products` states the comparison identities of
 `theta_rho_check` as plain matrix products of selection matrices, and
 `homology_face` computes a face as a string, against which the index
-arithmetic of `groupoids.face_table` is checked.
+arithmetic of `groupoids.face_table` is checked, and `group_groupoid_of_table`
+builds a group's one-unit groupoid straight from its Cayley table, against
+which `models.group_groupoid`, an action on one point, is checked.
 """
 
 from fractions import Fraction
 from itertools import product
 
 from groupoidal import zlinalg
+from groupoidal.groupoids import FiniteGroupoid
 from groupoidal.zlinalg import (FgAbGroup, IntMatrix, LinAlgError, LinearSystem,
                                 invariant_factors, kernel_basis)
 
@@ -275,6 +278,17 @@ def complex_betti(mats_out, mats_in, dims, field_rank):
         r_in = field_rank(mats_in[n]) if mats_in[n] is not None else 0
         out.append(dim - r_out - r_in)
     return out
+
+
+def group_groupoid_of_table(table):
+    """The one-unit groupoid of a Cayley table, built directly: the
+    composition is the table, every arrow has the identity as source and
+    range, and inverses are found by search."""
+    k = len(table)
+    e = next(e for e in range(k) if all(table[e][x] == x == table[x][e] for x in range(k)))
+    inv = [next(h for h in range(k) if table[g][h] == e == table[h][g]) for g in range(k)]
+    comp = {(g, h): table[g][h] for g in range(k) for h in range(k)}
+    return FiniteGroupoid([e] * k, [e] * k, comp, inv, [e])
 
 
 def orbit_count(G):

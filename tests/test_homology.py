@@ -1,7 +1,11 @@
+import importlib.util
+import os
 import random
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupoidal.groupoids import GroupoidFunctor
 from groupoidal.homology import (NotAPermutation, chain_pushforward,
@@ -12,7 +16,7 @@ from groupoidal.models import (constant_functor, cyclic_table,
                                disjoint_union, full_pair_groupoid,
                                group_groupoid, inclusion_functor_left,
                                random_groupoid, space_groupoid)
-from groupoidal.zlinalg import FgAbGroup, IntMatrix, kernel_basis
+from groupoidal.zlinalg import ChainComplex, FgAbGroup, IntMatrix, kernel_basis
 
 from oracles import (betti_over_field, complex_betti, group_bar_boundaries,
                      modp_rank, orbit_count, rational_rank)
@@ -166,6 +170,37 @@ def test_z_action_rank_equals_orbits():
 def test_z_action_rejects_non_permutation():
     with pytest.raises(NotAPermutation):
         z_action_homology([0, 0, 1])
+
+
+def test_z_action_of_the_benchmark_300_points_runs_one_unit_phase(tmp_path):
+    # id - P is factored once: its transpose's groups are read off it
+    from groupoidal import zlinalg
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", os.path.join(os.path.dirname(__file__), os.pardir,
+                                        "bench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    (job,) = [job for job in workloads.make_jobs("af-towers", 1, 0, str(tmp_path))
+              if job["id"] == "z-action-300"]
+    perm = [int(x) for x in job["argv"][job["argv"].index("--perm") + 1].split(",")]
+    calls = []
+    strip = zlinalg._strip_unit_pivots
+    with mock.patch.object(zlinalg, "_strip_unit_pivots",
+                           lambda *a, **kw: calls.append(1) or strip(*a, **kw)):
+        za = z_action_homology(perm)
+    assert len(calls) == 1
+    assert za.h0 == za.h1 == FgAbGroup.free(job["expect"]["cycles"])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(perm=st.integers(1, 12).flatmap(lambda k: st.permutations(range(k))))
+def test_z_action_dual_groups_are_those_of_the_transposed_complex(perm):
+    k = len(perm)
+    delta = IntMatrix.identity(k) - IntMatrix.from_entries(
+        k, k, ((px, x, 1) for x, px in enumerate(perm)))
+    dual = ChainComplex([delta.transpose(), IntMatrix.zeros(0, k)], 1).groups()
+    za = z_action_homology(perm)
+    assert [za.h0_dual, za.h1_dual] == list(dual)
 
 
 @pytest.mark.parametrize("p,depth", [(2, 3), (3, 2)])

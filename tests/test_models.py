@@ -13,9 +13,11 @@ from groupoidal.models import (MalformedDiagram, NotAGroup, NotAnAction,
                                odometer_system, pair_groupoid_from_map,
                                permutation_module, random_groupoid,
                                random_module, sign_module, space_groupoid)
+from groupoidal import models, zlinalg
 from groupoidal.zlinalg import FgAbGroup, IntMatrix
 
-from oracles import orbit_count
+from oracles import group_groupoid_of_table, orbit_count
+from test_resolution import D4, S3, _relabelled
 
 S3_TABLE = [
     # elements: e, (12), (13), (23), (123), (132)
@@ -285,3 +287,64 @@ def test_validate_groupoid_charges_the_composable_triples(seed, monkeypatch):
     monkeypatch.setenv("GROUPOIDAL_CAP", str(triples - 1))
     with pytest.raises(DegreeTooLarge):
         validate_groupoid(copy)
+
+
+# -- every model comes from two constructors, with no elimination ---------------
+
+
+def _fields(G):
+    # the composition dict in insertion order, which the nerve's order follows
+    return G.src, G.rng, list(G.comp.items()), G.inv, G.units
+
+
+def test_models_build_without_the_elimination_engine(monkeypatch):
+    def refuse(self, A):
+        raise AssertionError("a model ran the elimination engine")
+
+    monkeypatch.setattr(zlinalg._Smith, "__init__", refuse)
+    for seed in range(50):
+        rng = random.Random(seed)
+        G = random_groupoid(rng)
+        assert validate_module(G, random_module(G, rng, max_rank=3)).ok
+    group_groupoid(S3)
+    action_groupoid(cyclic_table(3), [[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    space_groupoid(3)
+    pair_groupoid_from_map([0, 1, 0, 2])
+    bratteli_stationary([[1, 1], [1, 0]], 3)
+    odometer_system(3, 2)
+
+
+def test_random_unimodular_carries_its_inverse():
+    rng = random.Random(8)
+    for r in (1, 2, 3):
+        ident = IntMatrix.identity(r)
+        for _ in range(200):
+            m, inv = models._random_unimodular(rng, r, rng.randint(0, 8))
+            assert m * inv == ident == inv * m
+
+
+def test_action_groupoid_builds_one_groupoid(monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(FiniteGroupoid(*args))
+        return built[-1]
+
+    monkeypatch.setattr(models, "FiniteGroupoid", counted)
+    action_groupoid(cyclic_table(3), [[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("table", [cyclic_table(k) for k in range(1, 7)]
+                         + [_relabelled(S3, random.Random(1)), _relabelled(D4, random.Random(2))],
+                         ids=[f"z{k}" for k in range(1, 7)] + ["s3", "d4"])
+def test_group_groupoid_is_the_direct_construction(table):
+    # the relabelled tables move the identity element off 0
+    assert _fields(group_groupoid(table)) == _fields(group_groupoid_of_table(table))
+
+
+def test_space_groupoid_is_the_direct_construction():
+    for k in range(1, 6):
+        ids = list(range(k))
+        direct = FiniteGroupoid(ids, ids, {(i, i): i for i in ids}, ids, ids)
+        assert _fields(space_groupoid(k)) == _fields(direct)

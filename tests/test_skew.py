@@ -2,9 +2,9 @@ import pytest
 
 from groupoidal import cohomology, skew
 from groupoidal.groupoids import (DegreeTooLarge, nerve, require_nerve_work,
-                                  validate_groupoid)
+                                  validate_functor, validate_groupoid)
 from groupoidal.homology import z_action_homology
-from groupoidal.models import (cyclic_table, full_pair_groupoid,
+from groupoidal.models import (action_groupoid, cyclic_table, full_pair_groupoid,
                                group_groupoid)
 from groupoidal.skew import (GuardTooSmall, ZCocycle,
                              cocycle_potential, les_verify, skew_window,
@@ -88,15 +88,17 @@ def test_window_endpoint_formulas():
 
 
 def test_shift_injective_and_functorial():
+    # the shift functor les_verify builds, from the inner window of radius 3
+    # into the outer one with one more level on top
     p3 = full_pair_groupoid(3)
-    c = potential_cocycle(p3, (0, 1, 2))
-    w = skew_window(p3, c, 3)
-    values = list(w.shift.values())
-    assert len(values) == len(set(values))
-    G = w.groupoid
-    for (a, b), ab in G.comp.items():
-        if a in w.shift and b in w.shift and ab in w.shift:
-            assert G.comp[(w.shift[a], w.shift[b])] == w.shift[ab]
+    swap = action_groupoid(cyclic_table(2), [[0, 1], [1, 0]])
+    for G, values in ((p3, (0, 1, 2)), (swap, (0, 3))):
+        c = potential_cocycle(G, values)
+        assert any(c.values)
+        inner, outer = skew._window(G, c, -3, 3), skew._window(G, c, -3, 4)
+        shift = inner.shift_into(outer)
+        assert validate_functor(shift).ok
+        assert len(set(shift.arrow_map)) == len(shift.arrow_map)
 
 
 @pytest.mark.parametrize("values", [(0, 0, 0), (0, 1, 2), (2, 0, 1), (0, 3, 1)])
