@@ -268,7 +268,10 @@ class Lim1Report(Record):
 
 def _image_chain(n: int, composites: Iterable[IntMatrix]) -> StageChain:
     """The image chain I_{n,m} = im(A_n ... A_{m-1}), m = n+1 .. N, of
-    stage n, read off the invariant factors of the composites, one at a time."""
+    stage n, read off the invariant factors of the composites, one at a
+    time.  A composite with one entry per row, such as a product of shift
+    pullbacks, is the direct sum of its columns, so its factors are its
+    column gcds and no pivot is taken."""
     factors = list(map(invariant_factors, composites))
     ranks = [len(f) for f in factors]
     # the images are nested, im(C * S) in im(C); at equal rank both have
@@ -326,9 +329,10 @@ class AfCohomologyReport(Record):
 def _shift_pullback(p: int, depth: int, k: int = 1) -> IntMatrix:
     """k-fold digit-shift pullback from depth-`depth` functions to depth
     depth+k: (f o shift^k)(a_1 ... a_{depth+k}) = f(a_{k+1} ... a_{depth+k}),
-    the product of the k one-fold pullbacks from depth+k-1 down to depth."""
+    the product of the k one-fold pullbacks from depth+k-1 down to depth.
+    Row w is row w // p^k of the identity, which it shares."""
     n, q = p ** depth, p ** k
-    return IntMatrix.from_entries(q * n, n, ((w, w // q, 1) for w in range(q * n)))
+    return IntMatrix.identity(n).rows_at([c for c in range(n) for _ in range(q)])
 
 
 def af_cohomology_tower(B: BratteliDiagram, N: int, D: int) -> AfCohomologyReport:

@@ -37,10 +37,14 @@ not just good ones, because the transform read-outs (snf, kernel_basis,
 LinearSystem, ChainHomologyPresentation) follow them: U, V, kernel
 bases, homology generators and divisibility witnesses are part of the
 program's output.  `rank` and `invariant_factors` need no transform
-and read the canonical Smith diagonal, so they run the unit phase without
+and read the canonical Smith diagonal block by block (`_block_factors`):
+a block of the row-column graph with one row or one column is the gcd of
+its entries, with no pivot, and any other runs the unit phase without
 logs (`_strip_unit_pivots`) and the engine on the compacted remainder.
-`ChainComplex.groups` runs both on each differential without the cells
-that the unit pivots of the one below it paired (see there).
+`_merge` folds the block factors into divisibility order.
+`ChainComplex.groups` runs the unit phase on each differential without
+the cells that the unit pivots of the one below it paired (see there),
+and splits only the remainder.
 
 So callers keep one rule.  A number or a yes/no that `rank` and
 `invariant_factors` determine (a rank or nullity, injectivity, the index
@@ -53,6 +57,7 @@ read-out, as the skew LES's exactness checks share the lifts' systems.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from itertools import chain
 from math import gcd
 from typing import Iterable, Optional, Sequence
@@ -386,7 +391,8 @@ class _Smith:
     transforms, kernel bases, generators and witness vectors read out of
     the engine are part of the output and depend on the order.  `rank` and
     `invariant_factors` hand it only the compacted remainder of the unit
-    phase (`_strip_unit_pivots`), since the diagonal alone is canonical.
+    phase (`_strip_unit_pivots`) on a block that is not a gcd, since the
+    diagonal alone is canonical.
     """
 
     def __init__(self, A: IntMatrix):
@@ -774,25 +780,101 @@ def _strip_unit_pivots(A: IntMatrix) -> tuple:
         len(live), len(cols), [{cols[c]: v for c, v in row.items()} for row in live])
 
 
+def _block_factors(A: IntMatrix, units: bool = True) -> list:
+    """The nonzero Smith diagonal of A, unordered, factored block by block.
+
+    A is the direct sum of the connected components of its row-column
+    graph (Pothen and Fan 1990), found by union-find over the columns that
+    each row touches.  A block of one row or one column contributes the gcd
+    of its entries.  Any other block goes through the unit phase without
+    logs, skipped when `units` is false (a remainder that holds no +-1
+    entry), and the engine on what that leaves.  A matrix with one entry
+    per row, all of one value v, needs no union-find: it is the direct sum
+    of its nonzero columns, each of gcd |v|.
+    """
+    rows = A._row_dicts
+    if max(map(len, rows), default=0) < 2:
+        values = set(chain.from_iterable(map(dict.values, rows)))
+        if len(values) < 2:
+            return [*values] * len(set(chain.from_iterable(rows)))
+    root = list(range(A.cols))
+
+    def find(j):
+        while root[j] != j:
+            root[j] = j = root[root[j]]
+        return j
+
+    for row in rows:
+        if len(row) > 1:
+            it = iter(row)
+            r = find(next(it))
+            for j in it:
+                root[find(j)] = r
+    blocks = {}
+    for row in rows:
+        if row:
+            blocks.setdefault(find(next(iter(row))), []).append(row)
+    factors = []
+    for block in blocks.values():
+        cols = set().union(*block)
+        if len(block) == 1 or len(cols) == 1:
+            factors.append(gcd(*chain.from_iterable(map(dict.values, block))))
+            continue
+        if len(blocks) == 1:
+            B = A
+        else:
+            at = {c: k for k, c in enumerate(sorted(cols))}
+            B = IntMatrix._of_row_dicts(len(block), len(at),
+                                        [{at[c]: v for c, v in row.items()} for row in block])
+        if units:
+            pivots, B = _strip_unit_pivots(B)
+            factors += [1] * len(pivots)
+        if B.rows:
+            factors += _Smith(B).diagonal()
+    return factors
+
+
+def _merge(factors: list) -> list:
+    """The invariant factors of the direct sum of the cyclic groups Z/f, f
+    in factors (each nonzero), in divisibility order, one per f.
+
+    The factors other than 1 are folded one at a time into a chain kept
+    largest first: a carry c passes over the entries it divides, which
+    form a prefix, folds the pair (c, e) of the first it does not divide
+    into (gcd, lcm), keeps the lcm there and carries the gcd on, and is
+    appended once it divides every entry.  No integer is factored.
+    """
+    top = []
+    for f in factors:
+        carry, at = abs(f), 0
+        while carry > 1:
+            at = bisect_left(top, True, at, key=lambda e: e % carry != 0)
+            if at == len(top):
+                top.append(carry)
+                break
+            e = top[at]
+            g = gcd(carry, e)
+            top[at], carry, at = e // g * carry, g, at + 1
+    return [1] * (len(factors) - len(top)) + top[::-1]
+
+
 def rank(A: IntMatrix) -> int:
-    """Rank of A: the unit phase run without logs, then the engine on the
-    compacted remainder, which holds no +-1 entry, so the engine runs only
-    its exact phase.  The rank does not depend on pivot order.
-    `ChainComplex.groups` runs the two phases itself."""
-    units, rest = _strip_unit_pivots(A)
-    return len(units) + (_Smith(rest).rank if rest.rows else 0)
+    """Rank of A: the number of its block factors (`_block_factors`).
+    The rank does not depend on pivot order."""
+    return len(_block_factors(A))
 
 
 def invariant_factors(A: IntMatrix) -> list:
     """Nonzero diagonal of the Smith form, in divisibility order.
 
-    The Smith form is canonical, so no transform is logged: the unit phase
-    runs without logs, each of its pivots is one factor 1, and the
-    compacted remainder, which holds no +-1 entry, goes through the
-    engine's exact phase alone, as in `ChainComplex.groups`.
+    The Smith form is canonical, so no transform is logged.  A is factored
+    as the direct sum of its blocks (`_block_factors`), and the factors
+    of the blocks are merged into divisibility order (`_merge`).  A
+    product of shift pullbacks has one entry per row, so it is the direct
+    sum of its columns and needs no pivot.  `ChainComplex.groups` runs the
+    unit phase itself and splits only its remainder.
     """
-    units, rest = _strip_unit_pivots(A)
-    return [1] * len(units) + (_Smith(rest).diagonal() if rest.rows else [])
+    return _merge(_block_factors(A))
 
 
 def _normalize_column_sign(col: dict) -> dict:
@@ -909,12 +991,11 @@ class FgAbGroup(FrozenRecord):
     @classmethod
     def from_orders(cls, orders: Iterable[int], free_rank: int = 0) -> "FgAbGroup":
         """Normalize arbitrary cyclic orders into an invariant-factor chain:
-        the Smith diagonal of diag(orders), each order 0 a free summand."""
+        each order 0 is a free summand, and the others are merged by
+        `_merge`, which takes |m| for each order m."""
         orders = list(orders)
-        k = len(orders)
-        facs = invariant_factors(IntMatrix.from_entries(
-            k, k, ((i, i, int(m)) for i, m in enumerate(orders))))
-        return cls.from_invariant_factors(facs, free_rank + k - len(facs))
+        return cls.from_invariant_factors(_merge([m for m in orders if m]),
+                                          free_rank + orders.count(0))
 
     @property
     def is_trivial(self) -> bool:
@@ -1012,7 +1093,8 @@ class ChainComplex:
         eliminating it zeroes that cell's line of the next one by unimodular
         moves (d*d = 0; Kaczynski-Mrozek-Slusarek 1998), so the next unit
         phase skips those lines (the clearing of Chen-Kerber 2011) and reads
-        the same factors.
+        the same factors.  What the unit phase leaves is split into blocks
+        (`_block_factors`, with no second unit phase) and merged.
         """
         chains = self.step < 0
         ds = self._ds if chains else self._ds[::-1]  # lowest degree first
@@ -1026,7 +1108,7 @@ class ChainComplex:
             A = d if chains else d.transpose()
             rows = [{} if i in paired else row for i, row in enumerate(A._row_dicts)]
             units, rest = _strip_unit_pivots(IntMatrix._of_row_dicts(A.rows, A.cols, rows))
-            facs.append([1] * len(units) + (_Smith(rest).diagonal() if rest.rows else []))
+            facs.append([1] * len(units) + _merge(_block_factors(rest, units=False)))
             paired = {j for _, j in units}
         # d_in maps into degree n and its rows are the cells of degree n
         pairs = zip(facs, facs[1:], ds[1:]) if chains else zip(facs[1:], facs, ds)

@@ -256,20 +256,28 @@ def test_s3_classical_homology():
 
 
 def test_s3_to_degree_4_factors_only_small_remainders():
-    # rank and invariant factors strip the unit pivots first, so the
-    # exact-order engine sees only what no +-1 pivot can reduce; the full
-    # d_5 of S3 is 1296 x 7776
+    # the unit pivots are stripped first, so only what no +-1 pivot can
+    # reduce is left to factor; the full d_5 of S3 is 1296 x 7776.  Those
+    # remainders are direct sums of one-row blocks, [2 2] and
+    # [2 2] + [-3 3], so they are read as gcds and the engine runs on none
     from test_models import S3_TABLE
     from groupoidal import zlinalg
-    shapes = []
+    shapes, engines = [], []
+    split = zlinalg._block_factors
+
+    def recording(A, units=True):
+        shapes.append(A.shape)
+        return split(A, units)
 
     class Recording(zlinalg._Smith):
         def __init__(self, A):
-            shapes.append(A.shape)
+            engines.append(A.shape)
             super().__init__(A)
 
     s3 = group_groupoid(S3_TABLE)
-    with mock.patch.object(zlinalg, "_Smith", Recording):
+    with mock.patch.object(zlinalg, "_block_factors", recording), \
+            mock.patch.object(zlinalg, "_Smith", Recording):
         got = homology_groups(s3, 4)
     assert got == [Z, FgAbGroup.cyclic(2), ZERO, FgAbGroup.cyclic(6), ZERO]
     assert shapes and max(rows for rows, _ in shapes) <= 32, shapes
+    assert (1, 2) in shapes and (2, 4) in shapes and not engines, (shapes, engines)

@@ -285,47 +285,62 @@ def test_numbers_do_not_run_the_transform_engine(argv, want, monkeypatch, capsys
 _UHF2 = os.path.join(os.path.dirname(__file__), "golden", "inputs", "uhf2.json")
 
 
-def _af_cohomology_in_1_gib(N, D, timeout):
-    """Run uhf2 `af-cohomology` in a child with 1 GiB of address space and
-    check that it exits 0 with the closed form of the report."""
+def _af_cohomology_in_1_gib(p, N, D, timeout, tmp_path):
+    """Run `af-cohomology` on the stationary p-edge diagram (uhf p) in a
+    child with 1 GiB of address space and check that it exits 0 with the
+    closed form of the report."""
+    model = tmp_path / f"uhf{p}.json"
+    model.write_text(json.dumps({"kind": "bratteli", "stationary": True, "p": p, "levels": 4}))
+
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
-    res = subprocess.run([sys.executable, "-m", "groupoidal.cli", "af-cohomology", _UHF2,
+    res = subprocess.run([sys.executable, "-m", "groupoidal.cli", "af-cohomology", str(model),
                           "--levels", str(N), "--depth", str(D), "--format", "json"],
                          capture_output=True, text=True, timeout=timeout, preexec_fn=limit)
     assert res.returncode == 0, res.stderr[-300:]
     assert json.loads(res.stdout) == {
-        "command": "af-cohomology", "p": 2, "stages": N, "depth": D,
-        "h0": {"lattice_rank": 1, "constants_only": True, "truncated_thread_rank": 2 ** D},
-        "h1": {"image_ranks": [2 ** (D + N - m) for m in range(1, N + 1)],
+        "command": "af-cohomology", "p": p, "stages": N, "depth": D,
+        "h0": {"lattice_rank": 1, "constants_only": True, "truncated_thread_rank": p ** D},
+        "h1": {"image_ranks": [p ** (D + N - m) for m in range(1, N + 1)],
                "nonml_evidence": True}}
 
 
 @pytest.mark.parametrize("N,D", [(2, 14), (3, 13)])
-def test_af_cohomology_of_2_to_the_16_cylinders_fits_in_1_gib(N, D):
+def test_af_cohomology_of_2_to_the_16_cylinders_fits_in_1_gib(N, D, tmp_path):
     # at 2/14 a dense kernel basis of the 98,304 x 114,688 thread matrix
     # has 114,688 x 16,384 cells and does not fit in 1 GiB, so the thread
     # rank must not be read off a basis
-    _af_cohomology_in_1_gib(N, D, timeout=10)
+    _af_cohomology_in_1_gib(2, N, D, 10, tmp_path)
 
 
 @pytest.mark.grid
 @pytest.mark.parametrize("N,D", [(2, 17), (1, 19)])
-def test_af_cohomology_of_2_to_the_19_cylinders_fits_in_1_gib(N, D):
+def test_af_cohomology_of_2_to_the_19_cylinders_fits_in_1_gib(N, D, tmp_path):
     # eliminating the 786,432 x 917,504 thread matrix at 2/17 runs out of
     # 1 GiB, so the thread rank must be the last stage's, read off no
     # matrix; at 1/19 the one image rank is factored from the 2^20 x 2^19
     # shift pullback, once the fixed-lattice matrix is released
-    _af_cohomology_in_1_gib(N, D, timeout=60)
+    _af_cohomology_in_1_gib(2, N, D, 60, tmp_path)
 
 
 @pytest.mark.grid
-@pytest.mark.parametrize("N,D", [(2, 18), (10, 10)])
-def test_af_cohomology_of_2_to_the_20_cylinders_fits_in_1_gib(N, D):
+@pytest.mark.parametrize("N,D", [(2, 18), (10, 10), (14, 6), (18, 2)])
+def test_af_cohomology_of_2_to_the_20_cylinders_fits_in_1_gib(N, D, tmp_path):
     # a stage-0 composite has 2^20 rows; holding the stage maps and their
     # running products beside it runs out of 1 GiB, so each composite is
-    # built alone, as a k-fold shift pullback, and released once factored
-    _af_cohomology_in_1_gib(N, D, timeout=150)
+    # built alone, as a k-fold shift pullback, and released once factored.
+    # Each row holds one 1, so its factors are read as column gcds, with
+    # no copy of its rows and no pivot
+    _af_cohomology_in_1_gib(2, N, D, 60, tmp_path)
+
+
+@pytest.mark.grid
+@pytest.mark.parametrize("p,N,D", [(3, 2, 11), (3, 6, 7), (5, 2, 7)])
+def test_af_cohomology_of_uhf3_and_uhf5_at_the_cap_fits_in_1_gib(p, N, D, tmp_path):
+    # the stage-0 composites have 3^13 or 5^9 rows; a unit phase that
+    # copies their rows, with a column index and a heap beside them, runs
+    # out of 1 GiB
+    _af_cohomology_in_1_gib(p, N, D, 60, tmp_path)
 
 
 @pytest.mark.parametrize("p, depth", [(p, d) for p in range(2, 6) for d in range(4)
@@ -338,6 +353,20 @@ def test_shift_pullback_has_full_column_rank(p, depth):
     assert A.shape == (p ** (depth + 1), p ** depth)
     assert sorted(A.entries()) == [(c * p + a, c, 1) for c in range(p ** depth) for a in range(p)]
     assert rank(A) == p ** depth
+
+
+@pytest.mark.parametrize("p", range(2, 6))
+def test_shift_pullback_factors_take_no_pivot(p, monkeypatch):
+    # one 1 per row: the k-fold pullback is the direct sum of its columns,
+    # so its invariant factors are its column gcds, all 1, and neither the
+    # unit phase nor the engine runs
+    def refuse(*_):
+        raise AssertionError("a shift pullback was eliminated")
+
+    monkeypatch.setattr(zlinalg, "_strip_unit_pivots", refuse)
+    monkeypatch.setattr(zlinalg, "_Smith", refuse)
+    for depth, k in ((0, 1), (2, 1), (1, 3), (3, 2)):
+        assert invariant_factors(limits._shift_pullback(p, depth, k)) == [1] * p ** depth
 
 
 @pytest.mark.parametrize("p", range(2, 6))

@@ -363,6 +363,70 @@ def test_from_orders_matches_prime_power_oracle(orders, free_rank):
     assert (g.free_rank, g.torsion) == orders_normal_form(orders, free_rank)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(orders=st.lists(st.one_of(st.sampled_from([0, 1, -1, 2, -4, 6, 12, 9]), _ORDERS),
+                       max_size=40),
+       free_rank=st.integers(0, 3))
+def test_from_orders_merges_long_order_lists_without_the_engine(orders, free_rank):
+    # long lists with repeats fold many carries through one chain; the
+    # merge builds no matrix, so it can neither run the engine nor recurse
+    # through invariant_factors
+    def refuse(*_):
+        raise AssertionError("from_orders factored a matrix")
+
+    with mock.patch.object(zlinalg, "_Smith", refuse), \
+            mock.patch.object(zlinalg, "invariant_factors", refuse), \
+            mock.patch.object(zlinalg, "_block_factors", refuse):
+        g = FgAbGroup.from_orders(orders, free_rank)
+    assert (g.free_rank, g.torsion) == orders_normal_form(orders, free_rank)
+
+
+@st.composite
+def _block_diagonal(draw):
+    """A direct sum of 1-4 random blocks with entries in -3..3 and at most
+    30 rows in all, its rows and columns permuted at random."""
+    blocks = draw(st.lists(st.tuples(st.integers(1, 7), st.integers(1, 7)),
+                           min_size=1, max_size=4).filter(lambda b: sum(r for r, _ in b) <= 30))
+    entries, top, left = [], 0, 0
+    for r, c in blocks:
+        values = draw(st.lists(st.integers(-3, 3), min_size=r * c, max_size=r * c))
+        entries += [(top + k // c, left + k % c, v) for k, v in enumerate(values)]
+        top, left = top + r, left + c
+    row_at = draw(st.permutations(range(top)))
+    col_at = draw(st.permutations(range(left)))
+    return IntMatrix.from_entries(top, left, ((row_at[i], col_at[j], v) for i, j, v in entries))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(A=_block_diagonal())
+def test_block_factors_agree_with_the_engine_on_the_whole_matrix(A):
+    facs = invariant_factors(A)
+    assert facs == zlinalg._Smith(A).diagonal()
+    assert rank(A) == len(facs)
+    for p in (2, 3, 5):
+        assert modp_rank(A.data, p) == sum(1 for d in facs if d % p)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cols=st.integers(1, 8),
+       entries=st.lists(st.tuples(st.integers(0, 7), st.one_of(
+           st.sampled_from([1, -1, 2, 6]), st.integers(-60, 60).filter(bool))), max_size=40))
+def test_one_entry_rows_factor_as_the_gcds_of_their_columns(cols, entries):
+    # no two columns share a row, so the matrix is the direct sum of its
+    # columns, whatever their values
+    A = IntMatrix.from_entries(len(entries), cols,
+                               ((i, j % cols, v) for i, (j, v) in enumerate(entries)))
+    col_gcds = {}
+    for j, v in entries:
+        col_gcds[j % cols] = gcd(col_gcds.get(j % cols, 0), v)
+    _, torsion = orders_normal_form(list(col_gcds.values()))
+    want = [1] * (len(col_gcds) - len(torsion)) + list(torsion)
+    with mock.patch.object(zlinalg, "_Smith", side_effect=AssertionError("pivoted")):
+        assert invariant_factors(A) == want
+        assert rank(A) == len(col_gcds)
+    assert zlinalg._Smith(A).diagonal() == want
+
+
 def test_linear_system_reuse():
     A = IntMatrix.from_rows([[2, 0], [0, 3]])
     sys = LinearSystem(A)
