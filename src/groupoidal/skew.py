@@ -227,7 +227,7 @@ def _verify_ses(sub: ChainComplex, mid: ChainComplex, quot: ChainComplex,
         m = n + step
         if not 0 <= m <= n_max:
             continue
-        gens = IntMatrix.from_columns(pres_quot[n].generators, pres_quot[n].ambient)
+        gens = pres_quot[n].generator_matrix
         lifted = sys_g[n].solve_columns(gens)
         a = None if lifted is None else sys_f[m].solve_columns(mid.d_out(n) * lifted)
         if a is None:

@@ -18,16 +18,20 @@ it logs its row operations and its column operations, in order, and U,
 U^-1, V and V^-1 are replays of the two logs, run only where they are
 read, on identity vectors or on the matrix they multiply (see _Smith).
 
-Read-out works on whole matrices.  A LinearSystem solves A*X = B for all
-columns of B at once (the row log replayed on a copy of B, a
-divisibility check, one product with V^-1), and a
-ChainHomologyPresentation turns every column of M into canonical homology
+Read-outs run when read, on only the vectors asked for.  A LinearSystem
+reads no transform when it is built: it solves A*X = B for all columns
+of B at once (the row log replayed on a copy of B, a divisibility check,
+the column log replayed backwards on the quotients for V^-1).  A
+ChainHomologyPresentation is built with its group and orders alone and
+keeps two logs, not engines; its coordinate rows, generators and cycle
+basis replay them on the unit vectors they need, each on first read,
+and are kept.  It turns every column of M into canonical homology
 coordinates at once (V * M, the column log replayed on a copy of M, a
-cycle check, one product with the rows of the relation transform's U^-1
-that it reads out of the row log).  The one-vector `solve` and `coords`
-are their one-column cases.  `ChainComplex.presentations` builds every
-degree's presentation in one pass and keeps no engine, factoring each
-differential once however many degrees read it.
+cycle check, one product with the coordinate rows).  The one-vector
+`solve` and `coords` are their one-column cases.
+`ChainComplex.presentations` builds every degree's presentation in one
+pass and keeps no engine, factoring each differential once however many
+degrees read it.
 
 Pivot rule, in two phases (see _Smith).  The engine first eliminates
 every +-1 pivot in a sparsity order (unit-pivot pre-elimination, as in
@@ -58,6 +62,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
+from functools import cached_property
 from itertools import chain
 from math import gcd
 from typing import Iterable, Optional, Sequence
@@ -322,19 +327,20 @@ def _round_div(a: int, b: int) -> int:
     return q
 
 
-def _replay(ops: Iterable[tuple], vecs: list, flip: int = 0) -> list:
+def _replay(ops: Iterable[tuple], vecs: list, flip: bool = False, sign: int = 1) -> list:
     """Apply logged operations, in order, to the sparse vectors vecs in
-    place: (i, j, q) adds q * vecs[j] to vecs[i], (i, j) swaps them and
-    (i,) negates vecs[i].  With flip = +-1 an add (i, j, q) is read
-    transposed, as adding flip * q * vecs[i] to vecs[j]; a swap and a
-    negation are their own transposes."""
+    place: (i, j, q) adds sign * q * vecs[j] to vecs[i], (i, j) swaps them
+    and (i,) negates vecs[i].  With flip an add (i, j, q) is read
+    transposed, as adding sign * q * vecs[i] to vecs[j]; a swap and a
+    negation are their own transposes and inverses, and sign = -1 inverts
+    an add."""
     for op in ops:
         if len(op) == 3:
             if flip:
                 j, i, q = op
-                q *= flip
             else:
                 i, j, q = op
+            q *= sign
             target = vecs[i]
             for k, v in vecs[j].items():
                 new = target.get(k, 0) + q * v
@@ -351,6 +357,31 @@ def _replay(ops: Iterable[tuple], vecs: list, flip: int = 0) -> list:
     return vecs
 
 
+def _unit_vectors(m: int, which: Iterable[int]) -> list:
+    """The len(which) unit vectors e_i, i in which, stored by coordinate:
+    m sparse rows, row which[t] holding a 1 at t and every other row empty."""
+    vecs = [{} for _ in range(m)]
+    for t, i in enumerate(which):
+        vecs[i][t] = 1
+    return vecs
+
+
+def _uinv_rows(row_ops: list, m: int, which: Sequence[int]) -> IntMatrix:
+    """The rows `which` of U^-1 for this row log.  They are
+    e^T * E_last * ... * E_first, so the log is replayed transposed, last
+    first, on the columns of those rows; the cost follows their fill, not
+    m^2."""
+    return IntMatrix._of_col_dicts(
+        len(which), _replay(reversed(row_ops), _unit_vectors(m, which), True))
+
+
+def _vinv_times(col_ops: list, rows: list, cols: int) -> IntMatrix:
+    """V^-1 * Y for the len(rows) x cols matrix Y with these rows, taken
+    over: V^-1 = F_first * ... * F_last, so the column log is replayed last
+    first, each add (j, k, q) read transposed as row k += q * row j."""
+    return IntMatrix._of_row_dicts(len(rows), cols, _replay(reversed(col_ops), rows, True))
+
+
 class _Smith:
     """Sparse Smith normal form engine.
 
@@ -364,10 +395,12 @@ class _Smith:
     and every transform is a replay of one log (`_replay`), run when read:
     U^-1 on whatever it is applied to (`uinv_times`, `uinv_rows`), V on
     the matrix it multiplies (`v_times`), and the columns of U and V^-1 on
-    identity vectors, once per engine and shared with every reader, which
-    must not modify them (`u_cols`, `vinv_cols`).  A U^-1 tracked as a
-    matrix fills towards a dense triangle on matrices such as id - P for a
-    long cycle, while its applications stay sparse (the product form of
+    identity vectors (`u_cols`, `vinv_cols`), which only `snf` and the
+    kernel (`kernel_matrix`) read whole.  A LinearSystem and a
+    ChainHomologyPresentation replay the logs themselves, on only the
+    vectors they read (`_uinv_rows`, `_vinv_times`).  A U^-1 tracked as
+    a matrix fills towards a dense triangle on matrices such as id - P for
+    a long cycle, while its applications stay sparse (the product form of
     the inverse, Dantzig and Orchard-Hays 1954).
 
     Pivot rule, in two phases.  The unit phase, `_eliminate_units` run
@@ -404,7 +437,6 @@ class _Smith:
                 self.colidx[j].add(i)
         self.row_ops = []
         self.col_ops = []
-        self._u_cols = self._vinv_cols = None  # built on first read
         self.rank = 0
         self._best = [None] * self.n
         self._heap = []
@@ -630,20 +662,16 @@ class _Smith:
     def u_cols(self) -> list:
         """The columns of U = E_first^-1 * ... * E_last^-1: the row log
         replayed on identity columns, each add transposed and negated."""
-        if self._u_cols is None:
-            self._u_cols = _replay(self.row_ops, [{i: 1} for i in range(self.m)], -1)
-        return self._u_cols
+        return _replay(self.row_ops, [{i: 1} for i in range(self.m)], True, -1)
 
     def vinv_cols(self) -> list:
         """The columns of V^-1: the column log replayed on identity columns."""
-        if self._vinv_cols is None:
-            self._vinv_cols = _replay(self.col_ops, [{j: 1} for j in range(self.n)])
-        return self._vinv_cols
+        return _replay(self.col_ops, [{j: 1} for j in range(self.n)])
 
     def v_times(self, M: IntMatrix) -> IntMatrix:
         """V * M = F_last^-1 * ... * F_first^-1 * M: the column log replayed,
         each add transposed and negated, on a copy of the rows of M."""
-        rows = _replay(self.col_ops, [dict(row) for row in M._row_dicts], -1)
+        rows = _replay(self.col_ops, [dict(row) for row in M._row_dicts], True, -1)
         return IntMatrix._of_row_dicts(self.n, M.cols, rows)
 
     def uinv_times(self, B: IntMatrix) -> IntMatrix:
@@ -653,13 +681,8 @@ class _Smith:
         return IntMatrix._of_row_dicts(self.m, B.cols, rows)
 
     def uinv_rows(self, which: Sequence[int]) -> IntMatrix:
-        """The rows `which` of U^-1.  They are e^T * E_last * ... * E_first,
-        so the row log is replayed transposed, last first, on the columns
-        of those rows; the cost follows their fill, not m^2."""
-        cols = [{} for _ in range(self.m)]
-        for r, i in enumerate(which):
-            cols[i][r] = 1
-        return IntMatrix._of_col_dicts(len(which), _replay(reversed(self.row_ops), cols, 1))
+        """The rows `which` of U^-1 (see `_uinv_rows`)."""
+        return _uinv_rows(self.row_ops, self.m, which)
 
     def kernel_matrix(self) -> IntMatrix:
         """The columns rank.. of V^-1, each with its first nonzero made positive."""
@@ -892,15 +915,15 @@ def kernel_basis(A: IntMatrix) -> IntMatrix:
 class LinearSystem:
     """Factorization of A reusable for many exact solves of A*X = B.
 
-    It keeps the engine, whose row-operation log each solve replays on its
-    right-hand sides in place of a product with U^-1, and the first rank
-    columns of V^-1.  `kernel()` equals kernel_basis(A) and `diagonal()`
-    equals invariant_factors(A).
+    It keeps the engine and reads no transform when it is built: a solve
+    replays the row log on its right-hand sides, in place of a product
+    with U^-1, and the column log backwards on its quotients, in place of
+    a product with V^-1.  `kernel()` equals kernel_basis(A) and
+    `diagonal()` equals invariant_factors(A).
     """
 
     def __init__(self, A: IntMatrix):
-        eng = self._eng = _Smith(A)
-        self._vinv_head = IntMatrix._of_col_dicts(eng.n, eng.vinv_cols()[:eng.rank])
+        self._eng = _Smith(A)
 
     @property
     def rank(self) -> int:
@@ -918,7 +941,7 @@ class LinearSystem:
 
         With A = U*S*V: W = U^-1 * B, the engine's row operations replayed
         on a copy of B, must vanish in rows rank.. and be divisible by d_i
-        in row i < rank; then X = V^-1[:, :rank] * (W / d).
+        in row i < rank; then X = V^-1 * (W / d, stacked on n - rank zero rows).
         """
         eng = self._eng
         if B.rows != eng.m:
@@ -935,7 +958,7 @@ class LinearSystem:
                     return None
                 y[j] = q
             y_rows.append(y)
-        return self._vinv_head * IntMatrix._of_row_dicts(eng.rank, B.cols, y_rows)
+        return _vinv_times(eng.col_ops, y_rows + [{} for _ in range(eng.n - eng.rank)], B.cols)
 
     def solve(self, v: Sequence[int]) -> Optional[list]:
         x = self.solve_columns(IntMatrix.from_columns([v], self._eng.m))
@@ -1034,14 +1057,15 @@ class ChainComplex:
     d_0.  With step +1 (cochains) ds[n] is delta_n: C^n -> C^{n+1}, and
     degree n is ker(ds[n])/im(ds[n-1]) for n = 0 .. len(ds) - 1, with a
     zero map into C^0.  An empty list has no degrees either way.  Shapes
-    and d*d = 0 are checked once, here; a nonzero composite raises
+    and d*d = 0 are checked once, here; a composite with no rows or no
+    columns is zero by its shape, and a nonzero one raises
     CompositionNonzero naming its degree.
 
     The complex keeps no engine.  `presentations` factors each differential
-    at most once per call: V and V^-1 are read where it leaves a degree
-    0 .. top, and U and U^-1 where the differential above it is zero, since
-    then V = I and it is the relation matrix of the degree above.  Each
-    transform is a replay of an engine's row or column log, so every
+    at most once per call: its column log (V) is kept where it leaves a
+    degree 0 .. top, and its row log (U) where the differential above it
+    is zero, since then V = I and it is the relation matrix of the degree
+    above.  Each transform is a replay of one of those logs, so every
     presentation equals the one from engines of its own.
     """
 
@@ -1056,8 +1080,12 @@ class ChainComplex:
             self._ds = list(ds[::-1]) + [IntMatrix.zeros(ds[0].cols, 0)]
         self.top = len(self._ds) - 2  # degrees run 0 .. top
         for i, (d_out, d_in) in enumerate(zip(self._ds, self._ds[1:])):
-            # the product raises DimensionMismatch on a shape mismatch
-            if not (d_out * d_in).is_zero():
+            # the product raises DimensionMismatch on a shape mismatch; one
+            # with no rows or no columns is zero by its shape
+            if not (d_out.rows and d_in.cols):
+                if d_out.cols != d_in.rows:
+                    raise DimensionMismatch(f"mul {d_out.shape} by {d_in.shape}")
+            elif not (d_out * d_in).is_zero():
                 raise CompositionNonzero(i if step < 0 else self.top - i)
 
     def _at(self, n: int) -> int:
@@ -1134,15 +1162,18 @@ def coefficients_via_uct(h_n: FgAbGroup, h_nm1: FgAbGroup, m: int) -> FgAbGroup:
 class ChainHomologyPresentation:
     """ker(d_out)/im(d_in) with explicit generators and coordinates.
 
-    Heavier than homology_at: tracks a saturated cycle basis and the Smith
-    transforms of the relation matrix, so homology classes of ambient
-    vectors and induced maps of chain maps can be computed exactly.  The
-    pair must be composable with d_out * d_in = 0; build it through
-    ChainComplex.presentations, which has checked that and hands it the
-    engines of d_out, for V and V^-1, and of d_in when d_out is zero, for
-    U and U^-1 (`eng_in` is None otherwise).  Only a nonzero d_out needs a
-    relation matrix V[rank:] * d_in factored here.  The presentation keeps
-    d_out's column log, not its engine, and replays it for V * M.
+    Heavier than homology_at: it factors the relation matrix, so homology
+    classes of ambient vectors and induced maps of chain maps can be
+    computed exactly.  The pair must be composable with d_out * d_in = 0;
+    build it through ChainComplex.presentations, which has checked that
+    and hands it the engines of d_out, and of d_in when d_out is zero
+    (`eng_in` is None otherwise).  Only a nonzero d_out needs a relation
+    matrix V[rank:] * d_in factored here.  Building it computes `group`
+    and `orders` and nothing else, and it keeps two logs, not engines:
+    d_out's column log (V) and the relation engine's row log (U).  Each
+    transform read-out replays one of them on only the vectors it needs,
+    on first read, and is kept: the coordinate rows, `generator_matrix`,
+    `generators` and `cycle_basis`.
     """
 
     def __init__(self, d_out: IntMatrix, d_in: IntMatrix, eng_out: _Smith,
@@ -1151,35 +1182,60 @@ class ChainHomologyPresentation:
         r = self._out_rank = eng_out.rank
         self._v_log = eng_out.col_ops  # y = V x, this log replayed; kernel coords are y[rank:]
         k = self.ambient - r
-        self.cycle_basis = IntMatrix._of_col_dicts(self.ambient, eng_out.vinv_cols()[r:])
         # relation matrix: kernel coordinates of the boundary columns, rows
         # rank.. of V * d_in.  Rows < rank vanish, so the columns of d_in are
         # cycles: d_out * d_in = U * S * (V * d_in) = 0, and the first rank
-        # rows of S are d_i times unit rows.  A zero d_out leaves V = I and
-        # the relation matrix d_in itself, factored by `eng_in`.
+        # rows of S are d_i times unit rows.  A d_in with no columns gives
+        # it with no replay; a zero d_out leaves V = I and the relation
+        # matrix d_in itself, factored by `eng_in`.
         if r:
-            rel = IntMatrix._of_row_dicts(k, d_in.cols, eng_out.v_times(d_in)._row_dicts[r:])
+            rel = (IntMatrix._of_row_dicts(k, d_in.cols, eng_out.v_times(d_in)._row_dicts[r:])
+                   if d_in.cols else IntMatrix(k, 0))
             eng_rel = _Smith(rel)
         else:
             eng_rel = eng_in
+        self._u_log = eng_rel.row_ops
         diag = eng_rel.diagonal()
         # free generators first, then the torsion ones
-        canon = list(range(len(diag), k)) + [i for i, d in enumerate(diag) if d >= 2]
+        self._canon = list(range(len(diag), k)) + [i for i, d in enumerate(diag) if d >= 2]
         self.orders = [0] * (k - len(diag)) + [d for d in diag if d >= 2]
-        # canonical coordinates of kernel coords z are rows canon of Uinv * z;
-        # only those rows are read out of the engine's row-operation log
-        self._coord_rows = eng_rel.uinv_rows(canon)
         self.group = FgAbGroup.from_invariant_factors(diag, free_rank=k - len(diag))
-        # generator lifts: ambient cycles realizing each canonical generator
-        self.generators = (self.cycle_basis * IntMatrix._of_col_dicts(
-            k, [eng_rel.u_cols()[i] for i in canon])).column_list()
+
+    @cached_property
+    def _coord_rows(self) -> IntMatrix:
+        """Rows canon of the relation engine's U^-1: canonical coordinates of
+        kernel coordinates z are these rows times z."""
+        return _uinv_rows(self._u_log, self.ambient - self._out_rank, self._canon)
+
+    @cached_property
+    def generator_matrix(self) -> IntMatrix:
+        """The generators, ambient cycles realizing the canonical
+        generators, as the columns of an ambient x n_generators matrix:
+        column t is V^-1 (0_rank + U e_c) for c = canon[t].  U e_c is the
+        row log replayed last first, each add negated, on those unit
+        vectors only."""
+        r, canon = self._out_rank, self._canon
+        u = _replay(reversed(self._u_log), _unit_vectors(self.ambient - r, canon), sign=-1)
+        return _vinv_times(self._v_log, [{} for _ in range(r)] + u, len(canon))
+
+    @cached_property
+    def generators(self) -> list:
+        """The columns of `generator_matrix`, as lists."""
+        return self.generator_matrix.column_list()
+
+    @cached_property
+    def cycle_basis(self) -> IntMatrix:
+        """A basis of the saturated lattice ker(d_out): V^-1[:, rank:]."""
+        r = self._out_rank
+        return _vinv_times(self._v_log, _unit_vectors(self.ambient, range(r, self.ambient)),
+                           self.ambient - r)
 
     def coords_of(self, M: IntMatrix) -> IntMatrix:
         """Canonical coordinates of the homology classes of the columns of
         M, which must be ambient cycles, as the columns of the result."""
         if M.rows != self.ambient:
             raise DimensionMismatch(f"coordinates of {M.rows}-vectors in Z^{self.ambient}")
-        y_rows = _replay(self._v_log, [dict(row) for row in M._row_dicts], -1)  # V * M
+        y_rows = _replay(self._v_log, [dict(row) for row in M._row_dicts], True, -1)  # V * M
         r = self._out_rank
         if any(y_rows[:r]):
             raise LinAlgError("vector is not a cycle")
@@ -1233,8 +1289,7 @@ def induced_on_homology(chain_map: IntMatrix,
     """
     if chain_map.cols != source.ambient or chain_map.rows != target.ambient:
         raise DimensionMismatch("chain map shape does not match presentations")
-    return target.coords_of(
-        chain_map * IntMatrix.from_columns(source.generators, source.ambient))
+    return target.coords_of(chain_map * source.generator_matrix)
 
 
 def _with_order_columns(M: IntMatrix, orders: Sequence[int]) -> IntMatrix:

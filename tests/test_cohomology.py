@@ -411,7 +411,9 @@ def test_relabelling_refuses_a_block_of_another_rank():
 def test_theta_rho_check_multiplies_only_adjacent_differentials(monkeypatch):
     # theta and rho are coordinate maps, so the only products left are the
     # d o d checks of the complexes the check builds: both full models
-    # (three deltas and the zero map into C^0 each) and the isotropy route
+    # (three deltas and the zero map into C^0 each) and the isotropy route.
+    # A pair whose product has no rows or no columns (the zero map into C^0
+    # is one) is zero by its shape, and only its shape is checked
     G, M = _orbit_instance()
     products, pairs = [], []
 
@@ -421,12 +423,14 @@ def test_theta_rho_check_multiplies_only_adjacent_differentials(monkeypatch):
 
     def counting_init(self, ds, step, _init=ChainComplex.__init__):
         _init(self, ds, step)
-        pairs.append(self.top + 1)  # the adjacent pairs of its differentials
+        # the adjacent pairs of its differentials, and those not empty
+        pairs.append((self.top + 1, sum(1 for a, b in zip(self._ds, self._ds[1:])
+                                        if a.rows and b.cols)))
     monkeypatch.setattr(IntMatrix, "__mul__", counting_mul)
     monkeypatch.setattr(ChainComplex, "__init__", counting_init)
     assert theta_rho_check(G, M, 2).ok
-    assert pairs[:2] == [3, 3] and len(pairs) == 3
-    assert len(products) == sum(pairs)
+    assert pairs[:2] == [(3, 2), (3, 2)] and len(pairs) == 3
+    assert len(products) == sum(n for _, n in pairs)
 
 
 def test_theta_rho_check_compares_with_the_isotropy_route(monkeypatch):

@@ -216,17 +216,29 @@ def test_odometer_connecting_maps(p, depth):
 
 
 def test_odometer_factors_each_id_minus_p_once():
-    # H_0 reads id - P as its relation matrix (d_0 is zero), U and U^-1,
-    # and H_1 as its d_out, V and V^-1: one engine of the depth's complex
-    # serves both
+    # H_0 reads id - P as its relation matrix (d_0 is zero), and H_1 as its
+    # d_out: one engine of the depth's complex serves both.  No transform is
+    # read off that engine: the presentations keep its logs and replay them
+    # when read, and only the connecting maps read them, the generators of
+    # each depth but the last and the coordinates of each depth but the first
     from groupoidal import zlinalg
     from oracles import recording_engine
-    built = []
-    with mock.patch.object(zlinalg, "_Smith", recording_engine(built)):
+    built, pres = [], []
+
+    def recording_init(self, *args, _init=zlinalg.ChainHomologyPresentation.__init__):
+        pres.append(self)
+        _init(self, *args)
+
+    with mock.patch.object(zlinalg, "_Smith", recording_engine(built)), \
+            mock.patch.object(zlinalg.ChainHomologyPresentation, "__init__", recording_init):
         odometer_homology(2, 13)
     factored = [(eng.m, eng.n, eng.reads) for eng in built if any(eng.rows)]
-    assert factored == [(2 ** d, 2 ** d, {"u_cols", "uinv_rows", "v_times", "vinv_cols"})
-                        for d in range(1, 14)]
+    assert factored == [(2 ** d, 2 ** d, set()) for d in range(1, 14)]
+    read = [{name for name in ("_coord_rows", "generator_matrix", "generators", "cycle_basis")
+             if name in vars(p)} for p in pres]
+    assert read == [{name for name, read in (("_coord_rows", d > 1),
+                                             ("generator_matrix", d < 13)) if read}
+                    for d in range(1, 14) for _ in range(2)]
 
 
 def test_odometer_colimit_divisibility():

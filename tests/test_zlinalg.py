@@ -18,7 +18,7 @@ from groupoidal.zlinalg import (BadModulus, ChainComplex, CompositionNonzero,
                                 rank, snf)
 
 from oracles import (det, engine_factors, image_basis, lattice_kernel_group, modp_rank,
-                     orders_normal_form, rational_rank, selection_matrix)
+                     orders_normal_form, rational_rank, recording_engine, selection_matrix)
 
 
 def _contains(A, B):
@@ -97,6 +97,32 @@ def test_homology_guards():
         homology_at(IntMatrix.zeros(1, 2), IntMatrix.zeros(3, 1))
     with pytest.raises(CompositionNonzero):
         homology_at(IntMatrix.identity(2), IntMatrix.identity(2))
+
+
+def test_an_empty_composite_is_checked_by_its_shape_alone(monkeypatch):
+    # d_out with no rows or d_in with no columns makes a product that is
+    # zero by its shape, so only the shapes are compared; every other pair
+    # is still multiplied
+    products = []
+
+    def counting_mul(a, b, _mul=IntMatrix.__mul__):
+        products.append((a.shape, b.shape))
+        return _mul(a, b)
+
+    monkeypatch.setattr(IntMatrix, "__mul__", counting_mul)
+    d, z = IntMatrix.from_rows([[1, -1]]), IntMatrix.from_rows([[1], [1]])
+    ChainComplex([IntMatrix.zeros(0, 1), d, IntMatrix.zeros(2, 0)], -1)
+    ChainComplex([d], 1)  # with the zero map into C^0, 2 x 0
+    assert products == []
+    ChainComplex([IntMatrix.zeros(0, 1), d, z, IntMatrix.zeros(1, 0)], -1)
+    assert products == [((1, 2), (2, 1))]
+    for ds, step in (([IntMatrix.zeros(0, 2), d], -1), ([d, IntMatrix.zeros(3, 0)], -1),
+                     ([IntMatrix.zeros(1, 2), IntMatrix.zeros(0, 3)], 1)):
+        with pytest.raises(DimensionMismatch, match="mul"):
+            ChainComplex(ds, step)
+    with pytest.raises(CompositionNonzero) as info:
+        ChainComplex([IntMatrix.zeros(0, 1), d, IntMatrix.from_rows([[1], [0]])], -1)
+    assert info.value.degree == 1
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -712,7 +738,9 @@ def test_presentations_share_one_engine_per_differential(seed, step, zero_at):
     cx = ChainComplex(ds, step)
     top = len(chain_ds) - 2
     groups = cx.groups()
-    first = cx.presentations()
+    built = []
+    with mock.patch.object(zlinalg, "_Smith", recording_engine(built)):
+        first = cx.presentations()
     fresh = ChainComplex(ds, step).presentations()
     second = cx.presentations()
     assert len(first) == len(fresh) == len(second) == top + 1
@@ -738,6 +766,9 @@ def test_presentations_share_one_engine_per_differential(seed, step, zero_at):
         assert _read_out(fresh[n]) == want
         assert _read_out(second[n]) == want
         assert _read_out(own) == want
+    # every read-out above replays a log the presentation keeps; the pass's
+    # engines ran V * d_in for the relation matrices and nothing else
+    assert all(eng.reads <= {"v_times"} for eng in built)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -777,6 +808,104 @@ def test_one_pass_keeps_no_engine_alive_while_it_factors_the_next(seed, step, ze
 
     _recording_pass(cx, record)
     assert alive and all(a == [] for a in alive)
+
+
+# the read-outs a presentation runs on first read and keeps
+_LAZY_READOUTS = ("_coord_rows", "generator_matrix", "generators", "cycle_basis")
+
+
+def _engine_presentation(d_out, d_in):
+    """The cycle basis and generators of ker(d_out)/im(d_in), and a
+    function giving canonical coordinates of ambient cycles, all from the
+    factors of fresh engines (`engine_factors`): V^-1[:, r:], then
+    V^-1[:, r:] * U[:, canon] and rows canon of U^-1 for the relation
+    matrix V[r:] * d_in."""
+    f = engine_factors(zlinalg._Smith(d_out))
+    n, r = d_out.cols, f.rank
+    basis = IntMatrix.from_columns(f.V_inv.column_list()[r:], n)
+    g = engine_factors(zlinalg._Smith((f.V * d_in).rows_at(range(r, n))))
+    diag = g.diagonal()
+    canon = list(range(len(diag), n - r)) + [i for i, d in enumerate(diag) if d >= 2]
+    orders = [0] * (n - r - len(diag)) + [d for d in diag if d >= 2]
+    gens = basis * IntMatrix.from_columns([g.U.col(c) for c in canon], n - r)
+
+    def coords(M):
+        z = g.U_inv.rows_at(canon) * (f.V * M).rows_at(range(r, n))
+        return IntMatrix.from_rows([[v % d if d else v for v in row]
+                                    for row, d in zip(z.data, orders)], M.cols)
+    return basis, gens, coords
+
+
+def _engine_solve(A, B):
+    """Some X with A * X = B, or None, from the factors of a fresh engine:
+    X = V^-1 * (U^-1 * B / d, stacked on zero rows)."""
+    f = engine_factors(zlinalg._Smith(A))
+    W, diag = (f.U_inv * B).data, f.diagonal()
+    if any(map(any, W[len(diag):])) or any(w % d for row, d in zip(W, diag) for w in row):
+        return None
+    Y = [[w // d for w in row] for row, d in zip(W, diag)]
+    return f.V_inv * IntMatrix.from_rows(Y + [[0] * B.cols] * (A.cols - len(diag)), B.cols)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), step=st.sampled_from([-1, 1]),
+       zero_at=st.lists(st.booleans(), min_size=5, max_size=5))
+def test_read_outs_on_demand_equal_a_fresh_engines(seed, step, zero_at):
+    # zero differentials (rank 0) and differentials with no columns (the
+    # cochains' zero map into C^0, and random ones) included; each read-out
+    # is read in a random order, twice
+    chain_ds = _chain_list_with_zeros(seed, zero_at)
+    ds = chain_ds if step < 0 else chain_ds[::-1]
+    if step > 0:
+        chain_ds.append(IntMatrix.zeros(chain_ds[-1].cols, 0))
+    top = len(chain_ds) - 2
+    rng = random.Random(seed)
+    for n, pres in enumerate(ChainComplex(ds, step).presentations()):
+        i = n if step < 0 else top - n
+        d_out, d_in = chain_ds[i], chain_ds[i + 1]
+        basis, gens, coords = _engine_presentation(d_out, d_in)
+        cycles = basis * _random_matrix(rng, basis.cols, 3)
+        reads = {"cycle_basis": (lambda: pres.cycle_basis, basis),
+                 "generator_matrix": (lambda: pres.generator_matrix, gens),
+                 "generators": (lambda: pres.generators, gens.column_list()),
+                 "coords of cycles": (lambda: pres.coords_of(cycles), coords(cycles)),
+                 "coords of generators": (lambda: pres.coords_of(gens), coords(gens))}
+        for name in rng.sample(sorted(reads), len(reads)) * 2:
+            read, want = reads[name]
+            assert read() == want, name
+        hit = [i for i in range(d_out.cols) if any(d_out.col(i))]
+        if hit:
+            with pytest.raises(LinAlgError, match="not a cycle"):
+                pres.coords_of(IntMatrix.from_entries(d_out.cols, 1, [(hit[0], 0, 1)]))
+    for A in chain_ds:
+        sys = LinearSystem(A)
+        for B in (A * _random_matrix(rng, A.cols, 3), _random_matrix(rng, A.rows, 2),
+                  IntMatrix.zeros(A.rows, 0)):
+            assert sys.solve_columns(B) == _engine_solve(A, B)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), step=st.sampled_from([-1, 1]),
+       zero_at=st.lists(st.booleans(), min_size=5, max_size=5))
+def test_presentations_read_no_transform_until_asked(seed, step, zero_at):
+    # building the presentations and reading their groups replays no log
+    # on identity vectors; the one read-out of an engine is V * d_in, the
+    # relation matrix of a nonzero d_out, and only when d_in has columns.
+    # Building a linear system reads nothing
+    chain_ds = _chain_list_with_zeros(seed, zero_at)
+    cx = ChainComplex(chain_ds if step < 0 else chain_ds[::-1], step)
+    built = []
+    with mock.patch.object(zlinalg, "_Smith", recording_engine(built)):
+        pres = cx.presentations()
+        assert [p.group for p in pres] == cx.groups()
+        systems = [LinearSystem(d) for d in chain_ds]
+    assert not any(vars(p).keys() & set(_LAZY_READOUTS) for p in pres)
+    ds = cx._ds
+    relations = [d_out for d_out, d_in in zip(ds, ds[1:]) if not d_out.is_zero() and d_in.cols]
+    engines = built[:len(built) - len(systems)]
+    assert sorted(eng.n for eng in engines if eng.reads) == sorted(d.cols for d in relations)
+    assert all(eng.reads <= {"v_times"} for eng in engines)
+    assert not any(eng.reads for eng in built[len(engines):])
 
 
 def _unimodular(rng, k):
