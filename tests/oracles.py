@@ -369,7 +369,7 @@ def full_scan_pivot(eng, t):
 
 
 # the engine's transform read-outs; every read of U, U^-1, V or V^-1 runs one
-TRANSFORM_READOUTS = ("u_cols", "vinv_cols", "v_times", "uinv_times", "uinv_rows")
+TRANSFORM_READOUTS = ("u_cols", "vinv_cols", "v_times", "uinv_times", "kernel_matrix")
 
 
 def engine_factors(eng):

@@ -131,25 +131,27 @@ def test_cocycle_complexes_keep_the_per_differential_groups(seed):
 
 
 def _unit_phases(cx):
-    """(input, pivots) of each rank-only unit phase that cx.groups() runs,
-    lowest degree first."""
+    """(groups, calls): the groups of cx and, for each call of the rank-only
+    routine that cx.groups() makes, lowest degree first, [input, cleared
+    rows, paired columns, (the nonzero rows its logless unit phase
+    receives, that phase's pivots), or None when it runs no unit phase]."""
     calls = []
-    strip = zlinalg._strip_unit_pivots
+    block_factors, eliminate = zlinalg._block_factors, zlinalg._eliminate_units
 
-    def kept(A):
-        units, rest = strip(A)
-        calls.append((A, units))
-        return units, rest
+    def kept_units(rows, *args):
+        live = {i for i, row in enumerate(rows) if row}
+        calls[-1][3] = live, eliminate(rows, *args)
+        return calls[-1][3][1]
 
-    with mock.patch.object(zlinalg, "_strip_unit_pivots", kept):
+    def kept(A, cleared=()):
+        calls.append([A, cleared, None, None])
+        factors, calls[-1][2] = block_factors(A, cleared)
+        return factors, calls[-1][2]
+
+    with mock.patch.object(zlinalg, "_block_factors", kept), \
+            mock.patch.object(zlinalg, "_eliminate_units", kept_units):
         groups = cx.groups()
     return groups, calls
-
-
-def _lines(A, transposed, axis):
-    """The indices of the nonzero lines of A along `axis` (0 rows, 1
-    columns) of the untransposed matrix."""
-    return {e[axis != transposed] for e in A.entries()}
 
 
 @pytest.mark.parametrize("step", [-1, 1])
@@ -167,12 +169,14 @@ def test_the_top_unit_phase_gets_none_of_the_cells_paired_below(step):
     groups, calls = _unit_phases(cx)
     assert groups == _per_differential_groups(
         cx._ds if step < 0 else [cx.d_out(n) for n in range(cx.top + 1)], step)
-    (below_in, below_units), (top_in, _) = calls[-2:]
-    # the shapes are not square, so each says whether it was transposed
-    assert below.rows != below.cols and top.rows != top.cols
-    below_t = below_in.shape != below.shape
-    top_t = top_in.shape != top.shape
-    # the cells of the shared degree that the differential below paired
-    paired = {pivot[not below_t] for pivot in below_units}
-    assert paired and paired <= _lines(top, False, 0)
-    assert not paired & _lines(top_in, top_t, 0)
+    (below_in, _, paired, (_, below_units)), (top_in, cleared, _, (top_live, top_units)) \
+        = calls[-2:]
+    assert below_in == below and top_in == top
+    # the rows of the top differential taken as zero are the cells of the
+    # shared degree that the unit pivots below paired, some of them nonzero
+    # there; its unit phase receives them as zero rows and eliminates none
+    assert paired == {j for _, j in below_units}
+    assert cleared == paired
+    assert paired and paired <= {i for i, _, _ in top.entries()}
+    assert not paired & top_live
+    assert not paired & {p for p, _ in top_units}

@@ -183,12 +183,12 @@ def test_z_action_of_the_benchmark_300_points_runs_one_unit_phase(tmp_path):
     (job,) = [job for job in workloads.make_jobs("af-towers", 1, 0, str(tmp_path))
               if job["id"] == "z-action-300"]
     perm = [int(x) for x in job["argv"][job["argv"].index("--perm") + 1].split(",")]
-    calls = []
-    strip = zlinalg._strip_unit_pivots
-    with mock.patch.object(zlinalg, "_strip_unit_pivots",
-                           lambda *a, **kw: calls.append(1) or strip(*a, **kw)):
+    logs = []
+    eliminate = zlinalg._eliminate_units
+    with mock.patch.object(zlinalg, "_eliminate_units",
+                           lambda *a: logs.append(a[2:]) or eliminate(*a)):
         za = z_action_homology(perm)
-    assert len(calls) == 1
+    assert logs == [()]  # one unit phase, run without logs
     assert za.h0 == za.h1 == FgAbGroup.free(job["expect"]["cycles"])
 
 
@@ -268,18 +268,22 @@ def test_s3_classical_homology():
 
 
 def test_s3_to_degree_4_factors_only_small_remainders():
-    # the unit pivots are stripped first, so only what no +-1 pivot can
+    # the unit pivots are eliminated first, so only what no +-1 pivot can
     # reduce is left to factor; the full d_5 of S3 is 1296 x 7776.  Those
     # remainders are direct sums of one-row blocks, [2 2] and
     # [2 2] + [-3 3], so they are read as gcds and the engine runs on none
     from test_models import S3_TABLE
     from groupoidal import zlinalg
     shapes, engines = [], []
-    split = zlinalg._block_factors
+    eliminate = zlinalg._eliminate_units
 
-    def recording(A, units=True):
-        shapes.append(A.shape)
-        return split(A, units)
+    def recording(rows, *args):
+        # the shape of what the rank-only unit phase leaves, compacted
+        units = eliminate(rows, *args)
+        pivots = {p for p, _ in units}
+        live = [row for i, row in enumerate(rows) if row and i not in pivots]
+        shapes.append((len(live), len(set().union(*live))))
+        return units
 
     class Recording(zlinalg._Smith):
         def __init__(self, A):
@@ -287,7 +291,7 @@ def test_s3_to_degree_4_factors_only_small_remainders():
             super().__init__(A)
 
     s3 = group_groupoid(S3_TABLE)
-    with mock.patch.object(zlinalg, "_block_factors", recording), \
+    with mock.patch.object(zlinalg, "_eliminate_units", recording), \
             mock.patch.object(zlinalg, "_Smith", Recording):
         got = homology_groups(s3, 4)
     assert got == [Z, FgAbGroup.cyclic(2), ZERO, FgAbGroup.cyclic(6), ZERO]

@@ -47,6 +47,25 @@ class _CountingSmith(zlinalg._Smith):
         return found
 
 
+def _rank_only(A):
+    """(factors, paired) of `_block_factors(A)`, and the pivots of
+    its logless unit phase, or None when it runs none (an engine on a
+    remainder runs the phase again, with logs)."""
+    units = []
+    eliminate = zlinalg._eliminate_units
+
+    def kept(*args):
+        pivots = eliminate(*args)
+        if len(args) == 2:
+            units.append(pivots)
+        return pivots
+
+    with mock.patch.object(zlinalg, "_eliminate_units", kept):
+        factors, paired = zlinalg._block_factors(A)
+    assert len(units) <= 1
+    return factors, paired, units[0] if units else None
+
+
 class _CheckedSmith(_CountingSmith):
     """The engine with every pivot choice compared against the oracles."""
 
@@ -147,13 +166,15 @@ def test_pivots_match_full_scan_on_the_af_tower_matrices(A):
                  st.integers(0, 11).map(lambda k: _nerve_boundaries()[k])))
 def test_the_exact_phase_factors_what_the_unit_phase_leaves(A):
     # on the same orientation, the unit phase takes the pivots of the
-    # rank-only path and leaves the remainder that `_strip_unit_pivots`
-    # compacts, so the exact phase takes as many pivots as its rank, and
-    # the diagonal is the canonical one of the rank-only path
+    # rank-only path (all of them pair their columns there, also where the
+    # one-entry-row shortcut runs no unit phase), so the exact phase takes
+    # as many pivots as the rank of what it leaves, and the diagonal is the
+    # canonical one of the rank-only path
     eng = _CountingSmith(A)
-    units, rest = zlinalg._strip_unit_pivots(A)
-    assert eng.unit_pivots == units
-    assert eng.exact_pivots == zlinalg._Smith(rest).rank
+    factors, paired, units = _rank_only(A)
+    assert units is None or units == eng.unit_pivots
+    assert paired == {j for _, j in eng.unit_pivots}
+    assert eng.exact_pivots == len(factors) - len(eng.unit_pivots)
     assert eng.diagonal() == invariant_factors(A)
 
 
@@ -169,7 +190,8 @@ def test_the_unit_phase_pushes_a_row_only_when_its_entry_changed():
                              [1, 0, 2, 1],
                              [0, 1, 1, 1]])
     with mock.patch.object(zlinalg.heapq, "heappush", wraps=zlinalg.heapq.heappush) as push:
-        units, rest = zlinalg._strip_unit_pivots(A)
+        factors, paired, units = _rank_only(A)
     assert units == full_scan_unit_pivots(A._row_dicts) == [(0, 0), (1, 2), (2, 3)]
-    assert rest == IntMatrix.from_rows([[3]])
+    assert paired == {0, 2, 3}
+    assert sorted(factors) == [1, 1, 1, 3]  # the remainder [[3]] is a gcd, with no engine
     assert push.call_count == 1

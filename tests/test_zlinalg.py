@@ -17,8 +17,9 @@ from groupoidal.zlinalg import (BadModulus, ChainComplex, CompositionNonzero,
                                 invariant_factors, kernel_basis, kernel_group,
                                 rank, snf)
 
-from oracles import (det, engine_factors, image_basis, lattice_kernel_group, modp_rank,
-                     orders_normal_form, rational_rank, recording_engine, selection_matrix)
+from oracles import (det, engine_factors, full_scan_unit_pivots, image_basis,
+                     lattice_kernel_group, modp_rank, orders_normal_form, rational_rank,
+                     recording_engine, selection_matrix)
 
 
 def _contains(A, B):
@@ -431,6 +432,33 @@ def test_block_factors_agree_with_the_engine_on_the_whole_matrix(A):
     assert rank(A) == len(facs)
     for p in (2, 3, 5):
         assert modp_rank(A.data, p) == sum(1 for d in facs if d % p)
+
+
+@st.composite
+def _one_entry_rows(draw):
+    """A matrix whose nonzero rows hold one entry each, all of one value 1,
+    -1 or 2, so that `_block_factors` reads it with no unit phase."""
+    v = draw(st.sampled_from([1, -1, 2]))
+    cols = draw(st.integers(1, 8))
+    at = draw(st.lists(st.one_of(st.none(), st.integers(0, cols - 1)), max_size=20))
+    return IntMatrix.from_entries(len(at), cols,
+                                  ((i, j, v) for i, j in enumerate(at) if j is not None))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data(), A=st.one_of(_block_diagonal(), _one_entry_rows()))
+def test_block_factors_pair_the_unit_pivot_columns_of_the_cleared_matrix(data, A):
+    # the rows in `cleared` are taken as zero, and the paired columns are
+    # those of the full-scan unit rule on that masked matrix, lone +-1 rows
+    # and columns included: groups() clears exactly the cells that a unit
+    # phase on the masked differential pairs.  The factors merge into the
+    # masked matrix's Smith diagonal
+    cleared = data.draw(st.sets(st.integers(0, A.rows - 1)) if A.rows else st.just(set()))
+    masked = [{} if i in cleared else row for i, row in enumerate(A._row_dicts)]
+    factors, paired = zlinalg._block_factors(A, cleared)
+    assert set(paired) == {j for _, j in full_scan_unit_pivots(masked)}
+    assert zlinalg._merge(factors) == zlinalg._Smith(
+        IntMatrix.from_row_dicts(A.cols, masked)).diagonal()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -993,7 +1021,8 @@ def test_log_rows_equal_the_log_replayed_on_the_identity(A):
     picks = [list(range(A.rows)), list(range(A.rows))[::-1],
              rng.sample(range(A.rows), rng.randint(0, A.rows))]
     for which in picks:
-        assert eng.uinv_rows(which) == IntMatrix.from_rows([full[i] for i in which], A.rows)
+        assert (zlinalg._uinv_rows(eng.row_ops, eng.m, which)
+                == IntMatrix.from_rows([full[i] for i in which], A.rows))
 
 
 @pytest.mark.parametrize("A", LOG_CASES)
@@ -1015,7 +1044,8 @@ _READOUTS = ("U cols", "Vinv cols", "diagonal", "kernel", "Uinv rows", "Uinv * B
 
 def _readout(eng, name, which, B, M):
     return {"U cols": eng.u_cols, "Vinv cols": eng.vinv_cols, "diagonal": eng.diagonal,
-            "kernel": eng.kernel_matrix, "Uinv rows": lambda: eng.uinv_rows(which),
+            "kernel": eng.kernel_matrix,
+            "Uinv rows": lambda: zlinalg._uinv_rows(eng.row_ops, eng.m, which),
             "Uinv * B": lambda: eng.uinv_times(B), "V * M": lambda: eng.v_times(M)}[name]()
 
 
@@ -1038,7 +1068,7 @@ def test_read_outs_in_any_order_equal_a_fresh_engines(seed, order):
     assert f.U_inv * A * f.V_inv == f.S
     assert f.U * f.S * f.V == A
     assert eng.uinv_times(B) == f.U_inv * B and eng.v_times(M) == f.V * M
-    assert eng.uinv_rows(which) == f.U_inv.rows_at(which)
+    assert zlinalg._uinv_rows(eng.row_ops, eng.m, which) == f.U_inv.rows_at(which)
 
 
 @pytest.mark.parametrize("A", LOG_CASES)
