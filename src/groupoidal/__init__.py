@@ -10,12 +10,10 @@ from .groupoids import (FiniteGroupoid, GModule, GroupoidFunctor, Nerve,
 from .homology import (homology_groups, induced_homology_map,
                        odometer_homology, z_action_homology)
 from .cohomology import (cocycle_coboundary_matrix, cocycle_cohomology,
-                         hom_side_cohomology, induced_cohomology_map,
-                         pullback_module, theta_rho_check)
-from .skew import ZCocycle, les_verify, skew_window, validate_cocycle
+                         hom_side_cohomology, pullback_module, theta_rho_check)
+from .skew import ZCocycle, les_verify, validate_cocycle
 from .limits import (BratteliDiagram, ColimitGroup, Tower, af_cohomology_tower,
-                     af_homology, colimit_divisible, colimit_equal,
-                     dimension_group, limit_and_lim1)
+                     colimit_divisible, colimit_equal, dimension_group, limit_and_lim1)
 from . import models
 
 __all__ = [
@@ -27,9 +25,8 @@ __all__ = [
     "homology_groups", "induced_homology_map", "z_action_homology",
     "odometer_homology",
     "cocycle_coboundary_matrix", "cocycle_cohomology", "hom_side_cohomology",
-    "theta_rho_check", "pullback_module", "induced_cohomology_map",
-    "ZCocycle", "validate_cocycle", "skew_window", "les_verify",
+    "theta_rho_check", "pullback_module", "ZCocycle", "validate_cocycle", "les_verify",
     "Tower", "ColimitGroup", "BratteliDiagram", "colimit_equal",
-    "colimit_divisible", "dimension_group", "af_homology", "limit_and_lim1",
+    "colimit_divisible", "dimension_group", "limit_and_lim1",
     "af_cohomology_tower", "models",
 ]

@@ -31,8 +31,7 @@ from .groupoids import (FiniteGroupoid, GModule, GroupoidFunctor, face_table,
                         require_valid_functor)
 from .records import Record
 from .resolution import isotropy_cochains
-from .zlinalg import (ChainComplex, ChainHomologyPresentation, DimensionMismatch, FgAbGroup,
-                      InducedMap, IntMatrix, LinAlgError, induced_on_homology)
+from .zlinalg import ChainComplex, DimensionMismatch, FgAbGroup, IntMatrix, LinAlgError
 
 
 class BlockSpace:
@@ -246,23 +245,3 @@ def cochain_pullback_matrix(phi: GroupoidFunctor, M: GModule, n: int) -> IntMatr
     target cochains to source cochains with pullback coefficients."""
     cod = cochain_space(phi.source, pullback_module(phi, M), n)
     return relabel_matrix(cod, cochain_space(phi.target, M, n), phi.map_tuple)
-
-
-def _cocycle_presentation(G: FiniteGroupoid, M: GModule, n: int) -> ChainHomologyPresentation:
-    """H^n of the cocycle complex, the one degree of the two-term complex
-    of delta_n and delta_{n-1} (a zero map into C^0 when n = 0)."""
-    spaces = [cochain_space(G, M, k) for k in range(max(n - 1, 0), n + 2)]
-    d_in = (_coboundary(G, M, n - 1, *spaces[:2]) if n
-            else IntMatrix.zeros(spaces[0].total, 0))
-    return ChainComplex([_coboundary(G, M, n, *spaces[-2:]), d_in], -1).presentations()[0]
-
-
-def induced_cohomology_map(phi: GroupoidFunctor, M: GModule, n: int) -> InducedMap:
-    """Contravariant induced map on degree-n cohomology presentations: its
-    `source` is the target groupoid's cohomology, its `target` the source
-    groupoid's, and its chain matrix maps target cochains to source cochains."""
-    require_valid_functor(phi)
-    chain = cochain_pullback_matrix(phi, M, n)
-    src = _cocycle_presentation(phi.target, M, n)
-    dst = _cocycle_presentation(phi.source, pullback_module(phi, M), n)
-    return InducedMap(n, chain, src, dst, induced_on_homology(chain, src, dst))

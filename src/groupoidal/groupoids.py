@@ -426,13 +426,6 @@ class GroupoidFunctor:
         amap = self.arrow_map
         return tuple(amap[g] for g in t)
 
-    def compose_with(self, other: "GroupoidFunctor") -> "GroupoidFunctor":
-        """self after other (other.target must be self.source)."""
-        if other.target is not self.source:
-            raise InvalidFunctor("functor composition mismatch")
-        amap = [self.arrow_map[other.arrow_map[g]] for g in range(other.source.n_arrows)]
-        return GroupoidFunctor(other.source, self.target, amap)
-
     @classmethod
     def identity(cls, G: FiniteGroupoid) -> "GroupoidFunctor":
         return cls(G, G, list(range(G.n_arrows)))

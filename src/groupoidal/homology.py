@@ -38,13 +38,13 @@ class NotAPermutation(GroupoidError):
     pass
 
 
-def nerve_complex(G: FiniteGroupoid, n_max: int, n_min: int = 0) -> ChainComplex:
-    """The nerve chain complex d_{n_min} .. d_{n_max+1}, with d_0 the zero
-    map out of degree 0; its degree k is the nerve's degree n_min + k."""
+def nerve_complex(G: FiniteGroupoid, n_max: int) -> ChainComplex:
+    """The nerve chain complex d_0 .. d_{n_max+1}, with d_0 the zero map
+    out of degree 0."""
     require_nerve_work(G, n_max + 1)
     return ChainComplex([boundary_matrix_d(G, n) if n else
                          IntMatrix.zeros(0, len(nerve(G, 0)))
-                         for n in range(n_min, n_max + 2)], -1)
+                         for n in range(n_max + 2)], -1)
 
 
 def homology_groups(G: FiniteGroupoid, n_max: int,
@@ -75,7 +75,10 @@ def chain_pushforward(phi: GroupoidFunctor, n: int) -> IntMatrix:
 
 
 def homology_presentation_of(G: FiniteGroupoid, n: int) -> ChainHomologyPresentation:
-    return nerve_complex(G, n, n_min=n).presentations()[0]
+    """ker d_n / im d_{n+1} over the nerve bases."""
+    require_nerve_work(G, n + 1)
+    d_n = boundary_matrix_d(G, n) if n else IntMatrix.zeros(0, len(nerve(G, 0)))
+    return ChainComplex([d_n, boundary_matrix_d(G, n + 1)], -1).presentations()[0]
 
 
 def induced_homology_map(phi: GroupoidFunctor, n: int) -> InducedMap:

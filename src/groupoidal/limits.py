@@ -23,7 +23,7 @@ from typing import Iterable, List, Optional, Sequence
 from .groupoids import Budget
 from .models import BratteliDiagram, MalformedDiagram, OdometerSystem
 from .records import FrozenRecord, Record
-from .zlinalg import FgAbGroup, IntMatrix, invariant_factors, rank
+from .zlinalg import IntMatrix, invariant_factors, rank
 
 
 class StageBoundExceeded(Exception):
@@ -232,19 +232,6 @@ def dimension_group(B: BratteliDiagram, levels: Optional[int] = None) -> Colimit
         raise MalformedDiagram("diagram has fewer levels than requested")
     return ColimitGroup(Tower("direct", list(B.vertex_counts[:n_levels]),
                               list(B.matrices[:n_levels - 1])))
-
-
-class AfHomology(Record):
-    __slots__ = ("degree", "group", "colimit")
-
-
-def af_homology(B: BratteliDiagram, n: int) -> AfHomology:
-    """Degree 0 is the dimension group; every higher degree vanishes."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    if n == 0:
-        return AfHomology(0, None, dimension_group(B))
-    return AfHomology(n, FgAbGroup.trivial(), None)
 
 
 # -- truncated inverse limits and lim^1 ---------------------------------------

@@ -8,9 +8,9 @@ every downstream matrix is reproducible bit for bit.
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
-from .groupoids import Budget, FiniteGroupoid, GModule, GroupoidError, GroupoidFunctor
+from .groupoids import Budget, FiniteGroupoid, GModule, GroupoidError
 from .zlinalg import IntMatrix
 
 
@@ -167,17 +167,6 @@ def disjoint_union(G1: FiniteGroupoid, G2: FiniteGroupoid) -> FiniteGroupoid:
     return FiniteGroupoid(src, rng, comp, inv, units)
 
 
-def inclusion_functor_left(G1: FiniteGroupoid, union: FiniteGroupoid) -> GroupoidFunctor:
-    return GroupoidFunctor(G1, union, list(range(G1.n_arrows)))
-
-
-def constant_functor(G: FiniteGroupoid, point: FiniteGroupoid) -> GroupoidFunctor:
-    """Collapse everything to the unique unit of a one-point groupoid."""
-    if point.n_arrows != 1:
-        raise GroupoidError("target must be a single point")
-    return GroupoidFunctor(G, point, [0] * G.n_arrows)
-
-
 # -- modules ----------------------------------------------------------------
 
 
@@ -203,19 +192,6 @@ def sign_module(G: FiniteGroupoid) -> GModule:
     return GModule(G, {u: 1 for u in G.units},
                    {g: IntMatrix.from_rows([[-1]]) if not G.is_unit(g)
                     else IntMatrix.identity(1) for g in range(G.n_arrows)})
-
-
-def permutation_module(cayley: Sequence[Sequence[int]],
-                       perms: Sequence[Sequence[int]],
-                       group: Optional[FiniteGroupoid] = None) -> GModule:
-    """Module over the group groupoid whose fiber is Z^X with g acting by
-    its permutation matrix.  Coefficients of this kind turn groupoid
-    cohomology of the transformation groupoid into group cohomology."""
-    G = group if group is not None else group_groupoid(cayley)
-    npts = len(perms[0])
-    action = {g: IntMatrix.from_entries(npts, npts, ((perms[g][x], x, 1) for x in range(npts)))
-              for g in range(G.n_arrows)}
-    return GModule(G, {G.units[0]: npts}, action)
 
 
 # -- Bratteli diagrams -------------------------------------------------------
@@ -325,11 +301,6 @@ class OdometerSystem:
         n = self.p ** d
         return IntMatrix.from_entries(self.p * n, n,
                                       ((i + a * n, i, 1) for i in range(n) for a in range(self.p)))
-
-    def truncation(self, d: int) -> List[int]:
-        """Depth-(d+1) cylinder index -> its depth-d cylinder."""
-        n = self.p ** d
-        return [j % n for j in range(self.p * n)]
 
 
 # -- randomized valid instances ----------------------------------------------

@@ -18,11 +18,11 @@ rank accounting) is then reported from the verified sequence.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from .cohomology import cochain_complex, hom_space, pullback_module, relabel_matrix
-from .groupoids import (Budget, FiniteGroupoid, GModule, GroupoidError,
-                        GroupoidFunctor, isotropy_inclusion, require_nerve_work)
+from .groupoids import (Budget, FiniteGroupoid, GModule, GroupoidError, GroupoidFunctor,
+                        ValidationReport, require_nerve_work)
 from .homology import chain_pushforward, nerve_complex
 from .models import constant_module
 from .records import FrozenRecord, Record
@@ -47,11 +47,6 @@ class ZCocycle(FrozenRecord):
     def zero(cls, G: FiniteGroupoid) -> "ZCocycle":
         return cls((0,) * G.n_arrows)
 
-    @classmethod
-    def from_potential(cls, G: FiniteGroupoid, f: Dict[int, int]) -> "ZCocycle":
-        """c(g) = f(r(g)) - f(s(g)); always a cocycle."""
-        return cls(tuple(f[G.rng[g]] - f[G.src[g]] for g in range(G.n_arrows)))
-
     def __call__(self, g: int) -> int:
         return self.values[g]
 
@@ -60,7 +55,6 @@ class ZCocycle(FrozenRecord):
 
 
 def validate_cocycle(G: FiniteGroupoid, c: ZCocycle):
-    from .groupoids import ValidationReport
     if len(c.values) != G.n_arrows:
         return ValidationReport(False, "cocycle-length", ())
     for u in G.units:
@@ -70,21 +64,6 @@ def validate_cocycle(G: FiniteGroupoid, c: ZCocycle):
         if c(gh) != c(g) + c(h):
             return ValidationReport(False, "cocycle-additive", (g, h))
     return ValidationReport(True)
-
-
-def cocycle_potential(G: FiniteGroupoid, c: ZCocycle) -> Dict[int, int]:
-    """A potential f on units with c(g) = f(r(g)) - f(s(g)).
-
-    On a finite groupoid every integer cocycle is of this form (finite
-    isotropy groups admit no nonzero homomorphism to Z).  It is read off
-    the base arrows k_y: x -> y of `isotropy_inclusion`, f(y) = c(k_y), so
-    it is 0 at the least unit x of each orbit.
-    """
-    f = {y: c(k) for y, k in isotropy_inclusion(G)[1].items()}
-    for g in range(G.n_arrows):
-        if c(g) != f[G.rng[g]] - f[G.src[g]]:
-            raise GroupoidError("not a cocycle: no potential exists")
-    return f
 
 
 class SkewWindow(Record):
@@ -148,16 +127,6 @@ def _window(G: FiniteGroupoid, c: ZCocycle, lo: int, hi: int) -> SkewWindow:
     return SkewWindow(G, c, lo, hi, w, tuple(labels), index)
 
 
-def skew_window(G: FiniteGroupoid, c: ZCocycle, K: int) -> SkewWindow:
-    """Symmetric window of radius K around level 0."""
-    rep = validate_cocycle(G, c)
-    if not rep.ok:
-        raise GroupoidError(rep.message())
-    if K < 0:
-        raise GroupoidError("negative radius")
-    return _window(G, c, -K, K)
-
-
 # -- long exact sequence verification -----------------------------------------
 
 
@@ -176,7 +145,8 @@ class LesReport(Record):
     on the window groups: cokernels in homology mode, kernels in cohomology
     mode.  `cocycle_is_coboundary` is always true: les_verify refuses a
     cocycle that does not validate, and on a finite groupoid every cocycle
-    is the coboundary of its `cocycle_potential`, the zero cocycle of zero."""
+    is the coboundary of a potential on its units (`cocycle_potential` in
+    tests/oracles.py), the zero cocycle of zero."""
 
     __slots__ = ("mode", "window", "guard", "interior", "n_max", "checks", "base_groups",
                  "inner_groups", "connecting", "connecting_ok", "degreewise_groups",

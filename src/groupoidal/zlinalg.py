@@ -992,12 +992,6 @@ class FgAbGroup(FrozenRecord):
         return cls(r, ())
 
     @classmethod
-    def cyclic(cls, m: int) -> "FgAbGroup":
-        if m == 0:
-            return cls(1, ())
-        return cls.from_orders([m])
-
-    @classmethod
     def from_invariant_factors(cls, factors: Iterable[int], free_rank: int = 0) -> "FgAbGroup":
         fac = [f for f in factors if f != 1]
         zero = sum(1 for f in fac if f == 0)
@@ -1011,10 +1005,6 @@ class FgAbGroup(FrozenRecord):
         orders = list(orders)
         return cls.from_invariant_factors(_merge([m for m in orders if m]),
                                           free_rank + orders.count(0))
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
 
     def direct_sum(self, *others: "FgAbGroup") -> "FgAbGroup":
         orders = list(self.torsion)
@@ -1253,18 +1243,6 @@ class InducedMap(Record):
     map leaves."""
 
     __slots__ = ("degree", "chain_matrix", "source", "target", "matrix")
-
-    @property
-    def source_group(self) -> FgAbGroup:
-        return self.source.group
-
-    @property
-    def target_group(self) -> FgAbGroup:
-        return self.target.group
-
-    def is_injective_at_chain_level(self) -> bool:
-        return rank(self.chain_matrix) == self.chain_matrix.cols
-
 
 def induced_on_homology(chain_map: IntMatrix,
                         source: ChainHomologyPresentation,

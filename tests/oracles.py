@@ -21,15 +21,29 @@ threads whose ranks `limits.limit_and_lim1` reads off `rank` alone.
 arithmetic of `groupoids.face_table` is checked, and `group_groupoid_of_table`
 builds a group's one-unit groupoid straight from its Cayley table, against
 which `models.group_groupoid`, an action on one point, is checked.
+
+The functions at the end of the file are references and fixtures that
+no command uses: `induced_cohomology_map` is the map a functor induces
+on cocycle cohomology, on the package's presentations of the two
+cocycle complexes; `cocycle_potential` recovers the potential of an
+integer cocycle, and `cocycle_from_potential` builds the cocycle of a
+potential; `permutation_module` is Z^X over a group acting on X by
+permutations.
 """
 
 from fractions import Fraction
 from itertools import product
 
 from groupoidal import zlinalg
-from groupoidal.groupoids import FiniteGroupoid
-from groupoidal.zlinalg import (FgAbGroup, IntMatrix, LinAlgError, LinearSystem,
-                                invariant_factors, kernel_basis)
+from groupoidal.cohomology import (_coboundary, cochain_pullback_matrix, cochain_space,
+                                   pullback_module)
+from groupoidal.groupoids import (FiniteGroupoid, GModule, GroupoidError, isotropy_inclusion,
+                                  require_valid_functor)
+from groupoidal.models import group_groupoid
+from groupoidal.skew import ZCocycle
+from groupoidal.zlinalg import (ChainComplex, FgAbGroup, InducedMap, IntMatrix, LinAlgError,
+                                LinearSystem, induced_on_homology, invariant_factors,
+                                kernel_basis)
 
 
 def rational_rank(rows):
@@ -529,3 +543,54 @@ def homology_face(G, t, i):
     if i == n:
         return t[:-1]
     return t[:i - 1] + (G.comp[(t[i - 1], t[i])],) + t[i + 1:]
+
+
+def _cocycle_presentation(G, M, n):
+    """H^n of the cocycle complex, the one degree of the two-term complex
+    of delta_n and delta_{n-1} (a zero map into C^0 when n = 0)."""
+    spaces = [cochain_space(G, M, k) for k in range(max(n - 1, 0), n + 2)]
+    d_in = (_coboundary(G, M, n - 1, *spaces[:2]) if n
+            else IntMatrix.zeros(spaces[0].total, 0))
+    return ChainComplex([_coboundary(G, M, n, *spaces[-2:]), d_in], -1).presentations()[0]
+
+
+def induced_cohomology_map(phi, M, n):
+    """Contravariant induced map on degree-n cohomology presentations: its
+    `source` is the target groupoid's cohomology, its `target` the source
+    groupoid's, and its chain matrix maps target cochains to source cochains."""
+    require_valid_functor(phi)
+    chain = cochain_pullback_matrix(phi, M, n)
+    src = _cocycle_presentation(phi.target, M, n)
+    dst = _cocycle_presentation(phi.source, pullback_module(phi, M), n)
+    return InducedMap(n, chain, src, dst, induced_on_homology(chain, src, dst))
+
+
+def cocycle_from_potential(G, f):
+    """The cocycle c(g) = f(r(g)) - f(s(g)) of a potential f on the units."""
+    return ZCocycle(tuple(f[G.rng[g]] - f[G.src[g]] for g in range(G.n_arrows)))
+
+
+def cocycle_potential(G, c):
+    """A potential f on units with c(g) = f(r(g)) - f(s(g)).
+
+    On a finite groupoid every integer cocycle is of this form (finite
+    isotropy groups admit no nonzero homomorphism to Z).  It is read off
+    the base arrows k_y: x -> y of `isotropy_inclusion`, f(y) = c(k_y), so
+    it is 0 at the least unit x of each orbit.
+    """
+    f = {y: c(k) for y, k in isotropy_inclusion(G)[1].items()}
+    for g in range(G.n_arrows):
+        if c(g) != f[G.rng[g]] - f[G.src[g]]:
+            raise GroupoidError("not a cocycle: no potential exists")
+    return f
+
+
+def permutation_module(cayley, perms, group=None):
+    """Module over the group groupoid whose fiber is Z^X with g acting by
+    its permutation matrix.  Coefficients of this kind turn groupoid
+    cohomology of the transformation groupoid into group cohomology."""
+    G = group if group is not None else group_groupoid(cayley)
+    npts = len(perms[0])
+    action = {g: IntMatrix.from_entries(npts, npts, ((perms[g][x], x, 1) for x in range(npts)))
+              for g in range(G.n_arrows)}
+    return GModule(G, {G.units[0]: npts}, action)

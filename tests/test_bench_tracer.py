@@ -26,3 +26,28 @@ def test_every_traced_name_resolves(module, attr):
     for part in attr.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+# the tracer's counters read attributes of what the wrapped calls return,
+# so every golden case runs in-process under an installed Tracer, and its
+# exit code and stdout must be those of the untraced run: a name or an
+# attribute the tracer wraps or reads that goes missing fails here
+def test_golden_cases_run_unchanged_under_the_tracer(capsys, monkeypatch):
+    from groupoidal import cli
+    from test_golden import CASES, GOLDEN
+
+    monkeypatch.chdir(GOLDEN)
+    tracer = _tracer().Tracer()
+    tracer.install()
+    try:
+        runs = {case: (cli.main(argv + ["--format", "json"]), capsys.readouterr().out)
+                for case, argv in sorted(CASES.items())}
+    finally:
+        tracer.uninstall()
+    bad = []
+    for case, (code, out) in runs.items():
+        with open(os.path.join(GOLDEN, f"{case}.json"), "rb") as fh:
+            if code != 0 or out.encode() != fh.read():
+                bad.append(f"{case}: exit {code}, stdout differs from its golden file")
+    assert not bad, "\n".join(bad)
+    assert tracer.layer_metrics()["cli.jobs"][0] == len(CASES)

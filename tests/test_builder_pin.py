@@ -21,8 +21,9 @@ from groupoidal.cohomology import (_coboundary, cochain_pullback_matrix, cochain
                                    hom_space, rho_matrix, theta_matrix)
 from groupoidal.groupoids import (bar_boundary_matrix_b, boundary_matrix_d,
                                   coinvariants_collapse, face_table, nerve)
+from groupoidal.groupoids import GroupoidFunctor
 from groupoidal.models import (cyclic_table, disjoint_union, group_groupoid,
-                               inclusion_functor_left, random_groupoid, random_module)
+                               random_groupoid, random_module)
 from groupoidal.zlinalg import IntMatrix
 
 PINNED = os.path.join(os.path.dirname(__file__), "builder_pins.json")
@@ -48,7 +49,7 @@ def _case(seed):
             out[f"{name}{n}"] = _pin(build(G, M, n))
     H = random_groupoid(rng, max_arrows=6)
     union = disjoint_union(G, H)
-    phi = inclusion_functor_left(G, union)
+    phi = GroupoidFunctor(G, union, range(G.n_arrows))
     MU = random_module(union, rng)
     for n in range(3):
         out[f"pullback{n}"] = _pin(cochain_pullback_matrix(phi, MU, n))

@@ -529,35 +529,34 @@ def test_af_cohomology_builds_each_composite_once():
     assert not bad, "\n".join(bad)
 
 
-# every top-level function and class of src/ is reached by name from
-# cli.main or module-level code (imports aside), through the bodies of
-# the names reached; the rest are listed here, each with its reason,
-# and a listed name that is reached or gone fails too, as does a name
-# listed as traced that bench/tracer.py does not wrap
-def test_every_src_name_is_reached_from_cli_main():
+# bench/tracer.py's counters read these attributes of what its wrapped
+# calls return, and nothing in src/ reads them, so the walk below starts
+# from their bodies too
+TRACER_READS = {
+    "ChainHomologyPresentation.generators":
+        "bench/tracer.py reads it for the entry bits of a presentation's generators",
+    "ChainHomologyPresentation.cycle_basis":
+        "bench/tracer.py reads it for a presentation's factor and read-out cells",
+}
+
+
+def is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+@functools.cache
+def reachability():
+    """What src/ reaches by name, as (top-level definitions by name, methods
+    by name as (path, class, function), the top-level names reached, the
+    attribute names reached).  The walk starts from cli.main, module-level
+    code (imports aside), the groupoidal names bench/tracer.py wraps and
+    the bodies of TRACER_READS.  A reached function reaches the names and
+    attributes its body names; a reached class reaches its bases,
+    decorators, class-level statements and dunder methods; a reached
+    attribute name reaches every method of that name."""
     from test_bench_tracer import _TARGETS
 
-    traced = "bench/tracer.py wraps it by name"
-    allowed = {
-        "snf": traced, "kernel_basis": traced, "bar_boundary_matrix_b": traced,
-        "coinvariants_collapse": traced, "cocycle_coboundary_matrix": traced,
-        "hom_coboundary_matrix": traced, "theta_matrix": traced, "rho_matrix": traced,
-        "cochain_pullback_matrix": traced, "homology_presentation_of": traced,
-        "induced_homology_map": traced, "limit_and_lim1": traced,
-        "SnfDecomposition": "the record snf returns",
-        "Lim1Report": "the record limit_and_lim1 returns",
-        "InducedMap": "the record of induced_homology_map and induced_cohomology_map",
-        "induced_cohomology_map": "library API: the map a functor induces on cohomology",
-        "_cocycle_presentation": "the helper of induced_cohomology_map",
-        "af_homology": "library API: tests check AF homology against dimension groups",
-        "AfHomology": "the record af_homology returns",
-        "cocycle_potential": "library API: tests recover a cocycle's potential",
-        "skew_window": "library API: tests read a symmetric skew-product window",
-        "constant_functor": "a functor tests build",
-        "inclusion_functor_left": "a functor tests build",
-        "permutation_module": "a module tests build",
-    }
-    defs, todo = {}, []
+    defs, methods, todo = {}, {}, []
     for path in sources():
         for node in tree(path).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -566,22 +565,88 @@ def test_every_src_name_is_reached_from_cli_main():
                     todo.append(node)
             elif not isinstance(node, (ast.Import, ast.ImportFrom)):
                 todo.append(node)
-    reached = set()
+            if isinstance(node, ast.ClassDef):
+                for fn in node.body:
+                    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        methods.setdefault(fn.name, []).append((path, node, fn))
+    names, attrs = set(), set()
+
+    def reach(name, as_attribute):
+        if name in defs and name not in names:
+            names.add(name)
+            for _, node in defs[name]:
+                if not isinstance(node, ast.ClassDef):
+                    todo.append(node)
+                    continue
+                todo.extend(node.bases + node.decorator_list)
+                todo.extend(stmt for stmt in node.body
+                            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            or is_dunder(stmt.name))
+        if as_attribute and name not in attrs:
+            attrs.add(name)
+            todo.extend(fn for _, _, fn in methods.get(name, []))
+
+    for module, target in _TARGETS:
+        if module.startswith("groupoidal."):
+            *owner, name = target.split(".")
+            reach(owner[0] if owner else name, False)
+            if owner:
+                reach(name, True)
+    for entry in TRACER_READS:
+        owner, name = entry.split(".")
+        todo += [fn for _, cls, fn in methods.get(name, []) if cls.name == owner]
     while todo:
         for node in ast.walk(todo.pop()):
-            name = name_of(node)
-            if isinstance(node, (ast.Name, ast.Attribute)) and name in defs \
-                    and name not in reached:
-                reached.add(name)
-                todo += [fn for _, fn in defs[name]]
-    bad = [f"{path}:{fn.lineno}: {name} is not reached from cli.main"
-           for name in sorted(set(defs) - reached - set(allowed))
-           for path, fn in defs[name]]
-    bad += [f"allowlisted {name} is {'reached' if name in reached else 'not defined'}"
-            for name in sorted(allowed) if name in reached or name not in defs]
-    wrapped = {attr for module, attr in _TARGETS if module.startswith("groupoidal.")}
-    bad += [f"allowlisted {name} is not wrapped by bench/tracer.py"
-            for name in sorted(allowed) if allowed[name] == traced and name not in wrapped]
+            if isinstance(node, ast.Name):
+                reach(node.id, False)
+            elif isinstance(node, ast.Attribute):
+                reach(node.attr, True)
+    return defs, methods, names, attrs
+
+
+# every top-level function and class of src/, and every method of a
+# reached class, is reached by the walk of `reachability`; the tracer's
+# reads are listed in TRACER_READS, each with its reason, and an entry
+# that src/ reaches, that is gone or that bench/tracer.py does not read
+# fails too
+def test_every_src_name_is_reached_from_cli_main():
+    defs, methods, names, attrs = reachability()
+    unreached = "is not reached from cli.main or bench/tracer.py"
+    bad = [f"{path}:{node.lineno}: {name} {unreached}"
+           for name in sorted(set(defs) - names) for path, node in defs[name]]
+    bad += [f"{path}:{fn.lineno}: {cls.name}.{name} {unreached}"
+            for name in sorted(set(methods) - attrs) for path, cls, fn in methods[name]
+            if cls.name in names and not is_dunder(name)
+            and f"{cls.name}.{name}" not in TRACER_READS]
+    read = {node.attr for node in ast.walk(tree("bench/tracer.py"))
+            if isinstance(node, ast.Attribute)}
+    for entry in sorted(TRACER_READS):
+        owner, name = entry.split(".")
+        if not any(cls.name == owner for _, cls, _ in methods.get(name, [])):
+            bad.append(f"allowlisted {entry} is not defined")
+        elif name in attrs:
+            bad.append(f"allowlisted {entry} is reached")
+        if name not in read:
+            bad.append(f"allowlisted {entry} is not read by bench/tracer.py")
+    assert not bad, "\n".join(bad)
+
+
+# the package exports what a command reaches or bench/tracer.py wraps,
+# and its modules: groupoidal.__all__ lists no other name
+def test_the_package_exports_only_reached_names():
+    from test_bench_tracer import _TARGETS
+
+    init = f"{PACKAGE}/__init__.py"
+    _, _, names, _ = reachability()
+    names = names | {target.split(".")[0] for module, target in _TARGETS
+                     if module.startswith("groupoidal.")}
+    modules = {p.stem for p in (ROOT / PACKAGE).glob("*.py")}
+    exported = next((ast.literal_eval(node.value) for node in tree(init).body
+                     if isinstance(node, ast.Assign)
+                     and [name_of(t) for t in node.targets] == ["__all__"]), None)
+    bad = [f"{init}: no __all__"] if exported is None else [
+        f"{init}: __all__ lists {name}, which is not reached"
+        for name in exported if name not in names | modules]
     assert not bad, "\n".join(bad)
 
 

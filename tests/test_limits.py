@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from groupoidal import cli, limits, zlinalg
 from groupoidal.homology import homology_groups
 from groupoidal.limits import (ColimitGroup, StageBoundExceeded, Tower,
-                               af_cohomology_tower, af_homology,
-                               colimit_divisible, colimit_equal,
+                               af_cohomology_tower, colimit_divisible, colimit_equal,
                                dimension_group, limit_and_lim1)
 from groupoidal.models import (MalformedDiagram, bratteli_stationary,
                                pair_groupoid_from_map)
@@ -130,13 +129,6 @@ def test_dimension_group_ones_matrix():
         comp = C.tower.map_at(n) * comp
         assert rank(comp) == 1
     assert invariant_factors(C.tower.map_at(0)) == [1]
-
-
-def test_af_homology_vanishes_positively():
-    B = bratteli_stationary(2, 3)
-    assert af_homology(B, 1).group == FgAbGroup.trivial()
-    assert af_homology(B, 5).group == FgAbGroup.trivial()
-    assert af_homology(B, 0).colimit is not None
 
 
 def test_af_homology_matches_truncated_elementary_groupoids():

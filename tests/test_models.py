@@ -11,12 +11,12 @@ from groupoidal.models import (MalformedDiagram, NotAGroup, NotAnAction,
                                cyclic_table, disjoint_union,
                                full_pair_groupoid, group_groupoid,
                                odometer_system, pair_groupoid_from_map,
-                               permutation_module, random_groupoid,
-                               random_module, sign_module, space_groupoid)
+                               random_groupoid, random_module, sign_module,
+                               space_groupoid)
 from groupoidal import models, zlinalg
 from groupoidal.zlinalg import FgAbGroup, IntMatrix
 
-from oracles import group_groupoid_of_table, orbit_count
+from oracles import group_groupoid_of_table, orbit_count, permutation_module
 from test_resolution import D4, S3, _relabelled
 
 S3_TABLE = [
@@ -177,11 +177,13 @@ def test_odometer_system_basics():
 
 
 def test_odometer_refinement_compatibility():
-    # truncating after adding one equals adding one after truncating
+    # truncating after adding one equals adding one after truncating; the
+    # truncation sends a depth-(d+1) cylinder to the depth-d cylinder whose
+    # refinement holds it
     for p in (2, 3):
         od = odometer_system(p, 4)
         for d in range(1, 4):
-            trunc = od.truncation(d)
+            trunc = {i: j for i, j, _ in od.refinement(d).entries()}
             pi_d = od.permutation(d)
             pi_d1 = od.permutation(d + 1)
             for j in range(p ** (d + 1)):

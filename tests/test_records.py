@@ -28,7 +28,7 @@ OWN_CONSTRUCTOR = {FgAbGroup: (1, (2, 4)), ColimitElement: (2, (1, 3))}
 
 
 def test_only_the_checking_records_write_a_constructor():
-    assert len(RECORDS) >= 20
+    assert len(RECORDS) >= 19
     assert {c for c in RECORDS if c.__init__ is not Record.__init__} == set(OWN_CONSTRUCTOR)
 
 

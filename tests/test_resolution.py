@@ -22,14 +22,14 @@ from groupoidal.groupoids import (Budget, DegreeTooLarge, FiniteGroupoid, GModul
 from groupoidal.homology import homology_groups
 from groupoidal.models import (action_groupoid, constant_module, cyclic_table,
                                disjoint_union, full_pair_groupoid, group_groupoid,
-                               permutation_module, random_groupoid, random_module,
-                               space_groupoid)
+                               random_groupoid, random_module, space_groupoid)
 from groupoidal.resolution import GroupResolution
 from groupoidal.zlinalg import IntMatrix, LinearSystem
 
 from isotropy_models import _unimodular, random_orbit_groupoid
 from normalized import (normalized_cochain_groups, normalized_cochain_space, normalized_complex,
                         normalized_hom_space)
+from oracles import permutation_module
 
 
 def _permutation_table(gens, n):
